@@ -143,27 +143,14 @@ def bench_alloc_contiguous(frames: int = 4096, run_len: int = 8,
 # data-path throughput / host-copy accounting
 # ---------------------------------------------------------------------------
 
-#: Sizes above this must show a wall-clock win from zero-copy plumbing.
-_LARGE_CUTOFF = 32 * KiB
-
-
 def bench_data_path(quick: bool = False) -> dict:
     """Host-copy counts and simulator MB/s through the real data paths.
 
     Runs a NetPIPE-style ping-pong over the GM-kernel-physical, MX-kernel
-    and MX-kernel-with-copy-removal paths, in two host modes:
-
-    * ``zero_copy`` — the normal simulator: payloads flow as
-      :class:`repro.mem.PayloadRef` chunk views end-to-end.
-    * ``legacy`` — :func:`repro.mem.sglist.set_materialize` emulation of
-      the pre-PayloadRef simulator: every payload builder joins to
-      ``bytes`` and every scatter re-casts, with the copies performed
-      (and counted) for real.
-
-    Simulated time is identical in both modes (the model charges the
-    same costs); only the host's Python work differs.  ``HOST_COPIES``
-    counting is deterministic, so CI pins a per-byte budget on the
-    zero-copy numbers, while the MB/s ratio shows the wall-clock win.
+    and MX-kernel-with-copy-removal paths, with payloads flowing as
+    :class:`repro.mem.PayloadRef` chunk views end-to-end.
+    ``HOST_COPIES`` counting is deterministic, so CI pins a per-byte
+    budget on it; MB/s shows the host's wall-clock rate.
     """
     from ..cluster.node import node_pair
     from .netpipe import ping_pong, prepare_pair
@@ -171,8 +158,7 @@ def bench_data_path(quick: bool = False) -> dict:
 
     sizes = [4 * KiB, 64 * KiB] if quick else [4 * KiB, 32 * KiB, 256 * KiB, MiB]
     rounds = 3 if quick else 10
-    # Timing is noisy on shared machines; interleave the two modes
-    # rep-by-rep (so drift hits both equally) and take the min over the
+    # Timing is noisy on shared machines; take the min over the
     # repetitions (the timeit estimator).  CPU time is the stable
     # measure for a pure-compute simulator; wall time is reported too.
     # Copy counts are deterministic and identical across reps.
@@ -200,123 +186,105 @@ def bench_data_path(quick: bool = False) -> dict:
         "mx_kernel": mx_kernel,
         "mx_kernel_zero_copy": mx_kernel_zero_copy,
     }
-    modes = ("zero_copy", "legacy")
     report: dict = {"sizes": sizes, "rounds": rounds, "paths": {}}
-    try:
-        for name, build in paths.items():
-            per_mode: dict = {m: [] for m in modes}
-            for size in sizes:
-                payload_bytes = 2 * size * rounds  # both directions
-                wall = {m: None for m in modes}
-                cpu_s = {m: None for m in modes}
-                snap = {}
-                result = {}
-                for _ in range(reps):
-                    for mode in modes:
-                        sglist.set_materialize(mode == "legacy")
-                        env = Environment()
-                        a, b = build(env)
-                        prepare_pair(env, a, b, size)
-                        sglist.HOST_COPIES.reset()
-                        w0 = time.perf_counter()
-                        c0 = time.process_time()
-                        result[mode] = ping_pong(env, a, b, size,
-                                                 rounds=rounds, warmup=0)
-                        rep_cpu = time.process_time() - c0
-                        rep_wall = time.perf_counter() - w0
-                        snap[mode] = sglist.HOST_COPIES.snapshot()
-                        if wall[mode] is None or rep_wall < wall[mode]:
-                            wall[mode] = rep_wall
-                        if cpu_s[mode] is None or rep_cpu < cpu_s[mode]:
-                            cpu_s[mode] = rep_cpu
-                sglist.set_materialize(False)
-                for mode in modes:
-                    per_mode[mode].append({
-                        "mode": mode,
-                        "size": size,
-                        "host_copies": snap[mode]["copies"],
-                        "host_copy_bytes": snap[mode]["nbytes"],
-                        "copy_per_byte": snap[mode]["nbytes"] / payload_bytes,
-                        "wall_s": wall[mode],
-                        "cpu_s": cpu_s[mode],
-                        "mb_per_s": payload_bytes / wall[mode] / 1e6,
-                        # Simulated time must not depend on the host mode.
-                        "one_way_us": result[mode].one_way_us,
-                    })
-            entries = per_mode["zero_copy"] + per_mode["legacy"]
-            report["paths"][name] = {
-                "entries": entries,
-                "summary": _data_path_summary(entries),
-            }
-    finally:
-        sglist.set_materialize(False)
-        sglist.HOST_COPIES.reset()
+    for name, build in paths.items():
+        entries = []
+        for size in sizes:
+            payload_bytes = 2 * size * rounds  # both directions
+            wall = cpu_s = None
+            for _ in range(reps):
+                env = Environment()
+                a, b = build(env)
+                prepare_pair(env, a, b, size)
+                c0 = sglist.HOST_COPIES.snapshot()
+                w0 = time.perf_counter()
+                t0 = time.process_time()
+                result = ping_pong(env, a, b, size, rounds=rounds, warmup=0)
+                rep_cpu = time.process_time() - t0
+                rep_wall = time.perf_counter() - w0
+                c1 = sglist.HOST_COPIES.snapshot()
+                copies = c1["copies"] - c0["copies"]
+                nbytes = c1["nbytes"] - c0["nbytes"]
+                wall = rep_wall if wall is None else min(wall, rep_wall)
+                cpu_s = rep_cpu if cpu_s is None else min(cpu_s, rep_cpu)
+            entries.append({
+                "size": size,
+                "host_copies": copies,
+                "host_copy_bytes": nbytes,
+                "copy_per_byte": nbytes / payload_bytes,
+                "wall_s": wall,
+                "cpu_s": cpu_s,
+                "mb_per_s": payload_bytes / wall / 1e6,
+                "one_way_us": result.one_way_us,
+            })
+        report["paths"][name] = {
+            "entries": entries,
+            "summary": {
+                "host_copy_bytes": sum(e["host_copy_bytes"] for e in entries),
+                "max_copy_per_byte": max(e["copy_per_byte"] for e in entries),
+            },
+        }
     return report
 
 
 def bench_packet_train(quick: bool = False) -> dict:
     """Event-count A/B of the packet-train analytic wire fast path.
 
-    Runs the same large-transfer ping-pong with coalescing forced off
-    (``per_packet``) and on (``train``).  The event counts come from
-    ``Environment.events_processed`` and are fully deterministic, so CI
-    gates on them directly: the reduction factor proves the fast path
+    Runs the same large-transfer ping-pong at ``packet`` fidelity
+    (reported as ``per_packet``) and at ``train`` fidelity.  The event
+    counts come from ``Environment.events_processed`` and are fully
+    deterministic, so CI gates on them directly: the reduction factor proves the fast path
     engages, the events-per-MB budget catches per-packet work creeping
     back into the data path.  Simulated time must be identical in both
     modes — the trains are an optimization, not a model change.
     """
     from ..cluster.node import node_pair
-    from ..hw import train
     from .netpipe import ping_pong, prepare_pair
     from .transports import GmKernelTransport
 
     sizes = [256 * KiB] if quick else [256 * KiB, MiB]
     rounds = 2 if quick else 5
     reps = 1 if quick else 3
-    modes = ("per_packet", "train")
+    modes = {"per_packet": "packet", "train": "train"}
     entries: list[dict] = []
-    try:
-        for size in sizes:
-            payload_mb = 2 * size * rounds / MiB  # both directions
-            events = {}
-            wall = {m: None for m in modes}
-            cpu_s = {m: None for m in modes}
-            result = {}
-            for _ in range(reps):
-                for mode in modes:
-                    train.set_coalescing(mode == "train")
-                    env = Environment()
-                    a, b = node_pair(env)
-                    ta = GmKernelTransport(a, 2, 1, 2, addressing="physical")
-                    tb = GmKernelTransport(b, 2, 0, 2, addressing="physical")
-                    prepare_pair(env, ta, tb, size)
-                    base = env.events_processed
-                    w0 = time.perf_counter()
-                    c0 = time.process_time()
-                    result[mode] = ping_pong(env, ta, tb, size,
-                                             rounds=rounds, warmup=0)
-                    rep_cpu = time.process_time() - c0
-                    rep_wall = time.perf_counter() - w0
-                    # Deterministic: identical on every repetition.
-                    events[mode] = env.events_processed - base
-                    if wall[mode] is None or rep_wall < wall[mode]:
-                        wall[mode] = rep_wall
-                    if cpu_s[mode] is None or rep_cpu < cpu_s[mode]:
-                        cpu_s[mode] = rep_cpu
-            entries.append({
-                "size": size,
-                "rounds": rounds,
-                "events": dict(events),
-                "event_reduction": events["per_packet"] / events["train"],
-                "events_per_mb": {m: events[m] / payload_mb for m in modes},
-                "wall_s": dict(wall),
-                "cpu_s": dict(cpu_s),
-                "one_way_us": result["train"].one_way_us,
-                "sim_time_identical": (result["per_packet"].one_way_us
-                                       == result["train"].one_way_us),
-            })
-    finally:
-        train.set_coalescing(True)
+    for size in sizes:
+        payload_mb = 2 * size * rounds / MiB  # both directions
+        events = {}
+        wall = {m: None for m in modes}
+        cpu_s = {m: None for m in modes}
+        result = {}
+        for _ in range(reps):
+            for mode in modes:
+                env = Environment(modes[mode])
+                a, b = node_pair(env)
+                ta = GmKernelTransport(a, 2, 1, 2, addressing="physical")
+                tb = GmKernelTransport(b, 2, 0, 2, addressing="physical")
+                prepare_pair(env, ta, tb, size)
+                base = env.events_processed
+                w0 = time.perf_counter()
+                c0 = time.process_time()
+                result[mode] = ping_pong(env, ta, tb, size,
+                                         rounds=rounds, warmup=0)
+                rep_cpu = time.process_time() - c0
+                rep_wall = time.perf_counter() - w0
+                # Deterministic: identical on every repetition.
+                events[mode] = env.events_processed - base
+                if wall[mode] is None or rep_wall < wall[mode]:
+                    wall[mode] = rep_wall
+                if cpu_s[mode] is None or rep_cpu < cpu_s[mode]:
+                    cpu_s[mode] = rep_cpu
+        entries.append({
+            "size": size,
+            "rounds": rounds,
+            "events": dict(events),
+            "event_reduction": events["per_packet"] / events["train"],
+            "events_per_mb": {m: events[m] / payload_mb for m in modes},
+            "wall_s": dict(wall),
+            "cpu_s": dict(cpu_s),
+            "one_way_us": result["train"].one_way_us,
+            "sim_time_identical": (result["per_packet"].one_way_us
+                                   == result["train"].one_way_us),
+        })
     return {
         "sizes": sizes,
         "rounds": rounds,
@@ -328,36 +296,6 @@ def bench_packet_train(quick: bool = False) -> dict:
             "sim_time_identical": all(e["sim_time_identical"]
                                       for e in entries),
         },
-    }
-
-
-def _data_path_summary(entries: list[dict]) -> dict:
-    """Per-path digest: byte-copy reduction and large-transfer speedup."""
-    zc = [e for e in entries if e["mode"] == "zero_copy"]
-    legacy = [e for e in entries if e["mode"] == "legacy"]
-    zc_bytes = sum(e["host_copy_bytes"] for e in zc)
-    legacy_bytes = sum(e["host_copy_bytes"] for e in legacy)
-    zc_large = [e for e in zc if e["size"] >= _LARGE_CUTOFF]
-    legacy_large = [e for e in legacy if e["size"] >= _LARGE_CUTOFF]
-    speedup = None
-    if zc_large and legacy_large:
-        # Min-of-reps CPU time: the host work the simulator actually
-        # saves; wall-clock rates are reported per entry as mb_per_s.
-        zc_rate = (sum(2 * e["size"] for e in zc_large)
-                   / sum(e["cpu_s"] for e in zc_large))
-        legacy_rate = (sum(2 * e["size"] for e in legacy_large)
-                       / sum(e["cpu_s"] for e in legacy_large))
-        speedup = zc_rate / legacy_rate
-    return {
-        "zero_copy_bytes": zc_bytes,
-        "legacy_bytes": legacy_bytes,
-        "copy_reduction": (legacy_bytes / zc_bytes) if zc_bytes else None,
-        "max_copy_per_byte": max(e["copy_per_byte"] for e in zc),
-        "large_transfer_speedup": speedup,
-        "sim_time_identical": all(
-            a["one_way_us"] == b["one_way_us"]
-            for a, b in zip(zc, legacy)
-        ),
     }
 
 
@@ -528,12 +466,8 @@ def run_perf(quick: bool = False) -> dict:
             (alloc["single_frame"]["ops"] + alloc["contiguous"]["ops"])
             / (alloc["single_frame"]["elapsed_s"]
                + alloc["contiguous"]["elapsed_s"])),
-        "data_path_copy_reduction_min": min(
-            p["summary"]["copy_reduction"] for p in dp.values()),
         "data_path_copy_per_byte_max": max(
             p["summary"]["max_copy_per_byte"] for p in dp.values()),
-        "data_path_large_speedup_min": min(
-            p["summary"]["large_transfer_speedup"] for p in dp.values()),
         "packet_train_event_reduction": pt["event_reduction_min"],
         "packet_train_events_per_mb": pt["events_per_mb_train_max"],
         "packet_train_sim_identical": pt["sim_time_identical"],
@@ -565,6 +499,12 @@ def main(argv: list[str] | None = None) -> int:
                              "(default: BENCH_engine.json; '-' for stdout only)")
     args = parser.parse_args(argv)
     report = run_perf(quick=args.quick)
+    if args.out != "-" and os.path.exists(args.out):
+        # Frozen notes about retired benchmarks outlive every rerun.
+        with open(args.out) as fh:
+            history = json.load(fh).get("history")
+        if history is not None:
+            report["history"] = history
     text = json.dumps(report, indent=2) + "\n"
     if args.out == "-":
         sys.stdout.write(text)
@@ -578,8 +518,7 @@ def main(argv: list[str] | None = None) -> int:
         f"engine immediate : {report['engine']['immediate']['events_per_sec']:>12,.0f} events/s",
         f"alloc single     : {report['allocator']['single_frame']['ops_per_sec']:>12,.0f} ops/s",
         f"alloc contiguous : {report['allocator']['contiguous']['ops_per_sec']:>12,.0f} ops/s",
-        f"data-path copies : {summary['data_path_copy_reduction_min']:>12.2f} x fewer host bytes copied",
-        f"data-path speedup: {summary['data_path_large_speedup_min']:>12.2f} x MB/s on >=32 kB transfers",
+        f"data-path copies : {summary['data_path_copy_per_byte_max']:>12.2f} host bytes copied per payload byte",
         f"packet trains    : {summary['packet_train_event_reduction']:>12.2f} x fewer engine events "
         f"({summary['packet_train_events_per_mb']:,.0f} events/MB)",
         f"sharded (2 procs): {summary['sharded_speedup']:>12.2f} x vs sequential on "

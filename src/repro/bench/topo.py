@@ -47,9 +47,6 @@ from typing import Optional
 
 from .. import obs
 from ..cluster.topo import fat_tree, plan_fabric
-from ..mem import sglist
-from ..hw import flow as flowmod
-from ..hw import train
 from ..hw.params import host_params
 from ..sim import Environment
 from ..sim.shard import run_sequential, run_sharded
@@ -135,67 +132,57 @@ def run_topo(k: int, scenario: str, mode: str, size: int = 256 * KiB) -> dict:
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    flowmod.set_flow_mode(mode == "flow")
-    train.set_coalescing(mode != "packet")
-    # The host-copy accumulator is process-global; reset it so the
-    # mem.host_copies collector reports this run, not the session.
-    sglist.HOST_COPIES.reset()
-    registry = obs.MetricsRegistry()
-    try:
-        with obs.installed_registry(registry):
-            env = Environment()
-            # Transfers never touch more than a few MiB of frames; a
-            # small pool keeps the 1024-host build cheap.
-            fabric = fat_tree(env, k, host=host_params(memory_frames=2048))
-            n = len(fabric.nodes)
-            pairs = pairs_for(scenario, k, n)
-            senders = {}
-            receivers = {}
-            for src, dst in pairs:
-                senders[(src, dst)] = MxTransport(
-                    fabric.nodes[src], 1, peer_node=dst, peer_ep=2,
-                    context="kernel")
-                receivers[(src, dst)] = MxTransport(
-                    fabric.nodes[dst], 2, peer_node=src, peer_ep=1,
-                    context="kernel")
-            for p in pairs:
-                prepare_pair(env, senders[p], receivers[p], size)
-            done = {}
+    with obs.installed_registry() as registry:
+        env = Environment(mode)
+        # Transfers never touch more than a few MiB of frames; a
+        # small pool keeps the 1024-host build cheap.
+        fabric = fat_tree(env, k, host=host_params(memory_frames=2048))
+        n = len(fabric.nodes)
+        pairs = pairs_for(scenario, k, n)
+        senders = {}
+        receivers = {}
+        for src, dst in pairs:
+            senders[(src, dst)] = MxTransport(
+                fabric.nodes[src], 1, peer_node=dst, peer_ep=2,
+                context="kernel")
+            receivers[(src, dst)] = MxTransport(
+                fabric.nodes[dst], 2, peer_node=src, peer_ep=1,
+                context="kernel")
+        for p in pairs:
+            prepare_pair(env, senders[p], receivers[p], size)
+        done = {}
 
-            def tx(t):
-                yield from t.send(size)
+        def tx(t):
+            yield from t.send(size)
 
-            def rx(p, t):
-                yield from t.recv(size)
-                done[p] = env.now
+        def rx(p, t):
+            yield from t.recv(size)
+            done[p] = env.now
 
-            t0 = time.perf_counter()
-            ev0 = env.events_processed
-            for p in pairs:
-                env.process(tx(senders[p]))
-                env.process(rx(p, receivers[p]))
-            env.run()
-            wall = time.perf_counter() - t0
-            table = [(src, dst, done[(src, dst)]) for src, dst in pairs]
-            payload_mib = len(pairs) * size / MiB
-            raw = registry.snapshot()
-            return {
-                "mode": mode,
-                "k": k,
-                "hosts": n,
-                "scenario": scenario,
-                "size": size,
-                "now": env.now,
-                "events": env.events_processed - ev0,
-                "events_per_mib": (env.events_processed - ev0) / payload_mib,
-                "wall_s": wall,
-                "completions": table,
-                "flow_stats": flow_work_stats(raw),
-                "obs": filtered_obs(raw),
-            }
-    finally:
-        flowmod.set_flow_mode(True)
-        train.set_coalescing(True)
+        t0 = time.perf_counter()
+        ev0 = env.events_processed
+        for p in pairs:
+            env.process(tx(senders[p]))
+            env.process(rx(p, receivers[p]))
+        env.run()
+        wall = time.perf_counter() - t0
+        table = [(src, dst, done[(src, dst)]) for src, dst in pairs]
+        payload_mib = len(pairs) * size / MiB
+        raw = registry.snapshot()
+        return {
+            "mode": mode,
+            "k": k,
+            "hosts": n,
+            "scenario": scenario,
+            "size": size,
+            "now": env.now,
+            "events": env.events_processed - ev0,
+            "events_per_mib": (env.events_processed - ev0) / payload_mib,
+            "wall_s": wall,
+            "completions": table,
+            "flow_stats": flow_work_stats(raw),
+            "obs": filtered_obs(raw),
+        }
 
 
 def completion_table(result: dict) -> str:
@@ -306,8 +293,6 @@ def run_topo_sharded(k: int, size: int, nshards: int,
                      verify: bool = False) -> dict:
     """One pod-sharded fabric run (optionally checked against the
     in-process sequential reference, which must agree byte-for-byte)."""
-    flowmod.set_flow_mode(True)
-    train.set_coalescing(True)
     sc = FabricPermutationScenario(k, size, scenario, nshards)
     out = {
         "k": k,

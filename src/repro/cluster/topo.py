@@ -9,8 +9,8 @@ on.  This module builds them:
   ``k/2`` edge and ``k/2`` aggregation switches plus ``(k/2)²`` cores,
   ``k³/4`` hosts; every host pair has ``(k/2)²`` equal-cost paths
   through the core (``k=8`` → 128 hosts, ``k=16`` → 1024 hosts);
-* :func:`dragonfly` — all-to-all-connected groups of routers with one
-  global link per group pair, the low-diameter long-cable topology.
+* :func:`dragonfly` — all-to-all-connected groups of routers with
+  one global link per group pair, the low-diameter long-cable topology.
 
 A :class:`Fabric` owns the shared node→switch locator, assigns each
 switch a mixed per-switch ECMP seed (identical seeds on every stage
@@ -19,7 +19,8 @@ core), computes shortest-path routing tables by BFS over the switch
 graph, and — the point of the exercise — installs one
 :class:`repro.hw.flow.FlowNetwork` across the fabric so steady
 transfers collapse into analytic flow reservations
-(:mod:`repro.hw.flow`; ``set_flow_mode`` toggles the fidelity).
+(:mod:`repro.hw.flow`; they engage at the environment's default
+``"flow"`` fidelity).
 
 Sharding
 --------
@@ -439,8 +440,9 @@ def dragonfly(env: Environment, groups: int = 4, routers: int = 4,
 
     Global link between groups ``a < b`` lands on router ``(b-1) mod R``
     in ``a`` and router ``a mod R`` in ``b`` (the palmtree layout), so
-    global links spread evenly over routers.  Minimal routing emerges
-    from BFS: local→global→local, at most three switch-to-switch hops.
+    the global links spread evenly over routers.  Minimal routing
+    emerges from BFS: local→global→local, at most three switch-to-switch
+    hops.
     """
     if groups < 2 or routers < 1 or hosts < 1:
         raise ValueError(

@@ -1,30 +1,21 @@
-"""repro.fleet — declarative experiment sweeps over isolated runs.
+"""repro.fleet — declarative experiment sweeps over hermetic runs.
 
-Two halves:
-
-* :mod:`repro.fleet.isolate` — the per-run global-state scrub (host-copy
-  accounting, obs registry/timeline, fidelity switches, id counters)
-  that makes back-to-back in-process runs byte-identical to
-  fresh-process runs.  The sharded engine's fork workers and the NBD
-  chaos harness use the same discipline.
-* :mod:`repro.fleet.spec` / :mod:`repro.fleet.runner` — an experiment
-  spec declaring a grid over {topology, fidelity mode, workload + API,
-  arrival process, offered load, fault plan}; the runner expands the
-  grid, fans runs out over a process pool, and collects per-run obs
-  snapshots into one tidy deterministic results table (JSON + CSV).
-  Same spec + seed => byte-identical results files, sequential or
-  parallel.
+:mod:`repro.fleet.spec` / :mod:`repro.fleet.runner` — an experiment
+spec declaring a grid over {topology, fidelity mode, workload + API,
+arrival process, offered load, fault plan}; the runner expands the
+grid, runs every point in its own :class:`~repro.sim.Environment`
+(which carries the point's fidelity and id allocator, so a run is
+hermetic by construction), fans runs out over a process pool, and
+collects per-run obs snapshots into one tidy deterministic results
+table (JSON + CSV).  Same spec + seed => byte-identical results files,
+sequential or parallel.
 
 CLI: ``python -m repro.bench fleet --spec SPEC.json [--parallel N]
 [--out PREFIX]``.
 
-The package namespace is lazy (PEP 562): :mod:`repro.sim.shard` and
-:mod:`repro.nbd.chaos` import :mod:`repro.fleet.isolate` for the scrub,
-and must not drag the whole sweep runner (and its workload imports) in
-behind it.
+The package namespace is lazy (PEP 562): importing :mod:`repro.fleet`
+does not drag the sweep runner (and its workload imports) in behind it.
 """
-
-from .isolate import isolated_run, reset_id_counters
 
 _LAZY = {
     "FleetSpec": "spec",
@@ -38,7 +29,7 @@ _LAZY = {
     "run_point": "runner",
 }
 
-__all__ = ["isolated_run", "reset_id_counters", *sorted(_LAZY)]
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):

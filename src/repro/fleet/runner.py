@@ -1,10 +1,9 @@
 """The sweep runner: expand a fleet spec, run every point, tabulate.
 
-Each grid point runs under :func:`repro.fleet.isolate.isolated_run` —
-fresh metrics registry, zeroed host-copy accounting, fresh-process id
-counters, fidelity switches scoped to the point — in its own
-:class:`~repro.sim.Environment`.  That makes a point hermetic, which
-buys the fleet contract for free:
+Each grid point runs in its own :class:`~repro.sim.Environment`, built
+at the point's fidelity with its own id allocator, under its own
+metrics registry (:func:`repro.obs.scoped_registry`).  That makes a
+point hermetic, which buys the fleet contract for free:
 
 * *same spec + seed => byte-identical results files*, and
 * *sequential in-process == parallel fresh-process*: ``--parallel N``
@@ -26,16 +25,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .. import obs
 from ..cluster.node import star
 from ..cluster.topo import dragonfly, fat_tree
 from ..faults.plan import FaultPlan
-from ..hw import flow as flowmod
-from ..hw import train as trainmod
 from ..hw.params import host_params
 from ..load import LoadGen, make_arrivals, make_mix, make_workload, run_load
 from ..sim import Environment
 from ..units import us
-from .isolate import isolated_run
 from .spec import FleetSpec, RunPoint
 
 #: Spec-file field reference (``python -m repro.bench fleet --schema``).
@@ -109,12 +106,9 @@ def _install_fault(env, fault: dict, seed: int, nodes, switches) -> None:
 
 def run_point(spec: FleetSpec, point: RunPoint) -> dict:
     """Run one grid point hermetically; returns its results row."""
-    with isolated_run(observe=True):
-        # Fidelity is scoped to the point (isolated_run restores): on a
-        # star there is no FlowNetwork, so "flow" degrades to "train".
-        flowmod.set_flow_mode(point.mode == "flow")
-        trainmod.set_coalescing(point.mode != "packet")
-        env = Environment()
+    with obs.scoped_registry():
+        # On a star there is no FlowNetwork, so "flow" runs as "train".
+        env = Environment(point.mode)
         nodes, switches = _build_topology(env, point.topology)
         if point.fault is not None:
             _install_fault(env, point.fault, point.seed, nodes, switches)

@@ -18,7 +18,6 @@ Deviations from the real API, documented:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -61,8 +60,6 @@ class GmEvent:
 class GmPort:
     """A GM communication port owned by one user process."""
 
-    _context_ids = itertools.count(1000)
-
     def __init__(self, node: Node, port_id: int, space: AddressSpace,
                  costs: ApiCosts = GM_USER_COSTS):
         self.node = node
@@ -71,7 +68,7 @@ class GmPort:
         self.costs = costs
         self.cpu = node.cpu
         self.env = node.env
-        self.context = next(GmPort._context_ids)
+        self.context = node.env.next_id("gm.context")
         self.nic_port: NicPort = node.nic.open_port(port_id, costs)
         self.domain = RegistrationDomain(node.cpu, node.nic.transtable, self.context)
         self.events: Store = Store(node.env, f"gm{port_id}.events")

@@ -64,8 +64,9 @@ compare against): the max-min rate vector is unique, and untouched
 components keep rates — and therefore ETAs and settled progress —
 unchanged by definition.
 
-:func:`set_flow_mode` mirrors :func:`repro.hw.train.set_coalescing` —
-the A/B switch for equivalence tests and ``repro.bench.perf``.
+Flows engage only in a run built at ``Environment(fidelity="flow")``
+(the default); ``"train"`` and ``"packet"`` are the A/B references for
+equivalence tests and ``repro.bench.perf``.
 """
 
 from __future__ import annotations
@@ -82,24 +83,6 @@ from .params import DEFAULT_FLOW, FlowParams
 
 #: Histogram buckets for analytic flow lengths (packets).
 FLOW_LEN_BUCKETS = (16, 64, 256, 1024, 4096)
-
-_enabled = True
-
-
-def set_flow_mode(enabled: bool) -> None:
-    """Globally force analytic flow reservations on (default) or off.
-
-    Off means fabric transfers fall back to packet-train / per-packet
-    fidelity — the A/B reference for equivalence tests and the perf
-    benchmark.  Mirrors :func:`repro.hw.train.set_coalescing`.
-    """
-    global _enabled
-    _enabled = bool(enabled)
-
-
-def flow_mode_enabled() -> bool:
-    return _enabled
-
 
 def _ceil(q: Fraction) -> int:
     return -int((-q) // 1)
@@ -298,7 +281,7 @@ class FlowNetwork:
         ``remaining`` unchanged, de-coalesced flows return the
         per-packet tail, completed flows return the trailing FRAG plus
         the final packet."""
-        if not _enabled or self.path_fn is None:
+        if self.env.fidelity != "flow" or self.path_fn is None:
             return remaining
         nfrags = (desc.size - 1) // mtu
         if nfrags < self.params.min_flow_frags:

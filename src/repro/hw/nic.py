@@ -31,7 +31,6 @@ segments, so end-to-end tests observe genuine data movement.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -45,8 +44,7 @@ from ..sim import Environment, Event, Resource, Store
 from ..units import transfer_time_ns
 from .link import Link
 from .params import DEFAULT_RELIABILITY, ApiCosts, NicParams, ReliabilityParams
-from .train import (MIN_TRAIN_FRAGS, PacketTrain, TrainRun,
-                    coalescing_enabled)
+from .train import MIN_TRAIN_FRAGS, PacketTrain, TrainRun
 from .wire import MsgKind  # re-export: historic public home of the enum
 
 #: Train-length histogram buckets (packets per train; 1 MiB at the
@@ -635,8 +633,6 @@ class _ReliableDelivery:
 class Nic:
     """A Myrinet network interface card attached to one host."""
 
-    _rndv_ids = itertools.count(1)
-
     def __init__(
         self,
         env: Environment,
@@ -806,7 +802,7 @@ class Nic:
             fw_time += self.params.translation_lookup_ns
         yield from self.fw.acquire(fw_time)
         if desc.rendezvous:
-            rndv_id = next(Nic._rndv_ids)
+            rndv_id = self.env.next_id("rndv")
             self._stalled_rndv[rndv_id] = desc
             rts = Message(
                 kind=MsgKind.RTS,
@@ -918,7 +914,7 @@ class Nic:
                 # misdescribe it.
                 return remaining
         nfrags = (desc.size - 1) // mtu
-        if nfrags < MIN_TRAIN_FRAGS or not coalescing_enabled():
+        if nfrags < MIN_TRAIN_FRAGS or self.env.fidelity == "packet":
             return remaining
         assert self._link is not None
         why = self._link.train_block_reason(self._link_end)
@@ -934,6 +930,7 @@ class Nic:
             match=desc.match,
             npackets=nfrags,
             wire_size=mtu,
+            train_id=self.env.next_id("transit"),
         )
         run = TrainRun(nfrags)
         sent = yield from self._link.transmit_train(self._link_end, train, run)

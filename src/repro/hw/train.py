@@ -40,51 +40,25 @@ rule applies unchanged: fault filters pass them through, reliability
 never sequences them, and the destination NIC's receive loop discards
 them.
 
-The module-level switch (:func:`set_coalescing`) exists for A/B
-equivalence testing and the perf benchmark; the default is on.
+Trains engage unless the run's :class:`~repro.sim.Environment` was
+built at ``fidelity="packet"``, the reference mode for equivalence
+tests and the perf benchmark.
 
 One level further up sits the flow engine (:mod:`repro.hw.flow`): where
 a train coalesces one message's FRAG burst *per hop*, a flow reservation
 coalesces the whole burst *across the path*, and de-coalesces back to
 trains/packets by the same playbook (its remainder re-enters this
-module's machinery untouched).  Trains and flows share one id space
-(:func:`next_transit_id`) so a switch's in-flight transit registry can
-never alias a re-emitted train of a de-coalesced flow with the flow
-itself.
+module's machinery untouched).  Train ids come from the environment's
+``"transit"`` id space, so every train of a run has a distinct id.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .wire import MsgKind
 
 #: Below this many FRAGs the analytic path saves nothing worth the
 #: bookkeeping; such messages always take the per-packet loop.
 MIN_TRAIN_FRAGS = 2
-
-_train_ids = itertools.count(1)
-
-
-def next_transit_id() -> int:
-    """Next id from the shared train/flow transit id space."""
-    return next(_train_ids)
-
-_enabled = True
-
-
-def set_coalescing(enabled: bool) -> None:
-    """Globally force packet-train coalescing on (default) or off.
-
-    Off means every fragmented message takes the per-packet loop —
-    the A/B reference mode for equivalence tests and ``repro.bench.perf``.
-    """
-    global _enabled
-    _enabled = bool(enabled)
-
-
-def coalescing_enabled() -> bool:
-    return _enabled
 
 
 class PacketTrain:
@@ -105,7 +79,8 @@ class PacketTrain:
     kind = MsgKind.FRAG
 
     def __init__(self, src_nic: int, src_port: int, dst_nic: int,
-                 dst_port: int, match: int, npackets: int, wire_size: int):
+                 dst_port: int, match: int, npackets: int, wire_size: int,
+                 train_id: int):
         self.src_nic = src_nic
         self.src_port = src_port
         self.dst_nic = dst_nic
@@ -113,7 +88,7 @@ class PacketTrain:
         self.match = match
         self.npackets = npackets
         self.wire_size = wire_size
-        self.train_id = next_transit_id()
+        self.train_id = train_id
 
 
 class TrainTruncation:

@@ -22,7 +22,7 @@ from typing import Optional
 
 from ..errors import Eexist, Einval, Eisdir, Enoent, Enotdir, Enotempty
 from ..hw.cpu import Cpu
-from ..mem.sglist import PayloadRef, write_chunks
+from ..mem.sglist import PayloadRef
 from ..sim import Environment
 from ..units import PAGE_SIZE
 from .vfs import InodeAttrs, UserBuffer
@@ -170,7 +170,7 @@ class MemFs:
             inode.data.extend(bytes(end - len(inode.data)))
         if isinstance(data, PayloadRef):
             pos = offset
-            for chunk in write_chunks(data):
+            for chunk in data.chunks():
                 inode.data[pos : pos + len(chunk)] = chunk
                 pos += len(chunk)
         else:

@@ -23,7 +23,7 @@ from typing import Optional
 from .. import obs
 from ..errors import KernelError
 from ..mem.phys import Frame, PhysicalMemory
-from ..mem.sglist import PayloadRef, seal, write_chunks
+from ..mem.sglist import PayloadRef
 from ..units import PAGE_SIZE
 
 
@@ -46,14 +46,14 @@ class CachedPage:
         (copy-on-write: a later write to the page detaches first)."""
         if length is None:
             length = PAGE_SIZE - offset
-        return seal(PayloadRef.from_chunks([self.frame.view(offset, length)]))
+        return PayloadRef.from_chunks([self.frame.view(offset, length)])
 
     def fill(self, offset: int, payload: PayloadRef) -> None:
         """Scatter a :class:`PayloadRef` into this page at ``offset``."""
         if obs.metrics_enabled():
             obs.counter("pagecache.fills").inc()
         pos = offset
-        for chunk in write_chunks(payload):
+        for chunk in payload.chunks():
             self.frame.write(pos, chunk)
             pos += len(chunk)
 

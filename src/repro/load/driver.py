@@ -123,9 +123,12 @@ class _Recorder:
     """Shared per-run accounting: obs instruments + result tallies."""
 
     def __init__(self, workload_name: str, n_clients: int):
-        self.hist = obs.histogram("load.op_latency_ns",
-                                  buckets=LATENCY_BOUNDS,
-                                  workload=workload_name)
+        #: This run's latencies, for the result quantiles; the installed
+        #: registry (if any) aggregates them across runs too.
+        self.hist = obs.Histogram("load.op_latency_ns", LATENCY_BOUNDS)
+        self.obs_hist = obs.histogram("load.op_latency_ns",
+                                      buckets=LATENCY_BOUNDS,
+                                      workload=workload_name)
         self.per_client = [0] * n_clients
         self.failed = 0
         self.total_latency = 0
@@ -134,6 +137,7 @@ class _Recorder:
 
     def done(self, client: int, op: str, latency_ns: int, now: int) -> None:
         self.hist.observe(latency_ns)
+        self.obs_hist.observe(latency_ns)
         if obs.metrics_enabled():
             obs.counter("load.ops", workload=self.workload_name,
                         op=op, client=client).inc()

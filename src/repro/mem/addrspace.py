@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Optional
 from ..errors import BadAddress, ProtectionFault
 from ..units import PAGE_MASK, PAGE_SIZE, page_align_up
 from .phys import Frame, PhysicalMemory
-from .sglist import PayloadRef, seal, write_chunks
+from .sglist import PayloadRef
 
 USER_BASE = 0x1000_0000  # first user-mappable virtual address
 USER_TOP = 0x8000_0000  # 2 GB user space, mirroring 32-bit Linux
@@ -336,13 +336,13 @@ class AddressSpace:
             chunks.append(self.phys.frame_at_phys(phys).view(offset, chunk))
             addr += chunk
             remaining -= chunk
-        return seal(PayloadRef.from_chunks(chunks))
+        return PayloadRef.from_chunks(chunks)
 
     def write_payload(self, vaddr: int, payload: PayloadRef) -> None:
         """Scatter a :class:`PayloadRef` into this address space at
         ``vaddr`` — the zero-copy counterpart of :meth:`write_bytes`."""
         addr = vaddr
-        for chunk in write_chunks(payload):
+        for chunk in payload.chunks():
             self.write_bytes(addr, chunk)
             addr += len(chunk)
 

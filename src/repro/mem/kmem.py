@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from ..errors import BadAddress
 from ..units import PAGE_MASK, PAGE_SIZE, page_align_up
 from .phys import Frame, PhysicalMemory
-from .sglist import PayloadRef, seal, write_chunks
+from .sglist import PayloadRef
 
 KERNEL_BASE = 0xC000_0000  # 3 GB: start of kernel virtual addresses
 
@@ -143,11 +143,11 @@ class KernelSpace:
             chunks.append(self.phys.frame_at_phys(phys).view(offset, chunk))
             addr += chunk
             remaining -= chunk
-        return seal(PayloadRef.from_chunks(chunks))
+        return PayloadRef.from_chunks(chunks)
 
     def write_payload(self, vaddr: int, payload: PayloadRef) -> None:
         """Scatter a :class:`PayloadRef` at a kernel virtual address."""
         addr = vaddr
-        for chunk in write_chunks(payload):
+        for chunk in payload.chunks():
             self.write_bytes(addr, chunk)
             addr += len(chunk)

@@ -18,7 +18,7 @@ from typing import Optional
 
 from ..errors import OutOfMemory, PinningError
 from ..units import PAGE_SHIFT, PAGE_SIZE
-from .sglist import HOST_COPIES, materialize_enabled
+from .sglist import HOST_COPIES
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
@@ -282,12 +282,7 @@ class PhysicalMemory:
         first write (directed-send deposit offsets).  Writing stops when
         either the payload or the segments run out; returns the bytes
         written.
-
-        In legacy/materialize mode each per-segment piece is re-cast to
-        ``bytes`` first (and counted) — exactly the ``bytes(view[:chunk])``
-        the old NIC scatter loop performed before ``write_phys``.
         """
-        legacy = materialize_enabled()
         segs = iter(sg)
         seg = next(segs, None)
         seg_off = 0
@@ -303,11 +298,7 @@ class PhysicalMemory:
             view = chunk if isinstance(chunk, memoryview) else memoryview(chunk)
             while len(view) and seg is not None:
                 n = min(len(view), seg.length - seg_off)
-                piece = view[:n]
-                if legacy:
-                    HOST_COPIES.count(n)
-                    piece = bytes(piece)
-                self.write_phys(seg.phys_addr + seg_off, piece)
+                self.write_phys(seg.phys_addr + seg_off, view[:n])
                 written += n
                 seg_off += n
                 view = view[n:]

@@ -17,17 +17,13 @@ copies are not.**  Nothing in this module touches ``cpu.copy`` or any
 other simulated-time charge; it only changes what the host Python
 process does, so every figure stays byte-identical.
 
-Two support facilities live here because every layer needs them:
-
-* :data:`HOST_COPIES` — a global accounting hook counting *real* host
-  byte-copies (frame reads/writes, joins, casts, COW detaches).  The
-  data-path benchmark reads it to prove the copies are gone, and CI
-  pins a per-byte budget on it (deterministic, unlike wall-clock).
-* ``set_materialize(True)`` — a legacy mode in which every payload
-  builder eagerly snapshots to ``bytes`` and every scatter re-casts,
-  reproducing (and counting) the pre-PayloadRef behaviour.  The
-  benchmark runs both modes over the same traffic for an honest A/B;
-  simulated time is identical in both.
+:data:`HOST_COPIES` lives here because every layer feeds it: a
+process-wide meter counting *real* host byte-copies (frame
+reads/writes, joins, casts, COW detaches).  The data-path benchmark
+reads it to prove the copies are gone, and CI pins a per-byte budget on
+it (deterministic, unlike wall-clock).  It measures the host, not the
+simulation, so no run resets it: every metrics registry publishes the
+copies made since that registry was created.
 
 In-flight safety: a view taken from a :class:`repro.mem.phys.Frame`
 marks the frame *shared*; the frame's next write detaches its storage
@@ -37,7 +33,7 @@ never corrupt a payload still on the simulated wire.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 from zlib import crc32
 
 from ..obs import registry as obs_registry
@@ -61,67 +57,30 @@ class CopyAccounting:
             self.copies += 1
             self.nbytes += nbytes
 
-    def reset(self) -> None:
-        self.copies = 0
-        self.nbytes = 0
-
     def snapshot(self) -> dict:
         return {"copies": self.copies, "nbytes": self.nbytes}
 
 
-#: The global copy-accounting hook (see module docstring).
+#: The process-wide copy meter (see module docstring).
 HOST_COPIES = CopyAccounting()
 
 
-def _collect_host_copies(registry) -> None:
-    """Publish :data:`HOST_COPIES` into a metrics registry at snapshot
-    time.  Pull-style on purpose: the counting hot path stays two plain
-    integer adds (repro.mem.phys inlines them), and the perf-smoke CI
-    gate keeps reading the exact same numbers through the global."""
-    registry.gauge("mem.host_copies.ops").set(HOST_COPIES.copies)
-    registry.gauge("mem.host_copies.bytes").set(HOST_COPIES.nbytes)
+def _start_host_copies(registry):
+    """Publish the :data:`HOST_COPIES` made since ``registry`` was
+    created into it at snapshot time.  Pull-style on purpose: the
+    counting hot path stays two plain integer adds (repro.mem.phys
+    inlines them), and the perf-smoke CI gate keeps reading the exact
+    same numbers through the meter."""
+    copies0, nbytes0 = HOST_COPIES.copies, HOST_COPIES.nbytes
+
+    def collect(reg) -> None:
+        reg.gauge("mem.host_copies.ops").set(HOST_COPIES.copies - copies0)
+        reg.gauge("mem.host_copies.bytes").set(HOST_COPIES.nbytes - nbytes0)
+
+    return collect
 
 
-obs_registry.register_collector(_collect_host_copies)
-
-_materialize = False
-
-
-def set_materialize(on: bool) -> None:
-    """Switch the legacy bounce-buffer emulation on or off (bench A/B)."""
-    global _materialize
-    _materialize = bool(on)
-
-
-def materialize_enabled() -> bool:
-    return _materialize
-
-
-def seal(ref: "PayloadRef") -> "PayloadRef":
-    """Finish a payload builder.
-
-    In normal operation this is the identity.  In legacy/materialize
-    mode it eagerly snapshots the views to one ``bytes`` object — the
-    gather-join every builder used to perform — and counts the copy.
-    """
-    if _materialize and ref.length:
-        return PayloadRef.from_bytes(ref.tobytes())
-    return ref
-
-
-def write_chunks(ref: "PayloadRef") -> Iterator["bytes | memoryview"]:
-    """Iterate a payload's chunks for a scatter-side consumer.
-
-    In legacy/materialize mode each chunk is re-cast to ``bytes`` first
-    (and counted) — the ``bytes(view[:chunk])`` every scatter loop used
-    to do before handing data to ``write_phys``/``frame.write``.
-    """
-    if _materialize:
-        for chunk in ref.chunks():
-            HOST_COPIES.count(len(chunk))
-            yield bytes(chunk)
-    else:
-        yield from ref.chunks()
+obs_registry.register_collector(_start_host_copies)
 
 
 def _as_chunks(obj) -> "tuple":
@@ -186,7 +145,7 @@ class PayloadRef:
         for seg in sg:
             if seg.length:
                 chunks.extend(phys.read_phys_view(seg.phys_addr, seg.length))
-        return seal(cls(tuple(chunks), _trusted=True))
+        return cls(tuple(chunks), _trusted=True)
 
     @classmethod
     def concat(cls, parts: Iterable["PayloadRef"]) -> "PayloadRef":

@@ -44,7 +44,7 @@ from ..hw.params import (
     MxStrategyParams,
 )
 from ..mem.layout import PhysSegment, sg_from_kernel, sg_from_user
-from ..mem.sglist import PayloadRef, seal, write_chunks
+from ..mem.sglist import PayloadRef
 from ..sim import Event
 from .memtypes import MemType, MxSegment, total_length, user_pages
 
@@ -144,7 +144,7 @@ class MxEndpoint:
                 parts.append(self.node.kspace.read_payload(seg.vaddr, seg.length))
             else:
                 parts.append(PayloadRef.from_phys(self.node.phys, seg.sg))
-        return seal(PayloadRef.concat(parts))
+        return PayloadRef.concat(parts)
 
     def _scatter_payload(self, segments: Sequence[MxSegment], data: PayloadRef) -> None:
         """Host-side scatter of a received payload into its segments."""

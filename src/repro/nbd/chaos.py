@@ -31,7 +31,6 @@ from .. import obs
 from ..cluster.node import star
 from ..errors import Eio
 from ..faults.plan import FaultPlan
-from ..fleet.isolate import isolated_run
 from ..hw.params import ReliabilityParams
 from ..sim import Environment
 from ..sim.trace import render_trace
@@ -189,9 +188,9 @@ def run_scenario(name: str, seed: int = 1, n_ops: int = 120,
         raise ValueError(f"unknown scenario {name!r}; "
                          f"known: {', '.join(SCENARIOS)}")
     _desc, arm = SCENARIOS[name]
-    # One hermetic run: fresh registry, zeroed host-copy accounting,
-    # fresh-process id counters — see repro.fleet.isolate.
-    with isolated_run(observe=True) as registry:
+    # One hermetic run: its own Environment (ids included) and its own
+    # metrics registry.
+    with obs.scoped_registry() as registry:
         env = Environment()
         nodes, switch = star(env, 5)
         plan = FaultPlan(seed=seed)

@@ -22,7 +22,6 @@ as legal.
 
 from __future__ import annotations
 
-import itertools
 
 from dataclasses import dataclass, field
 from typing import Optional
@@ -74,8 +73,6 @@ class History:
 
 class ReplicatedNbdDevice:
     """Block client for a chain-replicated volume."""
-
-    _req_ids = itertools.count(7_000_000)
 
     def __init__(self, node: Node, endpoint_id: int,
                  controller: tuple[int, int], replica_port: int,
@@ -196,7 +193,7 @@ class ReplicatedNbdDevice:
         budget exhaustion raises :class:`Eio` with the op left pending
         in the history.
         """
-        req_id = next(ReplicatedNbdDevice._req_ids)
+        req_id = self.env.next_id("nbd.client")
         op = self.history.append(Op("w", block, token, self.env.now,
                                     req_id=req_id))
         payload = encode_value(token)
@@ -237,7 +234,7 @@ class ReplicatedNbdDevice:
         Only successful reads are recorded in the history (a failed
         read observed nothing).  Budget exhaustion raises :class:`Eio`.
         """
-        req_id = next(ReplicatedNbdDevice._req_ids)
+        req_id = self.env.next_id("nbd.client")
         invoke_ns = self.env.now
         for _attempt in range(1 + self.params.client_retries):
             cfg = self.config

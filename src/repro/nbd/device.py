@@ -13,7 +13,6 @@ OrfaServer` whose filesystem holds one pre-sized device file.
 
 from __future__ import annotations
 
-import itertools
 
 from typing import Optional
 
@@ -55,8 +54,6 @@ class NbdServer:
 
 class NbdDevice:
     """The in-kernel NBD client: a block device over a KernelChannel."""
-
-    _request_ids = itertools.count(2_000_000)
 
     def __init__(self, node: Node, channel: KernelChannel,
                  server: tuple[int, int], device_inode: int,
@@ -161,7 +158,7 @@ class NbdDevice:
         span = obs.span_begin(env, "nbd", f"block.{op_name}",
                               pid=self.node.node_id, block=block)
         for attempt in range(attempts):
-            req = OrfaRequest(op=op, request_id=next(NbdDevice._request_ids),
+            req = OrfaRequest(op=op, request_id=env.next_id("nbd.device"),
                               inode=self.device_inode,
                               offset=block * BLOCK_SIZE, length=length)
             recv = yield from self.channel.post_recv(

@@ -55,7 +55,6 @@ seeded chaos run — including every failover — replays byte-for-byte.
 
 from __future__ import annotations
 
-import itertools
 
 from dataclasses import dataclass, field
 from typing import Optional
@@ -904,11 +903,3 @@ class ReplicaServer:
                     yield from self._reforward_all()
             except NodeCrashed:
                 continue
-
-
-_req_ids = itertools.count(5_000_000)
-
-
-def next_req_id() -> int:
-    """Cluster-unique request id (deterministic: a shared counter)."""
-    return next(_req_ids)

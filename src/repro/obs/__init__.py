@@ -50,6 +50,7 @@ from .registry import (
     metric_key,
     metrics_enabled,
     register_collector,
+    scoped_registry,
     snapshot_quantile,
     snapshot_to_json,
     uninstall_registry,
@@ -93,6 +94,7 @@ __all__ = [
     "metric_key",
     "metrics_enabled",
     "register_collector",
+    "scoped_registry",
     "snapshot_quantile",
     "snapshot_to_json",
     "span_begin",

@@ -36,6 +36,7 @@ from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 from ..errors import ReproError
+from . import timeline as _timeline
 
 
 class ObsError(ReproError):
@@ -100,9 +101,6 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         self.value += n
-
-    # alias matching repro.sim.trace.Counter's verb
-    add = inc
 
     def __repr__(self) -> str:
         return f"Counter({self.key!r}, value={self.value})"
@@ -206,16 +204,21 @@ class _NullHistogram:
 
 NULL_HISTOGRAM = _NullHistogram()
 
-#: Module-level pull collectors: run against *every* registry at
-#: snapshot time (e.g. repro.mem publishes HOST_COPIES through one).
-_collectors: list[Callable[["MetricsRegistry"], None]] = []
+_Collect = Callable[["MetricsRegistry"], None]
+
+#: Module-level pull collectors, started against *every* registry as it
+#: is created (e.g. repro.mem publishes HOST_COPIES through one).
+_collectors: list[Callable[["MetricsRegistry"], _Collect]] = []
 
 
-def register_collector(fn: Callable[["MetricsRegistry"], None]) -> None:
-    """Add a global pull collector, invoked as ``fn(registry)`` by every
-    :meth:`MetricsRegistry.snapshot`.  Idempotent per function object."""
-    if fn not in _collectors:
-        _collectors.append(fn)
+def register_collector(start: Callable[["MetricsRegistry"], _Collect]) -> None:
+    """Add a global pull collector.  ``start(registry)`` runs as each
+    new registry is created — the place to note the baseline the
+    registry counts from — and returns the ``fn(registry)`` every
+    :meth:`MetricsRegistry.snapshot` of it runs.  Idempotent per
+    function object."""
+    if start not in _collectors:
+        _collectors.append(start)
 
 
 class MetricsRegistry:
@@ -225,7 +228,8 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._local_collectors: list[Callable[["MetricsRegistry"], None]] = []
+        self._local_collectors: list[_Collect] = [
+            start(self) for start in _collectors]
 
     # -- instrument access (get-or-create) --------------------------------
 
@@ -257,7 +261,7 @@ class MetricsRegistry:
             )
         return h
 
-    def add_collector(self, fn: Callable[["MetricsRegistry"], None]) -> None:
+    def add_collector(self, fn: _Collect) -> None:
         """Registry-local pull collector (see :func:`register_collector`)."""
         if fn not in self._local_collectors:
             self._local_collectors.append(fn)
@@ -266,8 +270,6 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """Run all collectors, then return a plain-dict snapshot."""
-        for fn in _collectors:
-            fn(self)
         for fn in self._local_collectors:
             fn(self)
         return {
@@ -324,6 +326,28 @@ def installed_registry(registry: Optional[MetricsRegistry] = None):
         yield reg
     finally:
         uninstall_registry()
+
+
+@contextmanager
+def scoped_registry(registry: Optional[MetricsRegistry] = None):
+    """Context manager: observe one run on its own.
+
+    Parks the ambient registry and timeline, installs ``registry`` (or
+    a fresh one) for the block and yields it; on exit the outer
+    registry and timeline are back.  Nestable, unlike
+    :func:`installed_registry`.
+    """
+    outer = uninstall_registry()
+    outer_tl = _timeline.uninstall_timeline()
+    reg = install_registry(registry)
+    try:
+        yield reg
+    finally:
+        uninstall_registry()
+        if outer is not None:
+            install_registry(outer)
+        if outer_tl is not None:
+            _timeline.install_timeline(outer_tl)
 
 
 def counter(name: str, **labels) -> Counter:

@@ -18,7 +18,6 @@ Data transfers are zero-copy into the application's buffers:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -234,8 +233,6 @@ class _MxClientSide:
 class OrfaClient:
     """The intercepting library's client state for one process."""
 
-    _request_ids = itertools.count(1)
-
     def __init__(self, node: Node, port_id: int, space: AddressSpace,
                  server: tuple[int, int], api: str = "mx",
                  timeout_ns: Optional[int] = None, max_retries: int = 2,
@@ -282,7 +279,7 @@ class OrfaClient:
         env = self.node.env
         t0 = env.now
         for attempt in range(attempts):
-            req = make_req(next(OrfaClient._request_ids))
+            req = make_req(env.next_id("orfa"))
             op = req.op.name.lower()
             span = obs.span_begin(
                 env, "orfa", f"rpc.{op}", pid=self.node.node_id,

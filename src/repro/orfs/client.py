@@ -15,7 +15,6 @@ client — the whole point of the paper's kernel API work.
 
 from __future__ import annotations
 
-import itertools
 
 from ..cluster.node import Node
 from ..core.channel import KernelChannel
@@ -48,7 +47,6 @@ class OrfsClient:
     """FileSystemOps implementation speaking ORFA over a KernelChannel."""
 
     fs_name = "orfs"
-    _request_ids = itertools.count(1_000_000)
 
     def __init__(self, node: Node, channel: KernelChannel,
                  server: tuple[int, int]):
@@ -93,7 +91,7 @@ class OrfsClient:
         return reply
 
     def _new_request(self, op: OrfaOp, **kw) -> OrfaRequest:
-        return OrfaRequest(op=op, request_id=next(OrfsClient._request_ids), **kw)
+        return OrfaRequest(op=op, request_id=self.node.env.next_id("orfs"), **kw)
 
     # -- FileSystemOps: namespace ------------------------------------------------
 

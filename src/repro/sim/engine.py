@@ -28,18 +28,54 @@ created at ``now == T`` and is always drained before the clock advances
 past ``T``.  Hence draining heap entries at the current time first, then
 the immediate FIFO, reproduces exactly the global ``(time, seq)`` order
 the heap alone would have produced.
+
+Run context
+-----------
+
+Everything that changes what a run computes lives on its
+:class:`Environment`, passed down to every component at construction:
+
+* ``fidelity`` — how the network carries a fragmented message:
+  ``"flow"`` (analytic path-wide flow reservations on fabrics, packet
+  trains elsewhere), ``"train"`` (per-hop packet trains) or
+  ``"packet"`` (one event chain per packet, the reference);
+* :meth:`Environment.next_id` — the run's id allocator (request,
+  connection, rendezvous, transit and GM context ids), so a fresh
+  environment hands out exactly the ids a fresh process would.
+
+Nothing here is process-global except :attr:`Environment.
+lifetime_events_processed`, a host-cost meter that no run reads.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
 from ..errors import ProcessInterrupt, SimulationError
 
 # Sentinel distinguishing "no value yet" from a legitimate ``None`` value.
 _PENDING = object()
+
+#: The network fidelities an :class:`Environment` can run at, fastest
+#: first; ``"flow"`` is the default.
+FIDELITIES = ("flow", "train", "packet")
+
+#: Every id space :meth:`Environment.next_id` allocates from, with the
+#: first id it hands out.  The disjoint start values keep ids of
+#: different layers distinguishable in traces.
+ID_STARTS = {
+    "gm.context": 1000,
+    "rndv": 1,
+    "transit": 1,
+    "nbd.client": 7_000_000,
+    "nbd.device": 2_000_000,
+    "orfa": 1,
+    "orfs": 1_000_000,
+    "sockets": 0x5000,
+}
 
 
 class Event:
@@ -355,7 +391,13 @@ class Environment:
     #: figure (which may build several environments) for ``--timings``.
     lifetime_events_processed: int = 0
 
-    def __init__(self):
+    def __init__(self, fidelity: str = "flow"):
+        if fidelity not in FIDELITIES:
+            raise SimulationError(
+                f"unknown fidelity {fidelity!r}; expected one of {FIDELITIES}")
+        #: Network fidelity of this run (see the module docstring).
+        self.fidelity = fidelity
+        self._ids: dict[str, Iterator[int]] = {}
         self._now: int = 0
         self._heap: list[tuple[int, int, Event]] = []
         self._immediate: deque[Any] = deque()
@@ -369,6 +411,14 @@ class Environment:
     def now(self) -> int:
         """Current simulation time in nanoseconds."""
         return self._now
+
+    def next_id(self, space: str) -> int:
+        """Next id from ``space`` (a key of :data:`ID_STARTS`); each
+        environment counts every space from its start value."""
+        ids = self._ids.get(space)
+        if ids is None:
+            ids = self._ids[space] = itertools.count(ID_STARTS[space])
+        return next(ids)
 
     # -- event factories -------------------------------------------------
 

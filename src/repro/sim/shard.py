@@ -84,7 +84,6 @@ from typing import Any, Optional
 
 from .. import obs
 from ..errors import NetworkError, ShardError
-from ..fleet.isolate import isolated_run
 from ..hw.link import Link
 from ..hw.params import LinkParams
 from .engine import Environment
@@ -140,8 +139,8 @@ class _SequentialCutLink(Link):
     the shard, per-direction FIFO order) — so a same-timestamp arrival
     sorts before every local event at that instant regardless of which
     sync window committed it.  The sequential reference must apply the
-    *same* tie rule: a plain ``call_at`` would order the arrival by its
-    global insertion sequence, information a parallel run cannot
+    *same* tie rule: a plain ``call_at`` would order the arrival by
+    its global insertion sequence, information a parallel run cannot
     reconstruct (an analytic train hold, for example, is scheduled a
     full wire occupancy before its completion instant and would
     out-sequence an arrival emitted only one propagation earlier).
@@ -325,36 +324,37 @@ class _ShardRunner:
 
 def _worker_main(shard_id: int, scenario, conns: dict, ctrl) -> None:
     try:
-        # Scrub state inherited across fork (ambient observability,
-        # host-copy totals, id counters): this worker accounts only its
-        # own shard, from a fresh-process-equivalent slate.
-        with isolated_run(
-                observe=getattr(scenario, "observe", False)) as registry:
-            env = Environment()
-            sender = AsyncSender()
-            hub = BorderHub(env, conns, sender=sender)
-            ctx = scenario.build(shard_id, env, hub)
-            if hub.missing():
-                raise ShardError(
-                    f"shard {shard_id} never built declared borders "
-                    f"{hub.missing()}")
-            borders = [hub.borders[name] for name in sorted(hub.borders)]
-            runner = _ShardRunner(env, borders, ctrl)
-            nphases = scenario.nphases
-            for k in range(nphases):
-                programs = [env.process(gen, name=f"shard{shard_id}.p{k}")
-                            for gen in scenario.phase(shard_id, k, env, ctx)]
-                runner.run_phase(programs, last_phase=(k == nphases - 1))
-            # Matched sent/received counts at the final idle mean the
-            # queue is already drained; close() just joins the writer.
-            sender.close()
-            ctrl.send(("result", {
-                "shard": shard_id,
-                "now": env.now,
-                "events_processed": env.events_processed,
-                "metrics": registry.snapshot() if registry is not None else None,
-                "payload": scenario.result(shard_id, env, ctx),
-            }))
+        # Drop the obs state inherited across fork: this worker
+        # observes only its own shard.
+        obs.uninstall_registry()
+        obs.uninstall_timeline()
+        registry = (obs.install_registry()
+                    if getattr(scenario, "observe", False) else None)
+        env = Environment()
+        sender = AsyncSender()
+        hub = BorderHub(env, conns, sender=sender)
+        ctx = scenario.build(shard_id, env, hub)
+        if hub.missing():
+            raise ShardError(
+                f"shard {shard_id} never built declared borders "
+                f"{hub.missing()}")
+        borders = [hub.borders[name] for name in sorted(hub.borders)]
+        runner = _ShardRunner(env, borders, ctrl)
+        nphases = scenario.nphases
+        for k in range(nphases):
+            programs = [env.process(gen, name=f"shard{shard_id}.p{k}")
+                        for gen in scenario.phase(shard_id, k, env, ctx)]
+            runner.run_phase(programs, last_phase=(k == nphases - 1))
+        # Matched sent/received counts at the final idle mean the
+        # queue is already drained; close() just joins the writer.
+        sender.close()
+        ctrl.send(("result", {
+            "shard": shard_id,
+            "now": env.now,
+            "events_processed": env.events_processed,
+            "metrics": registry.snapshot() if registry is not None else None,
+            "payload": scenario.result(shard_id, env, ctx),
+        }))
         ctrl.close()
     except BaseException:
         try:
@@ -566,7 +566,7 @@ def run_sequential(scenario) -> ShardResult:
 
     if not getattr(scenario, "observe", False):
         return body(None)
-    with isolated_run(observe=True) as registry:
+    with obs.scoped_registry() as registry:
         return body(registry)
 
 

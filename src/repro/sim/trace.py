@@ -1,18 +1,15 @@
-"""Lightweight tracing and statistics collection.
+"""Lightweight tracing.
 
 Model components emit named trace records through a :class:`Tracer`;
 benchmarks and tests subscribe to categories they care about.  Tracing
 is off by default and costs one dict lookup per emit when disabled, so
 it is safe to leave emit calls in hot paths.
-
-:class:`Counter` and :class:`TimeSeries` are tiny accumulator helpers
-used by the bench harness to derive throughput and latency statistics.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, MutableSequence, Optional
 
 #: Recommended ``record_everything(limit=...)`` for long bench runs: a
@@ -115,55 +112,3 @@ def _fmt_payload(payload: Any) -> str:
     if isinstance(payload, str):
         return payload
     return str(payload)
-
-
-@dataclass
-class Counter:
-    """Monotonic counter with a helper for deltas between checkpoints."""
-
-    value: int = 0
-    _mark: int = 0
-
-    def add(self, n: int = 1) -> None:
-        self.value += n
-
-    def mark(self) -> None:
-        """Checkpoint the current value for :meth:`since_mark`."""
-        self._mark = self.value
-
-    def since_mark(self) -> int:
-        return self.value - self._mark
-
-
-@dataclass
-class TimeSeries:
-    """Append-only (time, value) series with summary statistics."""
-
-    points: list[tuple[int, float]] = field(default_factory=list)
-
-    def append(self, time: int, value: float) -> None:
-        self.points.append((time, value))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def values(self) -> list[float]:
-        return [v for _, v in self.points]
-
-    def mean(self) -> float:
-        vals = self.values()
-        if not vals:
-            raise ValueError("mean of empty series")
-        return sum(vals) / len(vals)
-
-    def minimum(self) -> float:
-        vals = self.values()
-        if not vals:
-            raise ValueError("min of empty series")
-        return min(vals)
-
-    def maximum(self) -> float:
-        vals = self.values()
-        if not vals:
-            raise ValueError("max of empty series")
-        return max(vals)

@@ -12,20 +12,12 @@ silently truncating.
 
 from __future__ import annotations
 
-import itertools
 from ..errors import SocketError
 from ..mem.addrspace import AddressSpace
 
 #: The socket-layer bookkeeping per call (lookup, locking), on top of
 #: the syscall itself.
 SOCK_LAYER_NS = 500
-
-_conn_ids = itertools.count(0x5000)
-
-
-def new_connection_id() -> int:
-    """Allocate a cluster-unique connection (match) id."""
-    return next(_conn_ids)
 
 
 class KSocket:

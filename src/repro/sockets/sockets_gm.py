@@ -32,7 +32,7 @@ from ..gm.api import GmEventKind
 from ..gm.kernel import GmKernelPort
 from ..sim import Store
 from ..units import MiB
-from .base import KSocket, new_connection_id
+from .base import KSocket
 
 #: match id reserved for connection requests (SYN messages)
 LISTEN_MATCH = 1
@@ -169,7 +169,7 @@ class SocketsGmModule:
         """Generator: open a connection to a listening peer module."""
         if not self._ready.processed:
             yield self._ready
-        conn_id = new_connection_id()
+        conn_id = self.env.next_id("sockets")
         ack = yield from self._post_ctrl_recv(conn_id)
         yield from self._ctrl_send(server_node, server_port, LISTEN_MATCH,
                                    ("syn", conn_id, self.node.node_id,

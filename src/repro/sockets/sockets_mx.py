@@ -19,7 +19,7 @@ from ..errors import SocketError
 from ..mx.api import MxEndpoint
 from ..mx.memtypes import MxSegment
 from ..sim import Store
-from .base import KSocket, new_connection_id
+from .base import KSocket
 
 #: match id reserved for connection requests (SYN messages)
 LISTEN_MATCH = 1
@@ -76,7 +76,7 @@ class SocketsMxModule:
 
     def connect(self, server_node: int, server_port: int):
         """Generator: open a connection to a listening peer module."""
-        conn_id = new_connection_id()
+        conn_id = self.node.env.next_id("sockets")
         ack_recv = yield from self.endpoint.irecv(
             [MxSegment.kernel(self._ctrl.vaddr, 256)], match=conn_id
         )

@@ -28,7 +28,7 @@ from ..hw.link import Link
 from ..hw.params import LinkParams
 from ..sim import Environment, Store
 from ..units import MB, S
-from .base import KSocket, new_connection_id
+from .base import KSocket
 
 GIG_E = LinkParams(
     name="GigE",
@@ -97,7 +97,7 @@ class TcpStack:
         """Generator: open a connection to the stack on the other end."""
         if self._link is None:
             raise SocketError("stack not attached to a link")
-        conn_id = new_connection_id()
+        conn_id = self.env.next_id("sockets")
         yield from self.cpu.work(_PER_MESSAGE_NS)
         yield from self._link.transmit(self._end, ("syn", conn_id, b""), 64)
         # One RTT for the handshake to complete.

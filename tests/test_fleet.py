@@ -1,18 +1,13 @@
-"""The experiment fleet: spec expansion, isolation, byte-identity."""
+"""The experiment fleet: spec expansion, the runner, byte-identity."""
 
 import json
 
 import pytest
 
-from repro import obs
 from repro.cluster.topo import (clear_route_cache, fat_tree,
                                 route_cache_stats)
-from repro.fleet import (FleetSpec, FleetSpecError, isolated_run,
-                         render_csv, render_json, run_fleet, run_point)
-from repro.fleet.isolate import reset_id_counters
-from repro.hw import flow as flowmod
-from repro.hw import train as trainmod
-from repro.mem.sglist import HOST_COPIES
+from repro.fleet import (FleetSpec, FleetSpecError, render_csv,
+                         render_json, run_fleet, run_point)
 from repro.sim import Environment
 
 # -- spec validation and expansion ---------------------------------------------
@@ -90,73 +85,20 @@ def test_fault_axis_config_labels():
     assert labels == ["none", "nic_reset@2"]
 
 
-# -- isolation -----------------------------------------------------------------
-
-
-def test_isolated_run_resets_id_counters_to_fresh_process_values():
-    from repro.orfa.client import OrfaClient
-
-    reset_id_counters()
-    for _ in range(5):
-        next(OrfaClient._request_ids)
-    with isolated_run(observe=False):
-        assert next(OrfaClient._request_ids) == 1
-    reset_id_counters()
-
-
-def test_isolated_run_restores_ambient_state():
-    saved_flow = flowmod.flow_mode_enabled()
-    saved_coalescing = trainmod.coalescing_enabled()
-    outer = obs.MetricsRegistry()
-    obs.install_registry(outer)
-    try:
-        obs.counter("outer.marker").inc()
-        flowmod.set_flow_mode(True)
-        trainmod.set_coalescing(True)
-        HOST_COPIES.reset()
-        for _ in range(3):
-            HOST_COPIES.count(333)
-        with isolated_run(observe=True) as inner:
-            assert obs.active_registry() is inner
-            assert HOST_COPIES.copies == 0
-            flowmod.set_flow_mode(False)
-            trainmod.set_coalescing(False)
-            HOST_COPIES.count(1)
-        assert obs.active_registry() is outer
-        assert flowmod.flow_mode_enabled()
-        assert trainmod.coalescing_enabled()
-        # Outer totals survive, inner-block work is added back.
-        assert HOST_COPIES.copies == 4
-        assert HOST_COPIES.nbytes == 1000
-        assert outer.snapshot()["counters"]["outer.marker"] == 1
-    finally:
-        obs.uninstall_registry()
-        flowmod.set_flow_mode(saved_flow)
-        trainmod.set_coalescing(saved_coalescing)
-        HOST_COPIES.reset()
-
-
 # -- the runner ----------------------------------------------------------------
 
 
 def test_rerun_and_parallel_runs_are_byte_identical():
-    """The fleet contract, and the satellite regression for the shared
-    scrub: back-to-back in-process sweeps must be byte-identical to
-    each other AND to fresh-process (forked pool) sweeps — i.e. the
-    isolation scrub leaves nothing behind that a fresh process wouldn't
-    also see."""
+    """The fleet contract: back-to-back in-process sweeps must be
+    byte-identical to each other AND to fresh-process (forked pool)
+    sweeps — i.e. a run leaves nothing behind that a fresh process
+    wouldn't also see."""
     spec = _spec()
-    # Dirty the process-global counters first, as a long-lived session
-    # would: the scrub must make this invisible.
-    from repro.orfa.client import OrfaClient
-    for _ in range(17):
-        next(OrfaClient._request_ids)
     first = render_json(run_fleet(spec, parallel=1))
     second = render_json(run_fleet(spec, parallel=1))
     forked = render_json(run_fleet(spec, parallel=2))
     assert first == second
     assert first == forked
-    reset_id_counters()
 
 
 def test_run_point_rows_are_complete():

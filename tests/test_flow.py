@@ -10,22 +10,13 @@ from repro.bench.netpipe import prepare_pair
 from repro.bench.topo import MODES, filtered_obs, run_topo
 from repro.bench.transports import MxTransport
 from repro.cluster.topo import fat_tree
+from repro.errors import SimulationError
 from repro.faults import FaultPlan
-from repro.hw import flow as flowmod
-from repro.hw import train
 from repro.hw.params import FabricParams, host_params
-from repro.mem import sglist
 from repro.sim import Environment
 from repro.units import KiB
 
 SMALL_HOST = host_params(memory_frames=2048)
-
-
-@pytest.fixture(autouse=True)
-def _fidelity_restored():
-    yield
-    flowmod.set_flow_mode(True)
-    train.set_coalescing(True)
 
 
 def _counters(registry, prefix):
@@ -41,12 +32,9 @@ def _run_pair(mode, size, *, src=0, dst=4, fabric=None, plan_fn=None,
     may return additional processes to run alongside.  Returns the
     fingerprint dict for cross-mode comparison.
     """
-    flowmod.set_flow_mode(mode == "flow")
-    train.set_coalescing(mode != "packet")
-    sglist.HOST_COPIES.reset()
     registry = obs.MetricsRegistry()
     with obs.installed_registry(registry):
-        env = Environment()
+        env = Environment(mode)
         f = fat_tree(env, 4, host=SMALL_HOST,
                      fabric=fabric or FabricParams())
         plan = plan_fn(env, f) if plan_fn is not None else None
@@ -144,13 +132,16 @@ def test_adaptive_routing_refuses_reservation():
     assert sum(_counters_from(r, "net.flows{").values()) == 0
 
 
-def test_set_flow_mode_mirrors_set_coalescing():
-    assert flowmod.flow_mode_enabled()
-    flowmod.set_flow_mode(False)
-    assert not flowmod.flow_mode_enabled()
+def test_train_fidelity_never_forms_flows():
     r = _run_pair("train", 64 * KiB)  # train mode: flows off, trains on
     assert r["done"] is not None
     assert sum(_counters_from(r, "net.flows{").values()) == 0
+
+
+def test_environment_rejects_unknown_fidelity():
+    assert Environment().fidelity == "flow"
+    with pytest.raises(SimulationError):
+        Environment("hybrid")
 
 
 def test_flow_metrics_emitted():

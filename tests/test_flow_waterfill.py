@@ -15,7 +15,6 @@ from repro import obs
 from repro.bench.netpipe import prepare_pair
 from repro.bench.transports import MxTransport
 from repro.cluster.topo import fat_tree
-from repro.hw import flow as flowmod
 from repro.hw.flow import FlowNetwork, waterfill_reference
 from repro.hw.link import Link
 from repro.hw.params import MB, PCI_XD, LinkParams, host_params
@@ -26,10 +25,8 @@ MTU = 4096
 
 
 @pytest.fixture(autouse=True)
-def _flow_mode_on():
-    flowmod.set_flow_mode(True)
+def _reference_check_off():
     yield
-    flowmod.set_flow_mode(True)
     FlowNetwork._verify_reference = False
 
 

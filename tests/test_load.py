@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.cluster.node import star
-from repro.fleet.isolate import isolated_run
 from repro.load import (LATENCY_BOUNDS, LoadGen, LoadSpecError, MIXES,
                         ParetoOnOffArrivals, PoissonArrivals, jain_fairness,
                         make_arrivals, make_mix, make_workload, run_load)
@@ -132,16 +132,43 @@ def test_jain_fairness():
 # -- the driver on a live cluster ----------------------------------------------
 
 
+def _orfa_load(rate: float, n_ops: int = 120, mode: str = "open",
+               seed: int = 1):
+    env = Environment()
+    nodes, _switch = star(env, 6)
+    wl = make_workload({"kind": "orfa", "api": "mx"}, env,
+                       nodes[0], nodes[1:5])
+    gen = LoadGen(PoissonArrivals(seed, rate), make_mix("read4k"),
+                  seed, n_ops, 4)
+    return run_load(env, wl, gen, mode=mode)
+
+
 def _run_orfa(rate: float, n_ops: int = 120, mode: str = "open",
               seed: int = 1):
-    with isolated_run(observe=True):
-        env = Environment()
-        nodes, _switch = star(env, 6)
-        wl = make_workload({"kind": "orfa", "api": "mx"}, env,
-                           nodes[0], nodes[1:5])
-        gen = LoadGen(PoissonArrivals(seed, rate), make_mix("read4k"),
-                      seed, n_ops, 4)
-        return run_load(env, wl, gen, mode=mode)
+    with obs.scoped_registry():
+        return _orfa_load(rate, n_ops, mode, seed)
+
+
+def test_run_load_without_a_registry_matches_an_observed_run():
+    assert obs.active_registry() is None
+    bare = _orfa_load(16000.0, n_ops=40)
+    observed = _run_orfa(16000.0, n_ops=40)
+    assert bare.p99_ns > 0
+    assert bare.row() == observed.row()
+
+
+def test_run_loads_under_one_registry_keep_their_own_quantiles():
+    """The registry aggregates both runs' latencies; each result still
+    reports only its own."""
+    with obs.scoped_registry() as registry:
+        heavy = _orfa_load(64000.0)
+        light = _orfa_load(4000.0)  # its tail must not inherit heavy's
+    assert heavy.row() == _run_orfa(64000.0).row()
+    assert light.row() == _run_orfa(4000.0).row()
+    assert light.p99_ns < heavy.p99_ns
+    hist = registry.snapshot()["histograms"]
+    assert sum(h["count"] for k, h in hist.items()
+               if k.startswith("load.op_latency_ns")) == 240
 
 
 def test_open_loop_saturation_raises_tail_latency():
@@ -181,7 +208,7 @@ def test_rr_and_nbd_adapters_run():
     for spec, mix in [({"kind": "nbd", "api": "mx"}, "rw4k"),
                       ({"kind": "rr", "api": "mx"}, "rr1k"),
                       ({"kind": "rr", "api": "tcp"}, "rr1k")]:
-        with isolated_run(observe=True):
+        with obs.scoped_registry():
             env = Environment()
             nodes, _switch = star(env, 4)
             wl = make_workload(spec, env, nodes[0], nodes[1:3])

@@ -190,11 +190,17 @@ def test_snapshot_stable_sorted_json():
 
 
 def test_host_copies_collector_publishes_gauges():
+    """Each registry publishes the copies made since it was created;
+    the process-wide meter itself keeps counting."""
     HOST_COPIES.count(100)
+    before = HOST_COPIES.snapshot()
     with obs.installed_registry() as reg:
+        HOST_COPIES.count(7)
         snap = reg.snapshot()
-    assert snap["gauges"]["mem.host_copies.ops"] == HOST_COPIES.copies
-    assert snap["gauges"]["mem.host_copies.bytes"] == HOST_COPIES.nbytes
+    assert snap["gauges"]["mem.host_copies.ops"] == 1
+    assert snap["gauges"]["mem.host_copies.bytes"] == 7
+    assert HOST_COPIES.copies == before["copies"] + 1
+    assert HOST_COPIES.nbytes == before["nbytes"] + 7
 
 
 def test_format_metrics_renders_tables():
@@ -352,7 +358,6 @@ def test_component_aliases_read_through_registry():
 
 
 def _run_observed_scenario():
-    HOST_COPIES.reset()
     reg = obs.install_registry()
     tl = obs.install_timeline()
     try:
@@ -381,6 +386,33 @@ def test_same_seed_snapshots_are_byte_identical():
     second = _run_observed_scenario()
     assert first[0] == second[0]  # metrics snapshot
     assert first[1] == second[1]  # timeline
+
+
+def test_scoped_registry_restores_ambient_state():
+    outer = obs.install_registry()
+    outer_tl = obs.install_timeline()
+    obs.counter("outer.marker").inc()
+    before = HOST_COPIES.snapshot()
+    with obs.scoped_registry() as inner:
+        assert obs.active_registry() is inner is not outer
+        assert obs.active_timeline() is None
+        obs.counter("inner.marker").inc()
+        HOST_COPIES.count(333)
+        with obs.scoped_registry() as innermost:  # nestable
+            HOST_COPIES.count(1)
+        assert obs.active_registry() is inner
+    assert obs.active_registry() is outer
+    assert obs.active_timeline() is outer_tl
+    # The meter is process-wide and never reset by a run; every
+    # registry publishes the copies made since its own creation.
+    assert HOST_COPIES.copies == before["copies"] + 2
+    assert HOST_COPIES.nbytes == before["nbytes"] + 334
+    gauges = inner.snapshot()["gauges"]
+    assert gauges["mem.host_copies.bytes"] == 334
+    assert innermost.snapshot()["gauges"]["mem.host_copies.bytes"] == 1
+    assert outer.snapshot()["gauges"]["mem.host_copies.bytes"] == 334
+    assert outer.snapshot()["counters"] == {"outer.marker": 1}
+    assert inner.snapshot()["counters"] == {"inner.marker": 1}
 
 
 # -- bench runner flags ------------------------------------------------------

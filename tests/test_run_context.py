@@ -1,0 +1,142 @@
+"""The run context: everything that changes what a run computes lives on
+its :class:`~repro.sim.Environment`.
+
+Fidelity and the id allocator are constructor state, so environments of
+different fidelities coexist in one process, and the Nth in-process run
+of a scenario is the same program as a fresh process running it once.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import repro
+from repro.bench.netpipe import prepare_pair
+from repro.bench.transports import MxTransport
+from repro.cluster import node_pair
+from repro.fleet import FleetSpec, run_point
+from repro.nbd.chaos import run_scenario
+from repro.sim import Environment
+from repro.units import KiB
+
+SIZES = (3 * KiB, 40 * KiB, 256 * KiB)
+
+
+def _transfers(fidelity: str):
+    """Build (not run) a node pair streaming ``SIZES`` one way; returns
+    the environment and the completion list it fills in."""
+    env = Environment(fidelity)
+    a, b = node_pair(env)
+    ta = MxTransport(a, 1, peer_node=1, peer_ep=1, context="kernel")
+    tb = MxTransport(b, 1, peer_node=0, peer_ep=1, context="kernel")
+    prepare_pair(env, ta, tb, max(SIZES))
+    done: list = []
+
+    def tx():
+        for size in SIZES:
+            yield from ta.send(size)
+
+    def rx():
+        for size in SIZES:
+            yield from tb.recv(size)
+            done.append((size, env.now))
+
+    env.process(tx())
+    env.process(rx())
+    return env, done
+
+
+def _alone(fidelity: str):
+    env, done = _transfers(fidelity)
+    env.run()
+    return done, env.events_processed
+
+
+def test_interleaved_fidelities_match_their_solo_runs():
+    packet_env, packet_done = _transfers("packet")
+    train_env, train_done = _transfers("train")
+    t = 0
+    while packet_env.peek() is not None or train_env.peek() is not None:
+        t += 3_000
+        packet_env.run(until=t)
+        train_env.run(until=t)
+    assert len(packet_done) == len(SIZES)
+    solo_packet, packet_events = _alone("packet")
+    solo_train, train_events = _alone("train")
+    assert packet_done == solo_packet
+    assert train_done == solo_train
+    # Trains are an optimization, not a model change ...
+    assert packet_done == train_done
+    # ... and each environment really ran at its own fidelity.
+    assert train_events < packet_events
+    assert packet_env.events_processed == packet_events
+    assert train_env.events_processed == train_events
+
+
+# -- the Nth in-process run equals a fresh process ------------------------------
+
+
+def _fresh_process(code: str) -> dict:
+    """Run ``code`` (which prints one JSON line) in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _chaos_digest(name: str, seed: int) -> dict:
+    res = run_scenario(name, seed=seed, n_ops=40)
+    return {
+        "ok": res.ok,
+        "failovers": res.failovers,
+        "failed_ops": res.failed_ops,
+        "duration_ns": res.duration_ns,
+        "trace": _sha(res.trace),
+        "history": _sha(repr(res.history.ops)),
+        "metrics": _sha(res.metrics_json),
+    }
+
+
+def test_repeated_chaos_scenario_matches_a_fresh_process():
+    runs = [_chaos_digest("crash-middle", 1) for _ in range(3)]
+    fresh = _fresh_process(
+        "import json\n"
+        "from tests.test_run_context import _chaos_digest\n"
+        "print(json.dumps(_chaos_digest('crash-middle', 1)))\n")
+    assert runs[0]["failovers"]  # the scenario exercised a failover
+    for run in runs:
+        assert json.loads(json.dumps(run)) == fresh
+
+
+_FLEET_SPEC = {
+    "name": "ctx", "seed": 3, "n_ops": 24, "n_clients": 2, "mix": "rw4k",
+    "grid": {
+        "topology": [{"kind": "star", "n": 4}],
+        "workload": [{"kind": "nbd", "api": "mx"}],
+        "offered_load": [16000],
+    },
+}
+
+
+def _fleet_row() -> str:
+    spec = FleetSpec.from_dict(_FLEET_SPEC)
+    return json.dumps(run_point(spec, spec.points()[0]), sort_keys=True)
+
+
+def test_repeated_fleet_point_matches_a_fresh_process():
+    runs = [_fleet_row() for _ in range(3)]
+    fresh = _fresh_process(
+        "import json\n"
+        "from tests.test_run_context import _fleet_row\n"
+        "print(json.dumps({'row': _fleet_row()}))\n")
+    assert json.loads(runs[0])["metrics"]["achieved_ops"] == 24
+    assert runs == [fresh["row"]] * 3

@@ -96,15 +96,13 @@ def test_concat_splices_without_copying():
     dst_off=st.integers(0, PAGE_SIZE - 1),
     cuts=st.lists(st.integers(0, 3 * PAGE_SIZE), max_size=6),
     skip=st.integers(0, 2 * PAGE_SIZE),
-    legacy=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
 def test_scatter_gather_matches_naive_bytes_path(
-    data, src_off, dst_off, cuts, skip, legacy
+    data, src_off, dst_off, cuts, skip
 ):
-    """Gather → scatter via PayloadRef lands the same bytes the old
-    materialize-everything path did, for any segment cuts, offsets and
-    deposit skip — in both host modes."""
+    """Gather → scatter via PayloadRef lands exactly the raw ``data``
+    bytes, for any segment cuts, offsets and deposit skip."""
     phys = PhysicalMemory(64)
     n = len(data)
     src_frames = [phys.alloc() for _ in range(pages_spanned(src_off, n))]
@@ -115,22 +113,18 @@ def test_scatter_gather_matches_naive_bytes_path(
     segs = [Seg(src_base + a, b - a) for a, b in zip(bounds, bounds[1:])]
     segs.insert(len(segs) // 2, Seg(src_base, 0))  # empty segment is a no-op
 
-    sglist.set_materialize(legacy)
-    try:
-        payload = PayloadRef.from_phys(phys, segs)
-        assert payload.length == n
-        assert payload == data
+    payload = PayloadRef.from_phys(phys, segs)
+    assert payload.length == n
+    assert payload == data
 
-        dst_frames = [
-            phys.alloc() for _ in range(pages_spanned(dst_off, skip + n))
-        ]
-        dst_base = dst_frames[0].phys_addr + dst_off
-        written = phys.write_phys_sg([Seg(dst_base, skip + n)], payload,
-                                     skip=skip)
-        assert written == n
-        assert phys.read_phys(dst_base + skip, n) == data
-    finally:
-        sglist.set_materialize(False)
+    dst_frames = [
+        phys.alloc() for _ in range(pages_spanned(dst_off, skip + n))
+    ]
+    dst_base = dst_frames[0].phys_addr + dst_off
+    written = phys.write_phys_sg([Seg(dst_base, skip + n)], payload,
+                                 skip=skip)
+    assert written == n
+    assert phys.read_phys(dst_base + skip, n) == data
 
 
 def test_inflight_payload_survives_frame_recycling():
@@ -146,30 +140,21 @@ def test_inflight_payload_survives_frame_recycling():
     assert phys.read_phys(frame.phys_addr, 12) == b"NEW PAYLOAD?"
 
 
-def test_materialize_mode_counts_the_copies_it_performs():
-    """Legacy mode really performs (and counts) the gather-join and the
-    per-segment casts; zero-copy mode pays only the final deposit."""
+def test_gather_scatter_copies_only_the_deposit():
+    """Gathering takes views and scattering deposits them: the one host
+    copy is the final write into the destination frame."""
     data = bytes(range(256)) * 16  # one page
-    counts = {}
-    for legacy in (False, True):
-        phys = PhysicalMemory(8)
-        src = phys.alloc()
-        dst = phys.alloc()
-        phys.write_phys(src.phys_addr, data)
-        sglist.set_materialize(legacy)
-        sglist.HOST_COPIES.reset()
-        try:
-            payload = PayloadRef.from_phys(
-                phys, [Seg(src.phys_addr, len(data))]
-            )
-            phys.write_phys_sg([Seg(dst.phys_addr, len(data))], payload)
-        finally:
-            sglist.set_materialize(False)
-        counts[legacy] = sglist.HOST_COPIES.snapshot()["nbytes"]
-        sglist.HOST_COPIES.reset()
-        assert phys.read_phys(dst.phys_addr, len(data)) == data
-    assert counts[False] == len(data)  # the deposit only
-    assert counts[True] >= 2 * counts[False]  # + join + cast
+    phys = PhysicalMemory(8)
+    src = phys.alloc()
+    dst = phys.alloc()
+    phys.write_phys(src.phys_addr, data)
+    before = sglist.HOST_COPIES.snapshot()
+    payload = PayloadRef.from_phys(phys, [Seg(src.phys_addr, len(data))])
+    phys.write_phys_sg([Seg(dst.phys_addr, len(data))], payload)
+    after = sglist.HOST_COPIES.snapshot()
+    assert after["copies"] - before["copies"] == 1
+    assert after["nbytes"] - before["nbytes"] == len(data)
+    assert phys.read_phys(dst.phys_addr, len(data)) == data
 
 
 def test_tracer_wants_gates_expensive_payloads():

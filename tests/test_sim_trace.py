@@ -1,8 +1,6 @@
-"""Unit tests for the tracing/statistics helpers (repro.sim.trace)."""
+"""Unit tests for the tracer (repro.sim.trace)."""
 
-import pytest
-
-from repro.sim.trace import Counter, TimeSeries, Tracer
+from repro.sim.trace import Tracer
 
 
 def test_emit_without_subscribers_is_noop():
@@ -35,32 +33,3 @@ def test_record_everything_captures_all_categories():
     tracer.emit(1, "a", "one")
     tracer.emit(2, "b", "two")
     assert [(r.category, r.label) for r in log] == [("a", "one"), ("b", "two")]
-
-
-def test_counter_mark_and_delta():
-    c = Counter()
-    c.add(5)
-    c.mark()
-    c.add(3)
-    assert c.value == 8
-    assert c.since_mark() == 3
-
-
-def test_timeseries_stats():
-    ts = TimeSeries()
-    for t, v in [(1, 2.0), (2, 8.0), (3, 5.0)]:
-        ts.append(t, v)
-    assert len(ts) == 3
-    assert ts.mean() == pytest.approx(5.0)
-    assert ts.minimum() == 2.0
-    assert ts.maximum() == 8.0
-
-
-def test_timeseries_empty_stats_raise():
-    ts = TimeSeries()
-    with pytest.raises(ValueError):
-        ts.mean()
-    with pytest.raises(ValueError):
-        ts.minimum()
-    with pytest.raises(ValueError):
-        ts.maximum()

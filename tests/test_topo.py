@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.node import star
+from repro.cluster.node import node_pair, star
 from repro.cluster.partition import (PartitionError, TopoLink, cut_links,
                                      propose_partition, validate_partition)
 from repro.cluster.topo import dragonfly, fat_tree
@@ -285,3 +285,14 @@ def test_sharded_fat_tree_matches_sequential():
     done = dict(kv for sid in range(2)
                 for kv in shard.payloads[sid]["done"])
     assert sorted(done) == sorted(scenario.pairs)
+
+
+def test_paper_topologies_install_no_flow_network():
+    """Every paper figure runs on ``node_pair`` or ``star``.  Neither
+    installs a FlowNetwork, so ``"flow"`` and ``"train"`` fidelity are
+    the same program there and the figures cannot depend on the choice."""
+    nodes = list(node_pair(Environment()))
+    for n in (2, 3, 5):
+        nodes += star(Environment(), n)[0]
+    assert nodes
+    assert all(node.nic.flownet is None for node in nodes)

@@ -21,22 +21,12 @@ from repro.cluster import node_pair, star
 from repro.errors import SimulationError
 from repro.faults import FaultPlan
 from repro.hw import Link
-from repro.hw import train
 from repro.hw.params import PCI_XD
 from repro.hw.train import MIN_TRAIN_FRAGS, PacketTrain, TrainRun, TrainTruncation
-from repro.mem import sglist
 from repro.sim import Environment
 from repro.units import KiB, MiB
 
 MTU = 4096
-
-
-@pytest.fixture(autouse=True)
-def _coalescing_restored():
-    """Every test leaves the module flag the way it found it."""
-    before = train.coalescing_enabled()
-    yield
-    train.set_coalescing(before)
 
 
 # -- fingerprint harness ------------------------------------------------------
@@ -77,11 +67,9 @@ def _run_pair_scenario(coalesce: bool, sizes, contention: bool,
                        drop_prob: float, seed: int) -> dict:
     """One deterministic run over a direct link pair; returns its
     observable fingerprint."""
-    train.set_coalescing(coalesce)
-    sglist.HOST_COPIES.reset()  # process-global; must not leak across runs
     registry = obs.MetricsRegistry()
     with obs.installed_registry(registry):
-        env = Environment()
+        env = Environment("train" if coalesce else "packet")
         a, b = node_pair(env)
         if drop_prob:
             plan = FaultPlan(seed=seed).drop("wire", drop_prob)
@@ -161,8 +149,7 @@ def test_event_reduction_at_least_3x():
     """The tentpole number: >= 3x fewer engine events per 1 MiB transfer."""
     counts = {}
     for mode in (False, True):
-        train.set_coalescing(mode)
-        env = Environment()
+        env = Environment("train" if mode else "packet")
         a, b = node_pair(env)
         ta = MxTransport(a, 1, peer_node=1, peer_ep=1, context="kernel")
         tb = MxTransport(b, 1, peer_node=0, peer_ep=1, context="kernel")
@@ -194,11 +181,9 @@ def test_small_messages_never_coalesce():
 def _run_star_scenario(coalesce: bool) -> dict:
     """Two senders stream to one receiver through the crossbar: the
     shared egress link contends, so trains must split or refuse."""
-    train.set_coalescing(coalesce)
-    sglist.HOST_COPIES.reset()
     registry = obs.MetricsRegistry()
     with obs.installed_registry(registry):
-        env = Environment()
+        env = Environment("train" if coalesce else "packet")
         nodes, switch = star(env, 3)
         finishes = []
         procs = []
@@ -258,7 +243,8 @@ def _raw_link(env):
 
 def _train(npackets: int) -> PacketTrain:
     return PacketTrain(src_nic=0, src_port=1, dst_nic=1, dst_port=1,
-                       match=0, npackets=npackets, wire_size=MTU)
+                       match=0, npackets=npackets, wire_size=MTU,
+                       train_id=1)
 
 
 def test_link_train_split_on_contention():
