@@ -49,12 +49,11 @@ from .. import obs
 from ..cluster.topo import fat_tree, plan_fabric
 from ..hw.params import host_params
 from ..sim import Environment
+from ..sim.engine import FIDELITIES
 from ..sim.shard import run_sequential, run_sharded
 from ..units import KiB, MiB, PAGE_SIZE
 from .netpipe import prepare_pair
 from .transports import MxTransport
-
-MODES = ("packet", "train", "flow")
 
 #: Metric families describing an *optimization* rather than the model;
 #: the only ones allowed to differ between fidelity modes.
@@ -130,8 +129,6 @@ def run_topo(k: int, scenario: str, mode: str, size: int = 256 * KiB) -> dict:
     per-transfer completion table (list of ``(src, dst, done_ns)``) and
     the mode-filtered metrics snapshot.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     with obs.installed_registry() as registry:
         env = Environment(mode)
         # Transfers never touch more than a few MiB of frames; a
@@ -193,7 +190,7 @@ def completion_table(result: dict) -> str:
 
 
 def run_scenario(k: int, scenario: str, size: int,
-                 modes=MODES) -> dict:
+                 modes=FIDELITIES) -> dict:
     """All requested modes on one scenario, plus cross-mode digests."""
     results = {mode: run_topo(k, scenario, mode, size) for mode in modes}
     out: dict = {"scenario": scenario, "results": results}
@@ -430,7 +427,7 @@ def main(argv: Optional[list] = None) -> int:
         args.k = 16
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     for m in modes:
-        if m not in MODES:
+        if m not in FIDELITIES:
             print(f"unknown mode {m!r}", file=sys.stderr)
             return 2
     if args.gate and not {"packet", "flow"} <= set(modes):

@@ -42,6 +42,7 @@ from typing import Optional
 from ..errors import ReproError
 from ..load.arrivals import LoadSpecError, make_arrivals
 from ..load.mix import make_mix
+from ..sim.engine import FIDELITIES
 
 
 class FleetSpecError(ReproError):
@@ -57,8 +58,6 @@ GRID_AXES = (
     ("offered_load", [8000]),
     ("faults", [None]),
 )
-
-MODES = ("packet", "train", "flow")
 
 #: topology kind -> (required int params, host-count function)
 _TOPOLOGIES = {
@@ -198,9 +197,9 @@ class FleetSpec:
                     f"{topology_hosts(topo)} hosts; needs at least "
                     f"{self.n_clients + 1} (server + n_clients)")
         for mode in self.grid["mode"]:
-            if mode not in MODES:
+            if mode not in FIDELITIES:
                 raise FleetSpecError(
-                    f"unknown fidelity mode {mode!r}; known: {MODES}")
+                    f"unknown fidelity mode {mode!r}; known: {FIDELITIES}")
         for arr in self.grid["arrivals"]:
             try:
                 make_arrivals(arr, self.seed, 1000.0)

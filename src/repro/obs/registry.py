@@ -329,17 +329,16 @@ def installed_registry(registry: Optional[MetricsRegistry] = None):
 
 
 @contextmanager
-def scoped_registry(registry: Optional[MetricsRegistry] = None):
+def scoped_registry():
     """Context manager: observe one run on its own.
 
-    Parks the ambient registry and timeline, installs ``registry`` (or
-    a fresh one) for the block and yields it; on exit the outer
-    registry and timeline are back.  Nestable, unlike
-    :func:`installed_registry`.
+    Parks the ambient registry and timeline, installs a fresh registry
+    for the block and yields it; on exit the outer registry and
+    timeline are back.  Nestable, unlike :func:`installed_registry`.
     """
     outer = uninstall_registry()
     outer_tl = _timeline.uninstall_timeline()
-    reg = install_registry(registry)
+    reg = install_registry()
     try:
         yield reg
     finally:

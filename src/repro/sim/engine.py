@@ -59,9 +59,9 @@ from ..errors import ProcessInterrupt, SimulationError
 # Sentinel distinguishing "no value yet" from a legitimate ``None`` value.
 _PENDING = object()
 
-#: The network fidelities an :class:`Environment` can run at, fastest
-#: first; ``"flow"`` is the default.
-FIDELITIES = ("flow", "train", "packet")
+#: The network fidelities an :class:`Environment` can run at, most
+#: detailed first; ``"flow"`` is the default.
+FIDELITIES = ("packet", "train", "flow")
 
 #: Every id space :meth:`Environment.next_id` allocates from, with the
 #: first id it hands out.  The disjoint start values keep ids of

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.bench.netpipe import prepare_pair
-from repro.bench.topo import MODES, filtered_obs, run_topo
+from repro.bench.topo import filtered_obs, run_topo
 from repro.bench.transports import MxTransport
 from repro.cluster.topo import fat_tree
 from repro.errors import SimulationError
 from repro.faults import FaultPlan
 from repro.hw.params import FabricParams, host_params
 from repro.sim import Environment
+from repro.sim.engine import FIDELITIES
 from repro.units import KiB
 
 SMALL_HOST = host_params(memory_frames=2048)
@@ -75,7 +76,7 @@ def _run_pair(mode, size, *, src=0, dst=4, fabric=None, plan_fn=None,
 def test_three_mode_identity_same_edge():
     """Uncontended exchange: completion tables and mode-filtered metric
     snapshots are byte-identical across packet, train and flow."""
-    results = {m: run_topo(4, "identity", m, 64 * KiB) for m in MODES}
+    results = {m: run_topo(4, "identity", m, 64 * KiB) for m in FIDELITIES}
     ref = results["packet"]
     for mode in ("train", "flow"):
         assert results[mode]["completions"] == ref["completions"]
@@ -89,7 +90,7 @@ def test_flow_completion_exact_uncontended(size):
     """Any flow-eligible size on an uncontended cross-pod path finishes
     at the identical instant in all three modes (the trailing-FRAG
     back-pressure makes the analytic model exact)."""
-    res = {m: _run_pair(m, size) for m in MODES}
+    res = {m: _run_pair(m, size) for m in FIDELITIES}
     assert res["flow"]["done"] == res["packet"]["done"] \
         == res["train"]["done"]
     assert res["flow"]["obs"] == res["packet"]["obs"]
