@@ -151,6 +151,11 @@ def bench_data_path(quick: bool = False) -> dict:
     :class:`repro.mem.PayloadRef` chunk views end-to-end.
     ``HOST_COPIES`` counting is deterministic, so CI pins a per-byte
     budget on it; MB/s shows the host's wall-clock rate.
+
+    Both send buffers are filled with a non-zero pattern first: a
+    never-written buffer carries zero pages, whose scatter into fresh
+    receive frames is elided (:meth:`repro.mem.phys.Frame.write`), and
+    the budget would then pass without measuring any copy.
     """
     from ..cluster.node import node_pair
     from .netpipe import ping_pong, prepare_pair
@@ -196,6 +201,10 @@ def bench_data_path(quick: bool = False) -> dict:
                 env = Environment()
                 a, b = build(env)
                 prepare_pair(env, a, b, size)
+                for t in (a, b):
+                    send_buf = (t.send_alloc if isinstance(t, GmKernelTransport)
+                                else t.send_ref)
+                    t.node.kspace.write_bytes(send_buf.vaddr, b"\xa5" * size)
                 c0 = sglist.HOST_COPIES.snapshot()
                 w0 = time.perf_counter()
                 t0 = time.process_time()

@@ -55,14 +55,14 @@ Rate allocation is **incremental and component-local**: an arrival,
 departure or de-coalescing only re-divides the connected component of
 flows reachable from the touched link directions through shared hops —
 a disjoint permutation pair costs O(1), not O(n).  The water-fill
-inside a component selects each level's bottleneck with integer
-cross-multiplication (no per-direction ``Fraction`` division) and
-commits the level share as one canonical ``Fraction``, so every
-``rate``/``eta``/``done`` value is bit-identical to the from-scratch
-global algorithm (:func:`waterfill_reference`, which the property tests
-compare against): the max-min rate vector is unique, and untouched
-components keep rates — and therefore ETAs and settled progress —
-unchanged by definition.
+inside a component works on integer capacity pairs, saturates every
+direction tied at a level's bottleneck in one pass, and commits the
+level share as one canonical ``Fraction`` (see :meth:`FlowNetwork.
+_waterfill` for why batching is exact), so every ``rate``/``eta``/
+``done`` value is bit-identical to the from-scratch global algorithm
+(:func:`waterfill_reference`, which the property tests compare
+against): the max-min rate vector is unique, and flows whose rate did
+not change — untouched components included — keep their ETAs.
 
 Flows engage only in a run built at ``Environment(fidelity="flow")``
 (the default); ``"train"`` and ``"packet"`` are the A/B references for
@@ -74,6 +74,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .. import obs
@@ -404,8 +405,8 @@ class FlowNetwork:
         shares ONE recomputation — a synchronized 1024-flow permutation
         pays for one flush, not 1024.  Callers must have settled the
         flows whose progress they read *before* mutating membership;
-        the flush settles every affected flow itself (dt = 0 for those
-        already settled this instant)."""
+        the flush settles every flow whose rate it changes (dt = 0 for
+        those already settled this instant)."""
         if not self._dirty:
             self._dirty = True
             self.env.call_at(self.env.now, self._flush)
@@ -451,8 +452,6 @@ class FlowNetwork:
             if comp:
                 components.append(comp)
         for comp in components:
-            for f in comp:
-                self._settle(f, now)
             self._waterfill(comp, now)
         if self._verify_reference:
             self._check_reference()
@@ -466,14 +465,24 @@ class FlowNetwork:
             self.env.call_at(next_eta, self._tick, self._timer_gen)
 
     def _waterfill(self, comp: list[_Flow], now: int) -> None:
-        """Max-min fair water-filling over one component.
+        """Max-min fair water-filling over one component, level-batched.
 
-        Exact rational arithmetic committed per level; the bottleneck
-        scan compares ``avail/count`` ratios by integer
-        cross-multiplication so no intermediate ``Fraction`` is built.
-        ``share = Fraction(best_n, best_d)`` normalizes to the same
-        canonical rational ``avail / count`` produced, keeping rates
-        bit-identical to :func:`waterfill_reference`.
+        Each direction's remaining capacity is a normalized integer pair
+        ``avail = an/ad`` beside its count ``c`` of unfixed members, so
+        the bottleneck scan compares ``an/(ad*c)`` by integer
+        cross-multiplication and no ``Fraction`` is built per direction.
+
+        One level fixes *every* direction whose ratio equals the minimum
+        ``share``, in ascending ``seq`` order.  That is exactly what the
+        one-bottleneck-per-level algorithm (:func:`waterfill_reference`)
+        does over several levels: fixing members of a direction at
+        ``share`` leaves any other direction at ``share`` there,
+        ``(avail - k*share)/(c - k) == share``, and any direction above
+        it above, so the sequential scan would visit the same
+        directions, in the same order, at the same ``share``.
+        Directions with no unfixed member drop out of the scan.  Each
+        level's ``share`` is committed as one canonical ``Fraction``, so
+        every rate is bit-identical to the reference.
         """
         self._m_recompute.inc()
         self._m_wf_touched.inc(len(comp))
@@ -482,52 +491,68 @@ class FlowNetwork:
             # its path bottleneck capacity.  O(1) — the common case for
             # permutation traffic on a non-blocking fabric.
             f = comp[0]
-            f.rate = f.full_rate
-            self._commit_eta(f, now)
+            self._set_rate(f, f.full_rate, now)
             return
         dirs: dict[int, _DirRes] = {}
-        count: dict[int, int] = {}
-        avail: dict[int, Fraction] = {}
+        # seq -> [an, ad, c]: remaining capacity an/ad, unfixed members c.
+        state: dict[int, list[int]] = {}
         for f in comp:
             for dr in f.dirres:
-                seq = dr.seq
-                if seq not in dirs:
-                    dirs[seq] = dr
-                    count[seq] = 0
-                    avail[seq] = dr.cap
-                count[seq] += 1
-        unfixed = {f.id for f in comp}
-        order = sorted(dirs)
-        while unfixed:
-            bottleneck = None
+                st = state.get(dr.seq)
+                if st is None:
+                    dirs[dr.seq] = dr
+                    cap = dr.cap
+                    state[dr.seq] = [cap.numerator, cap.denominator, 1]
+                else:
+                    st[2] += 1
+        live = sorted(state)
+        fixed: set[int] = set()
+        while live:
+            level: list[int] = []
             best_n = best_d = 1
-            for seq in order:
-                c = count[seq]
-                if c <= 0:
-                    continue
-                a = avail[seq]
-                n = a.numerator
-                d = a.denominator * c
-                # n/d < best_n/best_d, without building Fractions.
-                if bottleneck is None or n * best_d < best_n * d:
-                    best_n, best_d, bottleneck = n, d, seq
-            if bottleneck is None:  # pragma: no cover - defensive
-                break
-            share = Fraction(best_n, best_d)
-            for f in dirs[bottleneck].members:
-                if f.id in unfixed:
-                    f.rate = share
-                    unfixed.discard(f.id)
-                    for dr in f.dirres:
-                        avail[dr.seq] -= share
-                        count[dr.seq] -= 1
-        for f in comp:
-            self._commit_eta(f, now)
+            for seq in live:
+                an, ad, c = state[seq]
+                d = ad * c
+                lhs, rhs = an * best_d, best_n * d
+                if not level or lhs < rhs:
+                    best_n, best_d, level = an, d, [seq]
+                elif lhs == rhs:
+                    level.append(seq)
+            g = gcd(best_n, best_d)
+            sn, sd = best_n // g, best_d // g
+            share = Fraction(sn, sd)
+            hits: dict[int, int] = {}
+            for seq in level:
+                for f in dirs[seq].members:
+                    if f.id not in fixed:
+                        fixed.add(f.id)
+                        self._set_rate(f, share, now)
+                        for dr in f.dirres:
+                            hits[dr.seq] = hits.get(dr.seq, 0) + 1
+            for seq, k in hits.items():
+                st = state[seq]
+                an, ad = st[0] * sd - k * sn * st[1], st[1] * sd
+                g = gcd(an, ad)
+                st[0], st[1] = an // g, ad // g
+                st[2] -= k
+            live = [seq for seq in live if state[seq][2]]
 
-    def _commit_eta(self, f: _Flow, now: int) -> None:
-        if f.rate != f.full_rate:
+    def _set_rate(self, f: _Flow, rate: Fraction, now: int) -> None:
+        """Commit one flow's water-fill rate.
+
+        Only a flow whose rate changed is settled and re-timed.  At a
+        constant rate ``eta = last + ceil((total - done)/rate)`` does not
+        move when the flow is settled later, so an unchanged flow keeps
+        its ETA and heap entry, and its progress integrates lazily to
+        the same exact ``Fraction`` at its next settle.  A new flow has
+        rate 0, so it always commits."""
+        if rate == f.rate:
+            return
+        self._settle(f, now)
+        f.rate = rate
+        if rate != f.full_rate:
             f.pristine = False
-        f.eta = now + _ceil((f.total - f.done) / f.rate)
+        f.eta = now + _ceil((f.total - f.done) / rate)
         heappush(self._eta_heap, (f.eta, f.id))
 
     def _min_eta(self) -> Optional[int]:

@@ -26,7 +26,7 @@ MX API's explicit memory types exist to prevent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from ..errors import BadAddress, ProtectionFault
@@ -45,6 +45,12 @@ class Prot(enum.Flag):
     READ = enum.auto()
     WRITE = enum.auto()
     RW = READ | WRITE
+
+
+# Plain-int protection bits for the per-page checks: an ``enum.Flag``
+# ``&`` costs a Python-level call per page.
+_READ = Prot.READ.value
+_WRITE = Prot.WRITE.value
 
 
 class ChangeKind(enum.Enum):
@@ -73,6 +79,12 @@ class VMA:
     start: int
     end: int
     prot: Prot
+    #: ``prot`` as plain int bits (VMAs are replaced, never re-protected
+    #: in place).
+    bits: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.bits = self.prot.value
 
     def __contains__(self, addr: int) -> bool:
         return self.start <= addr < self.end
@@ -263,8 +275,14 @@ class AddressSpace:
         vma = self.vma_at(vaddr)
         if vma is None:
             raise BadAddress(f"unmapped address {vaddr:#x} in asid {self.asid}")
-        needed = Prot.WRITE if write else Prot.READ
-        if not vma.prot & needed:
+        frame = self._page_frame(vma, vaddr, write, fault_in)
+        return frame.phys_addr | (vaddr & PAGE_MASK)
+
+    def _page_frame(self, vma: VMA, vaddr: int, write: bool,
+                    fault_in: bool) -> Frame:
+        """The frame behind ``vaddr`` in its ``vma``: protection check,
+        then the page-table lookup (populating on demand)."""
+        if not vma.bits & (_WRITE if write else _READ):
             raise ProtectionFault(
                 f"{'write' if write else 'read'} to {vaddr:#x} violates {vma.prot}"
             )
@@ -274,7 +292,7 @@ class AddressSpace:
             if not fault_in:
                 raise BadAddress(f"page at {vaddr:#x} not present (no fault allowed)")
             frame = self._populate(vpn)
-        return frame.phys_addr | (vaddr & PAGE_MASK)
+        return frame
 
     def frame_of(self, vaddr: int, fault_in: bool = True) -> Frame:
         """The frame backing the page containing ``vaddr``."""
@@ -354,15 +372,14 @@ class AddressSpace:
         Returns the pinned frames in order.  Raises and pins nothing if
         any page is unmapped (all-or-nothing, like get_user_pages).
         """
-        pages = list(self.iter_pages(vaddr, length))
         frames: list[Frame] = []
-        for page_addr in pages:
+        for page_addr in self.iter_pages(vaddr, length):
             vma = self.vma_at(page_addr)
             if vma is None:
                 for f in frames:
                     f.unpin()
                 raise BadAddress(f"pin of unmapped address {page_addr:#x}")
-            frame = self.frame_of(page_addr)
+            frame = self._page_frame(vma, page_addr, False, True)
             frame.pin()
             frames.append(frame)
         return frames

@@ -19,6 +19,7 @@ is exactly why the paper's *kernel virtual* address type is cheaper than
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from ..errors import BadAddress
@@ -42,6 +43,11 @@ class KernelAllocation:
     def end(self) -> int:
         return self.vaddr + self.length
 
+    @property
+    def mapped_end(self) -> int:
+        """End of the page-aligned VA range the frames back."""
+        return self.vaddr + len(self.frames) * PAGE_SIZE
+
 
 class KernelSpace:
     """Kernel virtual address allocator over a :class:`PhysicalMemory`."""
@@ -50,6 +56,9 @@ class KernelSpace:
         self.phys = phys
         self._next_va = KERNEL_BASE
         self._allocs: dict[int, KernelAllocation] = {}  # base va -> alloc
+        # Sorted base VAs (allocation hands out increasing VAs, so
+        # ``_alloc`` appends) for bisecting lookups.
+        self._starts: list[int] = []
 
     @staticmethod
     def is_kernel_address(vaddr: int) -> bool:
@@ -69,6 +78,7 @@ class KernelSpace:
         if alloc.vaddr not in self._allocs:
             raise BadAddress(f"kfree of unknown allocation at {alloc.vaddr:#x}")
         del self._allocs[alloc.vaddr]
+        del self._starts[bisect_right(self._starts, alloc.vaddr) - 1]
         for frame in alloc.frames:
             frame.unpin()
             if not frame.pinned:
@@ -89,14 +99,17 @@ class KernelSpace:
         self._next_va += nbytes
         alloc = KernelAllocation(vaddr, length, frames, contiguous)
         self._allocs[vaddr] = alloc
+        self._starts.append(vaddr)
         return alloc
 
     # -- translation / access ----------------------------------------------
 
     def find_allocation(self, vaddr: int) -> KernelAllocation:
-        """The allocation containing ``vaddr`` (linear scan; small N)."""
-        for alloc in self._allocs.values():
-            if alloc.vaddr <= vaddr < alloc.vaddr + page_align_up(alloc.length):
+        """The allocation containing ``vaddr`` (bisect over base VAs)."""
+        i = bisect_right(self._starts, vaddr) - 1
+        if i >= 0:
+            alloc = self._allocs[self._starts[i]]
+            if vaddr < alloc.mapped_end:
                 return alloc
         raise BadAddress(f"kernel address {vaddr:#x} not allocated")
 

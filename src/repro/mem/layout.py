@@ -20,8 +20,9 @@ pages" fit MX's medium-message path as one segment).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from ..units import PAGE_MASK, PAGE_SIZE
+from ..units import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 from .addrspace import AddressSpace
 from .kmem import KernelSpace
 from .phys import Frame
@@ -39,15 +40,20 @@ class PhysSegment:
         return self.phys_addr + self.length
 
 
-def _merge(segments: list[PhysSegment]) -> list[PhysSegment]:
-    """Coalesce adjacent segments into maximal contiguous runs."""
+def _merged(pieces: Iterable[tuple[int, int]]) -> list[PhysSegment]:
+    """Coalesce ``(phys_addr, length)`` pieces into maximal contiguous
+    segments, building each :class:`PhysSegment` once."""
     merged: list[PhysSegment] = []
-    for seg in segments:
-        if merged and merged[-1].end == seg.phys_addr:
-            prev = merged.pop()
-            merged.append(PhysSegment(prev.phys_addr, prev.length + seg.length))
+    start = run = 0
+    for phys, n in pieces:
+        if run and start + run == phys:
+            run += n
         else:
-            merged.append(seg)
+            if run:
+                merged.append(PhysSegment(start, run))
+            start, run = phys, n
+    if run:
+        merged.append(PhysSegment(start, run))
     return merged
 
 
@@ -61,32 +67,46 @@ def sg_from_user(space: AddressSpace, vaddr: int, length: int) -> list[PhysSegme
     """
     if length <= 0:
         return []
-    segments: list[PhysSegment] = []
-    addr = vaddr
-    remaining = length
-    while remaining > 0:
-        phys = space.translate(addr, fault_in=False)
-        chunk = min(remaining, PAGE_SIZE - (phys & PAGE_MASK))
-        segments.append(PhysSegment(phys, chunk))
-        addr += chunk
-        remaining -= chunk
-    return _merge(segments)
+
+    def pieces():
+        addr = vaddr
+        remaining = length
+        while remaining > 0:
+            phys = space.translate(addr, fault_in=False)
+            chunk = min(remaining, PAGE_SIZE - (phys & PAGE_MASK))
+            yield phys, chunk
+            addr += chunk
+            remaining -= chunk
+
+    return _merged(pieces())
 
 
 def sg_from_kernel(kspace: KernelSpace, vaddr: int, length: int) -> list[PhysSegment]:
-    """Scatter/gather list for a kernel-virtual range."""
+    """Scatter/gather list for a kernel-virtual range.
+
+    Walks each allocation's frame list directly: one allocation lookup
+    per allocation the range crosses, not one translation per page.
+    """
     if length <= 0:
         return []
-    segments: list[PhysSegment] = []
-    addr = vaddr
-    remaining = length
-    while remaining > 0:
-        phys = kspace.translate(addr)
-        chunk = min(remaining, PAGE_SIZE - (phys & PAGE_MASK))
-        segments.append(PhysSegment(phys, chunk))
-        addr += chunk
-        remaining -= chunk
-    return _merge(segments)
+
+    def pieces():
+        addr = vaddr
+        end = vaddr + length
+        while addr < end:
+            alloc = kspace.find_allocation(addr)
+            frames = alloc.frames
+            stop = min(end, alloc.mapped_end)
+            page = (addr - alloc.vaddr) >> PAGE_SHIFT
+            offset = addr & PAGE_MASK
+            while addr < stop:
+                chunk = min(stop - addr, PAGE_SIZE - offset)
+                yield frames[page].phys_addr + offset, chunk
+                addr += chunk
+                page += 1
+                offset = 0
+
+    return _merged(pieces())
 
 
 def sg_from_frames(
@@ -107,17 +127,15 @@ def sg_from_frames(
         )
     if length == 0:
         return []
-    segments: list[PhysSegment] = []
-    remaining = length
-    pos = offset
-    for frame in frames:
-        if remaining <= 0:
-            break
-        if pos >= PAGE_SIZE:
-            pos -= PAGE_SIZE
-            continue
-        chunk = min(remaining, PAGE_SIZE - pos)
-        segments.append(PhysSegment(frame.phys_addr + pos, chunk))
-        remaining -= chunk
-        pos = 0
-    return _merge(segments)
+
+    def pieces():
+        remaining = length
+        page, pos = divmod(offset, PAGE_SIZE)
+        while remaining > 0:
+            chunk = min(remaining, PAGE_SIZE - pos)
+            yield frames[page].phys_addr + pos, chunk
+            remaining -= chunk
+            page += 1
+            pos = 0
+
+    return _merged(pieces())

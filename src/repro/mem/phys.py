@@ -6,6 +6,14 @@ storage is allocated lazily (a frame that is never written costs no
 Python memory), which lets benchmarks simulate multi-gigabyte transfers
 cheaply while correctness tests still see real data.
 
+A frame with no storage already reads as zeros, so writing all-zero
+bytes into it is elided: no storage is allocated and no host copy is
+counted.  Zeros are recognised by content, not by identity, because a
+payload pickled across a shard border arrives as plain ``bytes``.  A
+DMA of a never-written buffer (most figure and fabric transfers move
+such buffers) therefore costs the host no copy, while its simulated
+cost is charged exactly as before.
+
 Pin counts live here, on the frame, because pinning is a property of
 physical pages: both ``get_user_pages`` (user buffers) and the page
 cache (always-resident pages) end up bumping the same counter in Linux.
@@ -87,10 +95,15 @@ class Frame:
         return memoryview(self._data).toreadonly()[offset : offset + length]
 
     def write(self, offset: int, data: "bytes | bytearray | memoryview") -> None:
-        """Write ``data`` at ``offset`` within the frame."""
+        """Write ``data`` at ``offset`` within the frame.
+
+        Zeros written into a frame with no storage are elided: the
+        frame already reads as zeros (see the module docstring)."""
         nbytes = len(data)
         self._check_range(offset, nbytes)
         if self._data is None:
+            if _ZERO_PAGE.startswith(data):
+                return
             self._data = bytearray(PAGE_SIZE)
         elif self._shared:
             # Copy-on-write detach: outstanding views keep the old

@@ -19,9 +19,12 @@ process does, so every figure stays byte-identical.
 
 :data:`HOST_COPIES` lives here because every layer feeds it: a
 process-wide meter counting *real* host byte-copies (frame
-reads/writes, joins, casts, COW detaches).  The data-path benchmark
-reads it to prove the copies are gone, and CI pins a per-byte budget on
-it (deterministic, unlike wall-clock).  It measures the host, not the
+reads/writes, joins, casts, COW detaches).  Zeros written into a frame
+that has no storage yet are not copies at all — the frame already reads
+as zeros — so they are elided and not counted
+(:meth:`repro.mem.phys.Frame.write`).  The data-path benchmark reads it
+to prove the copies are gone, and CI pins a per-byte budget on it
+(deterministic, unlike wall-clock).  It measures the host, not the
 simulation, so no run resets it: every metrics registry publishes the
 copies made since that registry was created.
 

@@ -28,6 +28,12 @@ def test_run_perf_quick_report_shape():
     assert pt["summary"]["event_reduction_min"] >= 3.0
     assert pt["summary"]["events_per_mb_train_max"] <= 150
     assert report["summary"]["packet_train_event_reduction"] >= 3.0
+    # The host-copy budget must measure real copies: zero-page scatters
+    # are elided, so every data-path entry has to move non-zero bytes.
+    for name, path in report["data_path"]["paths"].items():
+        for entry in path["entries"]:
+            assert entry["host_copy_bytes"] > 0, name
+            assert entry["copy_per_byte"] <= 1.25, name
 
 
 def test_perf_main_writes_json(tmp_path):

@@ -130,6 +130,109 @@ def test_incremental_rates_equal_global_reference(data):
     assert all(f.done <= f.total for f in admitted.values())
 
 
+def check_every_flush(net, env):
+    """Wrap ``net._flush`` so that after every flush each live flow's
+    rate is a ``Fraction`` exactly equal to :func:`waterfill_reference`.
+    Returns the list of flush instants checked."""
+    checked = []
+    orig_flush = net._flush
+
+    def flush():
+        orig_flush()
+        expect = waterfill_reference(net._flows.values())
+        for f in net._flows.values():
+            assert type(f.rate) is Fraction, type(f.rate)
+            assert f.rate == expect[f.id], (f.id, f.rate, expect[f.id])
+        checked.append(env.now)
+
+    net._flush = flush
+    return checked
+
+
+def run_plan(data, speeds, nflows, max_hops, instants):
+    """Admit ``nflows`` random multi-hop flows over links of ``speeds``
+    at instants drawn from ``instants`` and run to completion, checking
+    every flush against the reference."""
+    env = Environment()
+    net = make_net(env, verify=False)
+    links = [make_link(env, bw, name=f"l{i}") for i, bw in enumerate(speeds)]
+    checked = check_every_flush(net, env)
+    by_instant: dict = {}
+    for fid in range(nflows):
+        hop_idx = data.draw(
+            st.lists(st.integers(0, len(links) - 1), min_size=1,
+                     max_size=min(max_hops, len(links)), unique=True),
+            label=f"hops{fid}")
+        ends = [data.draw(st.sampled_from(["a", "b"]), label=f"end{fid}.{i}")
+                for i in range(len(hop_idx))]
+        nfrags = data.draw(st.integers(2, 12), label=f"nfrags{fid}")
+        at = data.draw(st.sampled_from(instants), label=f"at{fid}")
+        by_instant.setdefault(at, []).append(
+            ([(links[i], e) for i, e in zip(hop_idx, ends)], fid, nfrags))
+
+    def admit_all(batch):
+        for hops, fid, nfrags in batch:
+            admit(net, hops, src=fid, nfrags=nfrags)
+
+    for at, batch in by_instant.items():
+        env.call_at(at, admit_all, batch)
+    env.run()
+    assert net.active_flows == 0
+    assert checked, "no flush ran"
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_tie_heavy_levels_equal_reference(data):
+    """Equal-speed links and same-instant arrivals: many directions
+    saturate at the same level, so one batched level fixes several
+    bottlenecks at once.  Rates must still equal the one-bottleneck-
+    per-level reference exactly."""
+    nlinks = data.draw(st.integers(2, 6), label="nlinks")
+    nflows = data.draw(st.integers(2, 24), label="nflows")
+    run_plan(data, [250 * MB] * nlinks, nflows, max_hops=3,
+             instants=[0, 0, 0, 40_000])
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_large_mixed_speed_components_equal_reference(data):
+    """Components of up to ~40 flows over links of mixed speeds, so the
+    per-direction capacities (and every level's share) carry different
+    denominators."""
+    nlinks = data.draw(st.integers(3, 8), label="nlinks")
+    speeds = data.draw(
+        st.lists(st.sampled_from([66 * MB, 125 * MB, 160 * MB, 250 * MB]),
+                 min_size=nlinks, max_size=nlinks),
+        label="speeds")
+    nflows = data.draw(st.integers(20, 40), label="nflows")
+    run_plan(data, speeds, nflows, max_hops=4,
+             instants=[0, 0, 30_000, 90_000])
+
+
+def test_tied_bottlenecks_saturate_together():
+    """Two directions tie as the first level's bottleneck (three flows
+    each, one flow crossing both); a faster direction shared by two
+    more flows is left for a later level.  Every rate equals the
+    reference."""
+    env = Environment()
+    net = make_net(env)
+    l1, l2 = make_link(env, name="l1"), make_link(env, name="l2")
+    fast = make_link(env, 2 * 250 * MB, name="fast")
+    flows = [admit(net, [(l1, "a")], src=0), admit(net, [(l1, "a")], src=1),
+             admit(net, [(l2, "a")], src=2), admit(net, [(l2, "a")], src=3),
+             admit(net, [(l1, "a"), (l2, "a")], src=4),
+             admit(net, [(fast, "a")], src=5), admit(net, [(fast, "a")], src=6)]
+    env.run(until=1)
+    expect = waterfill_reference(net._flows.values())
+    assert [f.rate for f in flows] == [expect[f.id] for f in flows]
+    assert cap(l1) == cap(l2) and cap(fast) / 2 > cap(l1) / 3
+    assert [f.rate for f in flows[:5]] == [cap(l1) / 3] * 5
+    assert [f.rate for f in flows[5:]] == [cap(fast) / 2] * 2
+    env.run()
+    assert net.active_flows == 0
+
+
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_reference_equivalence_on_random_fabric_traffic(data):

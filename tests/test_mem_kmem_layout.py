@@ -12,7 +12,7 @@ from repro.mem import (
     sg_from_user,
 )
 from repro.mem.kmem import KERNEL_BASE
-from repro.units import PAGE_SIZE
+from repro.units import PAGE_MASK, PAGE_SIZE
 
 
 @pytest.fixture
@@ -110,6 +110,36 @@ def test_sg_from_kernel_vmalloc_segments_per_discontiguity(kspace, phys):
     pfns = [f.pfn for f in alloc.frames]
     expected_segs = 1 if pfns[1] == pfns[0] + 1 else 2
     assert len(segs) == expected_segs
+
+
+def test_sg_from_kernel_matches_per_page_translation(kspace, phys):
+    """The allocation range walk equals translating every page, across
+    adjacent allocations and mid-page bounds; a range running into a
+    freed allocation's VA raises."""
+    hold = [phys.alloc() for _ in range(4)]
+    phys.free(hold[2])  # scatter the vmalloc below
+    a = kspace.vmalloc(3 * PAGE_SIZE)
+    b = kspace.kmalloc(2 * PAGE_SIZE - 5)
+    gap = kspace.vmalloc(PAGE_SIZE)
+    c = kspace.vmalloc(PAGE_SIZE)
+    kspace.kfree(gap)
+    assert kspace.find_allocation(c.vaddr + 9) is c
+    start, end = a.vaddr + 100, b.vaddr + 2 * PAGE_SIZE - 7
+    expect: list = []
+    addr = start
+    while addr < end:
+        pa = kspace.translate(addr)
+        n = min(end - addr, PAGE_SIZE - (pa & PAGE_MASK))
+        if expect and expect[-1][0] + expect[-1][1] == pa:
+            expect[-1][1] += n
+        else:
+            expect.append([pa, n])
+        addr += n
+    segs = sg_from_kernel(kspace, start, end - start)
+    assert [[s.phys_addr, s.length] for s in segs] == expect
+    assert len(segs) > 1
+    with pytest.raises(BadAddress):
+        sg_from_kernel(kspace, b.vaddr, 3 * PAGE_SIZE)
 
 
 def test_sg_from_user_requires_resident_pages(phys):

@@ -1,9 +1,11 @@
 """Unit tests for the physical frame allocator (repro.mem.phys)."""
 
+import pickle
+
 import pytest
 
 from repro.errors import OutOfMemory, PinningError
-from repro.mem import PhysicalMemory
+from repro.mem import HOST_COPIES, PayloadRef, PhysicalMemory, PhysSegment
 from repro.units import PAGE_SIZE
 
 
@@ -51,6 +53,58 @@ def test_frame_reads_zero_before_write():
     phys = PhysicalMemory(1)
     frame = phys.alloc()
     assert frame.read(0, 16) == bytes(16)
+
+
+def _copies():
+    return HOST_COPIES.copies, HOST_COPIES.nbytes
+
+
+def test_zero_write_to_fresh_frame_is_elided():
+    phys = PhysicalMemory(1)
+    frame = phys.alloc()
+    before = _copies()
+    frame.write(0, bytes(PAGE_SIZE))
+    frame.write(100, memoryview(bytes(64)))
+    assert frame._data is None  # no storage allocated
+    assert _copies() == before  # no host copy counted
+    assert frame.read(0, PAGE_SIZE) == bytes(PAGE_SIZE)
+
+
+def test_zero_write_overwrites_existing_bytes():
+    phys = PhysicalMemory(1)
+    frame = phys.alloc()
+    frame.write(0, b"\xff" * 32)
+    before = _copies()
+    frame.write(8, bytes(16))
+    assert _copies() == (before[0] + 1, before[1] + 16)
+    assert frame.read(0, 32) == b"\xff" * 8 + bytes(16) + b"\xff" * 8
+
+
+def test_partial_write_after_elided_zero_write_reads_back():
+    phys = PhysicalMemory(1)
+    frame = phys.alloc()
+    frame.write(0, bytes(PAGE_SIZE))
+    frame.write(1000, b"abc")
+    assert frame._data is not None
+    assert frame.read(0, PAGE_SIZE) == bytes(1000) + b"abc" + bytes(PAGE_SIZE - 1003)
+
+
+def test_pickled_zero_payload_elides_like_a_zero_page_view():
+    """Shard borders pickle payload chunks to ``bytes``; a zero payload
+    in that form must scatter exactly like the zero-page views it was
+    made of: no storage, no counted copy."""
+    phys = PhysicalMemory(4)
+    src = phys.alloc()
+    view_payload = PayloadRef.from_chunks([src.view(0, PAGE_SIZE)])
+    bytes_payload = pickle.loads(pickle.dumps(view_payload))
+    assert all(type(c) is bytes for c in bytes_payload.chunks())
+    for payload in (view_payload, bytes_payload):
+        dst = phys.alloc()
+        before = _copies()
+        seg = PhysSegment(dst.phys_addr, PAGE_SIZE)
+        assert phys.write_phys_sg([seg], payload) == PAGE_SIZE
+        assert dst._data is None
+        assert _copies() == before
 
 
 def test_frame_out_of_range_access_raises():
