@@ -309,65 +309,6 @@ def bench_packet_train(quick: bool = False) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# sharded engine
-# ---------------------------------------------------------------------------
-
-
-def bench_sharded(quick: bool = False) -> dict:
-    """Wall-clock and determinism A/B of the sharded engine.
-
-    Runs the duplex-stream workload (both nodes transmitting
-    simultaneously, so both shards have real work at the same simulated
-    time) sequentially and as a 2-shard fork, and checks the results
-    agree exactly: same final clock, same per-node completion times,
-    same total event count.  That identity check is the CI gate on
-    every host; the speedup is additionally gated (>= 1.3x) only where
-    ``os.cpu_count() >= 2`` — on a single core the fork can only lose.
-    """
-    from ..sim.shard import run_sequential, run_sharded
-    from .shard import DuplexStreamScenario
-
-    scenario = (DuplexStreamScenario(count=8, pairs=2) if quick
-                else DuplexStreamScenario(count=128, pairs=16))
-    reps = 1 if quick else 2
-    wall = {"sequential": None, "sharded": None}
-    res = {}
-    for _ in range(reps):
-        for mode, run in (("sequential", run_sequential),
-                          ("sharded", run_sharded)):
-            t0 = time.perf_counter()
-            res[mode] = run(scenario)
-            elapsed = time.perf_counter() - t0
-            if wall[mode] is None or elapsed < wall[mode]:
-                wall[mode] = elapsed
-    seq, shard = res["sequential"], res["sharded"]
-    seq_payload = seq.payloads[0]          # {sid: result} pseudo-shard
-    identical = (
-        shard.now == seq.now
-        and shard.events_processed == seq.events_processed
-        and all(shard.payloads[sid] == seq_payload[sid]
-                for sid in range(scenario.nshards))
-    )
-    cores = os.cpu_count() or 1
-    return {
-        "workload": {"size": scenario.size, "count": scenario.count,
-                     "pairs": scenario.pairs, "nshards": scenario.nshards,
-                     "lookahead_ns": scenario.link.propagation_ns},
-        "cores": cores,
-        "wall_s": dict(wall),
-        "speedup": wall["sequential"] / wall["sharded"],
-        "events": seq.events_processed,
-        "events_per_shard": shard.events_per_shard,
-        "events_per_sec": {
-            "sequential": seq.events_processed / wall["sequential"],
-            "sharded": shard.events_processed / wall["sharded"],
-        },
-        "sim_now_ns": shard.now,
-        "sim_identical": identical,
-    }
-
-
-# ---------------------------------------------------------------------------
 # fabric / hybrid fidelity
 # ---------------------------------------------------------------------------
 
@@ -384,28 +325,6 @@ def _bench_topo(quick: bool = False) -> dict:
     from .topo import bench_topo
 
     return bench_topo(quick=quick)
-
-
-def _bench_topo_sharded(quick: bool = False) -> dict:
-    """``topo_sharded`` section: pod-sharded fabric run vs sequential.
-
-    The congested permutation again, but split across two worker
-    processes along the pod boundary (``Fabric.propose_pods``), with
-    core-layer trunks as border links.  The gate is the identity check:
-    per-shard completion tables, the global clock and the total event
-    count must match the in-process sequential reference exactly (the
-    ranked border-commit order makes all three deterministic).  The
-    speedup is informational only — two pods of a small fabric don't
-    amortise fork cost.
-    """
-    from .topo import run_topo_sharded
-
-    k = 4 if quick else 8
-    size = 64 * KiB if quick else 256 * KiB
-    res = run_topo_sharded(k, size, nshards=2, verify=True)
-    res.pop("completions", None)  # bulky; identity already checked
-    res["cores"] = os.cpu_count() or 1
-    return res
 
 
 def _bench_topo_full(quick: bool = False) -> dict:
@@ -456,16 +375,13 @@ def run_perf(quick: bool = False) -> dict:
         },
         "data_path": bench_data_path(quick=quick),
         "packet_train": bench_packet_train(quick=quick),
-        "sharded": bench_sharded(quick=quick),
         "topo": _bench_topo(quick=quick),
-        "topo_sharded": _bench_topo_sharded(quick=quick),
         "topo_full": _bench_topo_full(quick=quick),
     }
     eng = report["engine"]
     alloc = report["allocator"]
     dp = report["data_path"]["paths"]
     pt = report["packet_train"]["summary"]
-    sh = report["sharded"]
     tp = report["topo"]["summary"]
     report["summary"] = {
         "engine_events_per_sec": round(
@@ -480,16 +396,11 @@ def run_perf(quick: bool = False) -> dict:
         "packet_train_event_reduction": pt["event_reduction_min"],
         "packet_train_events_per_mb": pt["events_per_mb_train_max"],
         "packet_train_sim_identical": pt["sim_time_identical"],
-        "sharded_sim_identical": sh["sim_identical"],
-        "sharded_speedup": sh["speedup"],
-        "sharded_cores": sh["cores"],
         "topo_event_reduction": tp["event_reduction"],
         "topo_events_per_mib_flow": tp["events_per_mib_flow"],
         "topo_identity_identical": (tp["identity_completions_identical"]
                                     and tp["identity_obs_identical"]),
         "topo_waterfill_reduction": tp["waterfill_reduction"],
-        "topo_sharded_identical": report["topo_sharded"]["identical"],
-        "topo_sharded_speedup": report["topo_sharded"]["speedup"],
         "topo_full_wall_s": (None if report["topo_full"]["skipped"]
                              else report["topo_full"]["wall_s"]),
     }
@@ -530,18 +441,14 @@ def main(argv: list[str] | None = None) -> int:
         f"data-path copies : {summary['data_path_copy_per_byte_max']:>12.2f} host bytes copied per payload byte",
         f"packet trains    : {summary['packet_train_event_reduction']:>12.2f} x fewer engine events "
         f"({summary['packet_train_events_per_mb']:,.0f} events/MB)",
-        f"sharded (2 procs): {summary['sharded_speedup']:>12.2f} x vs sequential on "
-        f"{summary['sharded_cores']} core(s), "
-        f"identical={summary['sharded_sim_identical']}",
         f"fabric flows     : {summary['topo_event_reduction']:>12.2f} x fewer engine events "
         f"({summary['topo_events_per_mib_flow']:,.0f} events/MiB), "
         f"identity={summary['topo_identity_identical']}",
         f"fabric waterfill : {summary['topo_waterfill_reduction']:>12.2f} x fewer flows re-divided "
         f"(component-local vs global)",
-        f"fabric sharded   : identical={summary['topo_sharded_identical']}, "
-        f"{summary['topo_sharded_speedup']:.2f} x vs sequential"
-        + (f"; 1024-host full run {summary['topo_full_wall_s']:.1f} s"
-           if summary['topo_full_wall_s'] is not None else ""),
+        f"fabric full run  : "
+        + (f"{summary['topo_full_wall_s']:>12.1f} s (1024 hosts)"
+           if summary['topo_full_wall_s'] is not None else "skipped"),
     ):
         print(line, file=sys.stderr if args.out == "-" else sys.stdout)
     return 0

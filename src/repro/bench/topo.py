@@ -31,11 +31,7 @@ component-local water-fill; BENCH_engine.json's ``topo_full`` section
 records it.  ``--waterfill-gate FACTOR`` holds the component-local
 allocator to FACTOR× fewer flows re-divided than the from-scratch
 global algorithm (``net.flow_waterfill_flows{scope=touched vs
-global}``) on the congested permutation.  ``--parallel N`` additionally
-runs the congested permutation pod-sharded across N worker processes
-(:meth:`repro.cluster.topo.Fabric.propose_pods` + ``repro.sim.shard``);
-with ``--verify`` the in-process sequential reference must agree
-exactly — completion tables, global clock and event count.
+global}``) on the congested permutation.
 """
 
 from __future__ import annotations
@@ -46,12 +42,11 @@ import time
 from typing import Optional
 
 from .. import obs
-from ..cluster.topo import fat_tree, plan_fabric
+from ..cluster.topo import fat_tree
 from ..hw.params import host_params
 from ..sim import Environment
 from ..sim.engine import FIDELITIES
-from ..sim.shard import run_sequential, run_sharded
-from ..units import KiB, MiB, PAGE_SIZE
+from ..units import KiB, MiB
 from .netpipe import prepare_pair
 from .transports import MxTransport
 
@@ -206,129 +201,6 @@ def run_scenario(k: int, scenario: str, size: int,
 
 
 # ---------------------------------------------------------------------------
-# pod-sharded fabric runs (repro.sim.shard)
-# ---------------------------------------------------------------------------
-
-
-class FabricPermutationScenario:
-    """A fat-tree transfer pattern split pod-wise across shard workers.
-
-    The abstract topology is planned once (:func:`plan_fabric` — no
-    hardware built), :meth:`Fabric.propose_pods` picks the pod→shard
-    assignment, and every cut inter-pod trunk becomes a border whose
-    fat ``inter_propagation_ns`` is the conservative lookahead window.
-    Each worker then builds its partial fabric and drives the senders
-    and receivers that live on its own hosts.  Partial fabrics install
-    no FlowNetwork (a reservation needs the global path view), so both
-    the sharded run and the in-process sequential reference execute at
-    packet-train fidelity — byte-identical by the usual shard contract.
-    """
-
-    observe = False
-    nphases = 2
-
-    def __init__(self, k: int, size: int, scenario: str = "congested",
-                 nshards: int = 2):
-        self.k = k
-        self.size = size
-        self.scenario = scenario
-        self.nshards = nshards
-        self.host = host_params(memory_frames=2048)
-        plan = plan_fabric(fat_tree, k, host=self.host)
-        self.assignment = plan.propose_pods(nshards)
-        self._borders = [
-            (t.name, self.assignment[t.a], self.assignment[t.b])
-            for t in plan.topolinks()
-            if self.assignment[t.a] != self.assignment[t.b]
-        ]
-        self.pairs = pairs_for(scenario, k, len(plan.locator))
-
-    def borders(self):
-        return list(self._borders)
-
-    def build(self, shard_id: int, env: Environment, hub):
-        fabric = fat_tree(env, self.k, host=self.host, hub=hub,
-                          shard_id=shard_id, assignment=self.assignment)
-        local = {node.node_id: node for node in fabric.nodes}
-        senders = []
-        receivers = []
-        for src, dst in self.pairs:
-            if src in local:
-                senders.append(MxTransport(local[src], 1, peer_node=dst,
-                                           peer_ep=2, context="kernel"))
-            if dst in local:
-                receivers.append(
-                    ((src, dst), MxTransport(local[dst], 2, peer_node=src,
-                                             peer_ep=1, context="kernel")))
-        return {"senders": senders, "receivers": receivers, "done": []}
-
-    def phase(self, shard_id: int, k: int, env: Environment, ctx):
-        if k == 0:
-            pre = max(self.size, PAGE_SIZE)
-            return [t.prepare(pre) for t in ctx["senders"]] + \
-                   [t.prepare(pre) for _pair, t in ctx["receivers"]]
-
-        def tx(t):
-            yield from t.send(self.size)
-
-        def rx(pair, t):
-            yield from t.recv(self.size)
-            ctx["done"].append((pair[0], pair[1], env.now))
-
-        return [tx(t) for t in ctx["senders"]] + \
-               [rx(pair, t) for pair, t in ctx["receivers"]]
-
-    def result(self, shard_id: int, env: Environment, ctx):
-        # No local clock in the payload: a worker's final now is its
-        # last *local* event, which legitimately differs from the
-        # sequential drain; the global clock is ShardResult.now.
-        return {"done": sorted(ctx["done"])}
-
-
-def run_topo_sharded(k: int, size: int, nshards: int,
-                     scenario: str = "congested",
-                     verify: bool = False) -> dict:
-    """One pod-sharded fabric run (optionally checked against the
-    in-process sequential reference, which must agree byte-for-byte)."""
-    sc = FabricPermutationScenario(k, size, scenario, nshards)
-    out = {
-        "k": k,
-        "hosts": k ** 3 // 4,
-        "scenario": scenario,
-        "size": size,
-        "nshards": sc.nshards,
-        "borders": len(sc.borders()),
-    }
-    if verify:
-        t0 = time.perf_counter()
-        seq = run_sequential(sc)
-        out["wall_s_sequential"] = time.perf_counter() - t0
-        out["events_sequential"] = seq.events_processed
-    t0 = time.perf_counter()
-    shr = run_sharded(sc)
-    out["wall_s_sharded"] = time.perf_counter() - t0
-    out["events_sharded"] = shr.events_processed
-    out["now_ns"] = shr.now
-    out["completions"] = sorted(
-        c for p in shr.payloads for c in p["done"])
-    if verify:
-        # Identity gate: per-shard completion tables, the global clock
-        # and the total event count.  All three are deterministic —
-        # border arrivals are committed with explicit heap ranks
-        # (Environment.schedule_ranked), so same-instant arbitration
-        # cannot depend on which sync window the wall-clock grant
-        # batching landed an item in.
-        seq_payload = seq.payloads[0]  # {sid: result} pseudo-shard
-        out["identical"] = (
-            shr.now == seq.now
-            and shr.events_processed == seq.events_processed
-            and all(shr.payloads[sid] == seq_payload[sid]
-                    for sid in range(sc.nshards)))
-        out["speedup"] = out["wall_s_sequential"] / out["wall_s_sharded"]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # perf-harness section (BENCH_engine.json)
 # ---------------------------------------------------------------------------
 
@@ -413,12 +285,6 @@ def main(argv: Optional[list] = None) -> int:
                              "re-divides FACTOR x fewer flows than the "
                              "global algorithm would (congested scenario, "
                              "flow mode)")
-    parser.add_argument("--parallel", type=int, default=0, metavar="N",
-                        help="also run the congested permutation pod-"
-                             "sharded across N worker processes "
-                             "(Fabric.propose_pods + repro.sim.shard); "
-                             "with --verify the in-process sequential "
-                             "reference must agree exactly")
     parser.add_argument("--table", action="store_true",
                         help="print the per-transfer completion table for "
                              "each mode (diffable)")
@@ -480,22 +346,6 @@ def main(argv: Optional[list] = None) -> int:
                   f"{stats['global_equiv']} global — {red:.1f}x >= "
                   f"{args.waterfill_gate:g}x: {'PASS' if ok else 'FAIL'}")
             if not ok:
-                status = 1
-    if args.parallel:
-        sh = run_topo_sharded(args.k, args.size, args.parallel,
-                              verify=args.verify)
-        print(f"[topo] pod-sharded congested run: {sh['nshards']} shards, "
-              f"{sh['borders']} border trunks")
-        print(f"  sharded   {sh['now_ns']:>14d} ns  "
-              f"{sh['events_sharded']:>12d} events  "
-              f"{sh['wall_s_sharded']:>8.2f} s")
-        if args.verify:
-            print(f"  sequential{sh['now_ns']:>14d} ns  "
-                  f"{sh['events_sequential']:>12d} events  "
-                  f"{sh['wall_s_sequential']:>8.2f} s")
-            print(f"  [verify] sharded completions identical: "
-                  f"{sh['identical']} (speedup {sh['speedup']:.2f}x)")
-            if not sh["identical"]:
                 status = 1
     return status
 

@@ -7,19 +7,9 @@ switch-centred cluster for multi-client scenarios.
 """
 
 from .node import Node, node_pair, star
-from .partition import (
-    TopoLink,
-    cut_links,
-    propose_partition,
-    validate_partition,
-)
 
 __all__ = [
     "Node",
-    "TopoLink",
-    "cut_links",
     "node_pair",
-    "propose_partition",
     "star",
-    "validate_partition",
 ]

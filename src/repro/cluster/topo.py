@@ -21,23 +21,6 @@ graph, and — the point of the exercise — installs one
 transfers collapse into analytic flow reservations
 (:mod:`repro.hw.flow`; they engage at the environment's default
 ``"flow"`` fidelity).
-
-Sharding
---------
-
-A fabric can be built *partially* for the sharded engine: pass the
-``assignment`` from :func:`Fabric.propose_pods` (switch/node name →
-shard), this worker's ``shard_id``, and the scenario ``hub``.  Only
-local switches and hosts are instantiated; trunks crossing the cut come
-from ``hub.border_link`` (becoming :class:`~repro.sim.border.BorderLink`
-stubs), and everything else about the construction — node ids, ECMP
-seeds, routing tables — is derived from the *global* topology, so every
-worker ends up with consistent state.  Inter-pod trunks carry the fat
-``FabricParams.inter_propagation_ns``, which *is* the conservative
-lookahead of those borders — pod-grained sharding gets its sync window
-for free from the cable length.  Partial fabrics install no
-FlowNetwork: a reservation needs a global view of its path, and
-``Link.is_border`` would refuse the cut hops anyway.
 """
 
 from __future__ import annotations
@@ -55,11 +38,10 @@ from ..hw.switch import Switch
 from ..hw.wire import ecmp_hash
 from ..sim import Environment
 from .node import Node, star
-from .partition import TopoLink, propose_partition
 
 #: Routing tables are a pure function of the abstract switch graph (the
-#: adjacency, the host locator, and which switches need tables) — no
-#: Environment state enters the BFS.  Fleet sweeps rebuild the same
+#: adjacency and the host locator) — no Environment state enters the
+#: BFS.  Fleet sweeps rebuild the same
 #: fabric for every grid point that varies only load/fidelity/fault, so
 #: the tables are memoized process-wide by structural signature.  The
 #: cache can only change build *time*, never results: a hit hands back
@@ -83,69 +65,52 @@ class Fabric:
     """A multi-switch topology under construction.
 
     Builders call :meth:`add_switch` / :meth:`add_hosts` /
-    :meth:`add_trunk` in a fixed global order, then :meth:`finalize`.
-    The same calls are made whether or not an element is local to this
-    shard — remote elements only advance the deterministic id/seed/port
-    counters — so partial builds agree with each other and with the
-    monolithic build.
+    :meth:`add_trunk` in a fixed order, then :meth:`finalize`.  Node
+    ids, ECMP seeds and port numbers come from deterministic counters
+    in that order, so the same builder calls always build the same
+    fabric.
     """
 
     def __init__(self, env: Environment, link: LinkParams = PCI_XD,
                  host: Optional[HostParams] = None,
                  fabric: FabricParams = DEFAULT_FABRIC,
                  flow: Optional[FlowParams] = DEFAULT_FLOW,
-                 name: str = "fab", hub=None, shard_id: int = 0,
-                 assignment: Optional[dict[str, int]] = None):
+                 name: str = "fab"):
         self.env = env
         self.link_params = link
         self.host_params = host or HostParams(nic=NicParams(link=link))
         self.params = fabric
         self.flow_params = flow
         self.name = name
-        self.hub = hub
-        self.shard_id = shard_id
-        self.assignment = assignment
-        #: Locally instantiated machines / switches.
+        #: Machines / switches in creation order.
         self.nodes: list[Node] = []
         self.switches: dict[str, Switch] = {}
         #: node id -> edge-switch name, shared by reference with every
-        #: local switch (global: covers remote hosts too).
+        #: switch.
         self.locator: dict[int, str] = {}
         #: switch name -> group tag (pod number; cores use ``-1``).
         self.group_of: dict[str, int] = {}
-        self._switch_names: list[str] = []  # global, creation order
         self._adj: dict[str, list[tuple[int, str]]] = {}  # name -> [(port, peer)]
         self._ports: dict[str, itertools.count] = {}
-        self._node_name: dict[int, str] = {}  # global id -> host name
-        self._host_prop: dict[int, int] = {}  # id -> uplink propagation
-        self._trunk_topo: list[TopoLink] = []
         self._peer_sw: dict[Link, tuple[str, str]] = {}
-        self.trunk_links: dict[str, Link] = {}  # locally built trunks
         self._next_id = 0
         self.flownet: Optional[FlowNetwork] = None
         self._finalized = False
 
     # -- construction ------------------------------------------------------
 
-    def _local(self, sw_name: str) -> bool:
-        return (self.assignment is None
-                or self.assignment.get(sw_name, self.shard_id) == self.shard_id)
+    def add_switch(self, sw_name: str, group: int = -1) -> Switch:
+        """Declare and instantiate a switch.
 
-    def add_switch(self, sw_name: str, group: int = -1) -> Optional[Switch]:
-        """Declare a switch; instantiate it when local to this shard.
-
-        The ECMP seed mixes the fabric seed with the global creation
-        index, so parallel stages hash independently (no polarization).
+        The ECMP seed mixes the fabric seed with the creation index, so
+        parallel stages hash independently (no polarization).
         """
         if sw_name in self._adj:
             raise NetworkError(f"switch {sw_name!r} declared twice")
-        idx = len(self._switch_names)
-        self._switch_names.append(sw_name)
+        idx = len(self.switches)
         self._adj[sw_name] = []
         self._ports[sw_name] = itertools.count()
         self.group_of[sw_name] = group
-        if not self._local(sw_name):
-            return None
         sw = Switch(
             self.env, self.link_params,
             crossing_ns=self.params.crossing_ns,
@@ -159,24 +124,17 @@ class Fabric:
 
     def add_hosts(self, sw_name: str, n: int,
                   name_prefix: Optional[str] = None) -> list[int]:
-        """Hang ``n`` hosts off a declared switch; returns their ids.
-
-        Ids are allocated from the global counter whether or not the
-        switch is local; only local hosts get :class:`Node` objects.
-        """
+        """Hang ``n`` hosts off a declared switch; returns their ids."""
         prefix = name_prefix if name_prefix is not None else f"{self.name}.h"
         first = self._next_id
         self._next_id += n
         ids = list(range(first, first + n))
         for node_id in ids:
             self.locator[node_id] = sw_name
-            self._node_name[node_id] = f"{prefix}{node_id}"
-            self._host_prop[node_id] = self.link_params.propagation_ns
-        if self._local(sw_name):
-            nodes, _sw = star(self.env, n, link=self.link_params,
-                              host=self.host_params, name_prefix=prefix,
-                              base_id=first, switch=self.switches[sw_name])
-            self.nodes.extend(nodes)
+        nodes, _sw = star(self.env, n, link=self.link_params,
+                          host=self.host_params, name_prefix=prefix,
+                          base_id=first, switch=self.switches[sw_name])
+        self.nodes.extend(nodes)
         return ids
 
     def add_trunk(self, a: str, b: str,
@@ -184,8 +142,8 @@ class Fabric:
         """Cable two declared switches together.
 
         Propagation defaults by locality: switches sharing a group tag
-        get ``intra_propagation_ns``, others the fat
-        ``inter_propagation_ns`` (the sharded lookahead window).
+        get ``intra_propagation_ns``, others the long-cable
+        ``inter_propagation_ns``.
         """
         for sw_name in (a, b):
             if sw_name not in self._adj:
@@ -200,30 +158,15 @@ class Fabric:
         tname = f"{self.name}.t.{a}:{pa}-{b}:{pb}"
         self._adj[a].append((pa, b))
         self._adj[b].append((pb, a))
-        self._trunk_topo.append(TopoLink(tname, a, b, propagation_ns))
-        la, lb = self._local(a), self._local(b)
-        if not la and not lb:
-            return
-        params = trunk_params(self.link_params, propagation_ns)
-        if la and lb:
-            link = Link(self.env, params, name=tname)
-        else:
-            if self.hub is None:
-                raise NetworkError(
-                    f"trunk {tname!r} crosses the shard cut but the fabric "
-                    "has no border hub")
-            link = self.hub.border_link(tname, params,
-                                        local_end="a" if la else "b")
-        if la:
-            self.switches[a].attach_trunk(pa, link, "a")
-        if lb:
-            self.switches[b].attach_trunk(pb, link, "b")
+        link = Link(self.env, trunk_params(self.link_params, propagation_ns),
+                    name=tname)
+        self.switches[a].attach_trunk(pa, link, "a")
+        self.switches[b].attach_trunk(pb, link, "b")
         self._peer_sw[link] = (a, b)
-        self.trunk_links[tname] = link
 
     def finalize(self) -> None:
-        """Compute routing tables, install them, and (on a monolithic
-        build) wire the analytic flow engine into every NIC."""
+        """Compute routing tables, install them, and (when ``flow`` is
+        given) wire the analytic flow engine into every NIC."""
         if self._finalized:
             raise NetworkError(f"fabric {self.name!r} finalized twice")
         self._finalized = True
@@ -232,8 +175,7 @@ class Fabric:
             # Each switch gets a private top-level dict so a cached
             # routes value can never be mutated through a switch.
             sw.set_topology(self.locator, dict(routes[sw_name]))
-        if (self.flow_params is not None and self.assignment is None
-                and self.hub is None):
+        if self.flow_params is not None:
             self.flownet = FlowNetwork(self.env, self.flow_params,
                                        path_fn=self._flow_path,
                                        name=self.name)
@@ -242,17 +184,15 @@ class Fabric:
 
     def _route_signature(self):
         """Structural identity of the routing problem: switch creation
-        order, full adjacency, host placement, and which switches are
-        local (partial builds route only their own subset)."""
+        order, full adjacency and host placement."""
         return (
-            tuple(self._switch_names),
-            tuple((sw, tuple(self._adj[sw])) for sw in self._switch_names),
+            tuple(self.switches),
+            tuple((sw, tuple(self._adj[sw])) for sw in self.switches),
             tuple(sorted(self.locator.items())),
-            tuple(sorted(self.switches)),
         )
 
     def _routes(self) -> dict[str, dict[str, tuple[int, ...]]]:
-        """Shortest-path tables for every local switch, memoized by
+        """Shortest-path tables for every switch, memoized by
         :func:`_route_signature` across fabric builds in this process."""
         sig = self._route_signature()
         cached = _ROUTE_CACHE.get(sig)
@@ -308,14 +248,12 @@ class Fabric:
         sw_name = self.locator.get(src_nic)
         if sw_name is None or dst_nic not in self.locator:
             return None
-        sw = self.switches.get(sw_name)
-        if sw is None:
-            return None
+        sw = self.switches[sw_name]
         uplink = sw._links.get(src_nic)
         if uplink is None:
             return None
         hops = [(uplink, "b", None)]  # the NIC holds end "b" (star())
-        for _ in range(len(self._switch_names)):
+        for _ in range(len(self.switches)):
             nxt = sw.peek_route(src_nic, src_port, dst_nic, dst_port)
             if nxt is None:
                 return None
@@ -327,63 +265,13 @@ class Fabric:
             peer = b if a == sw.name else a
             if peer is None:
                 return None
-            sw = self.switches.get(peer)
-            if sw is None:  # pragma: no cover - partial fabrics refuse above
-                return None
+            sw = self.switches[peer]
         return None  # pragma: no cover - routing loop
 
     def path(self, src_nic: int, dst_nic: int, src_port: int = 0,
              dst_port: int = 0):
         """Public probe of the frozen ECMP path (tests, debugging)."""
         return self._flow_path(src_nic, src_port, dst_nic, dst_port)
-
-    # -- partitioner integration -------------------------------------------
-
-    def topolinks(self) -> list[TopoLink]:
-        """The abstract wire graph: host uplinks plus trunks, with the
-        entity names :func:`propose_partition` expects."""
-        links = [
-            TopoLink(f"{self.locator[nid]}.l{nid}", self._node_name[nid],
-                     self.locator[nid], self._host_prop[nid])
-            for nid in sorted(self.locator)
-        ]
-        links.extend(self._trunk_topo)
-        return links
-
-    def entities(self) -> list[str]:
-        return [self._node_name[nid] for nid in sorted(self._node_name)] \
-            + list(self._switch_names)
-
-    def propose_pods(self, nshards: int) -> dict[str, int]:
-        """Pod-grained shard assignment: only inter-group trunks (fat
-        propagation = fat lookahead) are eligible cuts, so hosts stay
-        with their edge switches and pods stay whole."""
-        return propose_partition(
-            self.entities(), self.topolinks(), nshards,
-            min_cut_propagation_ns=self.params.inter_propagation_ns)
-
-
-class _NowhereLocal(dict):
-    """An assignment under which no element is ever local: ``get``
-    returns a shard id that matches nothing, so builders walk the full
-    declaration sequence without instantiating any hardware."""
-
-    def get(self, key, default=None):
-        return -1
-
-
-def plan_fabric(builder, *args, **kwargs):
-    """Build only the *abstract* topology of ``builder`` — no hosts,
-    switches, links or flow engine are created.
-
-    The returned :class:`Fabric` supports everything derived from the
-    declaration sequence (:meth:`Fabric.propose_pods`,
-    :meth:`Fabric.topolinks`, :meth:`Fabric.entities`, the locator), at
-    planning cost instead of build cost: the sharded benchmark uses it
-    to compute the pod assignment and the border list before any worker
-    pays for a partial build."""
-    return builder(Environment(), *args, shard_id=0,
-                   assignment=_NowhereLocal(), **kwargs)
 
 
 # -- builders --------------------------------------------------------------
@@ -393,8 +281,7 @@ def fat_tree(env: Environment, k: int, link: LinkParams = PCI_XD,
              host: Optional[HostParams] = None,
              fabric: FabricParams = DEFAULT_FABRIC,
              flow: Optional[FlowParams] = DEFAULT_FLOW,
-             name: str = "ft", hub=None, shard_id: int = 0,
-             assignment: Optional[dict[str, int]] = None) -> Fabric:
+             name: str = "ft") -> Fabric:
     """The k-ary fat-tree (Al-Fares et al.): ``k³/4`` hosts.
 
     ``k`` even: ``(k/2)²`` core switches, then per pod ``k/2``
@@ -407,7 +294,7 @@ def fat_tree(env: Environment, k: int, link: LinkParams = PCI_XD,
         raise ValueError(f"fat-tree arity must be even and >= 2, got {k}")
     half = k // 2
     f = Fabric(env, link=link, host=host, fabric=fabric, flow=flow,
-               name=name, hub=hub, shard_id=shard_id, assignment=assignment)
+               name=name)
     cores = [f"{name}.core{c}" for c in range(half * half)]
     for core in cores:
         f.add_switch(core, group=-1)
@@ -433,8 +320,7 @@ def dragonfly(env: Environment, groups: int = 4, routers: int = 4,
               host: Optional[HostParams] = None,
               fabric: FabricParams = DEFAULT_FABRIC,
               flow: Optional[FlowParams] = DEFAULT_FLOW,
-              name: str = "df", hub=None, shard_id: int = 0,
-              assignment: Optional[dict[str, int]] = None) -> Fabric:
+              name: str = "df") -> Fabric:
     """A dragonfly: ``groups`` all-to-all groups of ``routers`` routers
     (``hosts`` hosts each), one global link per group pair.
 
@@ -449,7 +335,7 @@ def dragonfly(env: Environment, groups: int = 4, routers: int = 4,
             f"dragonfly needs >=2 groups, >=1 routers and hosts, got "
             f"{groups}/{routers}/{hosts}")
     f = Fabric(env, link=link, host=host, fabric=fabric, flow=flow,
-               name=name, hub=hub, shard_id=shard_id, assignment=assignment)
+               name=name)
     names = [[f"{name}.g{g}r{r}" for r in range(routers)]
              for g in range(groups)]
     for g in range(groups):

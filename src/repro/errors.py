@@ -29,14 +29,6 @@ class ProcessInterrupt(SimulationError):
         self.cause = cause
 
 
-class ShardError(SimulationError):
-    """Failure in the sharded (multi-process) simulation harness."""
-
-
-class PartitionError(ShardError):
-    """A proposed topology partition violates the lookahead rules."""
-
-
 # -- memory subsystem --------------------------------------------------------
 
 

@@ -216,18 +216,6 @@ class FaultPlan:
     def _spec(self, link_name: str) -> LinkFaultSpec:
         return self._specs.setdefault(link_name, LinkFaultSpec())
 
-    def affects_link(self, link_name: str) -> bool:
-        """Would :meth:`install` put an injector on ``link_name``?
-
-        The shard partitioner asks this to refuse cutting a faulted
-        link: each direction of a cut link is filtered in a different
-        worker process, so a shared LCG stream would interleave its
-        draws differently than the sequential run.
-        """
-        wildcard = self._specs.get("*", LinkFaultSpec())
-        spec = self._specs.get(link_name, LinkFaultSpec()).merged(wildcard)
-        return spec.active
-
     def drop(self, link_name: str, prob: float) -> "FaultPlan":
         """Drop each non-FRAG item on ``link_name`` with probability
         ``prob``.  Use link name ``"*"`` for every installed link."""

@@ -28,9 +28,7 @@ packet/train fidelity at the next packet boundary, exactly as a
   non-flow traffic on a reserved direction ("interlopers") accumulate;
   past ``FlowParams.interloper_threshold_bytes`` in one reservation
   epoch the sharing is no longer *stable* and every flow on the
-  direction de-coalesces;
-* **a sharded border link** — refused at admission (the reservation
-  needs a global view of the path; ``Link.is_border``).
+  direction de-coalesces.
 
 Equivalence contract (verified by tests/test_flow.py):
 
@@ -294,9 +292,6 @@ class FlowNetwork:
             reason = "routing"
         else:
             for link, end, _sw in path:
-                if link.is_border:
-                    reason = "border"
-                    break
                 if link.is_down:
                     reason = "down"
                     break

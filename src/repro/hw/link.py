@@ -35,11 +35,6 @@ from .train import PacketTrain, TrainRun, TrainTruncation
 class Link:
     """A point-to-point full-duplex link between endpoints ``a`` and ``b``."""
 
-    #: True on :class:`repro.sim.border.BorderLink`: the far end lives in
-    #: another shard process, so analytic flow reservations (which need
-    #: a global view of the path) must not cross it.
-    is_border = False
-
     def __init__(self, env: Environment, params: LinkParams, name: str = "link"):
         self.env = env
         self.params = params
@@ -109,9 +104,7 @@ class Link:
         The single seam every arrival goes through.  One pre-triggered
         heap entry instead of a delivery process (start + timeout +
         completion): same arrival instant, a third of the events on the
-        busiest path in the simulator.  ``repro.sim.border.BorderLink``
-        overrides this to ship the item to another shard when the
-        destination endpoint lives in a different worker process.
+        busiest path in the simulator.
         """
         self.env.call_at(when, self._ends[to_end], item)
 

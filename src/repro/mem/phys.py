@@ -8,11 +8,11 @@ cheaply while correctness tests still see real data.
 
 A frame with no storage already reads as zeros, so writing all-zero
 bytes into it is elided: no storage is allocated and no host copy is
-counted.  Zeros are recognised by content, not by identity, because a
-payload pickled across a shard border arrives as plain ``bytes``.  A
-DMA of a never-written buffer (most figure and fabric transfers move
-such buffers) therefore costs the host no copy, while its simulated
-cost is charged exactly as before.
+counted.  Zeros are recognised by content, not by identity, so a
+payload chunk that is plain ``bytes`` elides exactly like a view of a
+never-written frame.  A DMA of a never-written buffer (most figure and
+fabric transfers move such buffers) therefore costs the host no copy,
+while its simulated cost is charged exactly as before.
 
 Pin counts live here, on the frame, because pinning is a property of
 physical pages: both ``get_user_pages`` (user buffers) and the page

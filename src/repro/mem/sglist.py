@@ -160,22 +160,6 @@ class PayloadRef:
             return _EMPTY
         return cls(tuple(chunks), _trusted=True)
 
-    # -- pickling ---------------------------------------------------------
-
-    def __reduce__(self):
-        """Pickle as plain per-chunk ``bytes``, preserving chunk structure.
-
-        Shard borders ship payloads between worker processes, and
-        ``memoryview`` chunks over page frames cannot cross a pipe.
-        Materializing each chunk separately (rather than one flat blob)
-        keeps the receiver's scatter write pattern — and therefore the
-        ``HOST_COPIES`` op count — identical to the sequential run.
-        These are wire-transport copies, not simulated host copies, so
-        they are deliberately not accounted.
-        """
-        return (_rebuild_payload, (tuple(
-            c if type(c) is bytes else bytes(c) for c in self._chunks),))
-
     # -- zero-copy access -------------------------------------------------
 
     def chunks(self) -> "tuple":
@@ -301,11 +285,6 @@ def _chunks_equal(a: Sequence, b: Sequence) -> bool:
     if len(bv) or next(bi, None) is not None:
         return False
     return next(ai, None) is None
-
-
-def _rebuild_payload(chunks: tuple) -> PayloadRef:
-    """Unpickle target for :meth:`PayloadRef.__reduce__`."""
-    return PayloadRef(chunks, _trusted=True)
 
 
 _EMPTY = PayloadRef((), _trusted=True)

@@ -76,7 +76,7 @@ def _quantile(bounds: Sequence[int], bucket_counts: Sequence[int],
 def snapshot_quantile(hist_snapshot: dict, q: float) -> Optional[float]:
     """:meth:`Histogram.quantile` over a *snapshot* dict (the
     ``histograms[key]`` entry of a registry snapshot, including merged
-    per-shard snapshots) — same bucket-upper-bound semantics."""
+    snapshots) — same bucket-upper-bound semantics."""
     bounds = [b for b, _c in hist_snapshot["buckets"]]
     counts = [c for _b, c in hist_snapshot["buckets"]]
     return _quantile(bounds, counts, hist_snapshot["count"], q)
@@ -372,19 +372,15 @@ def histogram(name: str, buckets: Optional[Sequence[int]] = None, **labels):
     return _active.histogram(name, buckets=buckets, **labels)
 
 
-# -- snapshot merging (sharded runs) ---------------------------------------
+# -- snapshot merging --------------------------------------------------------
 
 
 def merge_snapshots(snapshots: Sequence[dict]) -> dict:
-    """Merge per-shard :meth:`MetricsRegistry.snapshot` dicts into one.
+    """Merge several :meth:`MetricsRegistry.snapshot` dicts into one
+    (e.g. the registries of every point of a fleet sweep).
 
     Counters and gauges sum per metric key; histograms sum bucket
     counts positionally (bounds must agree), plus overflow/count/sum.
-    Every instrument in the simulator is either additive (byte/event
-    counters, busy time, copy totals) or owned by exactly one shard
-    (per-node gauges — the other shards never create the key, or create
-    it still zero), so summation reproduces exactly the single-process
-    registry for a deterministic workload.
     """
     counters: dict = {}
     gauges: dict = {}
@@ -407,7 +403,7 @@ def merge_snapshots(snapshots: Sequence[dict]) -> dict:
                 }
                 continue
             if [b for b, _ in merged["buckets"]] != [b for b, _ in h["buckets"]]:
-                raise ObsError(f"histogram {key!r} bucket bounds differ across shards")
+                raise ObsError(f"histogram {key!r} bucket bounds differ across snapshots")
             for slot, (_, c) in zip(merged["buckets"], h["buckets"]):
                 slot[1] += c
             merged["overflow"] += h["overflow"]
