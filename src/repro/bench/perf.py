@@ -320,7 +320,9 @@ def _bench_topo(quick: bool = False) -> dict:
     fewer engine events on the congested cross-pod permutation, and
     byte-identical completion tables plus metric snapshots on the
     uncontended same-edge exchange (the regime where the analytic flow
-    model is exact).
+    model is exact).  ``build_kib_per_host`` (traced host memory of a
+    k=8 fabric build, per host) repeats to within a fraction of a
+    percent, so CI caps it too.
     """
     from .topo import bench_topo
 
@@ -401,6 +403,7 @@ def run_perf(quick: bool = False) -> dict:
         "topo_identity_identical": (tp["identity_completions_identical"]
                                     and tp["identity_obs_identical"]),
         "topo_waterfill_reduction": tp["waterfill_reduction"],
+        "topo_build_kib_per_host": tp["build_kib_per_host"],
         "topo_full_wall_s": (None if report["topo_full"]["skipped"]
                              else report["topo_full"]["wall_s"]),
     }
@@ -446,6 +449,7 @@ def main(argv: list[str] | None = None) -> int:
         f"identity={summary['topo_identity_identical']}",
         f"fabric waterfill : {summary['topo_waterfill_reduction']:>12.2f} x fewer flows re-divided "
         f"(component-local vs global)",
+        f"fabric build     : {summary['topo_build_kib_per_host']:>12.1f} KiB traced per host (k=8)",
         f"fabric full run  : "
         + (f"{summary['topo_full_wall_s']:>12.1f} s (1024 hosts)"
            if summary['topo_full_wall_s'] is not None else "skipped"),

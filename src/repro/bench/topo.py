@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import tracemalloc
 from typing import Optional
 
 from .. import obs
@@ -117,6 +118,53 @@ def flow_work_stats(snapshot: dict) -> dict:
     }
 
 
+def build_topo(k: int, scenario: str, mode: str, size: int) -> tuple:
+    """Build a k-ary fat-tree with one prepared MX transport pair per
+    transfer of ``scenario``; returns ``(env, hosts, pairs, senders,
+    receivers)``, the two dicts keyed by ``(src, dst)``."""
+    env = Environment(mode)
+    # Transfers never touch more than a few MiB of frames; a small pool
+    # keeps the 1024-host build cheap.
+    fabric = fat_tree(env, k, host=host_params(memory_frames=2048))
+    n = len(fabric.nodes)
+    pairs = pairs_for(scenario, k, n)
+    senders = {}
+    receivers = {}
+    for src, dst in pairs:
+        senders[(src, dst)] = MxTransport(
+            fabric.nodes[src], 1, peer_node=dst, peer_ep=2, context="kernel")
+        receivers[(src, dst)] = MxTransport(
+            fabric.nodes[dst], 2, peer_node=src, peer_ep=1, context="kernel")
+    for p in pairs:
+        prepare_pair(env, senders[p], receivers[p], size)
+    return env, n, pairs, senders, receivers
+
+
+def build_kib_per_host(k: int = 8) -> float:
+    """Host memory one fabric host costs: tracemalloc-traced KiB of a
+    k-ary identity-fabric build (flow fidelity, 256 KiB transfers) per
+    host, metrics registry included.
+
+    The build is measured the second time it runs in this process, so
+    imports and the shared route cache are not counted.  Unlike
+    resident memory, traced bytes repeat run to run (to within a fraction
+    of a percent, from the garbage collector's timing) on one Python
+    version.
+    """
+    size = 256 * KiB
+    with obs.installed_registry():
+        build_topo(k, "identity", "flow", size)
+    with obs.installed_registry():
+        tracemalloc.start()
+        try:
+            built = build_topo(k, "identity", "flow", size)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del built
+    return round(traced / 1024 / (k ** 3 // 4), 1)
+
+
 def run_topo(k: int, scenario: str, mode: str, size: int = 256 * KiB) -> dict:
     """One fat-tree scenario in one fidelity mode.
 
@@ -125,23 +173,7 @@ def run_topo(k: int, scenario: str, mode: str, size: int = 256 * KiB) -> dict:
     the mode-filtered metrics snapshot.
     """
     with obs.installed_registry() as registry:
-        env = Environment(mode)
-        # Transfers never touch more than a few MiB of frames; a
-        # small pool keeps the 1024-host build cheap.
-        fabric = fat_tree(env, k, host=host_params(memory_frames=2048))
-        n = len(fabric.nodes)
-        pairs = pairs_for(scenario, k, n)
-        senders = {}
-        receivers = {}
-        for src, dst in pairs:
-            senders[(src, dst)] = MxTransport(
-                fabric.nodes[src], 1, peer_node=dst, peer_ep=2,
-                context="kernel")
-            receivers[(src, dst)] = MxTransport(
-                fabric.nodes[dst], 2, peer_node=src, peer_ep=1,
-                context="kernel")
-        for p in pairs:
-            prepare_pair(env, senders[p], receivers[p], size)
+        env, n, pairs, senders, receivers = build_topo(k, scenario, mode, size)
         done = {}
 
         def tx(t):
@@ -211,12 +243,14 @@ def bench_topo(quick: bool = False) -> dict:
     Event counts are deterministic, so CI gates directly on
     ``event_reduction`` (>= 10x on the congested permutation) and on the
     identity scenario's byte-identical completion tables and metric
-    snapshots.  ``quick`` drops to k=4 (16 hosts) for the smoke run.
+    snapshots.  ``quick`` drops to k=4 (16 hosts) for the smoke run;
+    ``build_kib_per_host`` is measured at k=8 either way.
     """
     k = 4 if quick else 8
     size = 64 * KiB if quick else 256 * KiB
     congested = run_scenario(k, "congested", size)
     identity = run_scenario(k, "identity", size)
+    build_kib = build_kib_per_host()
 
     def digest(sc: dict) -> dict:
         return {
@@ -246,6 +280,7 @@ def bench_topo(quick: bool = False) -> dict:
             "identity_obs_identical": identity["obs_identical"],
             "waterfill_reduction":
                 congested["results"]["flow"]["flow_stats"]["work_reduction"],
+            "build_kib_per_host": build_kib,
         },
     }
 

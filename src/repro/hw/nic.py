@@ -31,7 +31,6 @@ segments, so end-to-end tests observe genuine data movement.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -162,9 +161,12 @@ class NicPort:
         self.nic = nic
         self.port_id = port_id
         self.costs = costs
-        self.posted: deque[PostedReceive] = deque()
-        self.unexpected: deque[Message] = deque()  # eager msgs w/o a recv
-        self.unexpected_rts: deque[Message] = deque()
+        # Plain lists, not deques: matching only appends, scans and
+        # deletes by index, and an empty list is far smaller than an
+        # empty deque on a fabric of a thousand ports.
+        self.posted: list[PostedReceive] = []
+        self.unexpected: list[Message] = []  # eager msgs w/o a recv
+        self.unexpected_rts: list[Message] = []
         self.open = True
         # API layers may subscribe to every completion on this port
         # (e.g. GM's unified event queue).

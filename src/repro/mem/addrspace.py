@@ -12,7 +12,12 @@ arguments:
   (:mod:`repro.kernel.vmaspy`) and through it the registration cache
   (:mod:`repro.gmkrc`) subscribe to these — the paper's central
   coherence mechanism.
-* Each space has a small integer ``asid``.  GM's shared-port trick
+* Each space has a small integer ``asid``, numbered per host from 1 by
+  its :class:`~repro.mem.phys.PhysicalMemory`, so a host's asids do not
+  depend on how many spaces other hosts (or earlier runs in the same
+  Python process) built.  Every asid-keyed table — VMA SPY hooks, VFS
+  mappings, GMKRC indexes, the NIC translation table — belongs to one
+  host.  GM's shared-port trick
   (paper section 3.2: encode an address-space descriptor in the high
   bits of a 64-bit pointer, on a 32-bit host) is implemented over these
   asids in :mod:`repro.gmkrc.spaces`.
@@ -97,12 +102,9 @@ class VMA:
 class AddressSpace:
     """One process's virtual address space."""
 
-    _next_asid = 1
-
     def __init__(self, phys: PhysicalMemory):
         self.phys = phys
-        self.asid = AddressSpace._next_asid
-        AddressSpace._next_asid += 1
+        self.asid = phys.next_asid()
         self._vmas: list[VMA] = []
         self._pages: dict[int, Frame] = {}  # vpn -> frame
         self._borrowed: set[int] = set()  # vpns mapped over foreign frames

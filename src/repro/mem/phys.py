@@ -6,6 +6,14 @@ storage is allocated lazily (a frame that is never written costs no
 Python memory), which lets benchmarks simulate multi-gigabyte transfers
 cheaply while correctness tests still see real data.
 
+Every frame with no storage reads through one shared, immutable zero
+page, as Linux backs every never-written page with its one zero page: a
+view of a never-written frame is a slice of one module-level
+``memoryview`` (a full-page view is that view itself), so the thousands
+of unwritten frames a fabric DMA gathers share one buffer instead of
+each building its own.  Copy-on-write is unaffected: the zero page
+cannot be written, and a frame's first write gives it private storage.
+
 A frame with no storage already reads as zeros, so writing all-zero
 bytes into it is elided: no storage is allocated and no host copy is
 counted.  Zeros are recognised by content, not by identity, so a
@@ -17,10 +25,15 @@ while its simulated cost is charged exactly as before.
 Pin counts live here, on the frame, because pinning is a property of
 physical pages: both ``get_user_pages`` (user buffers) and the page
 cache (always-resident pages) end up bumping the same counter in Linux.
+
+:class:`PhysicalMemory` keeps its frames in a list indexed by PFN (the
+kernel's ``mem_map``) rather than a dict.  Allocation always takes the
+lowest free PFN, so the list stays dense; a freed slot holds ``None``.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from typing import Optional
 
@@ -29,6 +42,9 @@ from ..units import PAGE_SHIFT, PAGE_SIZE
 from .sglist import HOST_COPIES
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
+#: The one view every never-written frame hands out (sliced for partial
+#: pages), so unwritten views share a single buffer.
+_ZERO_VIEW = memoryview(_ZERO_PAGE)
 
 
 class Frame:
@@ -85,12 +101,15 @@ class Frame:
 
         The frame is marked shared; a later :meth:`write` detaches the
         storage (copy-on-write) so the view stays stable.  An unwritten
-        frame returns a view of the shared zero page (a snapshot of its
-        current all-zero content, consistent with COW semantics).
+        frame returns a slice of the shared zero page (a snapshot of its
+        current all-zero content, consistent with COW semantics); a
+        full-page view is the shared view itself.
         """
         self._check_range(offset, length)
         if self._data is None:
-            return memoryview(_ZERO_PAGE)[offset : offset + length]
+            if length == PAGE_SIZE:
+                return _ZERO_VIEW
+            return _ZERO_VIEW[offset : offset + length]
         self._shared = True
         return memoryview(self._data).toreadonly()[offset : offset + length]
 
@@ -142,10 +161,11 @@ class PhysicalMemory:
         if total_frames < 1:
             raise ValueError(f"need at least 1 frame, got {total_frames}")
         self.total_frames = total_frames
-        self._frames: dict[int, Frame] = {}
+        self._frames: list[Optional[Frame]] = []
         self._run_starts: list[int] = [0]
         self._run_ends: list[int] = [total_frames]
         self._free_count = total_frames
+        self._asids = itertools.count(1)
 
     @property
     def free_frames(self) -> int:
@@ -154,6 +174,11 @@ class PhysicalMemory:
     @property
     def allocated_frames(self) -> int:
         return self.total_frames - self._free_count
+
+    def next_asid(self) -> int:
+        """Next address-space id on this host (asids count from 1 per
+        :class:`PhysicalMemory`, i.e. per host)."""
+        return next(self._asids)
 
     def free_runs(self) -> list[tuple[int, int]]:
         """Snapshot of the free pool as ``(start, end)`` half-open runs."""
@@ -172,7 +197,13 @@ class PhysicalMemory:
             starts[0] = pfn + 1
         self._free_count -= 1
         frame = Frame(pfn)
-        self._frames[pfn] = frame
+        frames = self._frames
+        # Every PFN below the lowest free one is allocated, so ``pfn``
+        # is at most one past the end of the table.
+        if pfn == len(frames):
+            frames.append(frame)
+        else:
+            frames[pfn] = frame
         return frame
 
     def alloc_contiguous(self, count: int) -> list[Frame]:
@@ -190,11 +221,11 @@ class PhysicalMemory:
                 else:
                     starts[i] = start + count
                 self._free_count -= count
-                frames = []
-                for pfn in range(start, start + count):
-                    frame = Frame(pfn)
-                    self._frames[pfn] = frame
-                    frames.append(frame)
+                table = self._frames
+                if start + count > len(table):
+                    table.extend([None] * (start + count - len(table)))
+                frames = [Frame(pfn) for pfn in range(start, start + count)]
+                table[start : start + count] = frames
                 return frames
         raise OutOfMemory(f"no physically contiguous run of {count} frames")
 
@@ -203,9 +234,10 @@ class PhysicalMemory:
         if frame.pinned:
             raise PinningError(f"freeing pinned frame pfn={frame.pfn}")
         pfn = frame.pfn
-        if pfn not in self._frames:
+        table = self._frames
+        if not 0 <= pfn < len(table) or table[pfn] is not frame:
             raise ValueError(f"double free of frame pfn={pfn}")
-        del self._frames[pfn]
+        table[pfn] = None
         starts, ends = self._run_starts, self._run_ends
         i = bisect_right(starts, pfn)
         merge_left = i > 0 and ends[i - 1] == pfn
@@ -225,10 +257,12 @@ class PhysicalMemory:
 
     def frame(self, pfn: int) -> Frame:
         """Look up an allocated frame by PFN."""
-        try:
-            return self._frames[pfn]
-        except KeyError:
-            raise ValueError(f"pfn {pfn} is not an allocated frame") from None
+        table = self._frames
+        if 0 <= pfn < len(table):
+            frame = table[pfn]
+            if frame is not None:
+                return frame
+        raise ValueError(f"pfn {pfn} is not an allocated frame")
 
     def frame_at_phys(self, phys_addr: int) -> Frame:
         """Look up the allocated frame containing physical address."""

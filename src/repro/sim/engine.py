@@ -221,7 +221,10 @@ class Process(Event):
         super().__init__(env, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
         # One bound method for the whole lifetime: registering a fresh
-        # bound ``self._resume`` per wait would allocate every time.
+        # bound ``self._resume`` per wait would allocate every time.  It
+        # makes the process a reference cycle, so ``_deliver`` drops it
+        # when the generator ends: a finished process is then freed by
+        # its refcount, not left for the cyclic garbage collector.
         self._resume_cb = self._resume
         # Kick off the generator at the current time via a lightweight
         # startup entry on the immediate queue (no Event allocation).
@@ -269,11 +272,13 @@ class Process(Event):
             else:
                 target = self._gen.throw(event.value)
         except StopIteration as stop:
+            self._resume_cb = None
             self.succeed(stop.value)
             return
         except ProcessInterrupt as exc:
             # Interrupt escaped the generator uncaught: the process dies
             # with it, propagating to anything waiting on the process.
+            self._resume_cb = None
             self.fail(exc)
             return
         if not isinstance(target, Event):

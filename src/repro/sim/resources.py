@@ -5,6 +5,11 @@ queue for — a PCI bus, a DMA engine, one direction of a network link,
 the host CPU.  :class:`Store` is an unbounded FIFO channel used for
 request queues between model components (e.g. the host-to-NIC doorbell
 queue, a server's incoming-request queue).
+
+Both allocate their queues at first use and keep them from then on.  A
+large fabric builds thousands of resources and stores that never queue
+anything; an empty ``deque`` per queue would cost each of them ~700 B
+of host memory for no simulated state.
 """
 
 from __future__ import annotations
@@ -43,6 +48,9 @@ class Resource:
 
     ``acquire()`` is a convenience generator doing request+hold+release
     in one step for the very common "occupy for a fixed time" pattern.
+
+    The FIFO of waiting requests is allocated when the first request has
+    to queue, and kept from then on.
     """
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = "resource"):
@@ -53,7 +61,7 @@ class Resource:
         self.name = name
         self._req_name = f"req:{name}"
         self._in_use = 0
-        self._waiting: deque[_Request] = deque()
+        self._waiting: Optional[deque[_Request]] = None
         # Invoked (if set) each time a request has to queue.  Lets an
         # analytic holder — the packet-train fast path — learn that the
         # resource just became contended and fall back to per-packet
@@ -72,7 +80,7 @@ class Resource:
     @property
     def queue_length(self) -> int:
         """Number of requests waiting for a slot."""
-        return len(self._waiting)
+        return len(self._waiting) if self._waiting is not None else 0
 
     def request(self) -> _Request:
         """Ask for a slot; the returned event fires when granted."""
@@ -80,7 +88,10 @@ class Resource:
         if self._in_use < self.capacity:
             self._grant(req)
         else:
-            self._waiting.append(req)
+            waiting = self._waiting
+            if waiting is None:
+                waiting = self._waiting = deque()
+            waiting.append(req)
             cb = self.contention_cb
             if cb is not None:
                 cb()
@@ -211,19 +222,20 @@ class Store:
 
     ``put()`` never blocks (returns the stored item count); ``get()``
     returns an event firing with the next item, immediately if one is
-    buffered.  Getters are served FIFO.
+    buffered.  Getters are served FIFO.  The item and getter queues are
+    each allocated at first use and kept from then on.
     """
 
     def __init__(self, env: Environment, name: str = "store"):
         self.env = env
         self.name = name
         self._get_name = f"get:{name}"
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
+        self._items: Optional[deque[Any]] = None
+        self._getters: Optional[deque[Event]] = None
         self.put_count = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._items) if self._items is not None else 0
 
     def put(self, item: Any) -> int:
         """Deposit ``item``; wakes the oldest waiting getter if any."""
@@ -236,9 +248,12 @@ class Store:
             ev._value = item
             ev._scheduled = True
             self.env._immediate.append(ev)
-        else:
-            self._items.append(item)
-        return len(self._items)
+            return 0  # getters wait only while nothing is buffered
+        items = self._items
+        if items is None:
+            items = self._items = deque()
+        items.append(item)
+        return len(items)
 
     def get(self) -> Event:
         """Event firing with the next item (immediately if buffered)."""
@@ -249,7 +264,10 @@ class Store:
             ev._scheduled = True
             self.env._immediate.append(ev)
         else:
-            self._getters.append(ev)
+            getters = self._getters
+            if getters is None:
+                getters = self._getters = deque()
+            getters.append(ev)
         return ev
 
     def cancel(self, getter: Event) -> bool:
@@ -258,6 +276,8 @@ class Store:
         queued; False if it already fired or was never ours — in that
         case the caller must consume ``getter.value`` or re-``put`` it.
         """
+        if self._getters is None:
+            return False
         try:
             self._getters.remove(getter)
             return True
@@ -266,4 +286,4 @@ class Store:
 
     def peek_all(self) -> tuple[Any, ...]:
         """Snapshot of buffered items (for tests and introspection)."""
-        return tuple(self._items)
+        return tuple(self._items) if self._items is not None else ()

@@ -28,12 +28,24 @@ def test_run_perf_quick_report_shape():
     assert pt["summary"]["event_reduction_min"] >= 3.0
     assert pt["summary"]["events_per_mb_train_max"] <= 150
     assert report["summary"]["packet_train_event_reduction"] >= 3.0
+    assert report["summary"]["topo_build_kib_per_host"] > 0
     # The host-copy budget must measure real copies: zero-page scatters
     # are elided, so every data-path entry has to move non-zero bytes.
     for name, path in report["data_path"]["paths"].items():
         for entry in path["entries"]:
             assert entry["host_copy_bytes"] > 0, name
             assert entry["copy_per_byte"] <= 1.25, name
+
+
+def test_fabric_build_memory_repeats():
+    from repro.bench.topo import build_kib_per_host
+
+    # Traced bytes repeat to within a fraction of a percent (the garbage
+    # collector's timing moves them slightly), which is what lets CI
+    # cap the number with a 10% margin.
+    first, second = build_kib_per_host(), build_kib_per_host()
+    assert first > 0
+    assert abs(first - second) <= 0.01 * first
 
 
 def test_perf_main_writes_json(tmp_path):

@@ -194,3 +194,12 @@ def test_asids_are_unique():
     spaces = [AddressSpace(phys) for _ in range(5)]
     asids = [s.asid for s in spaces]
     assert len(set(asids)) == 5
+
+
+def test_asids_are_numbered_per_host():
+    # Two fresh hosts hand out the same first asid, whatever other
+    # hosts built before them.
+    first = AddressSpace(PhysicalMemory(8))
+    AddressSpace(first.phys)
+    other = AddressSpace(PhysicalMemory(8))
+    assert other.asid == first.asid == 1

@@ -241,3 +241,60 @@ def test_read_phys_unallocated_frame_raises():
     phys = PhysicalMemory(4)
     with pytest.raises(ValueError):
         phys.read_phys(0, 8)
+
+
+def test_unwritten_views_share_one_buffer():
+    phys = PhysicalMemory(4)
+    a, b = phys.alloc(), phys.alloc()
+    v, w = a.view(0, PAGE_SIZE), b.view(0, PAGE_SIZE)
+    assert v.obj is w.obj
+    assert v is w  # a full page is the shared view itself
+    part = a.view(100, 50)
+    assert part.obj is v.obj
+    assert bytes(part) == bytes(50)
+    assert v.readonly
+
+
+def test_view_before_first_write_still_reads_zeros():
+    phys = PhysicalMemory(2)
+    frame = phys.alloc()
+    full = frame.view(0, PAGE_SIZE)
+    part = frame.view(8, 16)
+    frame.write(0, b"\xff" * PAGE_SIZE)
+    assert bytes(full) == bytes(PAGE_SIZE)
+    assert bytes(part) == bytes(16)
+    assert bytes(frame.view(8, 16)) == b"\xff" * 16
+    # The write went to private storage, not to the shared zero page.
+    assert bytes(phys.alloc().view(0, PAGE_SIZE)) == bytes(PAGE_SIZE)
+
+
+def test_frame_lookup_rejects_negative_freed_and_unallocated_pfns():
+    phys = PhysicalMemory(8)
+    frames = [phys.alloc() for _ in range(3)]
+    phys.free(frames[1])
+    for pfn in (-1, frames[1].pfn, frames[-1].pfn + 1):
+        with pytest.raises(ValueError):
+            phys.frame(pfn)
+    assert phys.frame(frames[0].pfn) is frames[0]
+    assert phys.frame(frames[2].pfn) is frames[2]
+
+
+def test_double_free_after_reuse_of_the_pfn_raises():
+    phys = PhysicalMemory(2)
+    stale = phys.alloc()
+    phys.free(stale)
+    fresh = phys.alloc()
+    assert fresh.pfn == stale.pfn
+    with pytest.raises(ValueError):
+        phys.free(stale)
+    assert phys.frame(fresh.pfn) is fresh
+
+
+def test_contiguous_alloc_past_the_frame_table_end():
+    phys = PhysicalMemory(16)
+    singles = [phys.alloc() for _ in range(3)]
+    phys.free(singles[1])
+    run = phys.alloc_contiguous(4)
+    assert [f.pfn for f in run] == [3, 4, 5, 6]
+    assert all(phys.frame(f.pfn) is f for f in run)
+    assert phys.alloc().pfn == 1

@@ -568,3 +568,35 @@ def test_schedule_bulk_heapify_path_matches_push_path():
         return log
 
     assert run(batched=True) == run(batched=False)
+
+
+def test_finished_processes_are_freed_by_refcount():
+    import gc
+
+    from repro.sim.engine import Process
+
+    def child(env, i):
+        yield env.timeout(i % 7)
+        return i
+
+    def parent(env, i):
+        value = yield env.process(child(env, i))
+        return value
+
+    env = Environment()
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for i in range(500):
+            env.process(parent(env, i))
+        env.run()
+        gc.collect()
+        leaked = sum(isinstance(o, Process) for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert leaked == 0

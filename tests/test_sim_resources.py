@@ -258,3 +258,66 @@ def test_store_len_and_peek():
     store.put(2)
     assert len(store) == 2
     assert store.peek_all() == (1, 2)
+
+
+def test_contended_resource_keeps_fifo_through_drain_and_refill():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    order = []
+
+    def proc(env, tag, arrive):
+        yield env.timeout(arrive)
+        yield from res.acquire(10)
+        order.append((tag, env.now))
+
+    # First burst queues two waiters, drains by t=30; the second burst
+    # (t=100) queues again on the kept queue.
+    for tag, arrive in (("a", 0), ("b", 1), ("c", 2),
+                        ("d", 100), ("e", 101), ("f", 102)):
+        env.process(proc(env, tag, arrive))
+    env.run()
+    assert order == [("a", 10), ("b", 20), ("c", 30),
+                     ("d", 110), ("e", 120), ("f", 130)]
+    assert res.queue_length == 0
+
+
+def test_store_keeps_fifo_through_drain_and_refill():
+    env = Environment()
+    store = Store(env)
+    received = []
+
+    def consumer(env, tag, arrive):
+        yield env.timeout(arrive)
+        item = yield store.get()
+        received.append((tag, item))
+
+    def producer(env):
+        for at, burst in ((1, "xy"), (10, "zw")):
+            yield env.timeout(at - env.now)
+            for item in burst:
+                store.put(item)
+
+    # Getters queue, drain at t=1, and queue again from t=5.
+    for tag, arrive in (("a", 0), ("b", 0), ("c", 5), ("d", 6)):
+        env.process(consumer(env, tag, arrive))
+    env.process(producer(env))
+    env.run()
+    assert received == [("a", "x"), ("b", "y"), ("c", "z"), ("d", "w")]
+    # Buffered items drain and refill the same way.
+    for burst in ((1, 2), (3, 4)):
+        for item in burst:
+            store.put(item)
+        assert store.peek_all() == burst
+        gets = [store.get(), store.get()]
+        env.run()
+        assert [g.value for g in gets] == list(burst)
+        assert len(store) == 0
+
+
+def test_fresh_store_and_resource_have_empty_queues():
+    env = Environment()
+    store = Store(env)
+    assert len(store) == 0
+    assert store.peek_all() == ()
+    assert store.cancel(env.event()) is False
+    assert Resource(env).queue_length == 0
