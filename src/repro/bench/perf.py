@@ -130,9 +130,8 @@ def bench_alloc_contiguous(frames: int = 4096, run_len: int = 8,
     for _ in range(cycles):
         taken = [phys.alloc_contiguous(run_len)
                  for _ in range(frames // step // 2)]
-        for run in taken:
-            for frame in run:
-                phys.free(frame)
+        for base in taken:
+            phys.unpin_free(range(base, base + run_len))
         ops += 2 * len(taken)
     elapsed = time.perf_counter() - t0
     return {"ops": ops, "elapsed_s": elapsed, "ops_per_sec": ops / elapsed,

@@ -37,6 +37,7 @@ global}``) on the congested permutation.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 import tracemalloc
@@ -145,19 +146,23 @@ def build_kib_per_host(k: int = 8) -> float:
     k-ary identity-fabric build (flow fidelity, 256 KiB transfers) per
     host, metrics registry included.
 
-    The build is measured the second time it runs in this process, so
-    imports and the shared route cache are not counted.  Unlike
-    resident memory, traced bytes repeat run to run (to within a fraction
-    of a percent, from the garbage collector's timing) on one Python
-    version.
+    The build is measured after two warm-up builds in this process, so
+    imports, the shared route cache and the allocator's free lists are
+    not counted, and the garbage collector runs just before tracing
+    starts and again before the traced size is read, so its timing does
+    not move the number.  Unlike resident memory, traced bytes then
+    repeat run to run on one Python version.
     """
     size = 256 * KiB
+    for _ in range(2):
+        with obs.installed_registry():
+            build_topo(k, "identity", "flow", size)
     with obs.installed_registry():
-        build_topo(k, "identity", "flow", size)
-    with obs.installed_registry():
+        gc.collect()
         tracemalloc.start()
         try:
             built = build_topo(k, "identity", "flow", size)
+            gc.collect()
             traced = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

@@ -19,7 +19,7 @@ from ..cluster.node import Node
 from ..errors import ReproError
 from ..gm.api import GmEventKind, GmPort
 from ..gm.kernel import GmKernelPort
-from ..mem.layout import sg_from_frames
+from ..mem.layout import sg_from_kernel
 from ..mx.api import MxEndpoint
 from ..mx.memtypes import MxSegment
 from ..units import PAGE_SIZE, page_align_up
@@ -102,7 +102,7 @@ class GmKernelTransport:
             yield  # pragma: no cover
 
     def _sg(self, alloc, size: int):
-        return sg_from_frames(alloc.frames, 0, size)
+        return sg_from_kernel(self.node.kspace, alloc.vaddr, size)
 
     def send(self, size: int, match: int = 0):
         if self.addressing == "virtual":
@@ -172,7 +172,8 @@ class MxTransport:
             vaddr, _ = ref
             return [MxSegment.user(self.space, vaddr, size)]
         if self.physical:
-            return [MxSegment.physical(sg_from_frames(ref.frames, 0, size))]
+            return [MxSegment.physical(
+                sg_from_kernel(self.node.kspace, ref.vaddr, size))]
         return [MxSegment.kernel(ref.vaddr, size)]
 
     def send(self, size: int, match: int = 0):

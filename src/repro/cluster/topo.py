@@ -193,49 +193,62 @@ class Fabric:
 
     def _routes(self) -> dict[str, dict[str, tuple[int, ...]]]:
         """Shortest-path tables for every switch, memoized by
-        :func:`_route_signature` across fabric builds in this process."""
+        :func:`_route_signature` across fabric builds in this process.
+
+        One BFS per target switch over the reverse adjacency: when a
+        switch is first reached from the frontier at distance ``d - 1``,
+        every port it has into that frontier is a shortest-path port, so
+        the candidates are collected during the walk.  Equal candidate
+        tuples share one object.
+        """
         sig = self._route_signature()
         cached = _ROUTE_CACHE.get(sig)
         if cached is not None:
             _ROUTE_CACHE_STATS["hits"] += 1
             return cached
         _ROUTE_CACHE_STATS["misses"] += 1
-        targets = sorted(set(self.locator.values()))
-        routes: dict[str, dict[str, tuple[int, ...]]] = {
-            s: {} for s in self.switches
-        }
-        for target in targets:
-            dist = self._bfs(target)
-            for sw_name in self.switches:
-                if sw_name == target:
+        names = list(self.switches)
+        index = {sw_name: i for i, sw_name in enumerate(names)}
+        # switch -> [(peer, the peer's port to it)], switches by index
+        into: list[list[tuple[int, int]]] = [[] for _ in names]
+        for sw_name, ports in self._adj.items():
+            i = index[sw_name]
+            for port, peer in ports:
+                into[index[peer]].append((i, port))
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        routes: dict[str, dict[str, tuple[int, ...]]] = {s: {} for s in names}
+        tables = list(routes.values())
+        for target in sorted(set(self.locator.values())):
+            t = index[target]
+            dist = [-1] * len(names)
+            dist[t] = 0
+            cands: list = [None] * len(names)
+            frontier = [t]
+            d = 0
+            while frontier:
+                d += 1
+                level: list[int] = []
+                for u in frontier:
+                    for v, port in into[u]:
+                        seen = dist[v]
+                        if seen < 0:
+                            dist[v] = d
+                            cands[v] = [port]
+                            level.append(v)
+                        elif seen == d:
+                            cands[v].append(port)
+                frontier = level
+            for i, ports in enumerate(cands):
+                if i == t:
                     continue
-                d = dist.get(sw_name)
-                if d is None:
+                if ports is None:
                     raise NetworkError(
-                        f"switch {sw_name!r} cannot reach {target!r}")
-                cands = tuple(sorted(
-                    port for port, peer in self._adj[sw_name]
-                    if dist.get(peer) == d - 1))
-                if not cands:  # pragma: no cover - BFS guarantees one
-                    raise NetworkError(
-                        f"no shortest-path port from {sw_name!r} to {target!r}")
-                routes[sw_name][target] = cands
+                        f"switch {names[i]!r} cannot reach {target!r}")
+                ports.sort()
+                key = tuple(ports)
+                tables[i][target] = shared.setdefault(key, key)
         _ROUTE_CACHE[sig] = routes
         return routes
-
-    def _bfs(self, target: str) -> dict[str, int]:
-        dist = {target: 0}
-        frontier = [target]
-        while frontier:
-            nxt = []
-            for sw_name in frontier:
-                d = dist[sw_name] + 1
-                for _port, peer in self._adj[sw_name]:
-                    if peer not in dist:
-                        dist[peer] = d
-                        nxt.append(peer)
-            frontier = nxt
-        return dist
 
     # -- flow-engine integration -------------------------------------------
 

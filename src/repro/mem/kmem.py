@@ -11,10 +11,18 @@ cares about (paper section 4.2) is:
   separate physical segment, requiring vectorial primitives.
 
 Kernel pages are allocated resident (no demand paging) and are
-effectively pinned from birth: the allocator takes a pin reference on
-every frame so DMA from kernel buffers never needs get_user_pages, which
-is exactly why the paper's *kernel virtual* address type is cheaper than
-*user virtual*.
+effectively pinned from birth: every page holds a pin reference so DMA
+from kernel buffers never needs get_user_pages, which is exactly why the
+paper's *kernel virtual* address type is cheaper than *user virtual*.
+
+An allocation records its backing PFNs in VA order.  kmalloc's are one
+``range`` from :meth:`~repro.mem.phys.PhysicalMemory.alloc_contiguous`,
+which pins the pages without building :class:`~repro.mem.phys.Frame`
+objects: translation and scatter/gather compute addresses from the base
+PFN, zero-copy reads of untouched pages share the zero page, and a
+page's ``Frame`` appears only when something writes it or looks it up
+(:attr:`KernelAllocation.frames`).  vmalloc allocates and pins each
+page's ``Frame`` eagerly.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from ..errors import BadAddress
-from ..units import PAGE_MASK, PAGE_SIZE, page_align_up
+from ..units import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, page_align_up
 from .phys import Frame, PhysicalMemory
 from .sglist import PayloadRef
 
@@ -32,11 +40,14 @@ KERNEL_BASE = 0xC000_0000  # 3 GB: start of kernel virtual addresses
 
 @dataclass
 class KernelAllocation:
-    """One kernel allocation: VA range plus its backing frames in order."""
+    """One kernel allocation: VA range plus its backing PFNs in order."""
 
     vaddr: int
     length: int
-    frames: list[Frame] = field(default_factory=list)
+    #: Backing PFNs in VA order: a ``range`` for kmalloc, a list for
+    #: vmalloc.
+    pfns: "range | list[int]"
+    phys: PhysicalMemory = field(repr=False, compare=False)
     contiguous: bool = False
 
     @property
@@ -46,7 +57,13 @@ class KernelAllocation:
     @property
     def mapped_end(self) -> int:
         """End of the page-aligned VA range the frames back."""
-        return self.vaddr + len(self.frames) * PAGE_SIZE
+        return self.vaddr + len(self.pfns) * PAGE_SIZE
+
+    @property
+    def frames(self) -> list[Frame]:
+        """The backing frames in order (building any untouched kmalloc
+        page's :class:`Frame`)."""
+        return [self.phys.frame(pfn) for pfn in self.pfns]
 
 
 class KernelSpace:
@@ -79,25 +96,26 @@ class KernelSpace:
             raise BadAddress(f"kfree of unknown allocation at {alloc.vaddr:#x}")
         del self._allocs[alloc.vaddr]
         del self._starts[bisect_right(self._starts, alloc.vaddr) - 1]
-        for frame in alloc.frames:
-            frame.unpin()
-            if not frame.pinned:
-                self.phys.free(frame)
+        self.phys.unpin_free(alloc.pfns)
 
     def _alloc(self, length: int, contiguous: bool) -> KernelAllocation:
         if length <= 0:
             raise ValueError(f"allocation length must be positive, got {length}")
         nbytes = page_align_up(length)
         npages = nbytes // PAGE_SIZE
+        # Kernel memory is born pinned (alloc_contiguous pins its pages).
         if contiguous:
-            frames = self.phys.alloc_contiguous(npages)
+            base = self.phys.alloc_contiguous(npages)
+            pfns: "range | list[int]" = range(base, base + npages)
         else:
-            frames = [self.phys.alloc() for _ in range(npages)]
-        for frame in frames:
-            frame.pin()  # kernel memory is born pinned
+            pfns = []
+            for _ in range(npages):
+                frame = self.phys.alloc()
+                frame.pin()
+                pfns.append(frame.pfn)
         vaddr = self._next_va
         self._next_va += nbytes
-        alloc = KernelAllocation(vaddr, length, frames, contiguous)
+        alloc = KernelAllocation(vaddr, length, pfns, self.phys, contiguous)
         self._allocs[vaddr] = alloc
         self._starts.append(vaddr)
         return alloc
@@ -116,8 +134,8 @@ class KernelSpace:
     def translate(self, vaddr: int) -> int:
         """Kernel VA -> physical address."""
         alloc = self.find_allocation(vaddr)
-        page_index = (vaddr - alloc.vaddr) >> 12
-        return alloc.frames[page_index].phys_addr | (vaddr & PAGE_MASK)
+        page_index = (vaddr - alloc.vaddr) >> PAGE_SHIFT
+        return (alloc.pfns[page_index] << PAGE_SHIFT) | (vaddr & PAGE_MASK)
 
     def write_bytes(self, vaddr: int, data: "bytes | bytearray | memoryview") -> None:
         """Store ``data`` at a kernel virtual address."""
@@ -151,9 +169,8 @@ class KernelSpace:
         remaining = length
         while remaining > 0:
             phys = self.translate(addr)
-            offset = phys & PAGE_MASK
-            chunk = min(remaining, PAGE_SIZE - offset)
-            chunks.append(self.phys.frame_at_phys(phys).view(offset, chunk))
+            chunk = min(remaining, PAGE_SIZE - (phys & PAGE_MASK))
+            chunks.append(self.phys.view_phys(phys, chunk))
             addr += chunk
             remaining -= chunk
         return PayloadRef.from_chunks(chunks)

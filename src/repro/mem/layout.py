@@ -84,8 +84,10 @@ def sg_from_user(space: AddressSpace, vaddr: int, length: int) -> list[PhysSegme
 def sg_from_kernel(kspace: KernelSpace, vaddr: int, length: int) -> list[PhysSegment]:
     """Scatter/gather list for a kernel-virtual range.
 
-    Walks each allocation's frame list directly: one allocation lookup
-    per allocation the range crosses, not one translation per page.
+    Walks each allocation's PFNs directly: one allocation lookup per
+    allocation the range crosses, not one translation per page, and no
+    :class:`~repro.mem.phys.Frame` built (a kmalloc allocation's PFNs
+    are a ``range`` from its base, so its pieces merge into one segment).
     """
     if length <= 0:
         return []
@@ -95,13 +97,13 @@ def sg_from_kernel(kspace: KernelSpace, vaddr: int, length: int) -> list[PhysSeg
         end = vaddr + length
         while addr < end:
             alloc = kspace.find_allocation(addr)
-            frames = alloc.frames
+            pfns = alloc.pfns
             stop = min(end, alloc.mapped_end)
             page = (addr - alloc.vaddr) >> PAGE_SHIFT
             offset = addr & PAGE_MASK
             while addr < stop:
                 chunk = min(stop - addr, PAGE_SIZE - offset)
-                yield frames[page].phys_addr + offset, chunk
+                yield (pfns[page] << PAGE_SHIFT) + offset, chunk
                 addr += chunk
                 page += 1
                 offset = 0

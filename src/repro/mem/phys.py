@@ -29,6 +29,18 @@ cache (always-resident pages) end up bumping the same counter in Linux.
 :class:`PhysicalMemory` keeps its frames in a list indexed by PFN (the
 kernel's ``mem_map``) rather than a dict.  Allocation always takes the
 lowest free PFN, so the list stays dense; a freed slot holds ``None``.
+
+A contiguous (kmalloc) run is allocated pinned from birth and gets no
+:class:`Frame` objects: its slots hold the ``_UNTOUCHED`` marker, which
+records that the page is allocated and pinned once.
+:meth:`PhysicalMemory.frame` builds a page's ``Frame`` (pin count 1) on
+first lookup and returns that same object afterwards.  Zero-copy
+gathers of an untouched page read the shared zero page, zero writes to
+it are elided, and :meth:`PhysicalMemory.unpin_free` returns it to the
+pool, all without building anything; a non-zero write, a copying read
+(``read_phys``) or an explicit lookup gives the page its ``Frame``.  A
+kmalloc buffer is one DMA segment whatever its size, so the simulator
+should not pay per page for it either.
 """
 
 from __future__ import annotations
@@ -45,6 +57,24 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 #: The one view every never-written frame hands out (sliced for partial
 #: pages), so unwritten views share a single buffer.
 _ZERO_VIEW = memoryview(_ZERO_PAGE)
+#: Frame-table entry of a contiguous page no caller has touched yet:
+#: allocated and pinned once, with no :class:`Frame` built.
+_UNTOUCHED = object()
+
+
+def _check_range(offset: int, length: int) -> None:
+    if offset < 0 or length < 0 or offset + length > PAGE_SIZE:
+        raise ValueError(
+            f"frame access out of range: offset={offset} length={length}"
+        )
+
+
+def _zero_view(offset: int, length: int) -> memoryview:
+    """View of ``length`` bytes at ``offset`` of the shared zero page."""
+    _check_range(offset, length)
+    if length == PAGE_SIZE:
+        return _ZERO_VIEW
+    return _ZERO_VIEW[offset : offset + length]
 
 
 class Frame:
@@ -60,9 +90,9 @@ class Frame:
 
     __slots__ = ("pfn", "pin_count", "_data", "_shared")
 
-    def __init__(self, pfn: int):
+    def __init__(self, pfn: int, pin_count: int = 0):
         self.pfn = pfn
-        self.pin_count = 0
+        self.pin_count = pin_count
         self._data: Optional[bytearray] = None
         self._shared = False
 
@@ -88,7 +118,7 @@ class Frame:
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset`` within the frame (a real,
         counted host copy; prefer :meth:`view` on the data path)."""
-        self._check_range(offset, length)
+        _check_range(offset, length)
         if length > 0:
             HOST_COPIES.copies += 1
             HOST_COPIES.nbytes += length
@@ -105,11 +135,9 @@ class Frame:
         current all-zero content, consistent with COW semantics); a
         full-page view is the shared view itself.
         """
-        self._check_range(offset, length)
         if self._data is None:
-            if length == PAGE_SIZE:
-                return _ZERO_VIEW
-            return _ZERO_VIEW[offset : offset + length]
+            return _zero_view(offset, length)
+        _check_range(offset, length)
         self._shared = True
         return memoryview(self._data).toreadonly()[offset : offset + length]
 
@@ -119,7 +147,7 @@ class Frame:
         Zeros written into a frame with no storage are elided: the
         frame already reads as zeros (see the module docstring)."""
         nbytes = len(data)
-        self._check_range(offset, nbytes)
+        _check_range(offset, nbytes)
         if self._data is None:
             if _ZERO_PAGE.startswith(data):
                 return
@@ -135,12 +163,6 @@ class Frame:
             HOST_COPIES.nbytes += nbytes
         self._data[offset : offset + nbytes] = data
 
-    def _check_range(self, offset: int, length: int) -> None:
-        if offset < 0 or length < 0 or offset + length > PAGE_SIZE:
-            raise ValueError(
-                f"frame access out of range: offset={offset} length={length}"
-            )
-
 
 class PhysicalMemory:
     """Fixed-size pool of frames with O(log n) alloc/free.
@@ -155,13 +177,16 @@ class PhysicalMemory:
     kmalloc-style requests by walking the run list for the lowest run
     long enough — the run list is tiny compared to the frame count, so
     this replaces the old sort-everything-per-call scan.
+
+    ``_frames[pfn]`` is the page's :class:`Frame`, ``_UNTOUCHED`` for a
+    contiguous page with no ``Frame`` yet, or ``None`` when free.
     """
 
     def __init__(self, total_frames: int):
         if total_frames < 1:
             raise ValueError(f"need at least 1 frame, got {total_frames}")
         self.total_frames = total_frames
-        self._frames: list[Optional[Frame]] = []
+        self._frames: list = []
         self._run_starts: list[int] = [0]
         self._run_ends: list[int] = [total_frames]
         self._free_count = total_frames
@@ -206,8 +231,12 @@ class PhysicalMemory:
             frames[pfn] = frame
         return frame
 
-    def alloc_contiguous(self, count: int) -> list[Frame]:
-        """Allocate ``count`` physically adjacent frames (kmalloc model)."""
+    def alloc_contiguous(self, count: int) -> int:
+        """Allocate ``count`` physically adjacent pages (kmalloc model),
+        pinned once from birth; returns the first PFN.
+
+        No :class:`Frame` is built: :meth:`frame` builds each page's on
+        first lookup (see the module docstring)."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         if count > self._free_count:
@@ -224,9 +253,8 @@ class PhysicalMemory:
                 table = self._frames
                 if start + count > len(table):
                     table.extend([None] * (start + count - len(table)))
-                frames = [Frame(pfn) for pfn in range(start, start + count)]
-                table[start : start + count] = frames
-                return frames
+                table[start : start + count] = [_UNTOUCHED] * count
+                return start
         raise OutOfMemory(f"no physically contiguous run of {count} frames")
 
     def free(self, frame: Frame) -> None:
@@ -237,7 +265,25 @@ class PhysicalMemory:
         table = self._frames
         if not 0 <= pfn < len(table) or table[pfn] is not frame:
             raise ValueError(f"double free of frame pfn={pfn}")
-        table[pfn] = None
+        self._release(pfn)
+
+    def unpin_free(self, pfns) -> None:
+        """Drop one pin from each page of ``pfns`` and free the pages it
+        leaves unpinned (``kfree``).  An untouched page goes back to the
+        pool without a :class:`Frame` being built."""
+        for pfn in pfns:
+            entry = self._entry(pfn)
+            if entry is _UNTOUCHED:
+                self._release(pfn)
+            else:
+                entry.unpin()
+                if not entry.pinned:
+                    self.free(entry)
+
+    def _release(self, pfn: int) -> None:
+        """Clear an allocated PFN's slot and coalesce it into the free
+        runs."""
+        self._frames[pfn] = None
         starts, ends = self._run_starts, self._run_ends
         i = bisect_right(starts, pfn)
         merge_left = i > 0 and ends[i - 1] == pfn
@@ -255,11 +301,24 @@ class PhysicalMemory:
             ends.insert(i, pfn + 1)
         self._free_count += 1
 
+    def _entry(self, pfn: int):
+        """An allocated PFN's table entry: its :class:`Frame`, or
+        ``_UNTOUCHED``."""
+        table = self._frames
+        if 0 <= pfn < len(table):
+            entry = table[pfn]
+            if entry is not None:
+                return entry
+        raise ValueError(f"pfn {pfn} is not an allocated frame")
+
     def frame(self, pfn: int) -> Frame:
-        """Look up an allocated frame by PFN."""
+        """Look up an allocated frame by PFN, building an untouched
+        contiguous page's :class:`Frame` (pinned once) on first lookup."""
         table = self._frames
         if 0 <= pfn < len(table):
             frame = table[pfn]
+            if frame is _UNTOUCHED:
+                frame = table[pfn] = Frame(pfn, pin_count=1)
             if frame is not None:
                 return frame
         raise ValueError(f"pfn {pfn} is not an allocated frame")
@@ -299,25 +358,42 @@ class PhysicalMemory:
         addr = phys_addr
         remaining = length
         while remaining > 0:
-            frame = self.frame(addr >> PAGE_SHIFT)
-            offset = addr & (PAGE_SIZE - 1)
-            chunk = min(remaining, PAGE_SIZE - offset)
-            views.append(frame.view(offset, chunk))
+            chunk = min(remaining, PAGE_SIZE - (addr & (PAGE_SIZE - 1)))
+            views.append(self.view_phys(addr, chunk))
             addr += chunk
             remaining -= chunk
         return views
+
+    def view_phys(self, phys_addr: int, length: int) -> memoryview:
+        """Zero-copy view of ``length`` bytes at a physical address
+        within one frame; an untouched page reads the shared zero page
+        without building its :class:`Frame`."""
+        pfn = phys_addr >> PAGE_SHIFT
+        table = self._frames
+        if 0 <= pfn < len(table):
+            entry = table[pfn]
+            if entry is _UNTOUCHED:
+                return _zero_view(phys_addr & (PAGE_SIZE - 1), length)
+            if entry is not None:
+                return entry.view(phys_addr & (PAGE_SIZE - 1), length)
+        raise ValueError(f"pfn {pfn} is not an allocated frame")
 
     def write_phys(self, phys_addr: int, data: "bytes | bytearray | memoryview") -> None:
         """Write bytes starting at a physical address, crossing frames."""
         addr = phys_addr
         view = memoryview(data)
         while view:
-            frame = self.frame(addr >> PAGE_SHIFT)
+            pfn = addr >> PAGE_SHIFT
             offset = addr & (PAGE_SIZE - 1)
             chunk = min(len(view), PAGE_SIZE - offset)
-            frame.write(offset, view[:chunk])
+            piece, view = view[:chunk], view[chunk:]
             addr += chunk
-            view = view[chunk:]
+            frame = self._entry(pfn)
+            if frame is _UNTOUCHED:
+                if _ZERO_PAGE.startswith(piece):
+                    continue  # an untouched page already reads as zeros
+                frame = self.frame(pfn)
+            frame.write(offset, piece)
 
     def write_phys_sg(self, sg, payload, skip: int = 0) -> int:
         """Scatter a :class:`repro.mem.sglist.PayloadRef` across a

@@ -12,7 +12,9 @@ from repro.mem import (
     sg_from_user,
 )
 from repro.mem.kmem import KERNEL_BASE
-from repro.units import PAGE_MASK, PAGE_SIZE
+from repro.mem import phys as phys_module
+from repro.mem.phys import _UNTOUCHED
+from repro.units import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 
 
 @pytest.fixture
@@ -174,7 +176,7 @@ def test_sg_from_frames_with_offset_and_length(phys):
 
 
 def test_sg_from_frames_full_run(phys):
-    frames = phys.alloc_contiguous(2)
+    frames = [phys.alloc(), phys.alloc()]  # lowest free PFN: adjacent
     segs = sg_from_frames(frames)
     assert len(segs) == 1
     assert segs[0].length == 2 * PAGE_SIZE
@@ -196,3 +198,82 @@ def test_sg_segments_cover_exact_byte_ranges(phys):
     segs = sg_from_user(space, addr + 200, len(payload))
     collected = b"".join(phys.read_phys(s.phys_addr, s.length) for s in segs)
     assert collected == payload
+
+
+# -- kmalloc pages get a Frame only when touched -----------------------------
+
+
+def _untouched_pfns(phys, alloc):
+    return [pfn for pfn in alloc.pfns if phys._frames[pfn] is _UNTOUCHED]
+
+
+def test_kmalloc_translation_gather_and_sg_build_no_frames(kspace, phys):
+    alloc = kspace.kmalloc(3 * PAGE_SIZE)
+    base = alloc.pfns[0] << PAGE_SHIFT
+    assert kspace.translate(alloc.vaddr + PAGE_SIZE + 9) == base + PAGE_SIZE + 9
+    segs = sg_from_kernel(kspace, alloc.vaddr + 5, 3 * PAGE_SIZE - 5)
+    assert [(s.phys_addr, s.length) for s in segs] == [(base + 5, 3 * PAGE_SIZE - 5)]
+    payload = kspace.read_payload(alloc.vaddr + 5, 2 * PAGE_SIZE)
+    assert b"".join(payload.chunks()) == bytes(2 * PAGE_SIZE)
+    kspace.write_bytes(alloc.vaddr, bytes(3 * PAGE_SIZE))
+    assert _untouched_pfns(phys, alloc) == list(alloc.pfns)
+    kspace.write_bytes(alloc.vaddr + PAGE_SIZE, b"x")
+    assert _untouched_pfns(phys, alloc) == [alloc.pfns[0], alloc.pfns[2]]
+    assert kspace.read_bytes(alloc.vaddr + PAGE_SIZE - 1, 2) == b"\x00x"
+
+
+def test_kfree_of_untouched_kmalloc_builds_no_frame(kspace, phys, monkeypatch):
+    alloc = kspace.kmalloc(4 * PAGE_SIZE)
+
+    def no_frame(*args, **kwargs):
+        raise AssertionError("a Frame was built")
+
+    monkeypatch.setattr(phys_module, "Frame", no_frame)
+    kspace.read_payload(alloc.vaddr, 4 * PAGE_SIZE)
+    kspace.kfree(alloc)
+    assert phys.free_runs() == [(0, 256)]
+
+
+def _touch_none(kspace, alloc):
+    pass
+
+
+def _touch_one_page(kspace, alloc):
+    kspace.write_bytes(alloc.vaddr + PAGE_SIZE + 10, b"data")
+
+
+def _pin_one_page_again(kspace, alloc):
+    kspace.phys.frame(alloc.pfns[2]).pin()
+
+
+@pytest.mark.parametrize("touch, runs, free", [
+    (_touch_none, [(1, 2), (3, 256)], 254),
+    (_touch_one_page, [(1, 2), (3, 256)], 254),
+    # The page holding an extra pin stays allocated, as a pinned page does.
+    (_pin_one_page_again, [(1, 2), (3, 5), (6, 256)], 253),
+])
+def test_kfree_of_kmalloc_restores_the_pool(kspace, phys, touch, runs, free):
+    hold = [phys.alloc() for _ in range(3)]
+    phys.free(hold[1])  # free runs: [1, 2) and [3, 256)
+    alloc = kspace.kmalloc(4 * PAGE_SIZE)
+    assert list(alloc.pfns) == [3, 4, 5, 6]
+    touch(kspace, alloc)
+    kspace.kfree(alloc)
+    assert phys.free_runs() == runs
+    assert phys.free_frames == free
+    for pfn in alloc.pfns:
+        if any(a <= pfn < b for a, b in runs):
+            with pytest.raises(ValueError):
+                phys.frame(pfn)
+        else:
+            assert phys.frame(pfn).pin_count == 1
+
+
+def test_kmalloc_frames_accessor_builds_frames_on_demand(kspace, phys):
+    alloc = kspace.kmalloc(2 * PAGE_SIZE)
+    frames = alloc.frames
+    assert [f.pfn for f in frames] == list(alloc.pfns)
+    assert alloc.frames == frames  # the same objects on a second call
+    assert _untouched_pfns(phys, alloc) == []
+    kspace.kfree(alloc)
+    assert phys.free_frames == 256

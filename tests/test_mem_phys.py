@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import OutOfMemory, PinningError
 from repro.mem import HOST_COPIES, PayloadRef, PhysicalMemory, PhysSegment
-from repro.units import PAGE_SIZE
+from repro.mem.phys import _UNTOUCHED
+from repro.units import PAGE_SHIFT, PAGE_SIZE
 
 
 def test_alloc_returns_distinct_frames():
@@ -151,17 +152,17 @@ def test_pin_count_nests():
 
 def test_alloc_contiguous_returns_adjacent_pfns():
     phys = PhysicalMemory(16)
-    frames = phys.alloc_contiguous(4)
-    pfns = [f.pfn for f in frames]
-    assert pfns == list(range(pfns[0], pfns[0] + 4))
+    base = phys.alloc_contiguous(4)
+    assert base == 0
+    assert phys.free_runs() == [(4, 16)]
+    assert [phys.frame(pfn).pfn for pfn in range(4)] == [0, 1, 2, 3]
 
 
 def test_alloc_contiguous_skips_fragmented_holes():
     phys = PhysicalMemory(10)
     keep = [phys.alloc() for _ in range(4)]  # pfns 0..3
     phys.free(keep[1])  # hole at pfn 1: runs are {1}, {4..9}
-    frames = phys.alloc_contiguous(3)
-    assert [f.pfn for f in frames] == [4, 5, 6]
+    assert phys.alloc_contiguous(3) == 4
 
 
 def test_alloc_contiguous_failure_when_fragmented():
@@ -200,8 +201,7 @@ def test_alloc_after_fragmentation_and_coalescing():
     for i in range(1, 16, 2):  # heal the holes
         phys.free(frames[i])
     assert phys.free_runs() == [(0, 16)]
-    got = phys.alloc_contiguous(12)
-    assert [f.pfn for f in got] == list(range(12))
+    assert phys.alloc_contiguous(12) == 0
 
 
 def test_alloc_contiguous_takes_lowest_fitting_run():
@@ -211,8 +211,7 @@ def test_alloc_contiguous_takes_lowest_fitting_run():
     for i in (2, 3, 6, 7, 8, 9):
         phys.free(frames[i])
     assert phys.free_runs() == [(2, 4), (6, 10)]
-    got = phys.alloc_contiguous(3)  # skips the too-short [2,4) run
-    assert [f.pfn for f in got] == [6, 7, 8]
+    assert phys.alloc_contiguous(3) == 6  # skips the too-short [2,4) run
     assert phys.free_runs() == [(2, 4), (9, 10)]
     # single-frame alloc still takes the lowest PFN overall
     assert phys.alloc().pfn == 2
@@ -229,8 +228,7 @@ def test_alloc_lowest_pfn_policy_preserved():
 
 def test_read_write_phys_crosses_frames():
     phys = PhysicalMemory(4)
-    frames = phys.alloc_contiguous(2)
-    base = frames[0].phys_addr
+    base = phys.alloc_contiguous(2) << PAGE_SHIFT
     data = bytes(range(256)) * 40  # 10240 bytes > fits? 2 pages = 8192
     data = data[:6000]
     phys.write_phys(base + 3000, data[: PAGE_SIZE + 1000])
@@ -294,7 +292,85 @@ def test_contiguous_alloc_past_the_frame_table_end():
     phys = PhysicalMemory(16)
     singles = [phys.alloc() for _ in range(3)]
     phys.free(singles[1])
-    run = phys.alloc_contiguous(4)
+    assert phys.alloc_contiguous(4) == 3
+    run = [phys.frame(pfn) for pfn in range(3, 7)]
     assert [f.pfn for f in run] == [3, 4, 5, 6]
     assert all(phys.frame(f.pfn) is f for f in run)
     assert phys.alloc().pfn == 1
+
+
+# -- contiguous pages without Frame objects until touched ------------------
+
+
+def _untouched(phys, pfn):
+    return phys._frames[pfn] is _UNTOUCHED
+
+
+def test_untouched_contiguous_page_gets_one_frame_pinned_once():
+    phys = PhysicalMemory(8)
+    base = phys.alloc_contiguous(3)
+    assert all(_untouched(phys, pfn) for pfn in range(base, base + 3))
+    frame = phys.frame(base + 1)
+    assert phys.frame(base + 1) is frame
+    assert phys.frame_at_phys(frame.phys_addr + 7) is frame
+    assert (frame.pfn, frame.pin_count) == (base + 1, 1)
+    assert _untouched(phys, base) and _untouched(phys, base + 2)
+
+
+def test_free_refuses_a_looked_up_contiguous_page_while_pinned():
+    phys = PhysicalMemory(4)
+    base = phys.alloc_contiguous(2)
+    frame = phys.frame(base)
+    with pytest.raises(PinningError):
+        phys.free(frame)
+    frame.unpin()
+    phys.free(frame)
+    with pytest.raises(ValueError):
+        phys.frame(base)
+    assert phys.free_runs() == [(0, 1), (2, 4)]
+
+
+def test_dma_gather_and_zero_scatter_leave_pages_untouched():
+    phys = PhysicalMemory(8)
+    base = phys.alloc_contiguous(3)
+    seg = PhysSegment((base << PAGE_SHIFT) + 100, 2 * PAGE_SIZE)
+    before = _copies()
+    gathered = PayloadRef.from_phys(phys, [seg]).chunks()
+    assert b"".join(gathered) == bytes(2 * PAGE_SIZE)
+    assert len({id(view.obj) for view in gathered}) == 1  # the zero page
+    zeros = PayloadRef.from_chunks([bytes(2 * PAGE_SIZE)])
+    assert phys.write_phys_sg([seg], zeros) == 2 * PAGE_SIZE
+    phys.write_phys(base << PAGE_SHIFT, bytes(3 * PAGE_SIZE))
+    assert _copies() == before
+    assert all(_untouched(phys, pfn) for pfn in range(base, base + 3))
+
+
+def test_nonzero_write_to_untouched_page_counts_like_an_eager_frame():
+    phys = PhysicalMemory(8)
+    eager = phys.alloc()
+    base = phys.alloc_contiguous(2)
+    data = b"\x00\x01payload"
+    deltas = []
+    for addr in (eager.phys_addr + 10, (base << PAGE_SHIFT) + PAGE_SIZE + 10):
+        before = _copies()
+        phys.write_phys(addr, data)
+        after = _copies()
+        deltas.append((after[0] - before[0], after[1] - before[1]))
+        assert phys.read_phys(addr, len(data)) == data
+    assert deltas[0] == deltas[1] == (1, len(data))
+    assert _untouched(phys, base)
+    assert phys.frame(base + 1).pin_count == 1
+
+
+def test_view_of_untouched_page_before_first_write_still_reads_zeros():
+    phys = PhysicalMemory(4)
+    base = phys.alloc_contiguous(1)
+    addr = base << PAGE_SHIFT
+    full = phys.view_phys(addr, PAGE_SIZE)
+    part = phys.view_phys(addr + 8, 16)
+    phys.write_phys(addr, b"\xff" * PAGE_SIZE)
+    assert bytes(full) == bytes(PAGE_SIZE)
+    assert bytes(part) == bytes(16)
+    assert bytes(phys.view_phys(addr + 8, 16)) == b"\xff" * 16
+    with pytest.raises(ValueError):
+        phys.view_phys(addr + PAGE_SIZE - 4, 8)

@@ -87,9 +87,8 @@ def test_no_recv_copy_deposits_directly_and_saves_time():
         ep_b = MxEndpoint(b, 10 + no_recv_copy, context="kernel",
                           no_recv_copy=no_recv_copy)
         src = a.kspace.kmalloc(size)
-        dst_frames = b.phys.alloc_contiguous(4)
-        for f in dst_frames:
-            f.pin()
+        base = b.phys.alloc_contiguous(4)  # born pinned
+        dst_frames = [b.phys.frame(pfn) for pfn in range(base, base + 4)]
         a.kspace.write_bytes(src.vaddr, payload)
         t = {}
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mem import AddressSpace, KernelSpace, PhysicalMemory, sg_from_user
 from repro.mem.layout import sg_from_frames, sg_from_kernel
-from repro.units import PAGE_SIZE, page_align_up, pages_spanned
+from repro.units import PAGE_SHIFT, PAGE_SIZE, page_align_up, pages_spanned
 
 
 # -- pages_spanned ------------------------------------------------------------
@@ -73,8 +73,7 @@ def test_frame_write_read_identity(offset, data):
 @settings(max_examples=50)
 def test_phys_rw_crossing_frames_identity(start, data):
     phys = PhysicalMemory(8)
-    frames = phys.alloc_contiguous(6)
-    base = frames[0].phys_addr
+    base = phys.alloc_contiguous(6) << PAGE_SHIFT
     phys.write_phys(base + start, data)
     assert phys.read_phys(base + start, len(data)) == data
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.node import node_pair, star
-from repro.cluster.topo import dragonfly, fat_tree
+from repro.cluster.topo import Fabric, dragonfly, fat_tree
+from repro.errors import NetworkError
 from repro.faults import FaultPlan
 from repro.hw.params import FabricParams, host_params
 from repro.sim import Environment
@@ -138,6 +139,59 @@ def test_adaptive_paths_not_frozen():
                  fabric=FabricParams(routing="adaptive"))
     assert f.path(0, 4) is None
     assert len(f.path(0, 1)) == 2  # same-edge needs no trunk decision
+
+
+# -- routing tables ---------------------------------------------------------
+
+
+def _two_pass_routes(f):
+    """The earlier route algorithm, kept here as the oracle: a BFS per
+    target for distances, then a second scan over every switch's ports
+    for those one hop closer."""
+    routes = {sw: {} for sw in f.switches}
+    for target in sorted(set(f.locator.values())):
+        dist = {target: 0}
+        frontier = [target]
+        while frontier:
+            nxt = []
+            for sw in frontier:
+                for _port, peer in f._adj[sw]:
+                    if peer not in dist:
+                        dist[peer] = dist[sw] + 1
+                        nxt.append(peer)
+            frontier = nxt
+        for sw in f.switches:
+            if sw != target:
+                routes[sw][target] = tuple(sorted(
+                    port for port, peer in f._adj[sw]
+                    if dist.get(peer) == dist[sw] - 1))
+    return routes
+
+
+@pytest.mark.parametrize("build", [
+    lambda env: fat_tree(env, 4, host=SMALL_HOST),
+    lambda env: fat_tree(env, 8, host=SMALL_HOST),
+    lambda env: fat_tree(env, 16, host=SMALL_HOST),
+    lambda env: dragonfly(env, groups=5, routers=4, hosts=2, host=SMALL_HOST),
+    lambda env: dragonfly(env, groups=9, routers=3, hosts=1, host=SMALL_HOST),
+], ids=["ft4", "ft8", "ft16", "df5x4x2", "df9x3x1"])
+def test_routes_equal_the_two_pass_algorithm(build):
+    f = build(Environment())
+    routes, oracle = f._routes(), _two_pass_routes(f)
+    assert routes == oracle
+    assert all(list(routes[sw]) == list(oracle[sw]) for sw in oracle)
+    # Equal candidate tuples are one shared object.
+    cands = [c for table in routes.values() for c in table.values()]
+    assert len({id(c) for c in cands}) == len(set(cands))
+
+
+def test_unreachable_switch_is_refused():
+    f = Fabric(Environment(), host=SMALL_HOST)
+    f.add_switch("a")
+    f.add_switch("b")
+    f.add_hosts("a", 1)
+    with pytest.raises(NetworkError, match="cannot reach"):
+        f.finalize()
 
 
 # -- star name_prefix -------------------------------------------------------
