@@ -32,7 +32,7 @@ def _throughput(api: str, depth: int) -> float:
     channel = (MxKernelChannel if api == "mx" else GmKernelChannel)(client_node, 4)
     mount_orfs(client_node, channel, (server_node.node_id, 3))
     attrs = env.run(until=env.process(server.fs.create(1, "f")))
-    server.fs.write_raw(attrs.inode_id, 0, bytes(TOTAL))
+    server.fs.truncate_raw(attrs.inode_id, TOTAL)
     space = client_node.new_process_space()
     bufs = [space.mmap(CHUNK) for _ in range(depth)]
     result = {}

@@ -73,7 +73,7 @@ def build_orfs(api: str, link: LinkParams = PCI_XD,
     # Pre-populate server-side (free: the benchmark measures reads).
     attrs_gen = server.fs.create(1, path)
     attrs = env.run(until=env.process(attrs_gen))
-    server.fs.write_raw(attrs.inode_id, 0, bytes(file_size))
+    server.fs.truncate_raw(attrs.inode_id, file_size)
     return OrfsRig(env, client_node, server_node, server, client, channel)
 
 
@@ -137,7 +137,7 @@ def build_orfa(api: str, link: LinkParams = PCI_XD,
                         (server_node.node_id, SERVER_PORT), api=api)
     env.run(until=env.process(client.setup()))
     attrs = env.run(until=env.process(server.fs.create(1, path)))
-    server.fs.write_raw(attrs.inode_id, 0, bytes(file_size))
+    server.fs.truncate_raw(attrs.inode_id, file_size)
     return OrfaRig(env, client_node, server, client, space)
 
 

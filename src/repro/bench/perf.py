@@ -12,6 +12,8 @@ test exercises.  This module measures both in isolation —
 * **allocator**: single-frame alloc/free cycles per second and
   contiguous (kmalloc-style) allocations per second over a fragmented
   pool,
+* **fleet memory**: the traced host-memory peak of one open-loop fleet
+  point per file/block server workload,
 
 and writes the numbers to ``BENCH_engine.json`` so the performance
 trajectory is visible across PRs.
@@ -26,10 +28,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 import time
+import tracemalloc
 
 from ..mem import sglist
 from ..mem.phys import PhysicalMemory
@@ -356,6 +360,59 @@ def _bench_topo_full(quick: bool = False) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# fleet host memory
+# ---------------------------------------------------------------------------
+
+#: The fleet points ``fleet_memory`` traces: star9, 8 clients, rw4k.
+FLEET_MEMORY_WORKLOADS = {"orfa_mx": {"kind": "orfa", "api": "mx"},
+                          "nbd_mx": {"kind": "nbd", "api": "mx"}}
+FLEET_MEMORY_OPS = 40
+
+
+def fleet_point_peak_kib(workload: dict) -> float:
+    """Traced host-memory peak, in KiB, of one open-loop fleet point.
+
+    The point (star9, 8 clients, rw4k at 20k ops/s) runs twice first,
+    so imports and the allocator's free lists are not counted, and the
+    garbage collector runs just before tracing starts, so the cyclic
+    worlds of earlier points are not counted either.  The peak covers
+    the world's set-up (server files, NBD devices) and its run.
+    """
+    from ..fleet import FleetSpec, run_point
+
+    spec = FleetSpec.from_dict({
+        "name": "perf-fleet-memory", "seed": 1, "n_ops": FLEET_MEMORY_OPS,
+        "n_clients": 8, "mix": "rw4k", "loop": "open",
+        "grid": {"topology": [{"kind": "star", "n": 9}],
+                 "workload": [workload], "offered_load": [20000]},
+    })
+    point = spec.points()[0]
+    for _ in range(2):
+        run_point(spec, point)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_point(spec, point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gc.collect()
+    return round(peak / 1024, 1)
+
+
+def bench_fleet_memory() -> dict:
+    """``fleet_memory`` section: :func:`fleet_point_peak_kib` of an
+    ORFA-on-MX and an NBD-on-MX point.  Traced bytes repeat run to run
+    on one Python version, so CI caps them."""
+    return {
+        "topology": "star9",
+        "n_ops": FLEET_MEMORY_OPS,
+        "peak_kib": {name: fleet_point_peak_kib(workload)
+                     for name, workload in FLEET_MEMORY_WORKLOADS.items()},
+    }
+
+
+# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
@@ -378,6 +435,7 @@ def run_perf(quick: bool = False) -> dict:
         "packet_train": bench_packet_train(quick=quick),
         "topo": _bench_topo(quick=quick),
         "topo_full": _bench_topo_full(quick=quick),
+        "fleet_memory": bench_fleet_memory(),
     }
     eng = report["engine"]
     alloc = report["allocator"]
@@ -405,6 +463,7 @@ def run_perf(quick: bool = False) -> dict:
         "topo_build_kib_per_host": tp["build_kib_per_host"],
         "topo_full_wall_s": (None if report["topo_full"]["skipped"]
                              else report["topo_full"]["wall_s"]),
+        "fleet_peak_kib": report["fleet_memory"]["peak_kib"],
     }
     return report
 
@@ -452,6 +511,8 @@ def main(argv: list[str] | None = None) -> int:
         f"fabric full run  : "
         + (f"{summary['topo_full_wall_s']:>12.1f} s (1024 hosts)"
            if summary['topo_full_wall_s'] is not None else "skipped"),
+        *(f"fleet {name:<11}: {kib:>12.1f} KiB traced peak per point (star9)"
+          for name, kib in summary["fleet_peak_kib"].items()),
     ):
         print(line, file=sys.stderr if args.out == "-" else sys.stdout)
     return 0

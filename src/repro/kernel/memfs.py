@@ -9,6 +9,18 @@ Plays two roles:
 * a **local filesystem** for exercising the VFS paths in tests without
   any network.
 
+File data is stored sparsely, one ``bytearray`` per page that holds a
+non-zero byte, keyed by page index; a page with no entry reads as the
+shared zero page of :mod:`repro.mem.phys`, as Linux backs every hole in
+a sparse file with its one zero page.  Writing all-zero bytes into a
+page with no entry is elided (the content test ``Frame.write`` uses),
+and a page that zeros overwrite or a truncation clears loses its entry,
+so a page has storage exactly when it holds a non-zero byte.  A server
+file or NBD device pre-sized with :meth:`MemFs.truncate_raw` therefore
+costs the host nothing until something non-zero is written into it.
+Only the host store is sparse: every ``cpu.copy``/``cpu.work`` charge
+is computed from the file size and the request, as for a dense file.
+
 Optionally a ``disk_latency_ns`` can be charged on first-touch of a
 page, to model cold-cache physical reads (off by default, matching the
 paper's warm-cache methodology).
@@ -22,6 +34,7 @@ from typing import Optional
 
 from ..errors import Eexist, Einval, Eisdir, Enoent, Enotdir, Enotempty
 from ..hw.cpu import Cpu
+from ..mem.phys import _ZERO_PAGE
 from ..mem.sglist import PayloadRef
 from ..sim import Environment
 from ..units import PAGE_SIZE
@@ -34,15 +47,75 @@ _OP_COST_NS = 600  # hash/btree bookkeeping per metadata operation
 class _MemInode:
     inode_id: int
     is_dir: bool
-    data: bytearray = field(default_factory=bytearray)
+    size: int = 0
+    #: page index -> storage; only pages holding a non-zero byte
+    pages: dict[int, bytearray] = field(default_factory=dict)
     children: dict[str, int] = field(default_factory=dict)  # dirs only
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
 
     def attrs(self) -> InodeAttrs:
         return InodeAttrs(inode_id=self.inode_id, size=self.size, is_dir=self.is_dir)
+
+    def read(self, offset: int, length: int) -> bytes:
+        """The file's bytes in ``[offset, offset+length)``, clipped to
+        its size; holes read as zeros."""
+        end = min(offset + length, self.size)
+        if offset >= end:
+            return b""
+        parts = []
+        pos = offset
+        while pos < end:
+            index, lo = divmod(pos, PAGE_SIZE)
+            hi = min(PAGE_SIZE, lo + end - pos)
+            page = self.pages.get(index)
+            parts.append(_ZERO_PAGE[lo:hi] if page is None
+                         else memoryview(page)[lo:hi])
+            pos += hi - lo
+        if len(parts) == 1:
+            return bytes(parts[0])
+        return b"".join(parts)
+
+    def write(self, offset: int, data) -> None:
+        """Store ``data`` (bytes-like, or a :class:`PayloadRef` whose
+        chunks are deposited one by one, never joined) at ``offset``,
+        growing the file to its end."""
+        end = offset + len(data)
+        if end > self.size:
+            self.size = end
+        for chunk in data.chunks() if isinstance(data, PayloadRef) else (data,):
+            self._write_chunk(offset, memoryview(chunk))
+            offset += len(chunk)
+
+    def _write_chunk(self, offset: int, view: memoryview) -> None:
+        pos, end = offset, offset + len(view)
+        while pos < end:
+            index, lo = divmod(pos, PAGE_SIZE)
+            hi = min(PAGE_SIZE, lo + end - pos)
+            piece = view[pos - offset : pos - offset + hi - lo]
+            pos += hi - lo
+            zeros = _ZERO_PAGE.startswith(piece)
+            page = self.pages.get(index)
+            if page is None:
+                if zeros:
+                    continue  # a hole already reads as zeros
+                page = self.pages[index] = bytearray(PAGE_SIZE)
+            page[lo:hi] = piece
+            if zeros and page == _ZERO_PAGE:
+                del self.pages[index]  # zeros cleared it: a hole again
+
+    def truncate(self, size: int) -> None:
+        """Set the size; a shrink drops the pages past the new end and
+        zeroes the tail of the last partial page, so a later grow reads
+        zeros."""
+        if size < self.size:
+            last, tail = divmod(size, PAGE_SIZE)
+            for index in [i for i in self.pages if i >= last]:
+                page = self.pages[index]
+                if index == last and tail:
+                    page[tail:] = _ZERO_PAGE[tail:]
+                    if page != _ZERO_PAGE:
+                        continue
+                del self.pages[index]
+        self.size = size
 
 
 class MemFs:
@@ -103,35 +176,27 @@ class MemFs:
 
     def truncate(self, inode_id: int, size: int):
         yield from self.cpu.work(_OP_COST_NS)
-        inode = self._file(inode_id)
-        if size < len(inode.data):
-            del inode.data[size:]
-        else:
-            inode.data.extend(bytes(size - len(inode.data)))
+        self._file(inode_id).truncate(size)
 
     # -- data: page interface (buffered path) -----------------------------------
 
     def readpage(self, inode_id: int, index: int, frame):
         inode = self._file(inode_id)
         yield from self._maybe_disk(inode_id, index)
-        start = index * PAGE_SIZE
-        chunk = bytes(inode.data[start : start + PAGE_SIZE])
-        yield from self.cpu.copy(max(1, len(chunk)))
-        if chunk:
-            frame.write(0, chunk)
-        if len(chunk) < PAGE_SIZE:
-            frame.write(len(chunk), bytes(PAGE_SIZE - len(chunk)))
-        return len(chunk)
+        n = min(PAGE_SIZE, max(0, inode.size - index * PAGE_SIZE))
+        yield from self.cpu.copy(max(1, n))
+        if n:
+            page = inode.pages.get(index)
+            frame.write(0, (_ZERO_PAGE if page is None else memoryview(page))[:n])
+        if n < PAGE_SIZE:
+            frame.write(n, _ZERO_PAGE[n:])
+        return n
 
     def writepage(self, inode_id: int, index: int, frame, length: int):
         inode = self._file(inode_id)
         yield from self._maybe_disk(inode_id, index)
         yield from self.cpu.copy(length)
-        start = index * PAGE_SIZE
-        end = start + length
-        if len(inode.data) < end:
-            inode.data.extend(bytes(end - len(inode.data)))
-        inode.data[start:end] = frame.read(0, length)
+        inode.write(index * PAGE_SIZE, frame.read(0, length))
         return length
 
     # -- data: direct interface ---------------------------------------------------
@@ -140,17 +205,14 @@ class MemFs:
         inode = self._file(inode_id)
         n = min(buf.length, max(0, inode.size - offset))
         yield from self.cpu.copy(n)
-        buf.space.write_bytes(buf.vaddr, bytes(inode.data[offset : offset + n]))
+        buf.space.write_bytes(buf.vaddr, inode.read(offset, n))
         return n
 
     def direct_write(self, inode_id: int, offset: int, buf: UserBuffer):
         inode = self._file(inode_id)
         yield from self.cpu.copy(buf.length)
         data = buf.space.read_bytes(buf.vaddr, buf.length)
-        end = offset + len(data)
-        if len(inode.data) < end:
-            inode.data.extend(bytes(end - len(inode.data)))
-        inode.data[offset:end] = data
+        inode.write(offset, data)
         return len(data)
 
     # -- raw access for servers (no VFS in between) ---------------------------------
@@ -158,24 +220,18 @@ class MemFs:
     def read_raw(self, inode_id: int, offset: int, length: int) -> bytes:
         """Zero-cost data peek used by protocol servers that charge their
         own copy/transfer costs explicitly."""
-        inode = self._file(inode_id)
-        return bytes(inode.data[offset : offset + length])
+        return self._file(inode_id).read(offset, length)
 
     def write_raw(self, inode_id: int, offset: int, data) -> int:
         """Accepts ``bytes`` or a :class:`repro.mem.PayloadRef`; payload
         chunks are deposited one by one, never joined."""
-        inode = self._file(inode_id)
-        end = offset + len(data)
-        if len(inode.data) < end:
-            inode.data.extend(bytes(end - len(inode.data)))
-        if isinstance(data, PayloadRef):
-            pos = offset
-            for chunk in data.chunks():
-                inode.data[pos : pos + len(chunk)] = chunk
-                pos += len(chunk)
-        else:
-            inode.data[offset:end] = data
+        self._file(inode_id).write(offset, data)
         return len(data)
+
+    def truncate_raw(self, inode_id: int, size: int) -> None:
+        """Zero-cost :meth:`truncate`, for set-up code that pre-sizes a
+        file (growing one stores nothing)."""
+        self._file(inode_id).truncate(size)
 
     # -- internals --------------------------------------------------------------------
 

@@ -75,7 +75,7 @@ class OrfaWorkload:
             env.run(until=env.process(client.setup()))
             path = f"load{i}"
             attrs = env.run(until=env.process(self.server.fs.create(1, path)))
-            self.server.fs.write_raw(attrs.inode_id, 0, bytes(file_bytes))
+            self.server.fs.truncate_raw(attrs.inode_id, file_bytes)
             fd = env.run(until=env.process(client.open(f"/{path}")))
             self._clients.append(client)
             self._paths.append(f"/{path}")

@@ -45,8 +45,7 @@ class NbdServer:
         attrs = node.env.run(until=node.env.process(attrs_gen))
         self.device_inode = attrs.inode_id
         self.device_blocks = device_blocks
-        self.fs.write_raw(self.device_inode, 0,
-                          bytes(device_blocks * BLOCK_SIZE))
+        self.fs.truncate_raw(self.device_inode, device_blocks * BLOCK_SIZE)
 
     def start(self):
         return self.server.start()

@@ -347,7 +347,12 @@ class AllOf(_Condition):
 
 
 class AnyOf(_Condition):
-    """Fires when the first child event fires; value maps event -> value."""
+    """Fires when the first child event fires; value maps event -> value.
+
+    Once it fires, its callback is taken off every child still pending,
+    so a request waited on again and again (``wait_any`` over posted
+    receives) does not collect one dead callback per wait.
+    """
 
     __slots__ = ()
 
@@ -359,8 +364,13 @@ class AnyOf(_Condition):
             return
         if not event.ok:
             self.fail(event.value)
-            return
-        self.succeed(self._collect())
+        else:
+            self.succeed(self._collect())
+        check = self._check
+        for ev in self.events:
+            callbacks = ev.callbacks
+            while callbacks and check in callbacks:
+                callbacks.remove(check)
 
 
 class _Call(Event):

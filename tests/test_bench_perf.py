@@ -29,6 +29,7 @@ def test_run_perf_quick_report_shape():
     assert pt["summary"]["events_per_mb_train_max"] <= 150
     assert report["summary"]["packet_train_event_reduction"] >= 3.0
     assert report["summary"]["topo_build_kib_per_host"] > 0
+    assert set(report["summary"]["fleet_peak_kib"]) == {"orfa_mx", "nbd_mx"}
     # The host-copy budget must measure real copies: zero-page scatters
     # are elided, so every data-path entry has to move non-zero bytes.
     for name, path in report["data_path"]["paths"].items():
@@ -46,6 +47,16 @@ def test_fabric_build_memory_repeats():
     first, second = build_kib_per_host(), build_kib_per_host()
     assert first > 0
     assert abs(first - second) <= 0.01 * first
+
+
+def test_fleet_point_memory_repeats_and_holds_no_dense_file():
+    from repro.bench.perf import FLEET_MEMORY_WORKLOADS, fleet_point_peak_kib
+
+    orfa = FLEET_MEMORY_WORKLOADS["orfa_mx"]
+    first, second = fleet_point_peak_kib(orfa), fleet_point_peak_kib(orfa)
+    assert abs(first - second) <= 0.01 * first
+    # Eight clients each get a 1 MiB server file; none is stored dense.
+    assert 0 < first < 8 * 1024
 
 
 def test_perf_main_writes_json(tmp_path):

@@ -178,6 +178,24 @@ def test_any_of_fires_on_first_event():
     assert done["values"] == ["fast"]
 
 
+def test_any_of_leaves_no_callback_on_a_child_still_pending():
+    # wait_any re-waits on the same posted receives; a fired AnyOf must
+    # not leave its callback behind on the ones that did not fire.
+    env = Environment()
+    posted = env.event()
+    fired = []
+
+    def proc(env):
+        for _ in range(100):
+            result = yield env.any_of([posted, env.timeout(10, value="t")])
+            fired.append(list(result.values()))
+
+    env.process(proc(env))
+    env.run()
+    assert fired == [["t"]] * 100
+    assert len(posted.callbacks) <= 1
+
+
 def test_all_of_empty_fires_immediately():
     env = Environment()
     done = {}
