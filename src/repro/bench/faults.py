@@ -62,7 +62,7 @@ def _orfa_run(seed: int, drop: float) -> tuple[float, int, int]:
     space = client_node.new_process_space()
     client = OrfaClient(client_node, 4, space, (server_node.node_id, 3),
                         api="mx", timeout_ns=_RPC_TIMEOUT_NS,
-                        max_retries=_RPC_RETRIES, tracer=plan.tracer)
+                        max_retries=_RPC_RETRIES)
     env.run(until=env.process(client.setup()))
     payload = bytes((i * 37 + 11) & 0xFF for i in range(_ORFA_BYTES))
     buf = space.mmap(len(payload), populate=True)
@@ -97,8 +97,7 @@ def _nbd_run(seed: int, drop: float) -> tuple[float, int, int]:
     channel = MxKernelChannel(client_node, 4)
     dev = NbdDevice(client_node, channel, (server_node.node_id, 3),
                     server.device_inode, _NBD_BLOCKS,
-                    timeout_ns=_RPC_TIMEOUT_NS, max_retries=_RPC_RETRIES,
-                    tracer=plan.tracer)
+                    timeout_ns=_RPC_TIMEOUT_NS, max_retries=_RPC_RETRIES)
     space = client_node.new_process_space()
     payload = bytes((i * 13 + 5) & 0xFF for i in range(_NBD_BLOCKS * BLOCK_SIZE))
     va = space.mmap(len(payload))

@@ -24,9 +24,11 @@ themselves, and the same seed must reproduce the same run bit-for-bit:
 * Down windows are pure functions of simulated time; resets and crashes
   are scheduled at absolute simulated times.
 
-Rendering the plan's trace (:func:`repro.sim.trace.render_trace`) after
-two runs of the same seed therefore yields byte-identical text — the
-fault suite asserts exactly this.
+The plan's records go to the run's trace (``env.trace``, see
+:mod:`repro.sim.trace`) along with those of the NICs' reliable-delivery
+sublayer and the switches.  Rendering that trace after two runs of the
+same seed therefore yields byte-identical text — the fault suite
+asserts exactly this.
 
 Interaction with packet-train coalescing
 ----------------------------------------
@@ -48,7 +50,7 @@ observe, never an opaque multi-packet analytic hold.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .. import obs
 from ..hw.link import Link
@@ -56,7 +58,7 @@ from ..hw.nic import MsgKind, Nic
 from ..hw.params import DEFAULT_RELIABILITY, ReliabilityParams
 from ..hw.switch import Switch
 from ..sim import Environment
-from ..sim.trace import Tracer
+from ..sim.trace import TraceRecord, emit
 
 
 class _FaultRng:
@@ -107,12 +109,10 @@ class LinkFaultInjector:
     """
 
     def __init__(self, env: Environment, spec: LinkFaultSpec,
-                 rng: _FaultRng, tracer: Optional[Tracer],
-                 link_name: str = "link"):
+                 rng: _FaultRng, link_name: str = "link"):
         self.env = env
         self.spec = spec
         self.rng = rng
-        self.tracer = tracer
         self.link_name = link_name
         # Injection accounting on the metrics registry (unregistered
         # per-instance counters while no registry is installed); the
@@ -138,31 +138,22 @@ class LinkFaultInjector:
         now = self.env.now
         return any(start <= now < end for start, end in self.spec.down_windows)
 
-    def _emit(self, label: str, payload) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.env.now, "fault", label, payload)
-
-    def _wants(self) -> bool:
-        """Cheap pre-check so the per-item hot path skips building
-        payload dicts when nothing listens to fault traces."""
-        return self.tracer is not None and self.tracer.wants("fault")
-
     def filter(self, link: Link, item, nbytes: int):
         kind = getattr(item, "kind", None)
         if kind is MsgKind.FRAG:
             return item  # pacing packet: semantics ride the final packet
         if self.down:
             self._m_down_drops.inc()
-            if self._wants():
-                self._emit("link_down_drop", {
+            if self.env.trace is not None:
+                emit(self.env, "fault", "link_down_drop", {
                     "link": link.name,
                     "kind": kind.value if kind is not None else "?",
                 })
             return None
         if self.spec.drop_prob and self.rng.chance(self.spec.drop_prob):
             self._m_dropped.inc()
-            if self._wants():
-                self._emit("drop", {
+            if self.env.trace is not None:
+                emit(self.env, "fault", "drop", {
                     "link": link.name,
                     "kind": kind.value if kind is not None else "?",
                     "seq": getattr(item, "seq", 0),
@@ -170,8 +161,8 @@ class LinkFaultInjector:
             return None
         if self.spec.corrupt_prob and self.rng.chance(self.spec.corrupt_prob):
             self._m_corrupted.inc()
-            if self._wants():
-                self._emit("corrupt", {
+            if self.env.trace is not None:
+                emit(self.env, "fault", "corrupt", {
                     "link": link.name,
                     "kind": kind.value if kind is not None else "?",
                     "seq": getattr(item, "seq", 0),
@@ -199,9 +190,8 @@ class FaultPlan:
     bit-identical to a fault-free run.
     """
 
-    def __init__(self, seed: int = 1, tracer: Optional[Tracer] = None):
+    def __init__(self, seed: int = 1):
         self.seed = seed
-        self.tracer = tracer if tracer is not None else Tracer()
         self._specs: dict[str, LinkFaultSpec] = {}
         self._resets: list[tuple[int, int]] = []  # (at_ns, node_id)
         self._crashes: list[tuple[int, int]] = []
@@ -311,21 +301,22 @@ class FaultPlan:
             if nic._link is not None:
                 all_links[id(nic._link)] = nic._link
         for switch in switches:
-            switch.tracer = self.tracer
             for link in switch.all_links():  # host ports and trunks
                 all_links[id(link)] = link
-        for link_name, first_down, down, up, count in self._flaps:
-            self.tracer.emit(0, "fault", "link_flap", {
-                "link": link_name, "first_down_ns": first_down,
-                "down_ns": down, "up_ns": up, "count": count,
-            })
+        if env.trace is not None:
+            # Each flap train is announced once, at time 0.
+            for link_name, first_down, down, up, count in self._flaps:
+                env.trace.append(TraceRecord(0, "fault", "link_flap", {
+                    "link": link_name, "first_down_ns": first_down,
+                    "down_ns": down, "up_ns": up, "count": count,
+                }))
         wildcard = self._specs.get("*", LinkFaultSpec())
         for link in all_links.values():
             spec = self._specs.get(link.name, LinkFaultSpec()).merged(wildcard)
             if not spec.active:
                 continue
             injector = LinkFaultInjector(
-                env, spec, _FaultRng(self.seed, link.name), self.tracer,
+                env, spec, _FaultRng(self.seed, link.name),
                 link_name=link.name,
             )
             link.faults = injector
@@ -335,7 +326,7 @@ class FaultPlan:
                             name=f"fault.down.{link.name}")
         if reliability:
             for nic in all_nics.values():
-                nic.enable_reliability(reliability_params, self.tracer)
+                nic.enable_reliability(reliability_params)
         nic_by_id = {nic.node_id: nic for nic in all_nics.values()}
         for at_ns, node_id in sorted(self._resets):
             env.process(self._timed(env, at_ns, nic_by_id[node_id], "nic_reset"),
@@ -347,9 +338,9 @@ class FaultPlan:
 
     def _down_window(self, env: Environment, link: Link, start: int, end: int):
         yield env.timeout(start)
-        self.tracer.emit(env.now, "fault", "link_down", {"link": link.name})
+        emit(env, "fault", "link_down", {"link": link.name})
         yield env.timeout(end - start)
-        self.tracer.emit(env.now, "fault", "link_up", {"link": link.name})
+        emit(env, "fault", "link_up", {"link": link.name})
 
     def _timed(self, env: Environment, at_ns: int, nic: Nic, what: str):
         yield env.timeout(at_ns)
@@ -357,7 +348,7 @@ class FaultPlan:
             nic.reset()
         else:
             nic.crash()
-        self.tracer.emit(env.now, "fault", what, {"node": nic.node_id})
+        emit(env, "fault", what, {"node": nic.node_id})
 
     # -- reporting -----------------------------------------------------------
 

@@ -341,9 +341,6 @@ class Gmkrc:
 
     # -- introspection ------------------------------------------------------------------
 
-    def cached_pages(self) -> int:
-        return self._cached_pages
-
     def entry_count(self) -> int:
         return len(self._lru)
 

@@ -22,8 +22,6 @@ packet/train fidelity at the next packet boundary, exactly as a
   per-packet simulation would).  Host-uplink down windows are ignored:
   fault filters pass FRAGs untouched, so per-packet simulation delivers
   them regardless and only the final (non-analytic) packet is at risk;
-* **a tracer that wants "wire" records** — refused at admission
-  (``train_block_reason`` reports it), same rule as trains;
 * **contention crossing a threshold** — packets transmitted by
   non-flow traffic on a reserved direction ("interlopers") accumulate;
   past ``FlowParams.interloper_threshold_bytes`` in one reservation
@@ -296,7 +294,7 @@ class FlowNetwork:
                     reason = "down"
                     break
                 why = link.train_block_reason(end)
-                if why in ("busy", "wire_trace"):
+                if why == "busy":
                     # "faults" (armed injector, FRAG-exempt) and "flow"
                     # (stable sharing) do not disqualify a reservation.
                     reason = why

@@ -63,10 +63,6 @@ class Link:
         #: transmissions on it are "interlopers": counted against the
         #: contention threshold that de-coalesces the flows.
         self.flows = None
-        #: Optional Tracer; a subscription that ``wants("wire")`` gets a
-        #: record per wire item — and thereby vetoes train coalescing,
-        #: since a train would hide the per-packet records.
-        self.tracer = None
         #: Trains this link carried analytically (cheap introspection).
         self.trains_carried = 0
 
@@ -130,14 +126,6 @@ class Link:
         flows = self.flows
         if flows is not None:
             flows.note_interloper(dir_key, nbytes)
-        tracer = self.tracer
-        if tracer is not None and tracer.wants("wire"):
-            tracer.emit(self.env.now, "wire", "packet", {
-                "link": self.name,
-                "dir": dir_key,
-                "kind": getattr(getattr(item, "kind", None), "value", "?"),
-                "bytes": nbytes,
-            })
         if self.faults is not None:
             item = self.faults.filter(self, item, nbytes)
             if item is None:
@@ -152,9 +140,8 @@ class Link:
         """Why a train may not start on this direction right now.
 
         ``None`` means eligible: the direction is idle with no waiters,
-        no fault injector sits on the link, and no tracer subscription
-        wants per-packet wire records.  Any other answer names the
-        de-coalescing reason (used as an obs counter label).
+        and no fault injector sits on the link.  Any other answer names
+        the de-coalescing reason (used as an obs counter label).
         """
         dir_key = "ab" if from_end == "a" else "ba"
         direction = self._dirs[dir_key]
@@ -169,9 +156,6 @@ class Link:
             return "flow"
         if self.faults is not None:
             return "faults"
-        tracer = self.tracer
-        if tracer is not None and tracer.wants("wire"):
-            return "wire_trace"
         return None
 
     def transmit_train(self, from_end: str, train: PacketTrain, run: TrainRun):

@@ -40,7 +40,7 @@ from ..mem.layout import PhysSegment
 from ..mem.phys import PhysicalMemory
 from ..mem.sglist import PayloadRef
 from ..sim import Environment, Event, Resource, Store
-from ..units import transfer_time_ns
+from ..sim.trace import emit
 from .link import Link
 from .params import DEFAULT_RELIABILITY, ApiCosts, NicParams, ReliabilityParams
 from .train import MIN_TRAIN_FRAGS, PacketTrain, TrainRun
@@ -270,11 +270,10 @@ class _ReliableDelivery:
       transmit state, so a benign restart cannot cascade.
     """
 
-    def __init__(self, nic: "Nic", params: ReliabilityParams, tracer=None):
+    def __init__(self, nic: "Nic", params: ReliabilityParams):
         self.nic = nic
         self.env = nic.env
         self.params = params
-        self.tracer = tracer
         #: Our node incarnation: bumped only by reset()/crash recovery,
         #: i.e. whenever receive state was genuinely lost.
         self.incarnation = 1
@@ -291,14 +290,6 @@ class _ReliableDelivery:
         self._rst_pending: set[int] = set()
         self.dead_peers: dict[int, MessageDropped] = {}
         self._dead_since: dict[int, int] = {}  # peer -> verdict time
-
-    def _emit(self, category: str, label: str, payload=None) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.env.now, category, label, payload)
-
-    def _wants(self, category: str) -> bool:
-        """Cheap pre-check so hot paths skip building payload dicts."""
-        return self.tracer is not None and self.tracer.wants(category)
 
     def reset(self) -> None:
         """Forget all sequencing state (NIC reset / crash).
@@ -390,7 +381,7 @@ class _ReliableDelivery:
                     self.dead_peers[peer] = exc
                     obs.counter("nic.tx.giveups",
                                 node=self.nic.node_id, peer=peer).inc()
-                    self._emit("nic", "giveup", {
+                    emit(self.env, "nic", "giveup", {
                         "peer": peer, "abandoned": len(st.unacked),
                     })
                     st.unacked.clear()
@@ -403,8 +394,8 @@ class _ReliableDelivery:
                     self._tx.pop(peer, None)
                     self._session.pop(peer, None)
                     return
-                if self._wants("nic"):
-                    self._emit("nic", "retransmit", {
+                if self.env.trace is not None:
+                    emit(self.env, "nic", "retransmit", {
                         "peer": peer,
                         "count": len(st.unacked),
                         "round": st.retries,
@@ -438,8 +429,8 @@ class _ReliableDelivery:
             # Firmware CRC check fails; drop without acking so the
             # sender's retransmission recovers the payload.
             self.nic._m_crc.inc()
-            if self._wants("fault"):
-                self._emit("fault", "corrupt_drop", {
+            if self.env.trace is not None:
+                emit(self.env, "fault", "corrupt_drop", {
                     "src": msg.src_nic, "seq": msg.seq, "kind": msg.kind.value,
                 })
             return None
@@ -449,8 +440,8 @@ class _ReliableDelivery:
                 # A leftover ack from the peer's previous incarnation
                 # must not retire messages of the re-established session.
                 self.nic._m_dup.inc()
-                if self._wants("nic"):
-                    self._emit("nic", "stale_ack", {"peer": peer})
+                if self.env.trace is not None:
+                    emit(self.env, "nic", "stale_ack", {"peer": peer})
                 return None
             if msg.inc and msg.inc > self._rx_inc.get(peer, 0):
                 # RST-style news: the peer runs a newer incarnation than
@@ -473,8 +464,8 @@ class _ReliableDelivery:
             # pure ACK so the sender abandons that session and
             # re-establishes.
             self.nic._m_dup.inc()
-            if self._wants("nic"):
-                self._emit("nic", "stale_incarnation", {
+            if self.env.trace is not None:
+                emit(self.env, "nic", "stale_incarnation", {
                     "peer": peer, "seq": msg.seq, "for_epoch": msg.dst_epoch,
                 })
             self._schedule_rst(peer)
@@ -483,8 +474,9 @@ class _ReliableDelivery:
             # In-flight leftover from before the peer's reset: drop it
             # whole — its piggybacked ack belongs to a dead conversation.
             self.nic._m_dup.inc()
-            if self._wants("nic"):
-                self._emit("nic", "stale_epoch", {"peer": peer, "seq": msg.seq})
+            if self.env.trace is not None:
+                emit(self.env, "nic", "stale_epoch",
+                     {"peer": peer, "seq": msg.seq})
             return None
         if msg.inc > self._rx_inc.get(peer, 0):
             self._peer_rebooted(peer, msg.inc)
@@ -497,8 +489,9 @@ class _ReliableDelivery:
             if msg.ack:
                 self._process_ack(peer, msg.ack, msg.ack_epoch)
             self.nic._m_dup.inc()
-            if self._wants("nic"):
-                self._emit("nic", "stale_epoch", {"peer": peer, "seq": msg.seq})
+            if self.env.trace is not None:
+                emit(self.env, "nic", "stale_epoch",
+                     {"peer": peer, "seq": msg.seq})
             return None
         if msg.epoch > self._rx_session.get(peer, 0):
             # The peer restarted its sequence space in a new session;
@@ -513,14 +506,15 @@ class _ReliableDelivery:
             return msg
         if msg.seq <= last:
             self.nic._m_dup.inc()
-            if self._wants("nic"):
-                self._emit("nic", "duplicate", {"peer": peer, "seq": msg.seq})
+            if self.env.trace is not None:
+                emit(self.env, "nic", "duplicate",
+                     {"peer": peer, "seq": msg.seq})
             self._schedule_ack(peer)  # re-ack so the sender stops resending
             return None
         # A gap: something before this message was lost.  Go-back-N:
         # drop it and let the sender's timeout resend the whole window.
-        if self._wants("nic"):
-            self._emit("nic", "gap", {
+        if self.env.trace is not None:
+            emit(self.env, "nic", "gap", {
                 "peer": peer, "seq": msg.seq, "expected": last + 1,
             })
         self._schedule_ack(peer)
@@ -535,7 +529,7 @@ class _ReliableDelivery:
         known = self._rx_inc.get(peer, 0)
         self._rx_inc[peer] = inc
         if known:
-            self._emit("nic", "resync", {"peer": peer, "epoch": inc})
+            emit(self.env, "nic", "resync", {"peer": peer, "epoch": inc})
             st = self._tx.pop(peer, None)
             self._session.pop(peer, None)
             if st is not None and st.unacked:
@@ -544,7 +538,7 @@ class _ReliableDelivery:
                 st.unacked.clear()  # the live retrans timer exits on this
         if self.dead_peers.pop(peer, None) is not None:
             self._dead_since.pop(peer, None)
-            self._emit("nic", "peer_alive", {"peer": peer})
+            emit(self.env, "nic", "peer_alive", {"peer": peer})
         self._rx_session.pop(peer, None)
         self._rx_last.pop(peer, None)
         self._last_acked_sent.pop(peer, None)
@@ -573,7 +567,7 @@ class _ReliableDelivery:
         if ttl and self.env.now - self._dead_since.get(peer, 0) >= ttl:
             del self.dead_peers[peer]
             self._dead_since.pop(peer, None)
-            self._emit("nic", "peer_probe", {"peer": peer})
+            emit(self.env, "nic", "peer_probe", {"peer": peer})
             return None
         return exc
 
@@ -697,10 +691,6 @@ class Nic:
     def crc_drops(self) -> int:
         return self._m_crc.value
 
-    @property
-    def acks_sent(self) -> int:
-        return self._m_acks.value
-
     # -- wiring ------------------------------------------------------------
 
     def attach_link(self, link: Link, end: str) -> None:
@@ -733,7 +723,6 @@ class Nic:
     def enable_reliability(
         self,
         params: ReliabilityParams = DEFAULT_RELIABILITY,
-        tracer=None,
     ) -> None:
         """Turn on GM-firmware-style reliable delivery on this NIC.
 
@@ -742,7 +731,7 @@ class Nic:
         enables every NIC it is given).
         """
         if self._rel is None:
-            self._rel = _ReliableDelivery(self, params, tracer)
+            self._rel = _ReliableDelivery(self, params)
 
     def crash(self) -> None:
         """The host died: the NIC stops sending, receiving, and acking.
@@ -899,9 +888,9 @@ class Nic:
         """Put the FRAG train of a fragmented message on the wire.
 
         Tries the analytic fast path first: if the whole burst of
-        ``nfrags`` pacing packets would cross an idle, fault-free,
-        untraced link, one :class:`PacketTrain` replaces the per-packet
-        loop with identical wire occupancy and timestamps.  Returns the
+        ``nfrags`` pacing packets would cross an idle, fault-free link,
+        one :class:`PacketTrain` replaces the per-packet loop with
+        identical wire occupancy and timestamps.  Returns the
         bytes still to send; anything above one MTU falls through to
         the caller's classic per-packet loop (the de-coalesced case, or
         the tail of a train a competitor cut short).
@@ -1113,14 +1102,3 @@ class Nic:
     def doorbell_time_ns(self) -> int:
         return self.params.doorbell_ns
 
-    def eager_one_way_floor_ns(self, size: int) -> int:
-        """Analytic lower bound of the fabric time for an eager message
-        (useful in tests as a sanity reference, not used by the model)."""
-        p = self.params
-        return (
-            p.doorbell_ns
-            + 2 * p.dma_setup_ns
-            + p.link.cut_through_lag_ns
-            + transfer_time_ns(size, p.link.link_bandwidth)
-            + p.link.propagation_ns
-        )

@@ -29,7 +29,7 @@ Packet trains
 
 A :class:`~repro.hw.train.PacketTrain` arriving on an ingress port is
 forwarded as one analytic hold on the output port when that port is
-eligible (idle, fault-free, untraced, same pacing as the input) —
+eligible (idle, fault-free, same pacing as the input) —
 otherwise the switch *de-coalesces*: it re-materializes the individual
 FRAG packets at exactly the times they would have crossed per-packet
 (ingress arrival pacing plus the crossing cost) and pushes them through
@@ -52,6 +52,7 @@ from typing import Any, Iterable, Optional
 from .. import obs
 from ..errors import NetworkError
 from ..sim import Environment
+from ..sim.trace import emit
 from .link import Link
 from .nic import Message, MsgKind
 from .params import LinkParams
@@ -92,8 +93,6 @@ class Switch:
         #: In-flight train transits keyed by ``train_id`` (unique within
         #: a run: ids come from ``env.next_id("transit")``).
         self._train_runs: dict[int, TrainRun] = {}
-        #: Optional fault tracer (set by repro.faults.FaultPlan.install).
-        self.tracer = None
         # Crossbar accounting on the metrics registry (unregistered
         # per-instance counters while no registry is installed).
         self._m_forwards = obs.counter("switch.forwards", switch=name)
@@ -269,9 +268,8 @@ class Switch:
             self._m_congestion = obs.counter("switch.congestion_drops",
                                              switch=self.name)
         self._m_congestion.inc()
-        tracer = self.tracer
-        if tracer is not None and tracer.wants("fault"):
-            tracer.emit(self.env.now, "fault", "switch_congestion_drop", {
+        if self.env.trace is not None:
+            emit(self.env, "fault", "switch_congestion_drop", {
                 "switch": self.name, "dst": dst, "bytes": nbytes,
             })
 
@@ -281,9 +279,8 @@ class Switch:
             # Output port has no carrier: the crossbar discards the
             # message (reliable delivery at the NICs recovers it).
             self._m_dropped.inc()
-            tracer = self.tracer
-            if tracer is not None and tracer.wants("fault"):
-                tracer.emit(self.env.now, "fault", "switch_drop", {
+            if self.env.trace is not None:
+                emit(self.env, "fault", "switch_drop", {
                     "switch": self.name, "dst": dst,
                 })
             return

@@ -20,7 +20,6 @@ observable:
   falls back to the classic per-packet loop — exact by construction);
 * a fault injector sits on the link (per-packet drop sampling and down
   windows must see the same item sequence as the seed's trace);
-* a tracer subscription ``wants()`` per-packet ``"wire"`` records;
 * a competing flow requests the held direction mid-train (the holder
   finishes the packet slot in progress, releases at that packet
   boundary — exactly where the per-packet loop would have yielded the

@@ -42,11 +42,6 @@ class WritebackDaemon:
         (and the current file size, bounding the last partial page)."""
         self._owners[inode_id] = (fs, size)
 
-    def update_size(self, inode_id: int, size: int) -> None:
-        fs, _ = self._owners.get(inode_id, (None, 0))
-        if fs is not None:
-            self._owners[inode_id] = (fs, size)
-
     def stop(self) -> None:
         """Stop after the current sweep (daemon exits its loop)."""
         self._running = False

@@ -29,6 +29,7 @@ from typing import Optional
 from .. import obs
 from ..cluster.node import Node
 from ..errors import Eio, MessageDropped, NetworkError, NodeCrashed
+from ..sim.trace import emit
 from .replica import (
     ChainConfig,
     ConfigReply,
@@ -77,7 +78,7 @@ class ReplicatedNbdDevice:
     def __init__(self, node: Node, endpoint_id: int,
                  controller: tuple[int, int], replica_port: int,
                  params: ReplicaParams = ReplicaParams(),
-                 history: Optional[History] = None, tracer=None):
+                 history: Optional[History] = None):
         self.node = node
         self.env = node.env
         self.me = node.node_id
@@ -86,7 +87,6 @@ class ReplicatedNbdDevice:
         self.replica_port = replica_port
         self.params = params
         self.history = history if history is not None else History()
-        self.tracer = tracer
         self.inbox = Inbox(node, endpoint_id)
         self.config = ChainConfig(0, ())
         self._waiting: dict[int, object] = {}  # req_id -> Event
@@ -128,8 +128,8 @@ class ReplicatedNbdDevice:
             return
         if config.epoch > self.config.epoch:
             self.config = config
-            if self.tracer is not None:
-                self.tracer.emit(self.env.now, "client", "adopt_config", {
+            if self.env.trace is not None:
+                emit(self.env, "client", "adopt_config", {
                     "node": self.me, "epoch": config.epoch,
                     "chain": list(config.chain),
                 })

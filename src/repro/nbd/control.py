@@ -34,6 +34,7 @@ from __future__ import annotations
 from .. import obs
 from ..cluster.node import Node
 from ..errors import NetworkError, NodeCrashed
+from ..sim.trace import emit
 from .replica import (
     ChainConfig,
     ConfigAck,
@@ -56,14 +57,12 @@ class ChainController:
     """Configuration master for one replicated volume."""
 
     def __init__(self, node: Node, endpoint_id: int, replicas: list[int],
-                 replica_port: int, params: ReplicaParams = ReplicaParams(),
-                 tracer=None):
+                 replica_port: int, params: ReplicaParams = ReplicaParams()):
         self.node = node
         self.env = node.env
         self.me = node.node_id
         self.params = params
         self.replica_port = replica_port
-        self.tracer = tracer
         self.inbox = Inbox(node, endpoint_id)
         self.chain: list[int] = list(replicas)
         self.cfg_epoch = 0
@@ -91,10 +90,6 @@ class ChainController:
         self.env.process(self._serve(), name=f"control{self.me}.serve")
         self.env.process(self._tick(), name=f"control{self.me}.tick")
         return self._ready
-
-    def _emit(self, label: str, payload=None) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.env.now, "control", label, payload)
 
     def _serve(self):
         yield from self.inbox.setup()
@@ -143,9 +138,11 @@ class ChainController:
         self.acked = {}
         self._last_push = self.env.now
         self._m_reconfigs.inc()
-        self._emit("configure", {"epoch": self.cfg_epoch,
-                                 "chain": list(self.chain),
-                                 "joined": joined})
+        emit(self.env, "control", "configure", {
+            "epoch": self.cfg_epoch,
+            "chain": list(self.chain),
+            "joined": joined,
+        })
         for n in self.chain:
             yield from self._send_quiet((n, self.replica_port),
                                         Configure(self.current))
@@ -166,8 +163,8 @@ class ChainController:
         if self.published.epoch == self.cfg_epoch:
             return  # duplicate final ack
         self.published = self.current
-        self._emit("published", {"epoch": self.cfg_epoch,
-                                 "chain": list(self.chain)})
+        emit(self.env, "control", "published",
+             {"epoch": self.cfg_epoch, "chain": list(self.chain)})
         open_ = self._open_failover.pop(self.cfg_epoch, None)
         if open_ is not None:
             t0, cause, peer = open_
@@ -185,9 +182,12 @@ class ChainController:
                     "peer": peer, "cause": cause, "detect_ns": t0,
                     "done_ns": self.env.now, "epoch": self.cfg_epoch,
                 })
-            self._emit("reconfig_done", {"epoch": self.cfg_epoch,
-                                         "cause": cause, "peer": peer,
-                                         "span_ns": span_ns})
+            emit(self.env, "control", "reconfig_done", {
+                "epoch": self.cfg_epoch,
+                "cause": cause,
+                "peer": peer,
+                "span_ns": span_ns,
+            })
         for client in self.clients:
             yield from self._send_quiet(client, Configure(self.published))
 
@@ -222,7 +222,7 @@ class ChainController:
             return
         self.chain.remove(peer)
         self._count_death(cause)
-        self._emit("death", {"peer": peer, "cause": cause})
+        emit(self.env, "control", "death", {"peer": peer, "cause": cause})
         self._open_failover[self.cfg_epoch + 1] = (self.env.now, cause, peer)
         yield from self._push_config(joined=-1)
 
@@ -258,8 +258,8 @@ class ChainController:
             return  # a resync pass is already under way
         self.joining[n] = self.env.now
         tail = self.chain[-1]
-        self._emit("join_start", {"node": n, "tail": tail,
-                                  "suspect": len(m.suspect)})
+        emit(self.env, "control", "join_start",
+             {"node": n, "tail": tail, "suspect": len(m.suspect)})
         yield from self._send_quiet((n, self.replica_port),
                                     SyncFrom(tail, self.cfg_epoch))
 
@@ -270,7 +270,7 @@ class ChainController:
         started = self.joining.pop(n, self.env.now)
         self.chain.append(n)
         self._open_failover[self.cfg_epoch + 1] = (started, "rejoin", n)
-        self._emit("join_ready", {"node": n})
+        emit(self.env, "control", "join_ready", {"node": n})
         self.lease[n] = self.env.now
         self._last_told.pop(n, None)
         yield from self._push_config(joined=n)

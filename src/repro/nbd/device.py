@@ -25,6 +25,7 @@ from ..mem.layout import sg_from_frames
 from ..mx.memtypes import MxSegment
 from ..orfa.protocol import OrfaOp, OrfaRequest
 from ..orfa.server import OrfaServer
+from ..sim.trace import emit
 from ..units import PAGE_SIZE
 
 BLOCK_SIZE = PAGE_SIZE
@@ -57,7 +58,7 @@ class NbdDevice:
     def __init__(self, node: Node, channel: KernelChannel,
                  server: tuple[int, int], device_inode: int,
                  device_blocks: int, timeout_ns: Optional[int] = None,
-                 max_retries: int = 3, tracer=None):
+                 max_retries: int = 3):
         self.node = node
         self.channel = channel
         self.server = server
@@ -71,7 +72,6 @@ class NbdDevice:
         #: Extra attempts after the first times out; exhaustion raises
         #: Eio (the block layer's error completion) instead of hanging.
         self.max_retries = max_retries
-        self.tracer = tracer
         self._cache_key = -device_inode  # block-cache namespace
         self._reply_buf = node.kspace.kmalloc(4096)
         self._req_buf = node.kspace.kmalloc(4096)
@@ -185,8 +185,8 @@ class NbdDevice:
                 )
             except TimeoutError_:
                 self._m_retries.inc()
-                if self.tracer is not None:
-                    self.tracer.emit(self.node.env.now, "rpc", "timeout", {
+                if self.node.env.trace is not None:
+                    emit(self.node.env, "rpc", "timeout", {
                         "dev": "nbd", "block": block, "attempt": attempt + 1,
                     })
                 continue

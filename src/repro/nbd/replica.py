@@ -64,6 +64,7 @@ from ..cluster.node import Node
 from ..core.channel import MxKernelChannel
 from ..errors import MessageDropped, NetworkError, NodeCrashed
 from ..mx.memtypes import MxSegment
+from ..sim.trace import emit
 from ..units import ms, us
 from .device import BLOCK_SIZE
 
@@ -411,7 +412,7 @@ class ReplicaServer:
     def __init__(self, node: Node, endpoint_id: int,
                  controller: tuple[int, int],
                  params: ReplicaParams = ReplicaParams(),
-                 device_blocks: int = 64, tracer=None):
+                 device_blocks: int = 64):
         self.node = node
         self.env = node.env
         self.me = node.node_id
@@ -419,7 +420,6 @@ class ReplicaServer:
         self.controller = controller
         self.params = params
         self.device_blocks = device_blocks
-        self.tracer = tracer
         self.inbox = Inbox(node, endpoint_id)
         # -- durable state (survives crashes) --
         self.store: dict[int, bytes] = {}
@@ -454,10 +454,6 @@ class ReplicaServer:
         self.env.process(self._heartbeat_loop(), name=f"replica{self.me}.hb")
         self.env.process(self._watchdog(), name=f"replica{self.me}.dog")
         return self._ready
-
-    def _emit(self, label: str, payload=None) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(self.env.now, "replica", label, payload)
 
     # -- main loop -----------------------------------------------------------
 
@@ -536,7 +532,8 @@ class ReplicaServer:
 
     def _report_peer_dead(self, peer: int):
         obs.counter("nbd.replica.peer_reports", node=self.me).inc()
-        self._emit("peer_dead", {"reporter": self.me, "peer": peer})
+        emit(self.env, "replica", "peer_dead",
+             {"reporter": self.me, "peer": peer})
         yield from self._send_quiet(self.controller,
                                     PeerDead(self.me, peer))
 
@@ -681,8 +678,8 @@ class ReplicaServer:
                                             ConfigAck(self.me, cfg.epoch))
             return
         self.config = cfg
-        self._emit("configure", {"node": self.me, "epoch": cfg.epoch,
-                                 "chain": list(cfg.chain)})
+        emit(self.env, "replica", "configure",
+             {"node": self.me, "epoch": cfg.epoch, "chain": list(cfg.chain)})
         if self.me not in cfg.chain:
             # Evicted (a false-positive death, or we were already
             # detached): stop serving; the heartbeat loop rejoins.
@@ -760,8 +757,8 @@ class ReplicaServer:
                 )
                 sent += 1
         obs.counter("nbd.replica.resync_blocks", node=self.me).inc(sent)
-        self._emit("resync_pass", {"tail": self.me, "to": m.node,
-                                   "blocks": sent})
+        emit(self.env, "replica", "resync_pass",
+             {"tail": self.me, "to": m.node, "blocks": sent})
         self.sync_mark[m.node] = self.committed
         yield from self._send_quiet((m.node, self.peer_port),
                                     SyncDone(self.committed))
@@ -804,8 +801,8 @@ class ReplicaServer:
         if m.upto > self.committed:
             self.committed = m.upto
         self.caught_up = True
-        self._emit("caught_up", {"node": self.me,
-                                 "epoch": self.config.epoch})
+        emit(self.env, "replica", "caught_up",
+             {"node": self.me, "epoch": self.config.epoch})
         if self._defer_ack_epoch:
             epoch, self._defer_ack_epoch = self._defer_ack_epoch, 0
             yield from self._send_quiet(self.controller,
@@ -831,8 +828,8 @@ class ReplicaServer:
         self.caught_up = False
         self.detached = True
         self.applied = self.committed
-        self._emit("crash_detected", {"node": self.me,
-                                      "suspect": sorted(self.suspect)})
+        emit(self.env, "replica", "crash_detected",
+             {"node": self.me, "suspect": sorted(self.suspect)})
 
     def _on_reboot(self):
         """Back up: distrust every suspect extent before resyncing."""
@@ -840,7 +837,7 @@ class ReplicaServer:
             self.store.pop(block, None)
             self.versions.pop(block, None)
         obs.counter("nbd.replica.reboots", node=self.me).inc()
-        self._emit("reboot", {"node": self.me})
+        emit(self.env, "replica", "reboot", {"node": self.me})
 
     def _heartbeat_loop(self):
         params = self.params

@@ -44,10 +44,6 @@ class TranslationTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def free_entries(self) -> int:
-        return self.capacity - len(self._entries)
-
     def install(self, context: int, vpn: int, pfn: int) -> TranslationEntry:
         """Install one page translation; idempotent re-install updates pfn."""
         key = (context, vpn)

@@ -8,8 +8,10 @@ simulated time or figure output):
   (counters, gauges, fixed-bucket histograms with label sets) that is
   zero-cost when disabled and snapshots to stable sorted JSON;
 * :mod:`repro.obs.timeline` — span/instant tracing exported as Chrome
-  trace events (Perfetto-loadable), with a bridge that turns existing
-  :class:`repro.sim.trace.Tracer` records into timeline instants.
+  trace events (Perfetto-loadable).
+
+A run's fault, reliability and replica records are not obs data: they
+are the run's own trace, ``env.trace`` (:mod:`repro.sim.trace`).
 
 Typical component instrumentation::
 

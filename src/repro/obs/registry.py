@@ -261,11 +261,6 @@ class MetricsRegistry:
             )
         return h
 
-    def add_collector(self, fn: _Collect) -> None:
-        """Registry-local pull collector (see :func:`register_collector`)."""
-        if fn not in self._local_collectors:
-            self._local_collectors.append(fn)
-
     # -- export ------------------------------------------------------------
 
     def snapshot(self) -> dict:

@@ -1,17 +1,17 @@
 """Span/timeline tracing on simulated time, exported as Chrome trace
 events (the JSON Perfetto / ``chrome://tracing`` loads directly).
 
-A :class:`Timeline` collects three event shapes:
+A :class:`Timeline` collects two event shapes:
 
 * **spans** (``begin``/``end``) — complete ``"X"`` events with a
   duration, e.g. one NIC transmit or one ORFA RPC;
-* **instants** (``instant``) — point ``"i"`` events;
-* **bridged trace records** — :meth:`attach` subscribes to categories of
-  an existing :class:`repro.sim.trace.Tracer` and converts every
-  :class:`~repro.sim.trace.TraceRecord` into an instant event, so the
-  fault/reliability traces PR 2 added appear on the same timeline
-  without touching their emitters (existing subscribers keep working —
-  ``attach`` is just one more subscriber).
+* **instants** (``instant``) — point ``"i"`` events.
+
+A timeline is process-wide: it collects across every
+:class:`~repro.sim.engine.Environment` a bench run builds, which is why
+it is installed here rather than carried by one run.  The fault,
+reliability and replica records of a single run are that run's trace
+(``env.trace``, see :mod:`repro.sim.trace`), not timeline events.
 
 Times are simulated integer nanoseconds; the Chrome format's ``ts`` and
 ``dur`` are microseconds, so values are divided by 1000 (exact for the
@@ -28,7 +28,7 @@ module-level helpers (:func:`span_begin` / :func:`span_end` /
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..errors import ReproError
 
@@ -113,21 +113,6 @@ class Timeline:
         if args:
             event["args"] = _clean_args(args)
         self._events.append(event)
-
-    # -- Tracer bridge -----------------------------------------------------
-
-    def attach(self, tracer, categories: Iterable[str]) -> None:
-        """Subscribe to ``categories`` of a :class:`repro.sim.trace.
-        Tracer`; each record becomes an instant event.  Other subscribers
-        are unaffected."""
-        for category in categories:
-            tracer.subscribe(category, self._bridge)
-
-    def _bridge(self, rec) -> None:
-        payload = rec.payload if isinstance(rec.payload, dict) else (
-            {} if rec.payload is None else {"payload": rec.payload}
-        )
-        self.instant(rec.time, rec.category, rec.label, **payload)
 
     # -- export ------------------------------------------------------------
 

@@ -30,6 +30,7 @@ from ..kernel.vfs import InodeAttrs
 from ..mem.addrspace import AddressSpace
 from ..mx.api import MxEndpoint
 from ..mx.memtypes import MxSegment
+from ..sim.trace import emit
 from ..units import page_align_up
 from .protocol import OrfaOp, OrfaRequest
 from .server import MAX_READ_REPLY, MAX_WRITE_CHUNK, RING_SLOT_BYTES
@@ -235,8 +236,7 @@ class OrfaClient:
 
     def __init__(self, node: Node, port_id: int, space: AddressSpace,
                  server: tuple[int, int], api: str = "mx",
-                 timeout_ns: Optional[int] = None, max_retries: int = 2,
-                 tracer=None):
+                 timeout_ns: Optional[int] = None, max_retries: int = 2):
         if api not in ("gm", "mx"):
             raise ProtocolError(f"api must be 'gm' or 'mx', got {api!r}")
         self.node = node
@@ -249,7 +249,6 @@ class OrfaClient:
         self.timeout_ns = timeout_ns
         #: Extra attempts after the first times out; exhaustion raises Eio.
         self.max_retries = max_retries
-        self.tracer = tracer
         if api == "gm":
             self.side = _GmClientSide(node, port_id, space)
         else:
@@ -308,8 +307,8 @@ class OrfaClient:
             if obs.metrics_enabled():
                 obs.counter("orfa.request.timeouts",
                             node=self.node.node_id, op=op).inc()
-            if self.tracer is not None:
-                self.tracer.emit(self.node.env.now, "rpc", "timeout", {
+            if env.trace is not None:
+                emit(env, "rpc", "timeout", {
                     "op": op,
                     "attempt": attempt + 1,
                     "request_id": req.request_id,

@@ -41,7 +41,11 @@ Everything that changes what a run computes lives on its
   ``"packet"`` (one event chain per packet, the reference);
 * :meth:`Environment.next_id` — the run's id allocator (request,
   connection, rendezvous, transit and GM context ids), so a fresh
-  environment hands out exactly the ids a fresh process would.
+  environment hands out exactly the ids a fresh process would;
+* ``trace`` — the run's trace records (:mod:`repro.sim.trace`):
+  ``None`` records nothing, a list collects every
+  :func:`~repro.sim.trace.emit` of the run.  Recording never changes
+  what the run computes.
 
 Nothing here is process-global except :attr:`Environment.
 lifetime_events_processed`, a host-cost meter that no run reads.
@@ -421,6 +425,9 @@ class Environment:
         #: environment's lifetime.  Deterministic (same model, same
         #: count), so perf gates can budget on it instead of wall-clock.
         self.events_processed: int = 0
+        #: The run's trace: ``None`` (record nothing) or the list of
+        #: ``TraceRecord`` every :func:`repro.sim.trace.emit` appends to.
+        self.trace: Optional[list] = None
 
     @property
     def now(self) -> int:

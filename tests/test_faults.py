@@ -35,13 +35,15 @@ SEED = int(os.environ.get("REPRO_FAULT_SEED", "1"))
 # -- harness ------------------------------------------------------------------
 
 
-def _orfa_cluster(plan_cfg, api="mx", timeout_ns=ms(2), max_retries=6):
+def _orfa_cluster(plan_cfg, api="mx", timeout_ns=ms(2), max_retries=6,
+                  record=True):
     """Two nodes, a tolerant ORFA server, a budgeted client, and an
-    armed fault plan.  ``plan_cfg(plan)`` declares the faults."""
+    armed fault plan.  ``plan_cfg(plan)`` declares the faults; with
+    ``record`` the run's trace is returned as ``records``."""
     env = Environment()
     client_node, server_node = node_pair(env)
+    records = env.trace = [] if record else None
     plan = FaultPlan(seed=SEED)
-    records = plan.tracer.record_everything()
     plan_cfg(plan)
     plan.install(env, nodes=[client_node, server_node])
     server = OrfaServer(server_node, 3, api=api, tolerant=True)
@@ -49,7 +51,7 @@ def _orfa_cluster(plan_cfg, api="mx", timeout_ns=ms(2), max_retries=6):
     space = client_node.new_process_space()
     client = OrfaClient(client_node, 4, space, (server_node.node_id, 3),
                         api=api, timeout_ns=timeout_ns,
-                        max_retries=max_retries, tracer=plan.tracer)
+                        max_retries=max_retries)
     env.run(until=env.process(client.setup()))
     return env, client_node, server_node, client, space, plan, records
 
@@ -96,6 +98,23 @@ def test_same_seed_reproduces_byte_identical_traces():
     trace, stats, retrans, _ = outputs[0]
     assert stats["dropped"] > 0  # the plan actually fired
     assert "fault.drop" in trace
+
+
+def test_recording_never_changes_the_run():
+    """The same run with ``env.trace`` left None and with it recording
+    computes the same clock, events, faults, retransmissions and data."""
+    outcomes = []
+    for record in (False, True):
+        env, cn, sn, client, space, plan, records = _orfa_cluster(
+            lambda p: p.drop("wire", 0.05), record=record
+        )
+        payload, data = _orfa_write_read(env, client, space)
+        assert data == payload
+        outcomes.append((env.now, env.events_processed, plan.stats(),
+                         cn.nic.retransmissions + sn.nic.retransmissions,
+                         data))
+    assert outcomes[0] == outcomes[1]
+    assert "fault.drop" in render_trace(records)
 
 
 def test_different_seeds_change_the_fault_pattern():
@@ -152,7 +171,7 @@ def test_nbd_block_workload_completes_under_drop():
     channel = MxKernelChannel(client_node, 4)
     dev = NbdDevice(client_node, channel, (server_node.node_id, 3),
                     server.device_inode, blocks,
-                    timeout_ns=ms(2), max_retries=6, tracer=plan.tracer)
+                    timeout_ns=ms(2), max_retries=6)
     space = client_node.new_process_space()
     payload = bytes((i * 13 + 5) & 0xFF for i in range(blocks * BLOCK_SIZE))
     va = space.mmap(len(payload))
@@ -270,8 +289,8 @@ def test_nic_reset_resyncs_fresh_outgoing_traffic():
     peers accept the restart instead of treating it as a duplicate."""
     env = Environment()
     a, b = node_pair(env)
+    records = env.trace = []
     plan = FaultPlan(seed=SEED)
-    records = plan.tracer.record_everything()
     plan.nic_reset(1, us(500))
     plan.install(env, nodes=[a, b])
     port = a.nic.open_port(5, MX_KERNEL_COSTS)

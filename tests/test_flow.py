@@ -205,22 +205,21 @@ def test_link_down_decoalesce_reproduces_packet_mode():
         path = f.path(0, 4, src_port=1, dst_port=2)
         trunk = path[1][0]  # first switch-egress hop: an edge->agg trunk
         assert trunk.name.startswith("ft.t.")
-        records = []
+        env.trace = []
         plan = FaultPlan(seed=5).link_down(trunk.name, *window)
-        # subscribe, don't record_everything: a wire-category listener
-        # would (correctly) refuse the reservation at admission.
-        plan.tracer.subscribe("fault", records.append)
         plan.install(env, nodes=f.nodes,
                      switches=list(f.switches.values()))
-        plan.records = records
+        plan.records = env.trace
         return plan
+
+    def fault_records(mode):
+        return [(r.time, r.label, r.payload)
+                for r in res[mode]["plan"].records if r.category == "fault"]
 
     res = {m: _run_pair(m, size, plan_fn=plan_fn)
            for m in ("packet", "flow")}
-    flow_recs = [(r.time, r.label, r.payload)
-                 for r in res["flow"]["plan"].records]
-    packet_recs = [(r.time, r.label, r.payload)
-                   for r in res["packet"]["plan"].records]
+    flow_recs = fault_records("flow")
+    packet_recs = fault_records("packet")
     assert flow_recs == packet_recs
     assert any(r[1] == "switch_drop" for r in flow_recs)  # window hit
     dec = _counters_from(res["flow"], "net.flow_decoalesce")

@@ -1,6 +1,6 @@
 """Tests for the observability subsystem (repro.obs): the metrics
-registry, the span timeline, the ambient helpers, the Tracer bridge and
-record limit, and whole-run determinism of snapshots."""
+registry, the span timeline, the ambient helpers, and whole-run
+determinism of snapshots."""
 
 import json
 
@@ -22,7 +22,6 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.sim import Environment
-from repro.sim.trace import DEFAULT_RECORD_LIMIT, Tracer
 from repro.units import PAGE_SIZE
 
 
@@ -245,21 +244,6 @@ def test_timeline_end_before_start_raises():
         tl.end(999, span)
 
 
-def test_timeline_bridges_tracer_records():
-    tl = Timeline()
-    tracer = Tracer()
-    tl.attach(tracer, ["fault"])
-    tracer.emit(10_000, "fault", "drop", {"link": "wire"})
-    tracer.emit(10_000, "rpc", "timeout", {})  # not subscribed
-    tracer.emit(20_000, "fault", "corrupt", "raw-payload")
-    events = tl.to_chrome()["traceEvents"]
-    assert [e["name"] for e in events] == ["drop", "corrupt"]
-    assert events[0]["cat"] == "fault" and events[0]["ts"] == 10.0
-    assert events[0]["args"] == {"link": "wire"}
-    assert events[1]["args"] == {"payload": "raw-payload"}
-    assert validate_chrome_trace(events) == []
-
-
 def test_validate_chrome_trace_flags_problems():
     assert validate_chrome_trace(42) != []
     assert validate_chrome_trace({"nope": []}) != []
@@ -299,42 +283,6 @@ def test_ambient_span_helpers():
         assert isinstance(events[1]["args"]["detail"], str)  # coerced
     finally:
         obs.uninstall_timeline()
-
-
-# -- Tracer record limit -----------------------------------------------------
-
-
-def test_record_everything_default_is_unbounded_list():
-    tracer = Tracer()
-    buf = tracer.record_everything()
-    for t in range(5):
-        tracer.emit(t, "c", "l")
-    assert isinstance(buf, list) and len(buf) == 5
-    assert DEFAULT_RECORD_LIMIT == 1 << 16
-
-
-def test_record_everything_limit_evicts_oldest():
-    tracer = Tracer()
-    buf = tracer.record_everything(limit=3)
-    for t in range(5):
-        tracer.emit(t, "c", "l")
-    assert len(buf) == 3
-    assert [r.time for r in buf] == [2, 3, 4]
-
-
-def test_record_everything_rearm_converts_buffer():
-    tracer = Tracer()
-    tracer.record_everything()
-    for t in range(4):
-        tracer.emit(t, "c", "l")
-    buf = tracer.record_everything(limit=2)  # re-read the return value
-    assert [r.time for r in buf] == [2, 3]
-    tracer.emit(4, "c", "l")
-    assert [r.time for r in buf] == [3, 4]
-    unbounded = tracer.record_everything()
-    assert isinstance(unbounded, list) and [r.time for r in unbounded] == [3, 4]
-    with pytest.raises(ValueError):
-        tracer.record_everything(limit=0)
 
 
 # -- instrumentation back-compat and determinism -----------------------------

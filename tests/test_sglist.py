@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mem import PayloadRef, PhysicalMemory
 from repro.mem import sglist
-from repro.sim.trace import Tracer
 from repro.units import PAGE_SIZE, pages_spanned
 
 
@@ -155,16 +154,6 @@ def test_gather_scatter_copies_only_the_deposit():
     assert after["copies"] - before["copies"] == 1
     assert after["nbytes"] - before["nbytes"] == len(data)
     assert phys.read_phys(dst.phys_addr, len(data)) == data
-
-
-def test_tracer_wants_gates_expensive_payloads():
-    tracer = Tracer()
-    assert not tracer.wants("nic")
-    tracer.subscribe("nic", lambda rec: None)
-    assert tracer.wants("nic")
-    assert not tracer.wants("rpc")
-    tracer.record_everything()
-    assert tracer.wants("rpc")  # record-all observes every category
 
 
 # -- figure identity ----------------------------------------------------------

@@ -1,35 +1,28 @@
-"""Unit tests for the tracer (repro.sim.trace)."""
+"""Unit tests for run tracing (repro.sim.trace)."""
 
-from repro.sim.trace import Tracer
+from repro.sim import Environment
+from repro.sim.trace import TraceRecord, emit, render_trace
 
 
 def test_emit_without_subscribers_is_noop():
-    tracer = Tracer()
-    tracer.emit(10, "cat", "label", {"x": 1})  # must not raise or store
-
-
-def test_subscribe_receives_matching_category_only():
-    tracer = Tracer()
-    got = []
-    tracer.subscribe("net", got.append)
-    tracer.emit(1, "net", "send", 42)
-    tracer.emit(2, "disk", "read")
-    assert len(got) == 1
-    assert got[0].time == 1 and got[0].label == "send" and got[0].payload == 42
-
-
-def test_multiple_subscribers_same_category():
-    tracer = Tracer()
-    a, b = [], []
-    tracer.subscribe("c", a.append)
-    tracer.subscribe("c", b.append)
-    tracer.emit(5, "c", "x")
-    assert len(a) == len(b) == 1
+    env = Environment()
+    emit(env, "cat", "label", {"x": 1})  # must not raise or store
+    assert env.trace is None
 
 
 def test_record_everything_captures_all_categories():
-    tracer = Tracer()
-    log = tracer.record_everything()
-    tracer.emit(1, "a", "one")
-    tracer.emit(2, "b", "two")
-    assert [(r.category, r.label) for r in log] == [("a", "one"), ("b", "two")]
+    env = Environment()
+    records = env.trace = []
+    emit(env, "a", "one")
+
+    def later():
+        yield env.timeout(1500)
+        emit(env, "b", "two", {"z": 2, "y": "s"})
+
+    env.run(until=env.process(later()))
+    assert records == [TraceRecord(0, "a", "one"),
+                       TraceRecord(1500, "b", "two", {"z": 2, "y": "s"})]
+    assert render_trace(records) == (
+        "           0 a.one -\n"
+        "        1500 b.two {y=s z=2}\n"
+    )
