@@ -9,8 +9,8 @@ Everything the paper builds on or evaluates is implemented here:
   its firmware pipeline and bounded translation table;
 * the memory substrate (:mod:`repro.mem`): physical frames backing real
   bytes, address spaces, pinning, kernel memory, scatter/gather;
-* the OS substrate (:mod:`repro.kernel`): page cache, VFS, VMA SPY,
-  kernel threads;
+* the OS substrate (:mod:`repro.kernel`): page cache, VFS, VMA SPY
+  and an in-memory filesystem;
 * the network APIs: GM (:mod:`repro.gm`) with the paper's
   physical-address extensions and GMKRC (:mod:`repro.gmkrc`), and MX
   (:mod:`repro.mx`) with typed segments, message classes and copy

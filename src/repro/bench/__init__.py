@@ -11,7 +11,7 @@ flags, the sockets, TCP/IP) lets every figure reuse one harness.
 EXPERIMENTS.md for paper-vs-measured results.
 """
 
-from .netpipe import PingPongResult, ping_pong, sweep
+from .netpipe import PingPongResult, ping_pong
 from .report import format_series, format_table
 
 __all__ = [
@@ -19,5 +19,4 @@ __all__ = [
     "format_series",
     "format_table",
     "ping_pong",
-    "sweep",
 ]

@@ -89,7 +89,11 @@ def main(argv: Optional[list] = None) -> int:
         print(f"bad fleet spec: {exc}", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    result = run_fleet(spec, parallel=args.parallel)
+    try:
+        result = run_fleet(spec, parallel=args.parallel)
+    except FleetSpecError as exc:
+        print(f"bad fleet spec: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - t0
     print(summary_table(result))
     status = 0

@@ -73,32 +73,3 @@ def prepare_pair(env: Environment, a, b, max_size: int) -> None:
     pa = env.process(a.prepare(max_size), name="prep.a")
     pb = env.process(b.prepare(max_size), name="prep.b")
     env.run(until=env.all_of([pa, pb]))
-
-
-def sweep(
-    env: Environment,
-    a,
-    b,
-    sizes: list[int],
-    rounds: int = 20,
-    warmup: int = 2,
-    prepare: bool = True,
-) -> list[PingPongResult]:
-    """Ping-pong over a list of message sizes on one transport pair."""
-    if prepare:
-        prepare_pair(env, a, b, max(sizes))
-    return [ping_pong(env, a, b, size, rounds, warmup) for size in sizes]
-
-
-#: The size ladders the paper's figures use (powers of two, with the
-#: figure-specific ranges).
-def pow2_sizes(lo: int, hi: int) -> list[int]:
-    """Powers of two from lo to hi inclusive."""
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad size range [{lo}, {hi}]")
-    sizes = []
-    s = lo
-    while s <= hi:
-        sizes.append(s)
-        s *= 2
-    return sizes

@@ -115,9 +115,7 @@ class Fabric:
             self.env, self.link_params,
             crossing_ns=self.params.crossing_ns,
             name=sw_name,
-            routing=self.params.routing,
             ecmp_seed=ecmp_hash(idx, 0, 0, 0, self.params.ecmp_seed),
-            egress_buffer_bytes=self.params.egress_buffer_bytes,
         )
         self.switches[sw_name] = sw
         return sw
@@ -257,7 +255,7 @@ class Fabric:
         """Freeze the ECMP path a (src, dst) addressing tuple will take:
         ``[(link, from_end, switch-or-None), ...]`` from the source host
         uplink to the destination host port, or ``None`` when no stable
-        path exists (adaptive routing, unknown destination)."""
+        path exists (unknown source or destination)."""
         sw_name = self.locator.get(src_nic)
         if sw_name is None or dst_nic not in self.locator:
             return None
@@ -267,10 +265,7 @@ class Fabric:
             return None
         hops = [(uplink, "b", None)]  # the NIC holds end "b" (star())
         for _ in range(len(self.switches)):
-            nxt = sw.peek_route(src_nic, src_port, dst_nic, dst_port)
-            if nxt is None:
-                return None
-            link, end = nxt
+            link, end = sw.peek_route(src_nic, src_port, dst_nic, dst_port)
             hops.append((link, end, sw))
             if link is sw._links.get(dst_nic):
                 return hops

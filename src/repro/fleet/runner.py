@@ -33,7 +33,7 @@ from ..hw.params import host_params
 from ..load import LoadGen, make_arrivals, make_mix, make_workload, run_load
 from ..sim import Environment
 from ..units import us
-from .spec import FleetSpec, RunPoint
+from .spec import FleetSpec, FleetSpecError, RunPoint
 
 #: Spec-file field reference (``python -m repro.bench fleet --schema``).
 FLEET_SCHEMA = {
@@ -54,6 +54,10 @@ FLEET_SCHEMA = {
         "faults": "[null | {kind: link_flap, link, ...} | "
                   "{kind: nic_reset|node_crash, node, at_us}]",
     },
+    "fault_link": "link_flap 'link' names a link of the built topology: "
+                  "switch.l<i> on a star, ft.p<pod>e<edge>.l<i> on a "
+                  "fat-tree (<i> is the host's node id); unknown names "
+                  "are an error",
 }
 
 _CONFIG_COLS = ("index", "topology", "mode", "workload", "arrivals",
@@ -90,17 +94,32 @@ def _pick_clients(nodes, n_clients: int):
 
 
 def _install_fault(env, fault: dict, seed: int, nodes, switches) -> None:
+    """Arm one grid fault.  Unlike :meth:`FaultPlan.install`, which
+    ignores names it cannot find, a fault naming no link or node of the
+    built topology is a spec error: its row would claim a fault that
+    never happened."""
     plan = FaultPlan(seed=seed)
     at = us(int(fault.get("at_us", 600)))
     if fault["kind"] == "link_flap":
+        links = {link.name for sw in switches for link in sw.all_links()}
+        if fault["link"] not in links:
+            raise FleetSpecError(
+                f"link_flap names no link of this topology: "
+                f"{fault['link']!r}")
         plan.link_flap(fault["link"], at,
                        down_ns=us(int(fault.get("down_us", 400))),
                        up_ns=us(int(fault.get("up_us", 250))),
                        count=int(fault.get("count", 2)))
-    elif fault["kind"] == "nic_reset":
-        plan.nic_reset(int(fault["node"]), at)
     else:
-        plan.node_crash(int(fault["node"]), at)
+        node_id = int(fault["node"])
+        if node_id not in {node.node_id for node in nodes}:
+            raise FleetSpecError(
+                f"{fault['kind']} names no node of this topology: "
+                f"{fault['node']!r}")
+        if fault["kind"] == "nic_reset":
+            plan.nic_reset(node_id, at)
+        else:
+            plan.node_crash(node_id, at)
     plan.install(env, nodes=nodes, switches=switches)
 
 

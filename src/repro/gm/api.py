@@ -116,7 +116,7 @@ class GmPort:
                 f"send from unregistered memory {vaddr:#x}+{length} "
                 f"(GM requires gm_register_memory first)"
             )
-        sg = self._sg_through_table(region, vaddr, length)
+        sg = self._sg_through_table(vaddr, length)
         yield from self.cpu.work(self.costs.host_send_ns)
         yield from self.cpu.work(self.node.nic.doorbell_time_ns())
         self._pending_sends += 1
@@ -136,20 +136,21 @@ class GmPort:
         completion = self.node.nic.submit(desc)
         completion.add_callback(lambda ev: self._on_send_completion(ev.value))
 
-    def _sg_through_table(self, region: GmRegion, vaddr: int, length: int
-                          ) -> list[PhysSegment]:
-        """Resolve the physical segments the NIC's table would produce."""
+    def _sg_through_table(self, vaddr: int, length: int) -> list[PhysSegment]:
+        """Resolve a registered range into physical segments through the
+        NIC's translation table, one lookup per page — the table the
+        registration filled is the only copy of the translations."""
+        lookup = self.domain.table.lookup
+        context = self.context
         segments: list[PhysSegment] = []
         addr = vaddr
-        remaining = length
-        while remaining > 0:
-            vpn_index = (addr >> PAGE_SHIFT) - region.key_base_vpn
-            frame = region.frames[vpn_index]
+        end = vaddr + length
+        while addr < end:
             offset = addr & PAGE_MASK
-            chunk = min(remaining, PAGE_SIZE - offset)
-            segments.append(PhysSegment(frame.phys_addr + offset, chunk))
+            chunk = min(end - addr, PAGE_SIZE - offset)
+            pfn = lookup(context, addr >> PAGE_SHIFT)
+            segments.append(PhysSegment((pfn << PAGE_SHIFT) + offset, chunk))
             addr += chunk
-            remaining -= chunk
         return segments
 
     # -- receiving -------------------------------------------------------------------
@@ -163,7 +164,7 @@ class GmPort:
             raise GMError(
                 f"receive buffer {vaddr:#x}+{length} is not registered"
             )
-        sg = self._sg_through_table(region, vaddr, length)
+        sg = self._sg_through_table(vaddr, length)
         yield from self.cpu.work(self.costs.host_recv_post_ns)
         self._m_recv_posts.inc()
         self.nic_port.post_receive(
@@ -175,73 +176,6 @@ class GmPort:
                 tag=tag,
             )
         )
-
-    # -- remote memory access (gm_directed_send) ----------------------------------------
-
-    def rma_window(self, vaddr: int, length: int, window_id: int):
-        """Generator: expose a registered region as an RMA window.
-
-        Directed sends from peers deposit into it silently (no receive
-        event at the target — GM's directed-send semantics).  The window
-        stays armed until the port closes.
-        """
-        self._check_open()
-        region = self.domain.find(vaddr, length)
-        if region is None:
-            raise GMError(f"RMA window {vaddr:#x}+{length} is not registered")
-        sg = self._sg_through_table(region, vaddr, length)
-        yield from self.cpu.work(self.costs.host_recv_post_ns)
-        self._m_recv_posts.inc()
-        self.nic_port.post_receive(
-            PostedReceive(
-                match=window_id,
-                capacity=length,
-                dest_sg=sg,
-                translate_rx=True,
-                persistent=True,
-                tag=("rma", window_id),
-            )
-        )
-
-    def send_directed(self, dst_node: int, dst_port: int, vaddr: int,
-                      length: int, window_id: int, remote_offset: int = 0,
-                      tag: Any = None):
-        """Generator: gm_directed_send — put a registered local region
-        into a peer's RMA window at ``remote_offset``.
-
-        Completion (the SENT event) is the only notification; the target
-        host is never involved — the "remote memory access requests" of
-        GM's operation list (paper section 2.2.2).
-        """
-        self._check_open()
-        if self._pending_sends >= GM_SEND_QUEUE_DEPTH:
-            raise GMSendQueueFull(f"port {self.port_id}: {self._pending_sends} pending")
-        if remote_offset < 0:
-            raise GMError(f"negative remote offset {remote_offset}")
-        region = self.domain.find(vaddr, length)
-        if region is None:
-            raise GMError(
-                f"directed send from unregistered memory {vaddr:#x}+{length}"
-            )
-        sg = self._sg_through_table(region, vaddr, length)
-        yield from self.cpu.work(self.costs.host_send_ns)
-        yield from self.cpu.work(self.node.nic.doorbell_time_ns())
-        self._pending_sends += 1
-        self._m_sends.inc()
-        desc = SendDescriptor(
-            dst_nic=dst_node,
-            dst_port=dst_port,
-            match=window_id,
-            size=length,
-            src_port=self.port_id,
-            sg=sg,
-            translate_tx=True,
-            fw_send_ns=self.costs.fw_send_ns,
-            tag=tag,
-            rma_offset=remote_offset,
-        )
-        completion = self.node.nic.submit(desc)
-        completion.add_callback(lambda ev: self._on_send_completion(ev.value))
 
     # -- the unified event queue --------------------------------------------------------
 
@@ -312,7 +246,7 @@ class GmPort:
             raise GMError(f"no registration covers key {key_vaddr:#x}+{length}")
         if self._pending_sends >= GM_SEND_QUEUE_DEPTH:
             raise GMSendQueueFull(f"port {self.port_id}: {self._pending_sends} pending")
-        sg = self._sg_through_table(region, key_vaddr, length)
+        sg = self._sg_through_table(key_vaddr, length)
         yield from self.cpu.work(self.costs.host_send_ns)
         yield from self.cpu.work(self.node.nic.doorbell_time_ns())
         self._pending_sends += 1
@@ -341,7 +275,7 @@ class GmPort:
         region = self.domain.find(key_vaddr, length)
         if region is None:
             raise GMError(f"no registration covers key {key_vaddr:#x}+{length}")
-        sg = self._sg_through_table(region, key_vaddr, length)
+        sg = self._sg_through_table(key_vaddr, length)
         yield from self.cpu.work(self.costs.host_recv_post_ns)
         self._m_recv_posts.inc()
         self.nic_port.post_receive(

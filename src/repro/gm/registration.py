@@ -31,13 +31,19 @@ from ..units import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, pages_spanned
 
 @dataclass
 class GmRegion:
-    """One registered virtual range."""
+    """One registered virtual range.
+
+    The translations themselves live only in the NIC's
+    :class:`~repro.nicfw.transtable.TranslationTable`, keyed by
+    ``(context, vaddr >> PAGE_SHIFT)`` onwards; the region keeps just
+    the pinned frames its deregistration must unpin (none for kernel
+    memory, which registration never pins).
+    """
 
     context: int
     vaddr: int  # page-aligned base (possibly an encoded 64-bit key)
     npages: int
-    frames: list[Frame]
-    key_base_vpn: int  # vpn namespace used in the translation table
+    frames: list[Frame]  # user pages pinned by registration
     active: bool = True
 
     @property
@@ -93,7 +99,6 @@ class RegistrationDomain:
         optionally decouples the table key namespace from the real
         virtual address — the hook GMKRC's encoded 64-bit keys use.
         """
-        base = vaddr & ~PAGE_MASK
         npages = pages_spanned(vaddr, length)
         if npages == 0:
             raise GMRegistrationError("cannot register an empty range")
@@ -105,10 +110,9 @@ class RegistrationDomain:
         yield from self.cpu.pin_pages(npages)
         yield from self.cpu.work(self.register_cost_ns(npages))
         key_base = ((key_vaddr if key_vaddr is not None else vaddr) & ~PAGE_MASK)
-        key_base_vpn = key_base >> PAGE_SHIFT
-        self.table.install_range(self.context, key_base_vpn,
+        self.table.install_range(self.context, key_base >> PAGE_SHIFT,
                                  [frame.pfn for frame in frames])
-        region = GmRegion(self.context, key_base, npages, frames, key_base_vpn)
+        region = GmRegion(self.context, key_base, npages, frames)
         self._regions.append(region)
         self.registered_pages += npages
         self.register_calls += 1
@@ -117,18 +121,17 @@ class RegistrationDomain:
         return region
 
     def register_kernel(self, kspace: KernelSpace, vaddr: int, length: int):
-        """Generator: register a kernel-virtual range (already pinned)."""
+        """Generator: register a kernel-virtual range (already pinned, so
+        no pins are taken and no page frame is looked up)."""
         base = vaddr & ~PAGE_MASK
         npages = pages_spanned(vaddr, length)
         if npages == 0:
             raise GMRegistrationError("cannot register an empty range")
         yield from self.cpu.work(self.register_cost_ns(npages))
-        key_base_vpn = base >> PAGE_SHIFT
         pfns = [kspace.translate(base + i * PAGE_SIZE) >> PAGE_SHIFT
                 for i in range(npages)]
-        self.table.install_range(self.context, key_base_vpn, pfns)
-        frames = [kspace.phys.frame(pfn) for pfn in pfns]
-        region = GmRegion(self.context, base, npages, frames, key_base_vpn)
+        self.table.install_range(self.context, base >> PAGE_SHIFT, pfns)
+        region = GmRegion(self.context, base, npages, [])
         self._regions.append(region)
         self.registered_pages += npages
         self.register_calls += 1
@@ -154,9 +157,16 @@ class RegistrationDomain:
         if not region.active:
             return
         region.active = False
-        for i in range(region.npages):
-            if self.table.get(self.context, region.key_base_vpn + i) is not None:
-                self.table.remove(self.context, region.key_base_vpn + i)
+        # Drop this region's hold on each of its entries; a page another
+        # live region also registered keeps its translation.  Kernel
+        # regions pinned no frames: a kernel virtual page never changes
+        # its frame, so every holder of its entry installed the same pfn.
+        base_vpn = region.vaddr >> PAGE_SHIFT
+        table, context = self.table, self.context
+        for i, vpn in enumerate(range(base_vpn, base_vpn + region.npages)):
+            pfn = (region.frames[i].pfn if region.frames
+                   else table.get(context, vpn))
+            table.remove(context, vpn, pfn)
         if unpin:
             for frame in region.frames:
                 frame.unpin()

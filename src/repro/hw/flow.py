@@ -232,7 +232,7 @@ class FlowNetwork:
         self.name = name
         #: ``path_fn(src_nic, src_port, dst_nic, dst_port)`` returns the
         #: frozen ECMP path as ``[(link, from_end, switch-or-None), ...]``
-        #: or ``None`` when no stable path exists (adaptive routing).
+        #: or ``None`` when no path exists (unknown endpoint).
         self.path_fn = path_fn
         self._flows: dict[int, _Flow] = {}
         self._ids = itertools.count(1)

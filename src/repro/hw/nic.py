@@ -90,7 +90,6 @@ class Message:
     data: Optional[PayloadRef] = None  # scatter/gather chunk views
     rndv_id: int = 0  # correlates RTS/CTS/RDATA
     meta: Any = None  # out-of-band protocol header (size included in ``size``)
-    rma_offset: int = 0  # directed sends: byte offset into the target window
     wire_size: int = 0  # bytes this packet occupies on each wire hop
     # Reliable-delivery fields (all inert unless a fault plan enabled
     # the reliability sublayer; see _ReliableDelivery).
@@ -123,7 +122,6 @@ class SendDescriptor:
     completion: Optional[Event] = None
     tag: Any = None
     meta: Any = None  # out-of-band protocol header carried with the message
-    rma_offset: int = 0  # directed sends: deposit offset in the target window
 
 
 @dataclass
@@ -135,7 +133,6 @@ class PostedReceive:
     dest_sg: Optional[list[PhysSegment]] = None  # scatter target
     translate_rx: bool = False  # buffer is registered-virtual: NIC translates
     keep_data: bool = False  # deliver payload bytes in the completion
-    persistent: bool = False  # RMA window: stays posted across matches
     completion: Optional[Event] = None
     tag: Any = None
 
@@ -194,8 +191,7 @@ class NicPort:
     def _match(self, msg_match: int) -> Optional[PostedReceive]:
         for i, recv in enumerate(self.posted):
             if recv.accepts(msg_match):
-                if not recv.persistent:
-                    del self.posted[i]
+                del self.posted[i]
                 return recv
         return None
 
@@ -866,7 +862,6 @@ class Nic:
                 data=data,
                 rndv_id=rndv_id,
                 meta=desc.meta,
-                rma_offset=desc.rma_offset,
                 wire_size=remaining,
             )
             # Stamping and transmit entry are atomic (no yield between
@@ -1059,19 +1054,12 @@ class Nic:
     def _complete_receive(
         self, port: NicPort, msg: Message, recv: PostedReceive
     ) -> None:
-        if msg.rma_offset and msg.rma_offset + msg.size > recv.capacity:
-            raise NicError(
-                f"directed send past the window end: offset {msg.rma_offset} "
-                f"+ size {msg.size} > capacity {recv.capacity}"
-            )
         truncated = msg.size > recv.capacity
         nbytes = min(msg.size, recv.capacity)
         if msg.data is not None and recv.dest_sg is not None:
             # DMA scatter: distribute the payload's chunk views straight
             # into the destination segments — no intermediate bytes.
-            self.phys.write_phys_sg(
-                recv.dest_sg, msg.data.slice(0, nbytes), skip=msg.rma_offset
-            )
+            self.phys.write_phys_sg(recv.dest_sg, msg.data.slice(0, nbytes))
         completion = ReceiveCompletion(
             tag=recv.tag,
             size=nbytes,
@@ -1090,11 +1078,9 @@ class Nic:
             pid=self.node_id, tid=msg.dst_port,
             size=nbytes, src=msg.src_nic,
         )
-        if recv.completion is not None and not recv.persistent:
+        if recv.completion is not None:
             recv.completion.succeed(completion)
-        if port.completion_sink is not None and not recv.persistent:
-            # RMA deposits are silent at the target (GM directed-send
-            # semantics): no event is raised for persistent windows.
+        if port.completion_sink is not None:
             port.completion_sink(completion)
 
     # -- host-side convenience (used by API layers) --------------------------

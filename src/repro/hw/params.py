@@ -172,28 +172,16 @@ def trunk_params(base: LinkParams, propagation_ns: int) -> LinkParams:
 class FabricParams:
     """Shape-independent knobs of a multi-switch fabric.
 
-    ``routing`` selects the multi-path policy of every switch:
-    ``"ecmp"`` (deterministic flow hashing — see
-    :func:`repro.hw.wire.ecmp_hash`) or ``"adaptive"`` (least-queued
-    egress among the equal-cost candidates, skipping down links; state-
-    dependent, so the analytic flow engine declines those paths).
-
-    ``egress_buffer_bytes`` bounds each output port's occupancy (queued
-    plus in-service bytes).  ``None`` — the default — models the
-    unbounded egress the single-switch star always had; a finite buffer
-    makes the switch drop-tail excess packets and count them as
-    ``switch.congestion_drops`` (backpressure is left to the NIC
-    reliability layer, exactly like carrier-loss drops).
+    ``ecmp_seed`` seeds every switch's deterministic flow hash (see
+    :func:`repro.hw.wire.ecmp_hash`).
 
     ``intra_propagation_ns``/``inter_propagation_ns`` are the trunk
     cable lengths inside a pod/group and between pods/groups; the
     inter-pod cable is four times longer because it leaves the rack.
     """
 
-    routing: str = "ecmp"
     ecmp_seed: int = 1
     crossing_ns: int = 300
-    egress_buffer_bytes: int | None = None
     intra_propagation_ns: int = 500
     inter_propagation_ns: int = 2000
 

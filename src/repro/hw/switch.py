@@ -15,14 +15,8 @@ destinations that are not directly attached resolve — via a shared
 node→switch locator — to a destination switch, and that switch's entry
 lists the equal-cost candidate trunk ports computed by the topology
 builder (:mod:`repro.cluster.topo`).  Among candidates the switch picks
-either by deterministic ECMP flow hashing (``routing="ecmp"``, the
-default: every packet of one flow takes one path) or adaptively by
-least-queued egress skipping down links (``routing="adaptive"``).
-Output ports may carry a finite egress buffer
-(``egress_buffer_bytes``): when queued-plus-in-service bytes would
-exceed it, the packet is drop-tailed and counted as a congestion drop —
-the same recovery contract as carrier loss (NIC reliability layer, if
-enabled, retransmits; FRAG pacing packets need no recovery).
+by deterministic ECMP flow hashing: every packet of one flow takes one
+path.
 
 Packet trains
 -------------
@@ -65,18 +59,12 @@ class Switch:
 
     def __init__(self, env: Environment, link_params: LinkParams,
                  crossing_ns: int = 300, name: str = "switch",
-                 routing: str = "ecmp", ecmp_seed: int = 1,
-                 egress_buffer_bytes: Optional[int] = None):
-        if routing not in ("ecmp", "adaptive"):
-            raise NetworkError(f"routing must be 'ecmp' or 'adaptive', "
-                               f"got {routing!r}")
+                 ecmp_seed: int = 1):
         self.env = env
         self.link_params = link_params
         self.crossing_ns = crossing_ns
         self.name = name
-        self.routing = routing
         self.ecmp_seed = ecmp_seed
-        self.egress_buffer_bytes = egress_buffer_bytes
         self._links: dict[int, Link] = {}  # node id -> link to that node
         #: Trunk ports to neighbouring switches: port id -> (link, held end).
         self._trunks: dict[int, tuple[Link, str]] = {}
@@ -85,11 +73,6 @@ class Switch:
         self._switch_routes: dict[str, tuple[int, ...]] = {}
         #: Shared node id -> switch name locator (one dict per fabric).
         self._locator: Optional[dict[int, str]] = None
-        #: Per-egress-link occupancy in bytes (queued + in service).
-        #: Maintained only when something reads it (finite buffer or
-        #: adaptive routing) so the classic star hot path is untouched.
-        self._eq: dict[Link, int] = {}
-        self._track_q = routing == "adaptive" or egress_buffer_bytes is not None
         #: In-flight train transits keyed by ``train_id`` (unique within
         #: a run: ids come from ``env.next_id("transit")``).
         self._train_runs: dict[int, TrainRun] = {}
@@ -98,19 +81,11 @@ class Switch:
         self._m_forwards = obs.counter("switch.forwards", switch=name)
         self._m_bytes = obs.counter("switch.bytes", switch=name)
         self._m_dropped = obs.counter("switch.drops", switch=name)
-        # Congestion drops get their own counter lazily: it only exists
-        # on fabrics that configured a finite buffer and overflowed it.
-        self._m_congestion = None
 
     @property
     def messages_dropped(self) -> int:
         """Messages discarded because the output port's link was down."""
         return self._m_dropped.value
-
-    @property
-    def congestion_drops(self) -> int:
-        """Packets drop-tailed by a full egress buffer."""
-        return 0 if self._m_congestion is None else self._m_congestion.value
 
     # -- wiring ------------------------------------------------------------
 
@@ -215,45 +190,17 @@ class Switch:
         if len(cands) == 1:
             return self._trunks[cands[0]]
         h = ecmp_hash(src_nic, src_port, dst, dst_port, self.ecmp_seed)
-        if self.routing == "adaptive":
-            return self._trunks[self._adaptive_pick(cands, h)]
         return self._trunks[cands[h % len(cands)]]
 
-    def _adaptive_pick(self, cands: tuple[int, ...], h: int) -> int:
-        """Least-queued up candidate; hash-rotated deterministic
-        tie-break so equally idle ports still spread flows."""
-        n = len(cands)
-        best = None
-        best_key = None
-        for i, pid in enumerate(cands):
-            link, _end = self._trunks[pid]
-            if link.is_down:
-                continue
-            key = (self._eq.get(link, 0), (i - h) % n)
-            if best_key is None or key < best_key:
-                best, best_key = pid, key
-        if best is None:
-            # Every candidate is down: fall back to the hash choice and
-            # let the egress drop-check account the loss, exactly as a
-            # single-path switch would.
-            return cands[h % n]
-        return best
-
     def peek_route(self, src_nic: int, src_port: int, dst_nic: int,
-                   dst_port: int) -> Optional[tuple[Link, str]]:
+                   dst_port: int) -> tuple[Link, str]:
         """Replay the forwarding decision for one flow without side
-        effects — the hop the final packet *will* take.
-
-        Only meaningful under ``"ecmp"`` routing (the decision is a pure
-        function of the addressing tuple); adaptive routing is queue-
-        state dependent, so this returns ``None`` and the flow engine
-        declines the path.
+        effects — the hop the final packet *will* take (the ECMP decision
+        is a pure function of the addressing tuple).
         """
         out = self._links.get(dst_nic)
         if out is not None:
             return out, "a"
-        if self.routing != "ecmp":
-            return None
         return self._select_trunk(dst_nic, src_nic, src_port, dst_port)
 
     # -- per-packet forwarding ---------------------------------------------
@@ -262,16 +209,6 @@ class Switch:
         out, end = self._select_port(msg)
         yield self.env.timeout(self.crossing_ns)
         yield from self._egress(out, end, msg.dst_nic, msg)
-
-    def _congestion_drop(self, dst: int, nbytes: int) -> None:
-        if self._m_congestion is None:
-            self._m_congestion = obs.counter("switch.congestion_drops",
-                                             switch=self.name)
-        self._m_congestion.inc()
-        if self.env.trace is not None:
-            emit(self.env, "fault", "switch_congestion_drop", {
-                "switch": self.name, "dst": dst, "bytes": nbytes,
-            })
 
     def _egress(self, out: Link, end: str, dst: int, msg: Any):
         """Output-port half of a forward: drop check, accounting, wire."""
@@ -285,20 +222,6 @@ class Switch:
                 })
             return
         nbytes = getattr(msg, "wire_size", 0) or max(1, getattr(msg, "size", 1))
-        if self._track_q:
-            held = self._eq.get(out, 0)
-            cap = self.egress_buffer_bytes
-            if cap is not None and held + nbytes > cap:
-                self._congestion_drop(dst, nbytes)
-                return
-            self._eq[out] = held + nbytes
-            try:
-                self._m_forwards.inc()
-                self._m_bytes.inc(nbytes)
-                yield from out.transmit(end, msg, nbytes)
-            finally:
-                self._eq[out] -= nbytes
-            return
         self._m_forwards.inc()
         self._m_bytes.inc(nbytes)
         yield from out.transmit(end, msg, nbytes)
@@ -322,14 +245,7 @@ class Switch:
             # would open inter-packet gaps the analytic hold can't model.
             reason = "pacing"
         if reason is None:
-            if self._track_q:
-                self._eq[out] = self._eq.get(out, 0) \
-                    + train.npackets * train.wire_size
-            try:
-                done = yield from out.transmit_train(end, train, run)
-            finally:
-                if self._track_q:
-                    self._eq[out] -= train.npackets * train.wire_size
+            done = yield from out.transmit_train(end, train, run)
             self._m_forwards.inc(done)
             self._m_bytes.inc(done * train.wire_size)
             if done < train.npackets and run.contended:

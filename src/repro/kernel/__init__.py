@@ -1,4 +1,4 @@
-"""The operating-system substrate: page cache, VFS, VMA SPY, kthreads.
+"""The operating-system substrate: page cache, VFS, VMA SPY, MemFs.
 
 This package models the Linux 2.4 machinery the paper's in-kernel
 applications live in:
@@ -13,24 +13,20 @@ applications live in:
 * :mod:`repro.kernel.vmaspy` — the paper's generic infrastructure for
   notifying kernel modules of address-space modifications (section 3.2),
   built over :class:`repro.mem.AddressSpace` listeners.
-* :mod:`repro.kernel.threads` — kernel threads with wakeup latency, the
-  mechanism whose cost burdens SOCKETS-GM (section 5.3).
+* :mod:`repro.kernel.memfs` — a local in-memory filesystem behind the
+  same VFS paths.
 """
 
 from .memfs import MemFs
 from .pagecache import PageCache
-from .threads import KernelThread
 from .vfs import FileSystemOps, OpenFlags, Vfs
 from .vmaspy import VmaSpy
-from .writeback import WritebackDaemon
 
 __all__ = [
     "FileSystemOps",
-    "KernelThread",
     "MemFs",
     "OpenFlags",
     "PageCache",
     "Vfs",
     "VmaSpy",
-    "WritebackDaemon",
 ]

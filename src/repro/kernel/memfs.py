@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import Eexist, Einval, Eisdir, Enoent, Enotdir, Enotempty
+from ..errors import Eexist, Einval, Eisdir, Enoent, Enotdir
 from ..hw.cpu import Cpu
 from ..mem.phys import _ZERO_PAGE
 from ..mem.sglist import PayloadRef
@@ -157,18 +157,6 @@ class MemFs:
     def mkdir(self, parent_id: int, name: str):
         yield from self.cpu.work(_OP_COST_NS)
         return self._new_child(parent_id, name, is_dir=True)
-
-    def unlink(self, parent_id: int, name: str):
-        yield from self.cpu.work(_OP_COST_NS)
-        parent = self._dir(parent_id)
-        child_id = parent.children.get(name)
-        if child_id is None:
-            raise Enoent(name)
-        child = self._inodes[child_id]
-        if child.is_dir and child.children:
-            raise Enotempty(name)
-        del parent.children[name]
-        del self._inodes[child_id]
 
     def readdir(self, inode_id: int):
         yield from self.cpu.work(_OP_COST_NS)

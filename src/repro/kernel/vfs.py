@@ -74,7 +74,6 @@ class FileSystemOps(Protocol):
     def getattr(self, inode_id: int): ...
     def create(self, parent_id: int, name: str): ...
     def mkdir(self, parent_id: int, name: str): ...
-    def unlink(self, parent_id: int, name: str): ...
     def readdir(self, inode_id: int): ...
     def truncate(self, inode_id: int, size: int): ...
     def root_inode(self) -> int: ...
@@ -97,7 +96,6 @@ class _OpenFile:
 class AioRequest:
     """One in-flight asynchronous I/O operation (an iocb)."""
 
-    kind: str  # "read" | "write"
     event: object = None  # fires when the transfer completes
     nbytes: int = 0
     error: Optional[Exception] = None
@@ -122,8 +120,6 @@ class Vfs:
         self._dentries: dict[str, tuple[FileSystemOps, InodeAttrs]] = {}
         self._files: dict[int, _OpenFile] = {}
         self._next_fd = 3
-        # live file mappings: (asid, base vaddr) -> (file, offset, npages)
-        self._mappings: dict[tuple[int, int], tuple] = {}
         self.dentry_hits = 0
         self.dentry_misses = 0
 
@@ -169,9 +165,6 @@ class Vfs:
         self._dentries[path] = (fs, attrs)
         return fs, attrs
 
-    def _invalidate_dentry(self, path: str) -> None:
-        self._dentries.pop(path, None)
-
     # -- namespace operations ---------------------------------------------------
 
     def stat(self, path: str):
@@ -201,18 +194,6 @@ class Vfs:
             raise Einval(f"{path} is not a directory")
         names = yield from fs.readdir(attrs.inode_id)
         return names
-
-    def unlink(self, path: str):
-        """Generator: unlink(2); drops cache pages and the dentry."""
-        yield from self.cpu.syscall()
-        yield from self.cpu.work(self.cpu.params.vfs_traversal_ns)
-        parent_path, name = self._split(path)
-        fs, parent = yield from self._lookup_path(parent_path)
-        cached = self._dentries.get(path)
-        if cached is not None:
-            self.pagecache.invalidate_inode(cached[1].inode_id)
-        yield from fs.unlink(parent.inode_id, name)
-        self._invalidate_dentry(path)
 
     # -- open / close ----------------------------------------------------------
 
@@ -284,9 +265,6 @@ class Vfs:
     def seek(self, fd: int, offset: int) -> None:
         """lseek(2) — free of simulated cost (pure bookkeeping)."""
         self._file(fd).offset = offset
-
-    def file_size(self, fd: int) -> int:
-        return self._file(fd).attrs.size
 
     # -- buffered path ------------------------------------------------------------
 
@@ -400,73 +378,6 @@ class Vfs:
             yield from f.fs.writepage(f.attrs.inode_id, page.index, page.frame, length)
             page.dirty = False
 
-    # -- file-backed mmap ---------------------------------------------------------
-
-    #: building the mapping (VMA + PTE installs), per call
-    _MMAP_SETUP_NS = 1200
-
-    def mmap_file(self, fd: int, space, length: int, offset: int = 0):
-        """Generator: map ``length`` bytes of the file at ``offset`` into
-        ``space`` (MAP_SHARED semantics).
-
-        The mapping installs the *page-cache frames themselves* into the
-        process page table, so every mapper of the file sees one copy —
-        and those pages are exactly the pinned, physically-addressable
-        memory the paper's kernel API moves without copies.  Pages are
-        faulted in (fetched from the backing filesystem) eagerly.
-
-        Stores through the mapping are NOT tracked by write-protect
-        faults (simplification); call :meth:`msync` to mark the mapped
-        range dirty and write it back.  Returns the base virtual address.
-        """
-        f = self._file(fd)
-        if offset % PAGE_SIZE:
-            raise Einval(f"mmap offset must be page aligned, got {offset}")
-        if length <= 0:
-            raise Einval(f"mmap length must be positive, got {length}")
-        yield from self.cpu.syscall()
-        yield from self.cpu.work(self._MMAP_SETUP_NS)
-        npages = -(-length // PAGE_SIZE)
-        frames = []
-        inode = f.attrs.inode_id
-        for i in range(npages):
-            index = offset // PAGE_SIZE + i
-            page = self.pagecache.find(inode, index)
-            if page is None:
-                page = self.pagecache.add(inode, index)
-            if not page.uptodate:
-                yield from f.fs.readpage(inode, index, page.frame)
-                page.uptodate = True
-            frames.append(page.frame)
-        vaddr = space.map_frames(frames)
-        self._mappings[(space.asid, vaddr)] = (f, offset, npages)
-        return vaddr
-
-    def msync(self, space, vaddr: int):
-        """Generator: mark a mapping's pages dirty and write them back."""
-        key = (space.asid, vaddr)
-        mapping = self._mappings.get(key)
-        if mapping is None:
-            raise Einval(f"msync of unknown mapping {vaddr:#x}")
-        f, offset, npages = mapping
-        yield from self.cpu.syscall()
-        inode = f.attrs.inode_id
-        for i in range(npages):
-            page = self.pagecache.find(inode, offset // PAGE_SIZE + i)
-            if page is not None:
-                page.dirty = True
-        yield from self._writeback(f)
-
-    def munmap_file(self, space, vaddr: int):
-        """Generator: unmap a file mapping (the cache pages survive)."""
-        key = (space.asid, vaddr)
-        mapping = self._mappings.pop(key, None)
-        if mapping is None:
-            raise Einval(f"munmap of unknown mapping {vaddr:#x}")
-        _, _, npages = mapping
-        yield from self.cpu.syscall()
-        space.munmap(vaddr, npages * PAGE_SIZE)
-
     # -- asynchronous I/O (the Linux 2.6 feature of paper section 2.1) ---------
 
     #: submitting one iocb into the kernel's AIO context
@@ -483,41 +394,22 @@ class Vfs:
         f = self._file(fd)
         yield from self.cpu.syscall()
         yield from self.cpu.work(self._AIO_SUBMIT_NS)
-        req = AioRequest(kind="read", event=self.env.event("aio"))
-        self.env.process(self._aio_run(f, buf, offset, req, write=False),
-                         name="aio.read")
-        return req
-
-    def aio_write(self, fd: int, buf: UserBuffer, offset: int):
-        """Generator: io_submit one write at an explicit offset."""
-        f = self._file(fd)
-        yield from self.cpu.syscall()
-        yield from self.cpu.work(self._AIO_SUBMIT_NS)
-        req = AioRequest(kind="write", event=self.env.event("aio"))
-        self.env.process(self._aio_run(f, buf, offset, req, write=True),
-                         name="aio.write")
+        req = AioRequest(event=self.env.event("aio"))
+        self.env.process(self._aio_run(f, buf, offset, req), name="aio.read")
         return req
 
     def _aio_run(self, f: _OpenFile, buf: UserBuffer, offset: int,
-                 req: "AioRequest", write: bool):
+                 req: "AioRequest"):
         # Positioned I/O: operate on a shadow of the open file so the
-        # shared offset is untouched (pread/pwrite semantics).
+        # shared offset is untouched (pread semantics).
         shadow = _OpenFile(fs=f.fs, attrs=f.attrs, flags=f.flags,
                            offset=offset, path=f.path)
         yield from self.cpu.work(self.cpu.params.vfs_traversal_ns)
         try:
-            if write:
-                if f.flags & OpenFlags.DIRECT:
-                    n = yield from self._direct_write(shadow, buf)
-                else:
-                    n = yield from self._buffered_write(shadow, buf)
-                if offset + n > f.attrs.size:
-                    f.attrs.size = offset + n
+            if f.flags & OpenFlags.DIRECT:
+                n = yield from self._direct_read(shadow, buf)
             else:
-                if f.flags & OpenFlags.DIRECT:
-                    n = yield from self._direct_read(shadow, buf)
-                else:
-                    n = yield from self._buffered_read(shadow, buf)
+                n = yield from self._buffered_read(shadow, buf)
         except Exception as exc:  # surfaced through io_getevents
             req.error = exc
             req.event.succeed(req)

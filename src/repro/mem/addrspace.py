@@ -107,7 +107,6 @@ class AddressSpace:
         self.asid = phys.next_asid()
         self._vmas: list[VMA] = []
         self._pages: dict[int, Frame] = {}  # vpn -> frame
-        self._borrowed: set[int] = set()  # vpns mapped over foreign frames
         self._next_mmap = USER_BASE
         self._listeners: list[Callable[[AddressSpaceChange], None]] = []
         self._alive = True
@@ -147,27 +146,6 @@ class AddressSpace:
                 self._populate(vpn)
         return start
 
-    def map_frames(self, frames: list[Frame], prot: Prot = Prot.RW) -> int:
-        """Map existing frames (e.g. page-cache pages) into this space.
-
-        This is the mechanism behind file-backed ``mmap``: the frames
-        are *borrowed* — they stay owned (and pinned) by whoever holds
-        them, several spaces may map the same frames, and unmapping
-        never frees them.  Returns the base virtual address.
-        """
-        self._check_alive()
-        if not frames:
-            raise ValueError("map_frames needs at least one frame")
-        length = len(frames) * PAGE_SIZE
-        start = self._find_region(length)
-        self._vmas.append(VMA(start, start + length, prot))
-        self._vmas.sort(key=lambda v: v.start)
-        for i, frame in enumerate(frames):
-            vpn = (start >> 12) + i
-            self._pages[vpn] = frame
-            self._borrowed.add(vpn)
-        return start
-
     def munmap(self, start: int, length: int) -> None:
         """Remove mappings covering [start, start+length).
 
@@ -194,14 +172,11 @@ class AddressSpace:
         self._vmas = sorted(new_vmas, key=lambda v: v.start)
         for vpn in range(start >> 12, end >> 12):
             frame = self._pages.pop(vpn, None)
-            borrowed = vpn in self._borrowed
-            self._borrowed.discard(vpn)
-            if frame is not None and not borrowed and not frame.pinned:
+            if frame is not None and not frame.pinned:
                 self.phys.free(frame)
             # A pinned frame stays allocated (DMA may be in flight); it is
             # simply no longer reachable from this space — the dangerous
             # situation stale registration-cache entries create.
-            # Borrowed frames (file mappings) always stay with their owner.
 
     def mprotect(self, start: int, length: int, prot: Prot) -> None:
         """Change protection on [start, start+length)."""
@@ -235,14 +210,9 @@ class AddressSpace:
         child._vmas = [VMA(v.start, v.end, v.prot) for v in self._vmas]
         child._next_mmap = self._next_mmap
         for vpn, frame in self._pages.items():
-            if vpn in self._borrowed:
-                # shared file mappings stay shared across fork
-                child._pages[vpn] = frame
-                child._borrowed.add(vpn)
-            else:
-                new_frame = self.phys.alloc()
-                new_frame.write(0, frame.read(0, PAGE_SIZE))
-                child._pages[vpn] = new_frame
+            new_frame = self.phys.alloc()
+            new_frame.write(0, frame.read(0, PAGE_SIZE))
+            child._pages[vpn] = new_frame
         return child
 
     def destroy(self) -> None:
@@ -250,11 +220,10 @@ class AddressSpace:
         if not self._alive:
             return
         self._notify(ChangeKind.EXIT, USER_BASE, USER_TOP - USER_BASE)
-        for vpn, frame in self._pages.items():
-            if vpn not in self._borrowed and not frame.pinned:
+        for frame in self._pages.values():
+            if not frame.pinned:
                 self.phys.free(frame)
         self._pages.clear()
-        self._borrowed.clear()
         self._vmas.clear()
         self._alive = False
 

@@ -395,27 +395,18 @@ class PhysicalMemory:
                 frame = self.frame(pfn)
             frame.write(offset, piece)
 
-    def write_phys_sg(self, sg, payload, skip: int = 0) -> int:
+    def write_phys_sg(self, sg, payload) -> int:
         """Scatter a :class:`repro.mem.sglist.PayloadRef` across a
         physical segment list — what a DMA scatter engine does.
 
         ``sg`` is any iterable of segments with ``phys_addr``/``length``
         (duck-typed to avoid a circular import with ``layout``).
-        ``skip`` consumes leading bytes of the segment list before the
-        first write (directed-send deposit offsets).  Writing stops when
-        either the payload or the segments run out; returns the bytes
-        written.
+        Writing stops when either the payload or the segments run out;
+        returns the bytes written.
         """
         segs = iter(sg)
         seg = next(segs, None)
         seg_off = 0
-        while seg is not None and skip > 0:
-            step = min(skip, seg.length - seg_off)
-            seg_off += step
-            skip -= step
-            if seg_off == seg.length:
-                seg = next(segs, None)
-                seg_off = 0
         written = 0
         for chunk in payload.chunks():
             view = chunk if isinstance(chunk, memoryview) else memoryview(chunk)

@@ -11,10 +11,10 @@ space modifications".
 
 This package implements that middleware and a practical MPI subset:
 
-* point-to-point: ``send``/``recv`` (blocking), ``isend``/``irecv`` +
-  ``wait``, with communicator-scoped tag matching;
-* collectives: ``barrier`` (dissemination), ``bcast`` (binomial tree),
-  ``reduce``/``allreduce`` (binomial + op), ``gather``;
+* point-to-point: blocking ``send``/``recv`` and ``sendrecv``, with
+  communicator-scoped tag matching;
+* collectives: ``bcast`` (binomial tree) and ``reduce``/``allreduce``
+  (binomial + op);
 * on **GM**: the textbook middleware pin-down cache
   (:class:`repro.gmkrc.Gmkrc` over a user port, coherent through the
   intercepted address-space calls);
@@ -25,6 +25,6 @@ workload runs well on both stacks) and as the compute side of the
 examples (halo exchange overlapping ORFS I/O).
 """
 
-from .comm import Communicator, MpiRequest, mpi_world
+from .comm import Communicator, mpi_world
 
-__all__ = ["Communicator", "MpiRequest", "mpi_world"]
+__all__ = ["Communicator", "mpi_world"]

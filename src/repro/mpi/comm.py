@@ -180,22 +180,10 @@ class Communicator:
 
     # -- point-to-point -----------------------------------------------------------
 
-    def isend(self, dst: int, vaddr: int, length: int, tag: int = 0):
-        """Generator: nonblocking send; returns an :class:`MpiRequest`."""
-        self._check_tag(tag)
-        req = yield from self._isend(dst, vaddr, length, tag)
-        return req
-
     def _isend(self, dst: int, vaddr: int, length: int, tag: int):
         peer = self._check_peer(dst)
         req = yield from self._rank.isend(
             peer, vaddr, length, _match_key(self.rank, tag))
-        return req
-
-    def irecv(self, src: int, vaddr: int, length: int, tag: int = 0):
-        """Generator: nonblocking receive (explicit source and tag)."""
-        self._check_tag(tag)
-        req = yield from self._irecv(src, vaddr, length, tag)
         return req
 
     def _irecv(self, src: int, vaddr: int, length: int, tag: int):
@@ -204,8 +192,7 @@ class Communicator:
             vaddr, length, _match_key(src, tag))
         return req
 
-    def wait(self, req: MpiRequest):
-        """Generator: wait for one request."""
+    def _wait(self, req: MpiRequest):
         result = yield from self._rank.wait(req)
         return result
 
@@ -213,11 +200,11 @@ class Communicator:
         """Generator: blocking send."""
         self._check_tag(tag)
         req = yield from self._isend(dst, vaddr, length, tag)
-        yield from self.wait(req)
+        yield from self._wait(req)
 
     def _send(self, dst: int, vaddr: int, length: int, tag: int):
         req = yield from self._isend(dst, vaddr, length, tag)
-        yield from self.wait(req)
+        yield from self._wait(req)
 
     def recv(self, src: int, vaddr: int, length: int, tag: int = 0):
         """Generator: blocking receive; returns bytes received."""
@@ -227,7 +214,7 @@ class Communicator:
 
     def _recv(self, src: int, vaddr: int, length: int, tag: int):
         req = yield from self._irecv(src, vaddr, length, tag)
-        yield from self.wait(req)
+        yield from self._wait(req)
         # the actual message size (may undershoot the posted buffer)
         return req.result.size if req.result is not None else req.length
 
@@ -242,8 +229,8 @@ class Communicator:
                   recv_len, tag):
         rreq = yield from self._irecv(src, recv_vaddr, recv_len, tag)
         sreq = yield from self._isend(dst, send_vaddr, send_len, tag)
-        yield from self.wait(rreq)
-        yield from self.wait(sreq)
+        yield from self._wait(rreq)
+        yield from self._wait(sreq)
 
     # -- collectives ------------------------------------------------------------------
 
@@ -264,23 +251,6 @@ class Communicator:
             obs.histogram("mpi.collective.latency_ns",
                           op=op, api=self.api).observe(self.env.now - t0)
         return result
-
-    def barrier(self):
-        """Generator: dissemination barrier (ceil(log2 n) rounds)."""
-        return (yield from self._observed("barrier", self._barrier()))
-
-    def _barrier(self):
-        tag = self._coll_tag()
-        n = self.size
-        if n == 1:
-            return
-        k = 1
-        while k < n:
-            dst = (self.rank + k) % n
-            src = (self.rank - k) % n
-            yield from self._sendrecv(dst, self._scratch, 1,
-                                      src, self._scratch2, 1, tag)
-            k *= 2
 
     def bcast(self, root: int, vaddr: int, length: int):
         """Generator: binomial-tree broadcast of [vaddr, vaddr+length)."""
@@ -308,32 +278,6 @@ class Communicator:
                 child = (rel + mask + root) % n
                 yield from self._send(child, vaddr, length, tag)
             mask //= 2
-
-    def gather_bytes(self, root: int, data: bytes):
-        """Generator: gather equal-sized byte blobs at ``root``.
-
-        Returns the rank-ordered list at the root, None elsewhere.
-        """
-        return (yield from self._observed(
-            "gather", self._gather_bytes(root, data)))
-
-    def _gather_bytes(self, root: int, data: bytes):
-        tag = self._coll_tag()
-        length = len(data)
-        if length > 32 * 1024:
-            raise MpiError("gather blobs are limited to 32 kB")
-        if self.rank == root:
-            out: list[Optional[bytes]] = [None] * self.size
-            out[root] = data
-            for src in range(self.size):
-                if src == root:
-                    continue
-                n = yield from self._recv(src, self._scratch, length, tag)
-                out[src] = self.space.read_bytes(self._scratch, n)
-            return out
-        self.space.write_bytes(self._scratch, data)
-        yield from self._send(root, self._scratch, length, tag)
-        return None
 
     # -- integer reductions ----------------------------------------------------------
 

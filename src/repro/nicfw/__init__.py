@@ -8,6 +8,6 @@ page translations that may be stored in the NIC is limited, useless
 entries have to be deregistered").
 """
 
-from .transtable import TranslationEntry, TranslationTable
+from .transtable import TranslationTable
 
-__all__ = ["TranslationEntry", "TranslationTable"]
+__all__ = ["TranslationTable"]

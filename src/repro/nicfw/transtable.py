@@ -8,26 +8,27 @@ context is normally the port; the paper's GMKRC shared-port trick
 (section 3.2) instead encodes an address-space descriptor into the upper
 bits of a 64-bit key — modeled faithfully in :mod:`repro.gmkrc.spaces`.
 
+It is the only copy of GM's translations: registration installs into
+it, and every GM send or receive from registered memory resolves its
+pages through :meth:`TranslationTable.lookup`.
+
+Registrations may share a page (GMKRC builds overlapping entries on
+purpose), so an entry is held by every registration that installed it
+and stays until the last holder removes it.  A key has one slot: the
+latest install's pfn is the translation, and when that holder goes the
+translation falls back to the previous live holder's.
+
 Capacity is bounded (real LANai cards held a few thousand entries).
-When full, ``install`` fails unless the caller deregisters something —
-which is exactly the pressure that makes pin-down caches evict lazily.
+When full, ``install_range`` fails unless the caller deregisters
+something — which is exactly the pressure that makes pin-down caches
+evict lazily.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..errors import TranslationMiss, TranslationTableFull
-
-
-@dataclass
-class TranslationEntry:
-    """One installed page translation."""
-
-    context: int
-    vpn: int
-    pfn: int
 
 
 class TranslationTable:
@@ -37,37 +38,23 @@ class TranslationTable:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: dict[tuple[int, int], TranslationEntry] = {}
+        self._entries: dict[tuple[int, int], int] = {}
+        # Pfns of the earlier holders of a shared key, in install order
+        # (absent for the usual single holder).
+        self._shared: dict[tuple[int, int], list[int]] = {}
         self.lookup_count = 0
         self.install_count = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def install(self, context: int, vpn: int, pfn: int) -> TranslationEntry:
-        """Install one page translation; idempotent re-install updates pfn."""
-        key = (context, vpn)
-        existing = self._entries.get(key)
-        if existing is not None:
-            existing.pfn = pfn
-            return existing
-        if len(self._entries) >= self.capacity:
-            raise TranslationTableFull(
-                f"translation table full ({self.capacity} entries)"
-            )
-        entry = TranslationEntry(context, vpn, pfn)
-        self._entries[key] = entry
-        self.install_count += 1
-        return entry
-
     def install_range(self, context: int, base_vpn: int,
                       pfns: Sequence[int]) -> None:
         """Install translations for ``base_vpn + i -> pfns[i]``, all or
         nothing.
 
-        The vectorial form of :meth:`install` used by registration: the
-        capacity check runs once over the fresh keys (re-installs are
-        updates and need no slot), so a mid-range
+        The capacity check runs once over the fresh keys (a key already
+        installed gains a holder and needs no slot), so a mid-range
         :class:`TranslationTableFull` can't leave a partial range behind.
         """
         entries = self._entries
@@ -79,21 +66,31 @@ class TranslationTable:
             )
         for i, pfn in enumerate(pfns):
             key = (context, base_vpn + i)
-            existing = entries.get(key)
-            if existing is not None:
-                existing.pfn = pfn
-            else:
-                entries[key] = TranslationEntry(context, base_vpn + i, pfn)
+            held = entries.get(key)
+            if held is not None:
+                self._shared.setdefault(key, []).append(held)
+            entries[key] = pfn
         self.install_count += fresh
 
-    def remove(self, context: int, vpn: int) -> None:
-        """Remove one translation (deregistration)."""
-        try:
-            del self._entries[(context, vpn)]
-        except KeyError:
+    def remove(self, context: int, vpn: int, pfn: int) -> None:
+        """Drop the hold of the registration that installed ``pfn`` for
+        ``(context, vpn)``; the entry goes with its last holder."""
+        key = (context, vpn)
+        held = self._entries.get(key)
+        earlier = self._shared.get(key)
+        if held is None or (held != pfn and (not earlier or pfn not in earlier)):
             raise TranslationMiss(
-                f"no translation for context={context} vpn={vpn:#x}"
-            ) from None
+                f"no translation to pfn {pfn:#x} for context={context} vpn={vpn:#x}"
+            )
+        if earlier is None:
+            del self._entries[key]
+            return
+        if held == pfn:
+            self._entries[key] = earlier.pop()
+        else:
+            earlier.remove(pfn)
+        if not earlier:
+            del self._shared[key]
 
     def lookup(self, context: int, vpn: int) -> int:
         """Translate: returns the pfn, or raises :class:`TranslationMiss`.
@@ -102,10 +99,10 @@ class TranslationTable:
         NIC cannot page-fault); callers treat it as a hard error.
         """
         self.lookup_count += 1
-        entry = self._entries.get((context, vpn))
-        if entry is None:
+        pfn = self._entries.get((context, vpn))
+        if pfn is None:
             raise TranslationMiss(f"no translation for context={context} vpn={vpn:#x}")
-        return entry.pfn
+        return pfn
 
     def get(self, context: int, vpn: int) -> Optional[int]:
         """Single probe: the pfn, or None if not installed.
@@ -114,18 +111,4 @@ class TranslationTable:
         deregistration, cache maintenance), not a charged NIC
         translation, so it does not count toward ``lookup_count``.
         """
-        entry = self._entries.get((context, vpn))
-        return None if entry is None else entry.pfn
-
-    def has(self, context: int, vpn: int) -> bool:
-        return (context, vpn) in self._entries
-
-    def drop_context(self, context: int) -> int:
-        """Remove every entry of one context (port close / AS death).
-
-        Returns the number of entries dropped.
-        """
-        victims = [k for k in self._entries if k[0] == context]
-        for k in victims:
-            del self._entries[k]
-        return len(victims)
+        return self._entries.get((context, vpn))

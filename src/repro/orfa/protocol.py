@@ -34,7 +34,6 @@ class OrfaOp(enum.Enum):
     GETATTR = "getattr"
     CREATE = "create"
     MKDIR = "mkdir"
-    UNLINK = "unlink"
     READDIR = "readdir"
     TRUNCATE = "truncate"
     READ = "read"

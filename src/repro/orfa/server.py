@@ -286,8 +286,6 @@ class OrfaServer:
                 reply.attrs = yield from self.fs.create(req.inode, req.name)
             elif req.op is OrfaOp.MKDIR:
                 reply.attrs = yield from self.fs.mkdir(req.inode, req.name)
-            elif req.op is OrfaOp.UNLINK:
-                yield from self.fs.unlink(req.inode, req.name)
             elif req.op is OrfaOp.READDIR:
                 reply.names = yield from self.fs.readdir(req.inode)
             elif req.op is OrfaOp.TRUNCATE:

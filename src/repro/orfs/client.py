@@ -118,10 +118,6 @@ class OrfsClient:
             self._new_request(OrfaOp.MKDIR, inode=parent_id, name=name))
         return reply.attrs
 
-    def unlink(self, parent_id: int, name: str):
-        yield from self._rpc(
-            self._new_request(OrfaOp.UNLINK, inode=parent_id, name=name))
-
     def readdir(self, inode_id: int):
         reply = yield from self._rpc(
             self._new_request(OrfaOp.READDIR, inode=inode_id))

@@ -24,14 +24,13 @@ from .engine import (
     Process,
     Timeout,
 )
-from .resources import PriorityResource, Resource, Store
+from .resources import Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Environment",
     "Event",
-    "PriorityResource",
     "Process",
     "Resource",
     "Store",

@@ -14,7 +14,6 @@ of host memory for no simulated state.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Optional
 
@@ -154,67 +153,6 @@ class Resource:
         if self._busy_since is not None:
             busy += self.env.now - self._busy_since
         return busy / self.env.now if self.env.now else 0.0
-
-
-class PriorityResource(Resource):
-    """Resource whose waiters are granted in (priority, fifo) order.
-
-    Lower priority value is served first.  Used for NIC firmware
-    scheduling where small-message PIO requests preempt queued DMA
-    descriptors in GM's MCP.
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1, name: str = "presource"):
-        super().__init__(env, capacity, name)
-        self._pwaiting: list[tuple[int, int, _Request]] = []
-        self._pseq = 0
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._pwaiting)
-
-    def request(self, priority: int = 0) -> _Request:  # type: ignore[override]
-        req = _Request(self.env, self)
-        if self._in_use < self.capacity:
-            self._grant(req)
-        else:
-            self._pseq += 1
-            heapq.heappush(self._pwaiting, (priority, self._pseq, req))
-        return req
-
-    def release(self, req: _Request) -> None:
-        if self._in_use <= 0:
-            raise SimulationError(f"release() on idle resource {self.name}")
-        self._in_use -= 1
-        if self._in_use == 0 and self._busy_since is not None:
-            self.busy_time += self.env.now - self._busy_since
-            self._busy_since = None
-        while self._pwaiting and self._in_use < self.capacity:
-            _, _, nxt = heapq.heappop(self._pwaiting)
-            self._grant(nxt)
-
-    def acquire(self, hold_ns: int, priority: int = 0):
-        """Priority-aware variant of :meth:`Resource.acquire`."""
-        if self._in_use < self.capacity:
-            # Free slot ⟹ empty queue ⟹ priority is moot: same
-            # synchronous grant as the base class fast path.
-            self._in_use += 1
-            self.grant_count += 1
-            if self._busy_since is None:
-                self._busy_since = self.env.now
-            try:
-                if hold_ns > 0:
-                    yield self.env.timeout(hold_ns)
-            finally:
-                self.release(None)
-            return
-        req = self.request(priority)
-        yield req
-        try:
-            if hold_ns > 0:
-                yield self.env.timeout(hold_ns)
-        finally:
-            req.release()
 
 
 class Store:

@@ -7,8 +7,8 @@ network.  SOCKETS-GM offered the same service earlier, handicapped by
 GM's two structural problems the paper names:
 
 * *limited completion notification* — all port events funnel through an
-  extra dispatching kernel thread (:class:`repro.kernel.KernelThread`),
-  adding a context switch to every message;
+  extra dispatching kernel thread, adding a context switch to every
+  message;
 * *memory registration problems* — arbitrary application buffers cannot
   be handed to GM directly, so data is staged through pre-registered
   bounce buffers (a send-side copy that is never overlapped, and a

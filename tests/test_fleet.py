@@ -88,6 +88,40 @@ def test_fault_axis_config_labels():
 # -- the runner ----------------------------------------------------------------
 
 
+def _fault_spec(*faults):
+    return _spec(n_ops=60, grid={
+        "topology": [{"kind": "star", "n": 4}],
+        "workload": [{"kind": "orfa", "api": "mx"}],
+        "offered_load": [16000],
+        "faults": [None, *faults],
+    })
+
+
+def test_fault_axis_changes_the_rows_it_labels():
+    """A link flap on a client's host link slows the point down, and a
+    crashed client loses ops: every offered op is either achieved or
+    failed."""
+    spec = _fault_spec({"kind": "link_flap", "link": "switch.l1"},
+                       {"kind": "node_crash", "node": 1})
+    clean, flap, crash = (row["metrics"] for row in run_fleet(spec).rows)
+    assert clean["failed_ops"] == flap["failed_ops"] == 0
+    assert flap["mean_ns"] != clean["mean_ns"]
+    assert crash["failed_ops"] > 0
+    assert crash["achieved_ops"] + crash["failed_ops"] == crash["offered_ops"]
+
+
+@pytest.mark.parametrize("fault", [
+    {"kind": "link_flap", "link": "nope"},
+    {"kind": "nic_reset", "node": 99},
+    {"kind": "node_crash", "node": 99},
+], ids=["link_flap", "nic_reset", "node_crash"])
+def test_fault_naming_nothing_in_the_topology_is_a_spec_error(fault):
+    spec = _fault_spec(fault)
+    with pytest.raises(FleetSpecError, match="names no"):
+        run_point(spec, spec.points()[1])
+
+
+
 def test_rerun_and_parallel_runs_are_byte_identical():
     """The fleet contract: back-to-back in-process sweeps must be
     byte-identical to each other AND to fresh-process (forked pool)
@@ -191,3 +225,8 @@ def test_bench_fleet_cli(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"grid": {"topology": [{"kind": "moebius"}]}}')
     assert main(["--spec", str(bad)]) == 2
+    # A fault naming no link of the built topology fails at run time.
+    ghost = _spec(grid={"faults": [{"kind": "link_flap", "link": "nope"}]})
+    bad.write_text(json.dumps(ghost.to_dict()))
+    assert main(["--spec", str(bad)]) == 2
+    assert "names no link" in capsys.readouterr().err

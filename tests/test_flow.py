@@ -12,7 +12,7 @@ from repro.bench.transports import MxTransport
 from repro.cluster.topo import fat_tree
 from repro.errors import SimulationError
 from repro.faults import FaultPlan
-from repro.hw.params import FabricParams, host_params
+from repro.hw.params import host_params
 from repro.sim import Environment
 from repro.sim.engine import FIDELITIES
 from repro.units import KiB
@@ -25,8 +25,7 @@ def _counters(registry, prefix):
             if k.startswith(prefix)}
 
 
-def _run_pair(mode, size, *, src=0, dst=4, fabric=None, plan_fn=None,
-              extra_fn=None):
+def _run_pair(mode, size, *, src=0, dst=4, plan_fn=None, extra_fn=None):
     """One (src -> dst) transfer on a k=4 fat-tree in one fidelity mode.
 
     ``plan_fn(fabric)`` may return a FaultPlan to install; ``extra_fn``
@@ -36,8 +35,7 @@ def _run_pair(mode, size, *, src=0, dst=4, fabric=None, plan_fn=None,
     registry = obs.MetricsRegistry()
     with obs.installed_registry(registry):
         env = Environment(mode)
-        f = fat_tree(env, 4, host=SMALL_HOST,
-                     fabric=fabric or FabricParams())
+        f = fat_tree(env, 4, host=SMALL_HOST)
         plan = plan_fn(env, f) if plan_fn is not None else None
         ta = MxTransport(f.nodes[src], 1, peer_node=dst, peer_ep=2,
                          context="kernel")
@@ -120,16 +118,6 @@ def _counters_from(result, prefix):
 def test_small_messages_not_reserved():
     r = _run_pair("flow", 4 * 4096)  # below min_flow_frags
     assert r["done"] is not None
-    assert sum(_counters_from(r, "net.flows{").values()) == 0
-
-
-def test_adaptive_routing_refuses_reservation():
-    r = _run_pair("flow", 64 * KiB,
-                  fabric=FabricParams(routing="adaptive"))
-    assert r["done"] is not None
-    refused = _counters_from(r, "net.flow_refused")
-    assert sum(refused.values()) >= 1
-    assert any("reason=routing" in k for k in refused)
     assert sum(_counters_from(r, "net.flows{").values()) == 0
 
 

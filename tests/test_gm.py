@@ -7,9 +7,10 @@ from repro.errors import GMError, GMRegistrationError, TranslationMiss
 from repro.gm import GmEventKind, GmKernelPort, GmPort
 from repro.gm.registration import RegistrationDomain
 from repro.hw.params import GM_REGISTRATION
+from repro.mem import phys as phys_module
 from repro.mem.layout import sg_from_frames
 from repro.sim import Environment
-from repro.units import PAGE_SIZE, us
+from repro.units import PAGE_SHIFT, PAGE_SIZE, us
 
 
 @pytest.fixture
@@ -31,7 +32,8 @@ def test_registration_installs_translations(pair):
     region = run(env, port.register(vaddr, 3 * PAGE_SIZE))
     assert region.npages == 3
     table = node.nic.transtable
-    assert all(table.has(port.context, (vaddr >> 12) + i) for i in range(3))
+    assert all(table.get(port.context, (vaddr >> 12) + i) is not None
+               for i in range(3))
     assert all(f.pinned for f in region.frames)
 
 
@@ -61,7 +63,7 @@ def test_deregistration_has_200us_base(pair):
     t0 = env.now
     run(env, port.deregister(region))
     assert env.now - t0 >= us(200)
-    assert not node.nic.transtable.has(port.context, vaddr >> 12)
+    assert node.nic.transtable.get(port.context, vaddr >> 12) is None
     assert not region.frames[0].pinned
 
 
@@ -145,7 +147,7 @@ def test_kernel_register_kernel_memory(pair):
     alloc = node.kspace.vmalloc(2 * PAGE_SIZE)
     region = run(env, port.register_kernel(alloc.vaddr, 2 * PAGE_SIZE))
     assert region.npages == 2
-    assert node.nic.transtable.has(port.context, alloc.vaddr >> 12)
+    assert node.nic.transtable.get(port.context, alloc.vaddr >> 12) is not None
 
 
 def test_physical_send_and_receive_roundtrip(pair):
@@ -171,6 +173,119 @@ def test_physical_send_and_receive_roundtrip(pair):
     assert b.kspace.read_bytes(dst.vaddr, 13) == b"physical-path"
     # Physical primitives never touch the translation table.
     assert a.nic.transtable.lookup_count == 0
+
+
+def test_sends_resolve_registered_pages_through_the_nic_table(pair):
+    """The NIC table is the only copy of GM's translations: a user send
+    of n registered pages looks up each page once (and so does the
+    receive it lands in), while a physical send looks up nothing."""
+    env, a, b = pair
+    sa, sb = a.new_process_space(), b.new_process_space()
+    pa, pb = GmPort(a, 1, sa), GmPort(b, 1, sb)
+    n = 3
+    va, vb = sa.mmap(n * PAGE_SIZE), sb.mmap(n * PAGE_SIZE)
+    payload = bytes(range(256)) * (n * PAGE_SIZE // 256)
+    sa.write_bytes(va, payload)
+
+    def receiver(env):
+        yield from pb.register(vb, n * PAGE_SIZE)
+        yield from pb.provide_receive_buffer(vb, n * PAGE_SIZE)
+        return (yield from pb.receive_event())
+
+    def sender(env):
+        yield from pa.register(va, n * PAGE_SIZE)
+        yield env.timeout(us(100))  # the receive is posted by now
+        yield from pa.send(1, 1, va, n * PAGE_SIZE)
+
+    env.process(sender(env))
+    event = run(env, receiver(env))
+    assert event.size == n * PAGE_SIZE
+    assert sb.read_bytes(vb, n * PAGE_SIZE) == payload
+    assert a.nic.transtable.lookup_count == n
+    assert b.nic.transtable.lookup_count == n
+
+    ka, kb = GmKernelPort(a, 2), GmKernelPort(b, 2)
+    src, dst = a.kspace.kmalloc(PAGE_SIZE), b.kspace.kmalloc(PAGE_SIZE)
+
+    def physical(env):
+        yield from kb.provide_receive_buffer_physical(
+            sg_from_frames(dst.frames, 0, PAGE_SIZE))
+        yield from ka.send_physical(1, 2, sg_from_frames(src.frames, 0, 64))
+        return (yield from kb.receive_event())
+
+    assert run(env, physical(env)).size == 64
+    assert a.nic.transtable.lookup_count == n
+    assert b.nic.transtable.lookup_count == n
+
+
+def test_register_kernel_of_untouched_kmalloc_builds_no_frame(pair,
+                                                              monkeypatch):
+    env, node, _ = pair
+    port = GmKernelPort(node, 2)
+    alloc = node.kspace.kmalloc(4 * PAGE_SIZE)
+
+    def no_frame(*args, **kwargs):
+        raise AssertionError("a Frame was built")
+
+    monkeypatch.setattr(phys_module, "Frame", no_frame)
+    region = run(env, port.register_kernel(alloc.vaddr, 4 * PAGE_SIZE))
+    assert region.npages == 4 and region.frames == []
+    base_vpn = alloc.vaddr >> PAGE_SHIFT
+    assert [node.nic.transtable.get(port.context, base_vpn + i)
+            for i in range(4)] == list(alloc.pfns)
+
+
+def test_overlapping_registration_keeps_shared_page_translated(pair):
+    """Two regions share a page; deregistering the first must leave the
+    shared page's translation for the second, which still sends the
+    right bytes."""
+    env, a, b = pair
+    sa, sb = a.new_process_space(), b.new_process_space()
+    pa, pb = GmPort(a, 1, sa), GmPort(b, 1, sb)
+    va, vb = sa.mmap(3 * PAGE_SIZE), sb.mmap(2 * PAGE_SIZE)
+    payload = (bytes(range(1, 252)) * 33)[:2 * PAGE_SIZE]
+    sa.write_bytes(va + PAGE_SIZE, payload)
+
+    def receiver(env):
+        yield from pb.register(vb, 2 * PAGE_SIZE)
+        yield from pb.provide_receive_buffer(vb, 2 * PAGE_SIZE)
+        return (yield from pb.receive_event())
+
+    def sender(env):
+        first = yield from pa.register(va, 2 * PAGE_SIZE)
+        second = yield from pa.register(va + PAGE_SIZE, 2 * PAGE_SIZE)
+        assert len(a.nic.transtable) == 3
+        yield from pa.deregister(first)
+        assert len(a.nic.transtable) == 2
+        yield from pa.send(1, 1, va + PAGE_SIZE, 2 * PAGE_SIZE)
+        yield from pa.receive_event()  # the SENT event
+        yield from pa.deregister(second)
+
+    env.process(sender(env))
+    event = run(env, receiver(env))
+    env.run()
+    assert event.size == 2 * PAGE_SIZE
+    assert sb.read_bytes(vb, 2 * PAGE_SIZE) == payload
+    assert len(a.nic.transtable) == 0
+
+
+def test_table_entry_is_held_until_its_last_holder_goes():
+    from repro.nicfw.transtable import TranslationTable
+
+    table = TranslationTable(4)
+    table.install_range(3, 10, [100, 101])
+    table.install_range(3, 11, [201, 202])  # vpn 11 is shared
+    assert len(table) == 3 and table.install_count == 3
+    assert table.get(3, 11) == 201  # the latest install translates
+    table.remove(3, 11, 201)
+    assert table.get(3, 11) == 101  # back to the earlier live holder
+    table.install_range(3, 11, [201])
+    table.remove(3, 11, 101)  # an earlier holder leaves: no change
+    assert table.get(3, 11) == 201
+    with pytest.raises(TranslationMiss):
+        table.remove(3, 11, 101)
+    table.remove(3, 11, 201)
+    assert table.get(3, 11) is None and len(table) == 2
 
 
 def test_physical_send_empty_sg_raises(pair):
@@ -209,7 +324,7 @@ def test_install_range_is_all_or_nothing():
     from repro.nicfw.transtable import TranslationTable
 
     table = TranslationTable(4)
-    table.install(7, 100, 1)
+    table.install_range(7, 100, [1])
     # 2 fresh + 1 re-install fits exactly: 100 updates, 101/102 are new.
     table.install_range(7, 100, [11, 12, 13])
     assert len(table) == 3 and table.get(7, 100) == 11
@@ -226,7 +341,7 @@ def test_table_get_probes_without_charging_lookups():
     from repro.nicfw.transtable import TranslationTable
 
     table = TranslationTable(4)
-    table.install(1, 5, 42)
+    table.install_range(1, 5, [42])
     assert table.get(1, 5) == 42
     assert table.get(1, 6) is None
     assert table.lookup_count == 0  # get() is host-side bookkeeping

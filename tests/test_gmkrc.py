@@ -220,6 +220,45 @@ def test_end_to_end_send_through_cached_registration():
     assert b.kspace.read_bytes(dst.vaddr, 13) == b"via-gmkrc-key"
 
 
+def test_invalidating_one_of_two_overlapping_entries_keeps_the_other():
+    """Entries [p0,p1] and [p1,p2] share p1; unmapping p0 invalidates
+    only the first, and a send through the second still translates p1."""
+    from repro.cluster import node_pair
+    from repro.mem.layout import sg_from_frames
+
+    env = Environment()
+    a, b = node_pair(env)
+    port_a, port_b = GmKernelPort(a, 2), GmKernelPort(b, 2)
+    cache_a = Gmkrc(port_a, a.vmaspy)
+    space = a.new_process_space()
+    vaddr = space.mmap(3 * PAGE_SIZE)
+    payload = (bytes(range(1, 256)) * 33)[:2 * PAGE_SIZE]
+    space.write_bytes(vaddr + PAGE_SIZE, payload)
+    dst = b.kspace.kmalloc(2 * PAGE_SIZE)
+
+    def receiver(env):
+        yield from port_b.provide_receive_buffer_physical(
+            sg_from_frames(dst.frames, 0, 2 * PAGE_SIZE)
+        )
+        return (yield from port_b.receive_event())
+
+    def sender(env):
+        _, first = yield from cache_a.acquire(space, vaddr, 2 * PAGE_SIZE)
+        cache_a.release(first)
+        key, second = yield from cache_a.acquire(
+            space, vaddr + PAGE_SIZE, 2 * PAGE_SIZE
+        )
+        space.munmap(vaddr, PAGE_SIZE)
+        assert cache_a.invalidations == 1 and cache_a.entry_count() == 1
+        yield from port_a.send_registered(1, 2, key, 2 * PAGE_SIZE)
+        cache_a.release(second)
+
+    env.process(sender(env))
+    event = env.run(until=env.process(receiver(env)))
+    assert event.size == 2 * PAGE_SIZE
+    assert b.kspace.read_bytes(dst.vaddr, 2 * PAGE_SIZE) == payload
+
+
 # -- the sorted interval index ------------------------------------------------
 
 

@@ -1,12 +1,12 @@
-"""Unit tests for kernel threads and the MemFs raw interface."""
+"""Unit tests for the MemFs raw interface."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Node
-from repro.errors import Eisdir, Enoent, Enotempty
+from repro.errors import Eisdir, Enoent
 from repro.hw.params import HostParams
-from repro.kernel import KernelThread, MemFs
+from repro.kernel import MemFs
 from repro.mem import PayloadRef
 from repro.sim import Environment
 from repro.units import MiB, PAGE_SIZE, us
@@ -16,65 +16,6 @@ from repro.units import MiB, PAGE_SIZE, us
 def node():
     env = Environment()
     return Node(env, 0, HostParams(memory_frames=1024))
-
-
-# -- kernel threads -----------------------------------------------------------
-
-
-def test_kthread_processes_items_in_order(node):
-    env = node.env
-    handled = []
-
-    def handler(item):
-        yield env.timeout(10)
-        handled.append(item)
-
-    thread = KernelThread(env, node.cpu, handler, wakeup_ns=1000)
-    for i in range(3):
-        thread.submit(i)
-    env.run()
-    assert handled == [0, 1, 2]
-    assert thread.items_processed == 3
-
-
-def test_kthread_charges_wakeup_once_per_idle_burst(node):
-    env = node.env
-    stamps = []
-
-    def handler(item):
-        stamps.append(env.now)
-        return
-        yield  # pragma: no cover
-
-    thread = KernelThread(env, node.cpu, handler, wakeup_ns=us(4))
-    thread.submit("a")
-    thread.submit("b")  # queued while the thread is awake: no second wakeup
-    env.run()
-    assert stamps[0] == us(4)
-    assert stamps[1] - stamps[0] < us(1)
-    assert thread.wakeups == 1
-
-
-def test_kthread_sleeps_again_when_queue_drains(node):
-    env = node.env
-    stamps = []
-
-    def handler(item):
-        stamps.append(env.now)
-        return
-        yield  # pragma: no cover
-
-    thread = KernelThread(env, node.cpu, handler, wakeup_ns=us(4))
-    thread.submit("a")
-
-    def late(env):
-        yield env.timeout(us(100))
-        thread.submit("b")
-
-    env.process(late(env))
-    env.run()
-    assert thread.wakeups == 2
-    assert stamps[1] == us(100) + us(4)
 
 
 # -- MemFs raw interface ----------------------------------------------------------
@@ -92,19 +33,6 @@ def test_memfs_raw_rejects_directories(node):
     fs = MemFs(node.env, node.cpu)
     with pytest.raises(Eisdir):
         fs.read_raw(1, 0, 10)  # root is a directory
-
-
-def test_memfs_unlink_nonempty_dir_raises(node):
-    env = node.env
-    fs = MemFs(env, node.cpu)
-
-    def script(env):
-        d = yield from fs.mkdir(1, "d")
-        yield from fs.create(d.inode_id, "child")
-        yield from fs.unlink(1, "d")
-
-    with pytest.raises(Enotempty):
-        env.run(until=env.process(script(env)))
 
 
 def test_memfs_lookup_missing_raises(node):

@@ -79,9 +79,9 @@ def test_open_trunc_resets_size(node):
 
     def script(env):
         fd = yield from node.vfs.open("/f", OpenFlags.RDWR | OpenFlags.TRUNC)
-        size = node.vfs.file_size(fd)
+        attrs = yield from node.vfs.stat("/f")
         yield from node.vfs.close(fd)
-        return size
+        return attrs.size
 
     assert run(node, script(node.env)) == 0
 
@@ -105,14 +105,6 @@ def test_open_directory_raises_eisdir(node):
     run(node, node.vfs.mkdir("/dir"))
     with pytest.raises(Eisdir):
         run(node, node.vfs.open("/dir"))
-
-
-def test_unlink_removes_file_and_pages(node):
-    write_file(node, "/f", b"data")
-    read_file(node, "/f", 4)  # populate cache
-    run(node, node.vfs.unlink("/f"))
-    with pytest.raises(Enoent):
-        run(node, node.vfs.open("/f"))
 
 
 def test_bad_fd_raises(node):

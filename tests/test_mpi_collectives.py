@@ -1,5 +1,5 @@
-"""Dedicated tests for the MPI collectives (repro.mpi.comm): barrier,
-bcast, gather, reduce, allreduce — plus the per-collective latency
+"""Dedicated tests for the MPI collectives (repro.mpi.comm): bcast,
+reduce, allreduce — plus the per-collective latency
 histograms the observability layer records around each call."""
 
 import pytest
@@ -27,26 +27,6 @@ def run_spmd(env, comms, program):
     return [p.value for p in procs]
 
 
-# -- barrier -----------------------------------------------------------------
-
-
-@pytest.mark.parametrize("api", BACKENDS)
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_barrier_releases_no_rank_early(api, n):
-    env = Environment()
-    comms, nodes = mpi_world(env, n, api=api)
-    exit_times = {}
-
-    def program(comm):
-        yield comm.env.timeout((n - 1 - comm.rank) * 40_000)
-        yield from comm.barrier()
-        exit_times[comm.rank] = comm.env.now
-
-    run_spmd(env, comms, program)
-    latest_arrival = (n - 1) * 40_000
-    assert all(t >= latest_arrival for t in exit_times.values())
-
-
 def test_single_rank_collectives_are_trivial():
     env = Environment()
     comms, nodes = mpi_world(env, 2, api="mx")
@@ -54,7 +34,6 @@ def test_single_rank_collectives_are_trivial():
     comm.size = 1  # degenerate world of one
 
     def program(comm):
-        yield from comm.barrier()
         buf = comm.space.mmap(PAGE_SIZE)
         yield from comm.bcast(0, buf, 16)
         return "done"
@@ -78,7 +57,7 @@ def test_back_to_back_collectives_do_not_cross_match(api):
                 comm.space.write_bytes(buf, payload)
             yield from comm.bcast(1, buf, 32)
             out.append(comm.space.read_bytes(buf, 32))
-            yield from comm.barrier()
+            yield from comm.allreduce_ints([round_no])
         return out
 
     results = run_spmd(env, comms, program)
@@ -86,7 +65,7 @@ def test_back_to_back_collectives_do_not_cross_match(api):
         assert got == [bytes([r]) * 32 for r in range(4)]
 
 
-# -- bcast / gather ----------------------------------------------------------
+# -- bcast -------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("api", BACKENDS)
@@ -104,28 +83,6 @@ def test_bcast_from_every_root(api, n, root):
         return comm.space.read_bytes(buf, len(payload))
 
     assert all(r == payload for r in run_spmd(env, comms, program))
-
-
-@pytest.mark.parametrize("api", BACKENDS)
-@pytest.mark.parametrize("root", [0, 1, 3])
-def test_gather_orders_by_rank(api, root):
-    env = Environment()
-    comms, nodes = mpi_world(env, 4, api=api)
-
-    def program(comm):
-        return (yield from comm.gather_bytes(root, bytes([comm.rank + 1]) * 8))
-
-    results = run_spmd(env, comms, program)
-    assert results[root] == [bytes([r + 1]) * 8 for r in range(4)]
-    assert all(results[r] is None for r in range(4) if r != root)
-
-
-def test_gather_rejects_oversized_blob():
-    env = Environment()
-    comms, nodes = mpi_world(env, 2, api="mx")
-    with pytest.raises(MpiError, match="32 kB"):
-        env.run(until=env.process(
-            comms[0].gather_bytes(0, b"x" * (32 * 1024 + 1))))
 
 
 # -- reduce / allreduce ------------------------------------------------------
@@ -197,12 +154,10 @@ def test_collectives_record_latency_histograms():
         comms, nodes = mpi_world(env, 3, api="mx")
 
         def program(comm):
-            yield from comm.barrier()
             buf = comm.space.mmap(PAGE_SIZE)
             if comm.rank == 0:
                 comm.space.write_bytes(buf, b"y" * 16)
             yield from comm.bcast(0, buf, 16)
-            yield from comm.gather_bytes(1, b"z" * 4)
             result = yield from comm.allreduce_ints([1], op="sum")
             return result
 
@@ -214,13 +169,11 @@ def test_collectives_record_latency_histograms():
                                  op=op, api="mx")
 
         n = 3
-        assert hist("barrier").count == n
-        assert hist("gather").count == n
         # allreduce nests a reduce and a bcast: each layer observes
         assert hist("allreduce").count == n
         assert hist("reduce").count == n
         assert hist("bcast").count == 2 * n  # explicit + nested
-        assert hist("barrier").sum > 0
+        assert hist("allreduce").sum > 0
 
 
 def test_collectives_record_timeline_spans():
@@ -230,13 +183,13 @@ def test_collectives_record_timeline_spans():
         comms, nodes = mpi_world(env, 2, api="gm")
 
         def program(comm):
-            yield from comm.barrier()
+            yield from comm.allreduce_ints([comm.rank])
 
         run_spmd(env, comms, program)
     finally:
         obs.uninstall_timeline()
     spans = [e for e in tl.to_chrome()["traceEvents"]
-             if e["cat"] == "mpi" and e["name"] == "barrier"]
+             if e["cat"] == "mpi" and e["name"] == "allreduce"]
     assert len(spans) == 2  # one per rank
     assert all(e["ph"] == "X" and e["dur"] > 0 for e in spans)
     assert {e["tid"] for e in spans} == {0, 1}
@@ -247,7 +200,7 @@ def test_collectives_without_registry_record_nothing():
     comms, nodes = mpi_world(env, 2, api="mx")
 
     def program(comm):
-        yield from comm.barrier()
+        yield from comm.allreduce_ints([comm.rank])
 
     run_spmd(env, comms, program)  # must simply not blow up
     assert not obs.metrics_enabled() and not obs.timeline_enabled()

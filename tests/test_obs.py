@@ -294,7 +294,7 @@ def test_component_aliases_read_through_registry():
         comms, nodes = mpi_world(env, 2, api="gm")
 
         def program(comm):
-            yield from comm.barrier()
+            yield from comm.allreduce_ints([comm.rank])
 
         run_spmd(env, comms, program)
         nic = nodes[0].nic
@@ -313,7 +313,6 @@ def _run_observed_scenario():
         comms, nodes = mpi_world(env, 3, api="mx")
 
         def program(comm):
-            yield from comm.barrier()
             buf = comm.space.mmap(PAGE_SIZE)
             if comm.rank == 0:
                 comm.space.write_bytes(buf, b"x" * 64)

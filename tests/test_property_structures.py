@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from repro.errors import TranslationMiss, TranslationTableFull
+from repro.errors import TranslationTableFull
 from repro.kernel import PageCache
 from repro.mem import PhysicalMemory
 from repro.nicfw import TranslationTable
@@ -26,7 +26,7 @@ def test_transtable_lookup_matches_last_install(entries):
     table = TranslationTable(capacity=256)
     expected = {}
     for ctx, vpn, pfn in entries:
-        table.install(ctx, vpn, pfn)
+        table.install_range(ctx, vpn, [pfn])
         expected[(ctx, vpn)] = pfn
     for (ctx, vpn), pfn in expected.items():
         assert table.lookup(ctx, vpn) == pfn
@@ -37,31 +37,11 @@ def test_transtable_lookup_matches_last_install(entries):
 def test_transtable_capacity_enforced(capacity):
     table = TranslationTable(capacity)
     for i in range(capacity):
-        table.install(0, i, i)
+        table.install_range(0, i, [i])
     with pytest.raises(TranslationTableFull):
-        table.install(0, capacity, 0)
-    table.remove(0, 0)
-    table.install(0, capacity, 0)  # now it fits
-
-
-@given(
-    installs=st.sets(st.tuples(st.integers(0, 3), st.integers(0, 30)),
-                     max_size=30),
-    drop_ctx=st.integers(0, 3),
-)
-@settings(max_examples=50)
-def test_transtable_drop_context_is_exact(installs, drop_ctx):
-    table = TranslationTable(64)
-    for ctx, vpn in installs:
-        table.install(ctx, vpn, 1)
-    dropped = table.drop_context(drop_ctx)
-    assert dropped == sum(1 for c, _ in installs if c == drop_ctx)
-    for ctx, vpn in installs:
-        if ctx == drop_ctx:
-            with pytest.raises(TranslationMiss):
-                table.lookup(ctx, vpn)
-        else:
-            assert table.has(ctx, vpn)
+        table.install_range(0, capacity, [0])
+    table.remove(0, 0, 0)
+    table.install_range(0, capacity, [0])  # now it fits
 
 
 # -- page cache ------------------------------------------------------------------

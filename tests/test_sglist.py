@@ -4,8 +4,8 @@ Two pillars:
 
 * Property-style equivalence — any gather/scatter through
   :class:`PayloadRef` must move exactly the same bytes as the naive
-  ``bytes``-everywhere path, across odd offsets, page-straddling spans,
-  empty segments and deposit skips, in both host modes.
+  ``bytes``-everywhere path, across odd offsets, page-straddling spans
+  and empty segments, in both host modes.
 * Figure identity — the zero-copy plumbing must not perturb a single
   byte of the pinned benchmark output (model costs are charged, host
   copies are not).
@@ -94,14 +94,13 @@ def test_concat_splices_without_copying():
     src_off=st.integers(0, PAGE_SIZE - 1),
     dst_off=st.integers(0, PAGE_SIZE - 1),
     cuts=st.lists(st.integers(0, 3 * PAGE_SIZE), max_size=6),
-    skip=st.integers(0, 2 * PAGE_SIZE),
 )
 @settings(max_examples=60, deadline=None)
 def test_scatter_gather_matches_naive_bytes_path(
-    data, src_off, dst_off, cuts, skip
+    data, src_off, dst_off, cuts
 ):
     """Gather → scatter via PayloadRef lands exactly the raw ``data``
-    bytes, for any segment cuts, offsets and deposit skip."""
+    bytes, for any segment cuts and offsets."""
     phys = PhysicalMemory(64)
     n = len(data)
     src_frames = [phys.alloc() for _ in range(pages_spanned(src_off, n))]
@@ -116,14 +115,11 @@ def test_scatter_gather_matches_naive_bytes_path(
     assert payload.length == n
     assert payload == data
 
-    dst_frames = [
-        phys.alloc() for _ in range(pages_spanned(dst_off, skip + n))
-    ]
+    dst_frames = [phys.alloc() for _ in range(pages_spanned(dst_off, n))]
     dst_base = dst_frames[0].phys_addr + dst_off
-    written = phys.write_phys_sg([Seg(dst_base, skip + n)], payload,
-                                 skip=skip)
+    written = phys.write_phys_sg([Seg(dst_base, n)], payload)
     assert written == n
-    assert phys.read_phys(dst_base + skip, n) == data
+    assert phys.read_phys(dst_base, n) == data
 
 
 def test_inflight_payload_survives_frame_recycling():

@@ -1,9 +1,9 @@
-"""Unit tests for Resource, PriorityResource and Store (repro.sim.resources)."""
+"""Unit tests for Resource and Store (repro.sim.resources)."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 def test_resource_grants_immediately_when_free():
@@ -128,54 +128,6 @@ def test_resource_invalid_capacity():
     env = Environment()
     with pytest.raises(SimulationError):
         Resource(env, capacity=0)
-
-
-def test_priority_resource_serves_lowest_priority_first():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        req = res.request(priority=0)
-        yield req
-        yield env.timeout(100)
-        req.release()
-
-    def proc(env, tag, prio, arrive):
-        yield env.timeout(arrive)
-        req = res.request(priority=prio)
-        yield req
-        order.append(tag)
-        req.release()
-
-    env.process(holder(env))
-    env.process(proc(env, "low-prio", 5, 1))
-    env.process(proc(env, "high-prio", 1, 2))
-    env.run()
-    assert order == ["high-prio", "low-prio"]
-
-
-def test_priority_resource_fifo_within_same_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        req = res.request()
-        yield req
-        yield env.timeout(10)
-        req.release()
-
-    def proc(env, tag, arrive):
-        yield env.timeout(arrive)
-        yield from res.acquire(1, priority=3)
-        order.append(tag)
-
-    env.process(holder(env))
-    env.process(proc(env, "x", 1))
-    env.process(proc(env, "y", 2))
-    env.run()
-    assert order == ["x", "y"]
 
 
 def test_store_put_then_get():

@@ -1,5 +1,5 @@
 """Fabric topology layer: fat-tree/dragonfly construction, ECMP
-determinism and adaptive routing under faults."""
+determinism and routing tables."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.cluster.node import node_pair, star
 from repro.cluster.topo import Fabric, dragonfly, fat_tree
 from repro.errors import NetworkError
-from repro.faults import FaultPlan
 from repro.hw.params import FabricParams, host_params
 from repro.sim import Environment
 
@@ -97,48 +96,6 @@ def test_ecmp_spreads_over_cores():
                     if sw is not None and sw.name.startswith("ft.core"):
                         cores.add(sw.name)
     assert len(cores) > 1
-
-
-# -- adaptive routing under faults ------------------------------------------
-
-
-def test_adaptive_never_selects_down_link():
-    """With a seeded FaultPlan holding one uplink down, the adaptive
-    selector must route every flow over the surviving candidates for
-    the whole window."""
-    env = Environment()
-    f = fat_tree(env, 4, host=SMALL_HOST,
-                 fabric=FabricParams(routing="adaptive"))
-    edge = f.switches["ft.p0e0"]
-    trunks = [link for link in edge.trunk_links()]
-    assert len(trunks) == 2  # k/2 aggregation uplinks
-    down_name = trunks[0].name
-    plan = FaultPlan(seed=11).link_down(down_name, 1_000, 2_000_000)
-    plan.install(env, nodes=f.nodes, switches=list(f.switches.values()),
-                 reliability=False)
-    picks = []
-
-    def probe():
-        yield env.timeout(5_000)  # inside the down window
-        for dst in range(4, 16):
-            for sp in range(4):
-                link, _end = edge._select_trunk(dst, 0, sp, 2)
-                picks.append(link)
-
-    env.process(probe())
-    env.run()
-    assert picks and all(not link.is_down for link in picks)
-    assert any(link.name == down_name for link in trunks)  # sanity
-
-
-def test_adaptive_paths_not_frozen():
-    """Adaptive routing is queue-state dependent, so the flow engine
-    must decline to freeze a multi-trunk path."""
-    env = Environment()
-    f = fat_tree(env, 4, host=SMALL_HOST,
-                 fabric=FabricParams(routing="adaptive"))
-    assert f.path(0, 4) is None
-    assert len(f.path(0, 1)) == 2  # same-edge needs no trunk decision
 
 
 # -- routing tables ---------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.netpipe import PingPongResult, pow2_sizes
+from repro.bench.netpipe import PingPongResult
 from repro.bench.report import format_series, format_table
 from repro.units import (
     MB,
@@ -59,13 +59,6 @@ def test_bandwidth_mb_s():
 
 
 # -- netpipe helpers -------------------------------------------------------------
-
-
-def test_pow2_sizes():
-    assert pow2_sizes(1, 16) == [1, 2, 4, 8, 16]
-    assert pow2_sizes(4, 4) == [4]
-    with pytest.raises(ValueError):
-        pow2_sizes(0, 8)
 
 
 def test_pingpong_result_derived_metrics():

@@ -1,4 +1,4 @@
-"""Tests for asynchronous I/O (VFS aio_read/aio_write over ORFS)."""
+"""Tests for asynchronous I/O (VFS aio_read over ORFS)."""
 
 import pytest
 
@@ -96,30 +96,6 @@ def test_aio_pipelines_outstanding_reads(api):
     sync_time = run(env, sync_reads(env))
     async_time = run(env, async_reads(env))
     assert async_time < 0.8 * sync_time
-
-
-@pytest.mark.parametrize("api", BACKENDS)
-def test_aio_write_then_read_roundtrip(api):
-    env, node, server, payload = build(api)
-    space = node.new_process_space()
-    data = b"async-write!" * 100
-
-    def script(env):
-        fd = yield from node.vfs.open("/orfs/g",
-                                      OpenFlags.RDWR | OpenFlags.CREAT)
-        vaddr = space.mmap(PAGE_SIZE)
-        space.write_bytes(vaddr, data)
-        req = yield from node.vfs.aio_write(
-            fd, UserBuffer(space, vaddr, len(data)), offset=0)
-        yield from node.vfs.aio_wait([req])
-        yield from node.vfs.fsync(fd)
-        out = space.mmap(PAGE_SIZE)
-        node.vfs.seek(fd, 0)
-        n = yield from node.vfs.read(fd, UserBuffer(space, out, len(data)))
-        yield from node.vfs.close(fd)
-        return space.read_bytes(out, n)
-
-    assert run(env, script(env)) == data
 
 
 def test_aio_error_surfaces_at_wait():
