@@ -53,7 +53,7 @@ def main() -> None:
         space.write_bytes(vaddr, b"GENERATION-1")
         key, entry = yield from cache.acquire(space, vaddr, PAGE_SIZE)
         old_frame = entry.region.frames[0]
-        yield from port_a.send_registered(1, 2, key, 12)
+        yield from port_a.send(1, 2, key, 12)
         cache.release(entry)
         yield env.timeout(50_000)
 
@@ -68,7 +68,7 @@ def main() -> None:
         new_frame = entry2.region.frames[0]
         print(f"same virtual address {vaddr2:#x}: physical frame "
               f"{old_frame.pfn} -> {new_frame.pfn}")
-        yield from port_a.send_registered(1, 2, key2, 12)
+        yield from port_a.send(1, 2, key2, 12)
         cache.release(entry2)
 
     env.process(receiver(env))

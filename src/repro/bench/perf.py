@@ -1,22 +1,19 @@
-"""Engine/allocator self-benchmarks: track the simulator's own speed.
+"""Self-benchmarks of the simulator's fast paths and host footprint.
 
-The paper's argument is that per-operation bookkeeping must come off the
-data path; for this reproduction the "data path" is the discrete-event
-engine and the physical frame allocator that every figure driver and
-test exercises.  This module measures both in isolation —
+Each section measures what perfbench's end-to-end workloads cannot
+gate on their own:
 
-* **engine**: events processed per second, split into the heap path
-  (delayed timeouts) and the immediate path (delay-0 resource grants /
-  Store hand-offs), via a timeout-chain workload and a Store ping-pong
-  workload;
-* **allocator**: single-frame alloc/free cycles per second and
-  contiguous (kmalloc-style) allocations per second over a fragmented
-  pool,
-* **fleet memory**: the traced host-memory peak of one open-loop fleet
-  point per file/block server workload,
+* **data path**: host copies per payload byte (deterministic, so CI
+  caps it) and simulator MB/s through the GM and MX kernel paths;
+* **packet train** / **topo**: engine-event A/Bs of the analytic wire
+  and flow fast paths, with simulated time required identical;
+* **topo build** / **fleet memory**: traced host memory of a fabric
+  build per host and of one open-loop fleet point per file/block
+  server workload.
 
-and writes the numbers to ``BENCH_engine.json`` so the performance
-trajectory is visible across PRs.
+The numbers go to ``BENCH_engine.json`` so the trajectory is visible
+across changes; the engine itself is measured on real workloads by
+``perfbench/run.py``.
 
 Usage::
 
@@ -36,110 +33,8 @@ import time
 import tracemalloc
 
 from ..mem import sglist
-from ..mem.phys import PhysicalMemory
 from ..sim import Environment
-from ..sim.resources import Store
 from ..units import KiB, MiB
-
-
-# ---------------------------------------------------------------------------
-# engine benchmarks
-# ---------------------------------------------------------------------------
-
-
-def bench_engine_heap(procs: int = 10, timeouts: int = 20_000) -> dict:
-    """Events/sec through the heap: ``procs`` chains of delayed timeouts."""
-    env = Environment()
-
-    def chain(env, delay):
-        for _ in range(timeouts):
-            yield env.timeout(delay)
-
-    for i in range(procs):
-        env.process(chain(env, i + 1))
-    # per process: 1 start + `timeouts` timeout events + 1 completion
-    events = procs * (timeouts + 2)
-    t0 = time.perf_counter()
-    env.run()
-    elapsed = time.perf_counter() - t0
-    return {"events": events, "elapsed_s": elapsed,
-            "events_per_sec": events / elapsed}
-
-
-def bench_engine_immediate(pairs: int = 10, rounds: int = 10_000) -> dict:
-    """Events/sec through the immediate queue: Store ping-pong pairs."""
-    env = Environment()
-
-    def pinger(env, tx, rx):
-        for _ in range(rounds):
-            tx.put(1)
-            yield rx.get()
-
-    def ponger(env, tx, rx):
-        for _ in range(rounds):
-            yield rx.get()
-            tx.put(1)
-
-    for _ in range(pairs):
-        a2b = Store(env, "a2b")
-        b2a = Store(env, "b2a")
-        env.process(pinger(env, a2b, b2a))
-        env.process(ponger(env, b2a, a2b))
-    # per pair per round: 2 get events (puts complete them inline);
-    # plus 2 starts and 2 completions per pair
-    events = pairs * (2 * rounds + 4)
-    t0 = time.perf_counter()
-    env.run()
-    elapsed = time.perf_counter() - t0
-    return {"events": events, "elapsed_s": elapsed,
-            "events_per_sec": events / elapsed}
-
-
-# ---------------------------------------------------------------------------
-# allocator benchmarks
-# ---------------------------------------------------------------------------
-
-
-def bench_alloc_single(frames: int = 4096, cycles: int = 20) -> dict:
-    """Single-frame ops/sec: fill the pool, drain it, repeat."""
-    phys = PhysicalMemory(frames)
-    ops = 0
-    t0 = time.perf_counter()
-    for _ in range(cycles):
-        allocated = [phys.alloc() for _ in range(frames)]
-        for frame in allocated:
-            phys.free(frame)
-        ops += 2 * frames
-    elapsed = time.perf_counter() - t0
-    return {"ops": ops, "elapsed_s": elapsed, "ops_per_sec": ops / elapsed}
-
-
-def bench_alloc_contiguous(frames: int = 4096, run_len: int = 8,
-                           cycles: int = 200) -> dict:
-    """Contiguous ops/sec over a fragmented pool (worst case for kmalloc).
-
-    Fragments the pool by pinning every 16th frame, then repeatedly
-    allocates and frees ``run_len``-frame runs from the holes between.
-    """
-    phys = PhysicalMemory(frames)
-    step = 16
-    holders = [phys.alloc() for _ in range(frames)]
-    kept_pfns = {frame.pfn for frame in holders[::step]}
-    for frame in holders:
-        if frame.pfn not in kept_pfns:
-            phys.free(frame)
-    # free pool is now many short runs of (step-1) frames between pins
-    ops = 0
-    t0 = time.perf_counter()
-    for _ in range(cycles):
-        taken = [phys.alloc_contiguous(run_len)
-                 for _ in range(frames // step // 2)]
-        for base in taken:
-            phys.unpin_free(range(base, base + run_len))
-        ops += 2 * len(taken)
-    elapsed = time.perf_counter() - t0
-    return {"ops": ops, "elapsed_s": elapsed, "ops_per_sec": ops / elapsed,
-            "run_len": run_len, "free_runs": len(phys.free_runs())}
 
 
 # ---------------------------------------------------------------------------
@@ -419,37 +314,19 @@ def bench_fleet_memory() -> dict:
 
 def run_perf(quick: bool = False) -> dict:
     """Run all self-benchmarks; returns the report dict."""
-    scale = 10 if quick else 1
     report = {
         "schema": "repro-perf/1",
         "quick": quick,
-        "engine": {
-            "heap": bench_engine_heap(timeouts=20_000 // scale),
-            "immediate": bench_engine_immediate(rounds=10_000 // scale),
-        },
-        "allocator": {
-            "single_frame": bench_alloc_single(cycles=20 // scale or 1),
-            "contiguous": bench_alloc_contiguous(cycles=200 // scale),
-        },
         "data_path": bench_data_path(quick=quick),
         "packet_train": bench_packet_train(quick=quick),
         "topo": _bench_topo(quick=quick),
         "topo_full": _bench_topo_full(quick=quick),
         "fleet_memory": bench_fleet_memory(),
     }
-    eng = report["engine"]
-    alloc = report["allocator"]
     dp = report["data_path"]["paths"]
     pt = report["packet_train"]["summary"]
     tp = report["topo"]["summary"]
     report["summary"] = {
-        "engine_events_per_sec": round(
-            (eng["heap"]["events"] + eng["immediate"]["events"])
-            / (eng["heap"]["elapsed_s"] + eng["immediate"]["elapsed_s"])),
-        "allocator_ops_per_sec": round(
-            (alloc["single_frame"]["ops"] + alloc["contiguous"]["ops"])
-            / (alloc["single_frame"]["elapsed_s"]
-               + alloc["contiguous"]["elapsed_s"])),
         "data_path_copy_per_byte_max": max(
             p["summary"]["max_copy_per_byte"] for p in dp.values()),
         "packet_train_event_reduction": pt["event_reduction_min"],
@@ -471,7 +348,7 @@ def run_perf(quick: bool = False) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench-perf",
-        description="Self-benchmark the event engine and frame allocator",
+        description="Self-benchmark the simulator's fast paths and host footprint",
     )
     parser.add_argument("--quick", action="store_true",
                         help="reduced iteration counts (CI smoke, ~1 s)")
@@ -495,10 +372,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {args.out}", file=sys.stderr)
     summary = report["summary"]
     for line in (
-        f"engine heap      : {report['engine']['heap']['events_per_sec']:>12,.0f} events/s",
-        f"engine immediate : {report['engine']['immediate']['events_per_sec']:>12,.0f} events/s",
-        f"alloc single     : {report['allocator']['single_frame']['ops_per_sec']:>12,.0f} ops/s",
-        f"alloc contiguous : {report['allocator']['contiguous']['ops_per_sec']:>12,.0f} ops/s",
         f"data-path copies : {summary['data_path_copy_per_byte_max']:>12.2f} host bytes copied per payload byte",
         f"packet trains    : {summary['packet_train_event_reduction']:>12.2f} x fewer engine events "
         f"({summary['packet_train_events_per_mb']:,.0f} events/MB)",

@@ -106,7 +106,7 @@ class GmKernelTransport:
 
     def send(self, size: int, match: int = 0):
         if self.addressing == "virtual":
-            yield from self.port.send_registered(
+            yield from self.port.send(
                 self.peer_node, self.peer_port, self.send_alloc.vaddr, size, match=match
             )
         else:
@@ -117,7 +117,7 @@ class GmKernelTransport:
 
     def recv(self, size: int, match: Optional[int] = None):
         if self.addressing == "virtual":
-            yield from self.port.provide_receive_buffer_registered(
+            yield from self.port.provide_receive_buffer(
                 self.recv_alloc.vaddr, size, match=match
             )
         else:

@@ -165,13 +165,10 @@ class GmKernelChannel(KernelChannel):
 
     supports_vectorial = False
 
-    def __init__(self, node: Node, port_id: int, regcache_enabled: bool = True,
-                 max_cached_pages: int = 2048):
+    def __init__(self, node: Node, port_id: int, regcache_enabled: bool = True):
         self.node = node
         self.port = GmKernelPort(node, port_id)
-        self.gmkrc = Gmkrc(self.port, node.vmaspy,
-                           max_cached_pages=max_cached_pages,
-                           enabled=regcache_enabled)
+        self.gmkrc = Gmkrc(self.port, node.vmaspy, enabled=regcache_enabled)
         self.env = node.env
         node.env.process(self._dispatcher(), name=f"gmch{port_id}.dispatch")
 
@@ -181,30 +178,19 @@ class GmKernelChannel(KernelChannel):
              match: int = 0, meta: Any = None):
         handle = ChannelSend(event=self.env.event("gmch.send"),
                              length=sum(s.length for s in segments))
-        user_segs = [s for s in segments if s.kind is MemType.USER_VIRTUAL]
-        if user_segs and len(segments) > 1:
-            raise UnsupportedOperation(
-                "GM has no vectorial primitives: cannot send multiple "
-                "segments involving user memory in one operation"
-            )
-        if user_segs:
-            seg = user_segs[0]
-            key, entry = yield from self.gmkrc.acquire(seg.space, seg.vaddr,
-                                                       seg.length)
-            yield from self.port.send_registered(
-                dst_node, dst_port, key, seg.length, match=match,
+        # GM sends complete out of the same registered region; a GMKRC
+        # entry stays referenced until the SENT event.
+        key, sg, handle._entry = yield from self._gm_memory(segments)
+        if sg is None:
+            yield from self.port.send(
+                dst_node, dst_port, key, handle.length, match=match,
                 tag=("send", handle), meta=meta,
             )
-            # GM sends complete out of the same registered region; the
-            # cache entry stays referenced until the SENT event.
-            handle._entry = entry
         else:
-            sg = self._resolve_phys(segments)
             yield from self.port.send_physical(
                 dst_node, dst_port, sg, match=match, tag=("send", handle),
                 meta=meta,
             )
-            handle._entry = None
         return handle
 
     def post_recv(self, segments: Sequence[MxSegment],
@@ -212,36 +198,46 @@ class GmKernelChannel(KernelChannel):
         handle = ChannelRecv(event=self.env.event("gmch.recv"),
                              capacity=sum(s.length for s in segments),
                              match=match)
-        user_segs = [s for s in segments if s.kind is MemType.USER_VIRTUAL]
-        if user_segs and len(segments) > 1:
-            raise UnsupportedOperation(
-                "GM cannot scatter one message across user-memory segments"
+        key, sg, handle._entry = yield from self._gm_memory(segments)
+        if sg is None:
+            yield from self.port.provide_receive_buffer(
+                key, handle.capacity, match=match, tag=("recv", handle),
             )
-        if user_segs:
-            seg = user_segs[0]
-            key, entry = yield from self.gmkrc.acquire(seg.space, seg.vaddr,
-                                                       seg.length)
-            yield from self.port.provide_receive_buffer_registered(
-                key, seg.length, match=match, tag=("recv", handle),
-            )
-            handle._entry = entry
         else:
-            sg = self._resolve_phys(segments)
             yield from self.port.provide_receive_buffer_physical(
                 sg, match=match, tag=("recv", handle),
             )
-            handle._entry = None
         return handle
+
+    def _gm_memory(self, segments: Sequence[MxSegment]):
+        """Generator: name ``segments`` the way GM can.
+
+        One user segment is acquired through GMKRC and comes back as
+        ``(key, None, entry)``; kernel-virtual and physical segments
+        come back as ``(None, sg, None)`` for the physical primitives.
+        GM has no vectorial primitives, so user memory in a list of
+        several segments cannot be named at all.
+        """
+        user_segs = [s for s in segments if s.kind is MemType.USER_VIRTUAL]
+        if not user_segs:
+            return None, self._resolve_phys(segments), None
+        if len(segments) > 1:
+            raise UnsupportedOperation(
+                "GM has no vectorial primitives: cannot name multiple "
+                "segments involving user memory in one operation"
+            )
+        seg = user_segs[0]
+        key, entry = yield from self.gmkrc.acquire(seg.space, seg.vaddr,
+                                                   seg.length)
+        return key, None, entry
 
     def _resolve_phys(self, segments: Sequence[MxSegment]) -> list[PhysSegment]:
         out: list[PhysSegment] = []
         for seg in segments:
             if seg.kind is MemType.KERNEL_VIRTUAL:
                 out.extend(sg_from_kernel(self.node.kspace, seg.vaddr, seg.length))
-            elif seg.kind is MemType.PHYSICAL:
+            else:
                 out.extend(seg.sg)
-            else:  # pragma: no cover - guarded by callers
-                raise UnsupportedOperation("unexpected user segment")
         return out
 
     # -- completion --------------------------------------------------------------

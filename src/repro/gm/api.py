@@ -4,7 +4,15 @@ Follows the GM 2.x programming model the paper describes (section
 2.2.2): "The user posts send, receive or remote memory access requests
 and gets their completion notifications in a unique event queue."  All
 I/O buffers must be registered first; sends and receive buffers are
-specified by virtual address and the NIC translates through its table.
+specified by a key in the port's namespace (the owning process's
+virtual address, or a GMKRC-encoded key on a shared kernel port) and
+the NIC translates through its table.
+
+Every GM send, whatever names its memory, goes through one private
+path (:meth:`GmPort._submit`) and every receive post through another
+(:meth:`GmPort._post`); the kernel port's physical-address primitives
+(:mod:`repro.gm.kernel`) are those same two paths with the NIC
+translation turned off.
 
 Deviations from the real API, documented:
 
@@ -104,42 +112,51 @@ class GmPort:
              match: int = 0, tag: Any = None, meta: Any = None):
         """Generator: gm_send from a registered buffer.
 
+        ``vaddr`` is a key in the port's namespace: a user port's own
+        virtual address, or a GMKRC-encoded key on a shared kernel port.
         Returns once the descriptor is handed to the NIC; the completion
         arrives in the event queue as a SENT event.
         """
         self._check_open()
+        yield from self._submit(dst_node, dst_port,
+                                self._sg_through_table(vaddr, length), length,
+                                translate=True, match=match, tag=tag, meta=meta)
+
+    def _submit(self, dst_node: int, dst_port: int, sg: list[PhysSegment],
+                length: int, translate: bool, match: int, tag: Any, meta: Any):
+        """Generator: hand one send descriptor to the NIC — the only GM
+        send path.  ``translate`` says whether the NIC resolves ``sg``
+        through its table (registered memory) or takes it as physical
+        (the paper's section 3.3 primitive)."""
         if self._pending_sends >= GM_SEND_QUEUE_DEPTH:
             raise GMSendQueueFull(f"port {self.port_id}: {self._pending_sends} pending")
-        region = self.domain.find(vaddr, length)
-        if region is None:
-            raise GMError(
-                f"send from unregistered memory {vaddr:#x}+{length} "
-                f"(GM requires gm_register_memory first)"
-            )
-        sg = self._sg_through_table(vaddr, length)
         yield from self.cpu.work(self.costs.host_send_ns)
         yield from self.cpu.work(self.node.nic.doorbell_time_ns())
         self._pending_sends += 1
         self._m_sends.inc()
-        desc = SendDescriptor(
+        completion = self.node.nic.submit(SendDescriptor(
             dst_nic=dst_node,
             dst_port=dst_port,
             match=match,
             size=length,
             src_port=self.port_id,
             sg=sg,
-            translate_tx=True,  # NIC resolves the registered virtual address
+            translate_tx=translate,
             fw_send_ns=self.costs.fw_send_ns,
             tag=tag,
             meta=meta,
-        )
-        completion = self.node.nic.submit(desc)
+        ))
         completion.add_callback(lambda ev: self._on_send_completion(ev.value))
 
     def _sg_through_table(self, vaddr: int, length: int) -> list[PhysSegment]:
         """Resolve a registered range into physical segments through the
         NIC's translation table, one lookup per page — the table the
         registration filled is the only copy of the translations."""
+        if self.domain.find(vaddr, length) is None:
+            raise GMError(
+                f"unregistered memory {vaddr:#x}+{length} "
+                f"(GM requires gm_register_memory first)"
+            )
         lookup = self.domain.table.lookup
         context = self.context
         segments: list[PhysSegment] = []
@@ -157,14 +174,16 @@ class GmPort:
 
     def provide_receive_buffer(self, vaddr: int, length: int,
                                match: Optional[int] = None, tag: Any = None):
-        """Generator: gm_provide_receive_buffer from a registered buffer."""
+        """Generator: gm_provide_receive_buffer from a registered buffer
+        (``vaddr`` in the port's key namespace, as for :meth:`send`)."""
         self._check_open()
-        region = self.domain.find(vaddr, length)
-        if region is None:
-            raise GMError(
-                f"receive buffer {vaddr:#x}+{length} is not registered"
-            )
-        sg = self._sg_through_table(vaddr, length)
+        yield from self._post(self._sg_through_table(vaddr, length), length,
+                              translate=True, match=match, tag=tag)
+
+    def _post(self, sg: list[PhysSegment], length: int, translate: bool,
+              match: Optional[int], tag: Any):
+        """Generator: post one receive to the NIC — the only GM post
+        path (``translate`` as for :meth:`_submit`)."""
         yield from self.cpu.work(self.costs.host_recv_post_ns)
         self._m_recv_posts.inc()
         self.nic_port.post_receive(
@@ -172,7 +191,7 @@ class GmPort:
                 match=match,
                 capacity=length,
                 dest_sg=sg,
-                translate_rx=True,
+                translate_rx=translate,
                 tag=tag,
             )
         )
@@ -228,64 +247,6 @@ class GmPort:
         self._pending_sends -= 1
         self.events.put(
             GmEvent(kind=GmEventKind.SENT, size=completion.size, tag=completion.tag)
-        )
-
-    # -- sends/receives through explicitly keyed registrations (GMKRC) ----------------
-    # The key namespace may be the plain virtual address (single-process
-    # user ports) or GMKRC's encoded 64-bit keys (shared kernel ports).
-
-    def send_registered(self, dst_node: int, dst_port: int, key_vaddr: int,
-                        length: int, match: int = 0, tag: Any = None,
-                        meta: Any = None):
-        """Generator: send from memory registered under an encoded key
-        (GMKRC's 64-bit namespace); NIC translation is charged as for any
-        registered-virtual GM send."""
-        self._check_open()
-        region = self.domain.find(key_vaddr, length)
-        if region is None:
-            raise GMError(f"no registration covers key {key_vaddr:#x}+{length}")
-        if self._pending_sends >= GM_SEND_QUEUE_DEPTH:
-            raise GMSendQueueFull(f"port {self.port_id}: {self._pending_sends} pending")
-        sg = self._sg_through_table(key_vaddr, length)
-        yield from self.cpu.work(self.costs.host_send_ns)
-        yield from self.cpu.work(self.node.nic.doorbell_time_ns())
-        self._pending_sends += 1
-        self._m_sends.inc()
-        desc = SendDescriptor(
-            dst_nic=dst_node,
-            dst_port=dst_port,
-            match=match,
-            size=length,
-            src_port=self.port_id,
-            sg=sg,
-            translate_tx=True,
-            fw_send_ns=self.costs.fw_send_ns,
-            tag=tag,
-            meta=meta,
-        )
-        completion = self.node.nic.submit(desc)
-        completion.add_callback(lambda ev: self._on_send_completion(ev.value))
-
-    def provide_receive_buffer_registered(self, key_vaddr: int, length: int,
-                                          match: Optional[int] = None,
-                                          tag: Any = None):
-        """Generator: post a receive into memory registered under an
-        encoded key (translation charged on the receive side)."""
-        self._check_open()
-        region = self.domain.find(key_vaddr, length)
-        if region is None:
-            raise GMError(f"no registration covers key {key_vaddr:#x}+{length}")
-        sg = self._sg_through_table(key_vaddr, length)
-        yield from self.cpu.work(self.costs.host_recv_post_ns)
-        self._m_recv_posts.inc()
-        self.nic_port.post_receive(
-            PostedReceive(
-                match=match,
-                capacity=length,
-                dest_sg=sg,
-                translate_rx=True,
-                tag=tag,
-            )
         )
 
     # -- lifecycle ---------------------------------------------------------------------

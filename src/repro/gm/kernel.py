@@ -10,7 +10,8 @@ sender and the receiver's side, that is 10 % improvement".
 :class:`GmKernelPort` extends :class:`GmPort` with:
 
 * ``send_physical`` / ``provide_receive_buffer_physical`` — the new
-  primitives (no registration, no translation);
+  primitives (no registration, no translation): the port's one send
+  and one post path with the NIC translation turned off;
 * ``register_kernel`` — registration of kernel-virtual ranges (already
   pinned; no get_user_pages);
 * kernel-context costs (``GM_KERNEL_COSTS``): GM's kernel entry points
@@ -18,7 +19,8 @@ sender and the receiver's side, that is 10 % improvement".
 
 A kernel port is *shared*: it has no single owning address space.  GM
 sends from user memory through a shared port therefore need GMKRC's
-encoded registration keys (:mod:`repro.gmkrc`).
+encoded registration keys (:mod:`repro.gmkrc`), which the inherited
+``send`` / ``provide_receive_buffer`` take like any registered key.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..cluster.node import Node
-from ..errors import GMError, GMSendQueueFull
-from ..hw.nic import PostedReceive, SendDescriptor
+from ..errors import GMError
 from ..hw.params import GM_KERNEL_COSTS
 from ..mem.layout import PhysSegment
-from .api import GM_SEND_QUEUE_DEPTH, GmPort
+from .api import GmPort
 
 
 class GmKernelPort(GmPort):
@@ -72,26 +73,9 @@ class GmKernelPort(GmPort):
         self._check_open()
         if not sg:
             raise GMError("send_physical needs at least one segment")
-        if self._pending_sends >= GM_SEND_QUEUE_DEPTH:
-            raise GMSendQueueFull(f"port {self.port_id}: {self._pending_sends} pending")
-        length = sum(seg.length for seg in sg)
-        yield from self.cpu.work(self.costs.host_send_ns)
-        yield from self.cpu.work(self.node.nic.doorbell_time_ns())
-        self._pending_sends += 1
-        desc = SendDescriptor(
-            dst_nic=dst_node,
-            dst_port=dst_port,
-            match=match,
-            size=length,
-            src_port=self.port_id,
-            sg=sg,
-            translate_tx=False,  # the whole point of the new primitive
-            fw_send_ns=self.costs.fw_send_ns,
-            tag=tag,
-            meta=meta,
-        )
-        completion = self.node.nic.submit(desc)
-        completion.add_callback(lambda ev: self._on_send_completion(ev.value))
+        yield from self._submit(dst_node, dst_port, sg,
+                                sum(seg.length for seg in sg), translate=False,
+                                match=match, tag=tag, meta=meta)
 
     def provide_receive_buffer_physical(self, sg: list[PhysSegment],
                                         match: Optional[int] = None,
@@ -101,13 +85,5 @@ class GmKernelPort(GmPort):
         self._check_open()
         if not sg:
             raise GMError("physical receive needs at least one segment")
-        yield from self.cpu.work(self.costs.host_recv_post_ns)
-        self.nic_port.post_receive(
-            PostedReceive(
-                match=match,
-                capacity=sum(seg.length for seg in sg),
-                dest_sg=sg,
-                translate_rx=False,
-                tag=tag,
-            )
-        )
+        yield from self._post(sg, sum(seg.length for seg in sg),
+                              translate=False, match=match, tag=tag)

@@ -67,11 +67,8 @@ class RegistrationDomain:
         self.context = context
         self._regions: list[GmRegion] = []
         self.registered_pages = 0
-        self.register_calls = 0
-        self.deregister_calls = 0
-        # Registry mirrors of the counts above (the plain ints stay the
-        # public per-domain API; with a registry installed the metrics
-        # aggregate over every domain of one host CPU).
+        # With a registry installed these aggregate over every domain of
+        # one host CPU.
         self._m_reg = obs.counter("gm.registrations", cpu=cpu.name)
         self._m_dereg = obs.counter("gm.deregistrations", cpu=cpu.name)
         self._m_pages = obs.gauge("gm.registered_pages", cpu=cpu.name)
@@ -99,42 +96,35 @@ class RegistrationDomain:
         optionally decouples the table key namespace from the real
         virtual address — the hook GMKRC's encoded 64-bit keys use.
         """
-        npages = pages_spanned(vaddr, length)
-        if npages == 0:
-            raise GMRegistrationError("cannot register an empty range")
-        if self.find(key_vaddr if key_vaddr is not None else vaddr, length):
+        npages = _npages(vaddr, length)
+        key = key_vaddr if key_vaddr is not None else vaddr
+        if self.find(key, length):
             raise GMRegistrationError(
                 f"range {vaddr:#x}+{length} overlaps an active registration"
             )
         frames = space.pin_range(vaddr, length)
         yield from self.cpu.pin_pages(npages)
         yield from self.cpu.work(self.register_cost_ns(npages))
-        key_base = ((key_vaddr if key_vaddr is not None else vaddr) & ~PAGE_MASK)
-        self.table.install_range(self.context, key_base >> PAGE_SHIFT,
-                                 [frame.pfn for frame in frames])
-        region = GmRegion(self.context, key_base, npages, frames)
-        self._regions.append(region)
-        self.registered_pages += npages
-        self.register_calls += 1
-        self._m_reg.inc()
-        self._m_pages.inc(npages)
-        return region
+        return self._add(key & ~PAGE_MASK, [frame.pfn for frame in frames],
+                         frames)
 
     def register_kernel(self, kspace: KernelSpace, vaddr: int, length: int):
         """Generator: register a kernel-virtual range (already pinned, so
         no pins are taken and no page frame is looked up)."""
         base = vaddr & ~PAGE_MASK
-        npages = pages_spanned(vaddr, length)
-        if npages == 0:
-            raise GMRegistrationError("cannot register an empty range")
+        npages = _npages(vaddr, length)
         yield from self.cpu.work(self.register_cost_ns(npages))
         pfns = [kspace.translate(base + i * PAGE_SIZE) >> PAGE_SHIFT
                 for i in range(npages)]
-        self.table.install_range(self.context, base >> PAGE_SHIFT, pfns)
-        region = GmRegion(self.context, base, npages, [])
+        return self._add(base, pfns, [])
+
+    def _add(self, key_base: int, pfns: list[int], frames: list[Frame]) -> GmRegion:
+        """Install a registered range's translations and account it."""
+        npages = len(pfns)
+        self.table.install_range(self.context, key_base >> PAGE_SHIFT, pfns)
+        region = GmRegion(self.context, key_base, npages, frames)
         self._regions.append(region)
         self.registered_pages += npages
-        self.register_calls += 1
         self._m_reg.inc()
         self._m_pages.inc(npages)
         return region
@@ -172,7 +162,6 @@ class RegistrationDomain:
                 frame.unpin()
         self._regions.remove(region)
         self.registered_pages -= region.npages
-        self.deregister_calls += 1
         self._m_dereg.inc()
         self._m_pages.dec(region.npages)
 
@@ -189,10 +178,14 @@ class RegistrationDomain:
                 return region
         return None
 
-    def regions(self) -> list[GmRegion]:
-        return list(self._regions)
-
     def teardown(self) -> None:
         """Drop everything (port close): free on real GM, no dereg cost."""
         for region in list(self._regions):
             self.remove_silently(region)
+
+
+def _npages(vaddr: int, length: int) -> int:
+    npages = pages_spanned(vaddr, length)
+    if npages == 0:
+        raise GMRegistrationError("cannot register an empty range")
+    return npages

@@ -5,6 +5,8 @@ Behaviour (paper sections 2.2.2 and 3.2):
 * ``acquire(space, vaddr, length)`` returns the encoded key under which
   the range is registered on the port, registering on the flight on a
   miss.  Hits are (nearly) free; misses pay GM's full registration cost.
+  The port's ordinary ``send``/``provide_receive_buffer`` take the key:
+  it resolves through the NIC table like any registered address.
 * Deregistration is **lazy**: entries persist after ``release`` and are
   only deregistered when the cached-page budget is exceeded (LRU among
   unreferenced entries) — "deregistration is delayed until it is really
@@ -192,8 +194,9 @@ class Gmkrc:
         """Generator: ensure [vaddr, vaddr+length) of ``space`` is
         registered; returns (encoded key vaddr, CacheEntry).
 
-        The returned key is what the caller passes to the shared port's
-        ``send_registered``/``provide_receive_buffer_registered``.
+        The returned key is what the caller passes to the port's
+        ``send``/``provide_receive_buffer``, which take it like any other
+        registered address.
         """
         if length <= 0:
             raise GMError("acquire of empty range")

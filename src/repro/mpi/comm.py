@@ -88,7 +88,7 @@ class _GmRank:
     def isend(self, dst: tuple[int, int], vaddr: int, length: int, match: int):
         req = MpiRequest("send", self.node.env.event("mpi.send"), length)
         key, entry = yield from self.cache.acquire(self.space, vaddr, length)
-        yield from self.port.send_registered(
+        yield from self.port.send(
             dst[0], dst[1], key, length, match=match,
             tag=("send", req, entry),
         )
@@ -97,7 +97,7 @@ class _GmRank:
     def irecv(self, vaddr: int, length: int, match: int):
         req = MpiRequest("recv", self.node.env.event("mpi.recv"), length)
         key, entry = yield from self.cache.acquire(self.space, vaddr, length)
-        yield from self.port.provide_receive_buffer_registered(
+        yield from self.port.provide_receive_buffer(
             key, length, match=match, tag=("recv", req, entry),
         )
         return req

@@ -41,7 +41,6 @@ from ..hw.params import (
     MX_KERNEL_COSTS,
     MX_STRATEGY,
     MX_USER_COSTS,
-    MxStrategyParams,
 )
 from ..mem.layout import PhysSegment, sg_from_kernel, sg_from_user
 from ..mem.sglist import PayloadRef
@@ -78,7 +77,6 @@ class MxEndpoint:
         node: Node,
         endpoint_id: int,
         context: str = "user",
-        strategy: MxStrategyParams = MX_STRATEGY,
         no_send_copy: bool = False,
         no_recv_copy: bool = False,
     ):
@@ -88,7 +86,7 @@ class MxEndpoint:
         self.endpoint_id = endpoint_id
         self.context = context
         self.costs: ApiCosts = MX_USER_COSTS if context == "user" else MX_KERNEL_COSTS
-        self.strategy = strategy
+        self.strategy = MX_STRATEGY
         self.no_send_copy = no_send_copy
         self.no_recv_copy = no_recv_copy
         self.env = node.env

@@ -94,7 +94,7 @@ class _GmClientSide:
         """Generator: READ with the data landing in the app buffer."""
         key, entry = yield from self.regcache.acquire(self.space, vaddr, req.length)
         try:
-            yield from self.port.provide_receive_buffer_registered(
+            yield from self.port.provide_receive_buffer(
                 key, req.length, match=req.request_id
             )
             yield from self.port.send(

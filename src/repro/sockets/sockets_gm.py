@@ -185,7 +185,7 @@ class SocketsGmModule:
             raise SocketError("rx bounce pool exhausted")
         waiter = self._await_match(match)
         alloc = self._rx[idx]
-        yield from self.port.provide_receive_buffer_registered(
+        yield from self.port.provide_receive_buffer(
             alloc.vaddr, _CTRL_BYTES + 64, match=match, tag=("rx", idx)
         )
         waiter.add_callback(lambda ev: self._rx_free.append(idx))
@@ -195,7 +195,7 @@ class SocketsGmModule:
         idx = yield from self._take_tx()
         alloc = self._tx[idx][0]
         yield from self.cpu.work(_PORT_LOCK_NS)
-        yield from self.port.send_registered(
+        yield from self.port.send(
             dst_node, dst_port, alloc.vaddr, _CTRL_BYTES, match=match,
             tag=("tx", idx), meta=meta,
         )
@@ -214,7 +214,7 @@ class SocketsGmModule:
         yield from self.cpu.copy(length)
         self.node.kspace.write_payload(alloc.vaddr, space.read_payload(vaddr, length))
         yield from self.cpu.work(_PORT_LOCK_NS)
-        yield from self.port.send_registered(
+        yield from self.port.send(
             sock.peer_node, sock.peer_port, alloc.vaddr, length,
             match=sock.conn_id, tag=("tx", idx),
         )
@@ -227,7 +227,7 @@ class SocketsGmModule:
             raise SocketError("rx bounce pool exhausted")
         alloc = self._rx[idx]
         waiter = self._await_match(sock.conn_id)
-        yield from self.port.provide_receive_buffer_registered(
+        yield from self.port.provide_receive_buffer(
             alloc.vaddr, min(max(length, 64), MAX_SOCK_MSG), match=sock.conn_id,
             tag=("rx", idx),
         )

@@ -10,16 +10,6 @@ from repro.bench import perf, runner
 def test_run_perf_quick_report_shape():
     report = perf.run_perf(quick=True)
     assert report["quick"] is True
-    for section in ("heap", "immediate"):
-        block = report["engine"][section]
-        assert block["events"] > 0
-        assert block["events_per_sec"] > 0
-    for section in ("single_frame", "contiguous"):
-        block = report["allocator"][section]
-        assert block["ops"] > 0
-        assert block["ops_per_sec"] > 0
-    assert report["summary"]["engine_events_per_sec"] > 0
-    assert report["summary"]["allocator_ops_per_sec"] > 0
     pt = report["packet_train"]
     for entry in pt["entries"]:
         assert entry["events"]["per_packet"] > entry["events"]["train"] > 0
@@ -64,7 +54,7 @@ def test_perf_main_writes_json(tmp_path):
     assert perf.main(["--quick", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["schema"] == "repro-perf/1"
-    assert report["summary"]["engine_events_per_sec"] > 0
+    assert report["summary"]["data_path_copy_per_byte_max"] > 0
 
 
 def test_runner_parallel_output_identical_to_sequential(capsys):

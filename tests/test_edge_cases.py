@@ -11,9 +11,11 @@ from repro.errors import (
     GMSendQueueFull,
     TranslationTableFull,
 )
-from repro.gm import GmPort
+from repro.gm import GmKernelPort, GmPort
 from repro.gm.api import GM_SEND_QUEUE_DEPTH
+from repro.gmkrc import Gmkrc
 from repro.hw.params import NicParams, PCI_XD, MX_STRATEGY
+from repro.mem.layout import sg_from_kernel
 from repro.mx import MxEndpoint, MxSegment
 from repro.sim import Environment
 from repro.units import PAGE_SIZE, us
@@ -82,20 +84,30 @@ def test_mx_boundary_messages_deliver_correctly():
 # -- GM limits --------------------------------------------------------------------
 
 
-def test_gm_send_queue_depth_enforced():
+@pytest.mark.parametrize("memory", ["user", "gmkrc_key", "physical"])
+def test_gm_send_queue_depth_enforced(memory):
+    """Every way of naming GM memory shares the one send-queue bound."""
     env = Environment()
     a, b = node_pair(env)
     space = a.new_process_space()
-    port = GmPort(a, 1, space)
+    port = GmPort(a, 1, space) if memory == "user" else GmKernelPort(a, 1)
     size = 32 * 1024  # large enough that the wire backs the queue up
     vaddr = space.mmap(size)
 
     def script(env):
-        yield from port.register(vaddr, size)
+        if memory == "user":
+            yield from port.register(vaddr, size)
+            send = lambda: port.send(1, 9, vaddr, size)
+        elif memory == "gmkrc_key":
+            key, _ = yield from Gmkrc(port, a.vmaspy).acquire(space, vaddr, size)
+            send = lambda: port.send(1, 9, key, size)
+        else:
+            sg = sg_from_kernel(a.kspace, a.kspace.vmalloc(size).vaddr, size)
+            send = lambda: port.send_physical(1, 9, sg)
         with pytest.raises(GMSendQueueFull):
             # posting outruns wire completions well before 2x depth
             for _ in range(2 * GM_SEND_QUEUE_DEPTH):
-                yield from port.send(1, 9, vaddr, size)
+                yield from send()
 
     run(env, script(env))
 

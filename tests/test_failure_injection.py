@@ -43,7 +43,7 @@ def remap_and_send(env, a, b, pa, pb, cache, space, dst):
         vaddr = space.mmap(PAGE_SIZE)
         space.write_bytes(vaddr, b"OLD-CONTENTS")
         key, entry = yield from cache.acquire(space, vaddr, PAGE_SIZE)
-        yield from pa.send_registered(1, 2, key, 12)
+        yield from pa.send(1, 2, key, 12)
         cache.release(entry)
         yield env.timeout(us(100))
 
@@ -52,7 +52,7 @@ def remap_and_send(env, a, b, pa, pb, cache, space, dst):
         assert vaddr2 == vaddr  # first-fit reuses the address
         space.write_bytes(vaddr2, b"NEW-CONTENTS")
         key2, entry2 = yield from cache.acquire(space, vaddr2, PAGE_SIZE)
-        yield from pa.send_registered(1, 2, key2, 12)
+        yield from pa.send(1, 2, key2, 12)
         cache.release(entry2)
 
     env.process(sender(env))
@@ -101,7 +101,7 @@ def test_incoherent_cache_poisons_receives_too():
         space.munmap(vaddr, PAGE_SIZE)
         vaddr2 = space.mmap(PAGE_SIZE)
         key2, entry2 = yield from cache.acquire(space, vaddr2, PAGE_SIZE)
-        yield from pb.provide_receive_buffer_registered(key2, PAGE_SIZE)
+        yield from pb.provide_receive_buffer(key2, PAGE_SIZE)
         event = yield from pb.receive_event(blocking=True)
         cache.release(entry2)
         return space.read_bytes(vaddr2, 7)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.cluster import node_pair
 from repro.errors import GMError, GMRegistrationError, TranslationMiss
 from repro.gm import GmEventKind, GmKernelPort, GmPort
@@ -173,6 +174,26 @@ def test_physical_send_and_receive_roundtrip(pair):
     assert b.kspace.read_bytes(dst.vaddr, 13) == b"physical-path"
     # Physical primitives never touch the translation table.
     assert a.nic.transtable.lookup_count == 0
+
+
+def test_physical_primitives_count_as_gm_sends_and_posts():
+    """The physical primitives share the port's one send and one post
+    path, so page-cache traffic shows up in ``gm.sends``/``gm.recv_posts``."""
+    with obs.scoped_registry() as registry:
+        env = Environment()
+        a, b = node_pair(env)
+        pa, pb = GmKernelPort(a, 2), GmKernelPort(b, 2)
+        src, dst = a.kspace.kmalloc(PAGE_SIZE), b.kspace.kmalloc(PAGE_SIZE)
+
+        def script(env):
+            yield from pb.provide_receive_buffer_physical(
+                sg_from_frames(dst.frames, 0, PAGE_SIZE))
+            yield from pa.send_physical(1, 2, sg_from_frames(src.frames, 0, 64))
+
+        run(env, script(env))
+        counters = registry.snapshot()["counters"]
+    assert counters["gm.sends{node=0,port=2}"] == 1
+    assert counters["gm.recv_posts{node=1,port=2}"] == 1
 
 
 def test_sends_resolve_registered_pages_through_the_nic_table(pair):

@@ -211,7 +211,7 @@ def test_end_to_end_send_through_cached_registration():
 
     def sender(env):
         key, entry = yield from cache_a.acquire(space, vaddr, PAGE_SIZE)
-        yield from port_a.send_registered(1, 2, key, 13)
+        yield from port_a.send(1, 2, key, 13)
         cache_a.release(entry)
 
     env.process(sender(env))
@@ -250,7 +250,7 @@ def test_invalidating_one_of_two_overlapping_entries_keeps_the_other():
         )
         space.munmap(vaddr, PAGE_SIZE)
         assert cache_a.invalidations == 1 and cache_a.entry_count() == 1
-        yield from port_a.send_registered(1, 2, key, 2 * PAGE_SIZE)
+        yield from port_a.send(1, 2, key, 2 * PAGE_SIZE)
         cache_a.release(second)
 
     env.process(sender(env))
