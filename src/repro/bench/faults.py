@@ -23,7 +23,7 @@ from ..faults import FaultPlan
 from ..nbd.device import BLOCK_SIZE, NbdDevice, NbdServer
 from ..orfa.client import OrfaClient
 from ..orfa.server import OrfaServer
-from ..sim import Environment
+from ..sim import Environment, one_world
 from ..units import ms
 
 DROP_RATES = (0.0, 0.01, 0.02, 0.05, 0.10)
@@ -52,6 +52,7 @@ def _fault_counters(plan: FaultPlan, *nics) -> tuple[int, int]:
     return stats["dropped"], retrans
 
 
+@one_world
 def _orfa_run(seed: int, drop: float) -> tuple[float, int, int]:
     """One ORFA write+read pass; returns (sim ms, drops, retransmissions)."""
     env = Environment()
@@ -87,6 +88,7 @@ def _orfa_run(seed: int, drop: float) -> tuple[float, int, int]:
     return elapsed_ms, dropped, retrans
 
 
+@one_world
 def _nbd_run(seed: int, drop: float) -> tuple[float, int, int]:
     """One NBD write+flush+reread pass; returns (sim ms, drops, retrans)."""
     env = Environment()

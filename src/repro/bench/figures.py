@@ -19,7 +19,7 @@ from ..cluster import node_pair
 from ..gm.registration import RegistrationDomain
 from ..hw.cpu import Cpu
 from ..hw.params import HOST_P3_1200, HOST_P4_2600, PCI_XD, PCI_XE
-from ..sim import Environment
+from ..sim import Environment, one_world
 from ..units import KiB, MiB, PAGE_SIZE, to_us, us
 from .fileio import (
     build_orfa,
@@ -53,6 +53,7 @@ class FigureData:
 # ---------------------------------------------------------------------------
 
 
+@one_world
 def _netpipe_series(make_a, make_b, sizes: Sequence[int], metric: str,
                     link=PCI_XD, rounds: int = 8) -> list[float]:
     """One transport pair swept over sizes; metric 'latency_us'|'bandwidth'."""
@@ -360,54 +361,57 @@ def fig7b(sizes: Sequence[int] = (1024, 4096, 16 * KiB, 64 * KiB,
 # ---------------------------------------------------------------------------
 
 
-def _socket_sweep(kind: str, sizes: Sequence[int], rounds: int = 8):
-    """One socket protocol swept over sizes; returns (latencies, bandwidths)."""
+@one_world
+def _socket_point(kind: str, size: int, rounds: int = 8) -> tuple[float, float]:
+    """One socket ping-pong at one size; returns (latency, bandwidth)."""
     from ..sockets import SocketsGmModule, SocketsMxModule, ethernet_pair
 
-    lat, bw = [], []
-    for size in sizes:
-        env = Environment()
-        a, b = node_pair(env, link=PCI_XE)
-        if kind == "mx":
-            ma, mb = SocketsMxModule(a, 9), SocketsMxModule(b, 9)
-        elif kind == "gm":
-            ma, mb = SocketsGmModule(a, 9), SocketsGmModule(b, 9)
+    env = Environment()
+    a, b = node_pair(env, link=PCI_XE)
+    if kind == "mx":
+        ma, mb = SocketsMxModule(a, 9), SocketsMxModule(b, 9)
+    elif kind == "gm":
+        ma, mb = SocketsGmModule(a, 9), SocketsGmModule(b, 9)
+    else:
+        ma, mb = ethernet_pair(env, a, b)
+    spa, spb = a.new_process_space(), b.new_process_space()
+    va = spa.mmap(max(size, PAGE_SIZE), populate=True)
+    vb = spb.mmap(max(size, PAGE_SIZE), populate=True)
+    times = {}
+    warmup = 2
+
+    def server(env):
+        if kind == "tcp":
+            mb.listen()
         else:
-            ma, mb = ethernet_pair(env, a, b)
-        spa, spb = a.new_process_space(), b.new_process_space()
-        va = spa.mmap(max(size, PAGE_SIZE), populate=True)
-        vb = spb.mmap(max(size, PAGE_SIZE), populate=True)
-        times = {}
-        warmup = 2
+            yield from mb.listen()
+        sock = yield from mb.accept()
+        for _ in range(rounds + warmup):
+            yield from sock.recv(spb, vb, size)
+            yield from sock.send(spb, vb, size)
 
-        def server(env):
-            if kind == "tcp":
-                mb.listen()
-            else:
-                yield from mb.listen()
-            sock = yield from mb.accept()
-            for _ in range(rounds + warmup):
-                yield from sock.recv(spb, vb, size)
-                yield from sock.send(spb, vb, size)
+    def client(env):
+        if kind == "tcp":
+            sock = yield from ma.connect()
+        else:
+            sock = yield from ma.connect(1, 9)
+        for i in range(rounds + warmup):
+            if i == warmup:
+                times["t0"] = env.now
+            yield from sock.send(spa, va, size)
+            yield from sock.recv(spa, va, size)
+        times["t1"] = env.now
 
-        def client(env):
-            if kind == "tcp":
-                sock = yield from ma.connect()
-            else:
-                sock = yield from ma.connect(1, 9)
-            for i in range(rounds + warmup):
-                if i == warmup:
-                    times["t0"] = env.now
-                yield from sock.send(spa, va, size)
-                yield from sock.recv(spa, va, size)
-            times["t1"] = env.now
+    env.process(server(env))
+    env.run(until=env.process(client(env)))
+    one_way = (times["t1"] - times["t0"]) / (2 * rounds)
+    return to_us(one_way), size / one_way * 1000  # MB/s
 
-        env.process(server(env))
-        env.run(until=env.process(client(env)))
-        one_way = (times["t1"] - times["t0"]) / (2 * rounds)
-        lat.append(to_us(one_way))
-        bw.append(size / one_way * 1000)  # MB/s
-    return lat, bw
+
+def _socket_sweep(kind: str, sizes: Sequence[int], rounds: int = 8):
+    """One socket protocol swept over sizes; returns (latencies, bandwidths)."""
+    points = [_socket_point(kind, size, rounds) for size in sizes]
+    return [lat for lat, _ in points], [bw for _, bw in points]
 
 
 def fig8a(sizes: Sequence[int] = (1, 16, 256, 1024, 4096)) -> FigureData:
@@ -506,6 +510,7 @@ FIGURES: dict[str, Callable[[], FigureData]] = {
 }
 
 
+@one_world
 def run_figure(name: str) -> str:
     """Run one experiment by name; returns its rendered table."""
     if name == "table1":

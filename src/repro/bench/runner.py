@@ -6,7 +6,7 @@ Usage::
     python -m repro.bench table1
     python -m repro.bench all            # everything (several minutes)
     python -m repro.bench all --parallel 4   # fan out over 4 processes
-    python -m repro.bench all --timings  # per-figure wall-clock to stderr
+    python -m repro.bench all --timings  # per-figure cost to stderr
     python -m repro.bench fig6 --json    # machine-readable series
     python -m repro.bench --list
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -42,19 +43,26 @@ def _mark_figure(name: str) -> None:
         tl.instant(0, "bench", f"figure:{name}")
 
 
-def _run_text(name: str) -> tuple[str, str, float, int]:
-    """Worker: render one experiment; returns (name, text, seconds, events)."""
+def _peak_rss_mib() -> float:
+    """High-water resident memory of this process (Linux ``ru_maxrss``
+    is in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _run_text(name: str) -> tuple[str, str, float, int, float]:
+    """Worker: render one experiment; returns (name, text, seconds,
+    events, peak RSS MiB of this process so far)."""
     t0 = time.perf_counter()
     ev0 = Environment.lifetime_events_processed
     _mark_figure(name)
     text = run_figure(name)
     events = Environment.lifetime_events_processed - ev0
-    return name, text, time.perf_counter() - t0, events
+    return name, text, time.perf_counter() - t0, events, _peak_rss_mib()
 
 
-def _run_json(name: str) -> tuple[str, dict, float, int]:
+def _run_json(name: str) -> tuple[str, dict, float, int, float]:
     """Worker: run one figure for --json; returns (name, payload, seconds,
-    events)."""
+    events, peak RSS MiB)."""
     t0 = time.perf_counter()
     ev0 = Environment.lifetime_events_processed
     _mark_figure(name)
@@ -67,7 +75,7 @@ def _run_json(name: str) -> tuple[str, dict, float, int]:
         "series": {k: list(v) for k, v in data.series.items()},
     }
     events = Environment.lifetime_events_processed - ev0
-    return name, payload, time.perf_counter() - t0, events
+    return name, payload, time.perf_counter() - t0, events, _peak_rss_mib()
 
 
 def _execute(names: list[str], worker, jobs: int):
@@ -76,10 +84,8 @@ def _execute(names: list[str], worker, jobs: int):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = {name: (payload, secs, events)
-                       for name, payload, secs, events
-                       in pool.map(worker, names)}
-        return [(name, *results[name]) for name in names]
+            results = {r[0]: r for r in pool.map(worker, names)}
+        return [results[name] for name in names]
     return [worker(name) for name in names]
 
 
@@ -131,7 +137,9 @@ def main(argv: list[str] | None = None) -> int:
                              "builds its own Environment, so results are "
                              "identical to a sequential run")
     parser.add_argument("--timings", action="store_true",
-                        help="report per-experiment wall-clock on stderr")
+                        help="report per-experiment wall-clock, events and "
+                             "peak RSS (high-water mark of the process that "
+                             "ran it) on stderr")
     parser.add_argument("--metrics", metavar="OUT.json",
                         help="collect a metrics snapshot over the whole run "
                              "and write it to OUT.json (also prints a table "
@@ -192,10 +200,10 @@ def main(argv: list[str] | None = None) -> int:
         timeline.write(args.timeline)
     if args.timings:
         total_events = 0
-        for name, _, secs, events in results:
+        for name, _, secs, events, rss in results:
             total_events += events
-            print(f"[timing] {name:8s} {secs:7.3f} s  {events:>10d} events",
-                  file=sys.stderr)
+            print(f"[timing] {name:8s} {secs:7.3f} s  {events:>10d} events  "
+                  f"{rss:6.1f} MiB peak RSS", file=sys.stderr)
         print(f"[timing] total    {time.perf_counter() - t_all:7.3f} s  "
               f"{total_events:>10d} events (parallel={args.parallel})",
               file=sys.stderr)

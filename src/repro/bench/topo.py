@@ -46,7 +46,7 @@ from typing import Optional
 from .. import obs
 from ..cluster.topo import fat_tree
 from ..hw.params import host_params
-from ..sim import Environment
+from ..sim import Environment, one_world
 from ..sim.engine import FIDELITIES
 from ..units import KiB, MiB
 from .netpipe import prepare_pair
@@ -170,6 +170,7 @@ def build_kib_per_host(k: int = 8) -> float:
     return round(traced / 1024 / (k ** 3 // 4), 1)
 
 
+@one_world
 def run_topo(k: int, scenario: str, mode: str, size: int = 256 * KiB) -> dict:
     """One fat-tree scenario in one fidelity mode.
 

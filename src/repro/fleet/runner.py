@@ -31,7 +31,7 @@ from ..cluster.topo import dragonfly, fat_tree
 from ..faults.plan import FaultPlan
 from ..hw.params import host_params
 from ..load import LoadGen, make_arrivals, make_mix, make_workload, run_load
-from ..sim import Environment
+from ..sim import Environment, one_world
 from ..units import us
 from .spec import FleetSpec, FleetSpecError, RunPoint
 
@@ -123,6 +123,7 @@ def _install_fault(env, fault: dict, seed: int, nodes, switches) -> None:
     plan.install(env, nodes=nodes, switches=switches)
 
 
+@one_world
 def run_point(spec: FleetSpec, point: RunPoint) -> dict:
     """Run one grid point hermetically; returns its results row."""
     with obs.scoped_registry():

@@ -56,9 +56,10 @@ direction tied at a level's bottleneck in one pass, and commits the
 level share as one canonical ``Fraction`` (see :meth:`FlowNetwork.
 _waterfill` for why batching is exact), so every ``rate``/``eta``/
 ``done`` value is bit-identical to the from-scratch global algorithm
-(:func:`waterfill_reference`, which the property tests compare
-against): the max-min rate vector is unique, and flows whose rate did
-not change — untouched components included — keep their ETAs.
+(the ``waterfill_reference`` oracle in ``tests/test_flow_waterfill.py``,
+checked after every flush there): the max-min rate vector is unique,
+and flows whose rate did not change — untouched components included —
+keep their ETAs.
 
 Flows engage only in a run built at ``Environment(fidelity="flow")``
 (the default); ``"train"`` and ``"packet"`` are the A/B references for
@@ -71,7 +72,7 @@ import itertools
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .. import obs
 from ..sim import Environment
@@ -163,56 +164,6 @@ class _Flow:
         self.carried = 0
 
 
-def waterfill_reference(flows: Iterable[_Flow]) -> dict[int, Fraction]:
-    """From-scratch global max-min water-fill over ``flows``.
-
-    This is the original O(flows × dirs × levels) algorithm, kept as a
-    pure function (no flow state is mutated) so the incremental
-    component-local engine can be checked against it: set
-    ``FlowNetwork._verify_reference = True`` and every flush asserts
-    that all committed rates equal this reference exactly, as
-    ``Fraction`` values.  The max-min rate vector is unique — after one
-    member of a bottleneck is fixed at ``avail/count`` the remaining
-    members still sit at ``(avail - share)/(count - 1) == share`` — so
-    any tie-break or component order must land on these rates.
-    """
-    flows = list(flows)
-    rates: dict[int, Fraction] = {}
-    if not flows:
-        return rates
-    dirs: dict[int, _DirRes] = {}
-    count: dict[int, int] = {}
-    avail: dict[int, Fraction] = {}
-    for f in flows:
-        for dr in f.dirres:
-            if dr.seq not in dirs:
-                dirs[dr.seq] = dr
-                count[dr.seq] = 0
-                avail[dr.seq] = dr.cap
-            count[dr.seq] += 1
-    unfixed = {f.id for f in flows}
-    order = sorted(dirs)
-    while unfixed:
-        bottleneck = None
-        share = None
-        for seq in order:
-            if count[seq] <= 0:
-                continue
-            s = avail[seq] / count[seq]
-            if share is None or s < share:
-                share, bottleneck = s, seq
-        if bottleneck is None:  # pragma: no cover - defensive
-            break
-        for f in dirs[bottleneck].members:
-            if f.id in unfixed:
-                rates[f.id] = share
-                unfixed.discard(f.id)
-                for dr in f.dirres:
-                    avail[dr.seq] -= share
-                    count[dr.seq] -= 1
-    return rates
-
-
 class FlowNetwork:
     """The fabric-wide reservation table and its single timer.
 
@@ -220,10 +171,6 @@ class FlowNetwork:
     their ``flownet`` attribute (``None`` outside fabrics, so the paper's
     two-node and star figures never touch this code).
     """
-
-    #: Debug hook: when True, every flush re-derives all rates with
-    #: :func:`waterfill_reference` and asserts exact equality.
-    _verify_reference = False
 
     def __init__(self, env: Environment, params: FlowParams = DEFAULT_FLOW,
                  path_fn: Optional[Callable] = None, name: str = "fab"):
@@ -446,8 +393,6 @@ class FlowNetwork:
                 components.append(comp)
         for comp in components:
             self._waterfill(comp, now)
-        if self._verify_reference:
-            self._check_reference()
         # Re-arm the completion timer exactly as the global algorithm
         # did: every flush supersedes the armed timer and schedules at
         # the minimum live ETA, so the engine's event schedule — and
@@ -467,7 +412,7 @@ class FlowNetwork:
 
         One level fixes *every* direction whose ratio equals the minimum
         ``share``, in ascending ``seq`` order.  That is exactly what the
-        one-bottleneck-per-level algorithm (:func:`waterfill_reference`)
+        one-bottleneck-per-level algorithm (the tests' ``waterfill_reference``)
         does over several levels: fixing members of a direction at
         ``share`` leaves any other direction at ``share`` there,
         ``(avail - k*share)/(c - k) == share``, and any direction above
@@ -561,14 +506,6 @@ class FlowNetwork:
         if flows:  # pragma: no cover - every live flow keeps an entry
             return min(f.eta for f in flows.values())
         return None
-
-    def _check_reference(self) -> None:
-        expect = waterfill_reference(self._flows.values())
-        for f in self._flows.values():
-            if f.rate != expect[f.id]:
-                raise AssertionError(
-                    f"flow {f.id}: incremental rate {f.rate} != "
-                    f"reference {expect[f.id]}")
 
     def _tick(self, gen: int) -> None:
         if gen != self._timer_gen:

@@ -32,7 +32,7 @@ from ..cluster.node import star
 from ..errors import Eio
 from ..faults.plan import FaultPlan
 from ..hw.params import ReliabilityParams
-from ..sim import Environment
+from ..sim import Environment, one_world
 from ..sim.trace import render_trace
 from ..units import ms, us
 from .client import History, ReplicatedNbdDevice
@@ -181,6 +181,7 @@ def _make_ops(seed: int, n_ops: int, lane: int) -> list:
     return ops
 
 
+@one_world
 def run_scenario(name: str, seed: int = 1, n_ops: int = 120,
                  settle_ns: int = ms(6)) -> ScenarioResult:
     """Run one chaos scenario; fully deterministic per (name, seed).

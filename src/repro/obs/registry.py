@@ -346,16 +346,18 @@ def scoped_registry():
 
 def counter(name: str, **labels) -> Counter:
     """Get-or-create a counter in the active registry; with no registry
-    installed, return a fresh unregistered (but live) Counter."""
+    installed, return a fresh unregistered (but live) Counter.  Only a
+    registry looks instruments up by key, so an unregistered one has
+    none (a k=16 fabric build makes ~36k of them)."""
     if _active is None:
-        return Counter(metric_key(name, labels))
+        return Counter()
     return _active.counter(name, **labels)
 
 
 def gauge(name: str, **labels) -> Gauge:
     """Like :func:`counter`, for gauges."""
     if _active is None:
-        return Gauge(metric_key(name, labels))
+        return Gauge()
     return _active.gauge(name, **labels)
 
 

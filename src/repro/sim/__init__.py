@@ -23,6 +23,7 @@ from .engine import (
     Event,
     Process,
     Timeout,
+    one_world,
 )
 from .resources import Resource, Store
 
@@ -35,4 +36,5 @@ __all__ = [
     "Resource",
     "Store",
     "Timeout",
+    "one_world",
 ]

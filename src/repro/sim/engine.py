@@ -49,16 +49,46 @@ Everything that changes what a run computes lives on its
 
 Nothing here is process-global except :attr:`Environment.
 lifetime_events_processed`, a host-cost meter that no run reads.
+
+A world ends at its function boundary.  The model is a reference graph
+by construction (a NIC and its ports, a link and its ends' bound
+methods, a request and its event point at each other), so a dropped
+world waits for the cyclic garbage collector, not for refcounts.  A
+function that builds, runs and drops one world is decorated with
+:func:`one_world`, which collects once when it returns: a sweep then
+holds one world at a time, whatever the collector's timing.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import heapq
 import itertools
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
 from ..errors import ProcessInterrupt, SimulationError
+
+
+def one_world(fn: Callable) -> Callable:
+    """Decorate ``fn``, which builds, runs and drops one simulated world
+    and returns plain results that do not reference it.
+
+    When ``fn`` returns or raises, one ``gc.collect()`` runs.  On return
+    the world is unreachable, so it is reclaimed right then instead of
+    at the collector's next full pass; a raised exception's traceback
+    still holds the world's frames until it is handled.
+    """
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.collect()
+
+    return run
+
 
 # Sentinel distinguishing "no value yet" from a legitimate ``None`` value.
 _PENDING = object()

@@ -1,6 +1,7 @@
 """Tests for the perf self-benchmark module and the parallel runner."""
 
 import json
+import re
 
 import pytest
 
@@ -73,7 +74,14 @@ def test_runner_rejects_unknown_experiment(capsys):
 
 
 def test_runner_timings_on_stderr(capsys):
-    assert runner.main(["fig1b", "--timings"]) == 0
+    assert runner.main(["fig1b", "fig4a", "--timings"]) == 0
     captured = capsys.readouterr()
     assert "[timing] fig1b" in captured.err
     assert "[timing]" not in captured.out
+    # Each figure's line ends with the process's peak RSS so far: a
+    # high-water mark, so it never falls from one figure to the next.
+    peaks = [float(re.search(r"([\d.]+) MiB peak RSS", line).group(1))
+             for line in captured.err.splitlines()
+             if line.startswith("[timing] fig")]
+    assert len(peaks) == 2
+    assert 0 < peaks[0] <= peaks[1]

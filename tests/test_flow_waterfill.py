@@ -2,10 +2,14 @@
 global reference: exact rate equality under random arrival/departure
 sequences, the settle-at-ETA overshoot corner, timer generation-guard
 superseding, same-instant arrival batching, and the O(1) cost of
-disjoint flows."""
+disjoint flows.
+
+Every flush in this module is checked against the reference: the
+autouse fixture wraps :meth:`FlowNetwork._flush`."""
 
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,7 @@ from repro import obs
 from repro.bench.netpipe import prepare_pair
 from repro.bench.transports import MxTransport
 from repro.cluster.topo import fat_tree
-from repro.hw.flow import FlowNetwork, waterfill_reference
+from repro.hw.flow import FlowNetwork
 from repro.hw.link import Link
 from repro.hw.params import MB, PCI_XD, LinkParams, host_params
 from repro.sim import Environment
@@ -24,10 +28,71 @@ from repro.units import KiB
 MTU = 4096
 
 
+def waterfill_reference(flows: Iterable) -> dict[int, Fraction]:
+    """From-scratch global max-min water-fill over ``flows``.
+
+    This is the original O(flows × dirs × levels) algorithm, a pure
+    function (no flow state is mutated) that the incremental
+    component-local engine is checked against.  The max-min rate vector
+    is unique — after one member of a bottleneck is fixed at
+    ``avail/count`` the remaining members still sit at
+    ``(avail - share)/(count - 1) == share`` — so any tie-break or
+    component order must land on these rates.
+    """
+    flows = list(flows)
+    rates: dict[int, Fraction] = {}
+    if not flows:
+        return rates
+    dirs: dict = {}
+    count: dict[int, int] = {}
+    avail: dict[int, Fraction] = {}
+    for f in flows:
+        for dr in f.dirres:
+            if dr.seq not in dirs:
+                dirs[dr.seq] = dr
+                count[dr.seq] = 0
+                avail[dr.seq] = dr.cap
+            count[dr.seq] += 1
+    unfixed = {f.id for f in flows}
+    order = sorted(dirs)
+    while unfixed:
+        bottleneck = None
+        share = None
+        for seq in order:
+            if count[seq] <= 0:
+                continue
+            s = avail[seq] / count[seq]
+            if share is None or s < share:
+                share, bottleneck = s, seq
+        assert bottleneck is not None
+        for f in dirs[bottleneck].members:
+            if f.id in unfixed:
+                rates[f.id] = share
+                unfixed.discard(f.id)
+                for dr in f.dirres:
+                    avail[dr.seq] -= share
+                    count[dr.seq] -= 1
+    return rates
+
+
+def assert_reference_rates(net) -> None:
+    """Every live flow's rate is a ``Fraction`` exactly equal to
+    :func:`waterfill_reference`."""
+    expect = waterfill_reference(net._flows.values())
+    for f in net._flows.values():
+        assert type(f.rate) is Fraction, type(f.rate)
+        assert f.rate == expect[f.id], (f.id, f.rate, expect[f.id])
+
+
 @pytest.fixture(autouse=True)
-def _reference_check_off():
-    yield
-    FlowNetwork._verify_reference = False
+def _every_flush_checked(monkeypatch):
+    flush = FlowNetwork._flush
+
+    def checked(self):
+        flush(self)
+        assert_reference_rates(self)
+
+    monkeypatch.setattr(FlowNetwork, "_flush", checked)
 
 
 def make_link(env, bandwidth=250 * MB, name="l"):
@@ -37,14 +102,12 @@ def make_link(env, bandwidth=250 * MB, name="l"):
     return Link(env, params, name=name)
 
 
-def make_net(env, verify=True):
+def make_net(env):
     """A FlowNetwork driven directly through ``_admit`` — no fabric, no
     NICs: hops are real links with no switch (``sw=None``), so the
     down-window guard and the per-hop accounting still run while the
     tests control admission instants exactly."""
-    net = FlowNetwork(env, path_fn=None, name="wf")
-    net._verify_reference = verify
-    return net
+    return FlowNetwork(env, path_fn=None, name="wf")
 
 
 def admit(net, hops, *, src=0, nfrags=10, mtu=MTU):
@@ -77,13 +140,13 @@ def test_shared_direction_splits_capacity_exactly():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_incremental_rates_equal_global_reference(data):
-    """Every flush asserts (via ``_verify_reference``) that the rates
+    """Every flush asserts (via the autouse fixture) that the rates
     the component-local engine committed equal the from-scratch global
     water-fill, exactly, as ``Fraction`` values — across random link
     speeds, random multi-hop paths, staggered arrivals and forced
     mid-life departures."""
     env = Environment()
-    net = make_net(env, verify=True)
+    net = make_net(env)
     nlinks = data.draw(st.integers(2, 5), label="nlinks")
     speeds = data.draw(
         st.lists(st.sampled_from([66 * MB, 125 * MB, 160 * MB, 250 * MB]),
@@ -130,19 +193,14 @@ def test_incremental_rates_equal_global_reference(data):
     assert all(f.done <= f.total for f in admitted.values())
 
 
-def check_every_flush(net, env):
-    """Wrap ``net._flush`` so that after every flush each live flow's
-    rate is a ``Fraction`` exactly equal to :func:`waterfill_reference`.
-    Returns the list of flush instants checked."""
+def record_flushes(net, env):
+    """Wrap ``net._flush`` (already checked against the reference by the
+    autouse fixture); returns the list of flush instants."""
     checked = []
     orig_flush = net._flush
 
     def flush():
         orig_flush()
-        expect = waterfill_reference(net._flows.values())
-        for f in net._flows.values():
-            assert type(f.rate) is Fraction, type(f.rate)
-            assert f.rate == expect[f.id], (f.id, f.rate, expect[f.id])
         checked.append(env.now)
 
     net._flush = flush
@@ -154,9 +212,9 @@ def run_plan(data, speeds, nflows, max_hops, instants):
     at instants drawn from ``instants`` and run to completion, checking
     every flush against the reference."""
     env = Environment()
-    net = make_net(env, verify=False)
+    net = make_net(env)
     links = [make_link(env, bw, name=f"l{i}") for i, bw in enumerate(speeds)]
-    checked = check_every_flush(net, env)
+    checked = record_flushes(net, env)
     by_instant: dict = {}
     for fid in range(nflows):
         hop_idx = data.draw(
@@ -239,7 +297,6 @@ def test_reference_equivalence_on_random_fabric_traffic(data):
     """Same exact-equality property, on a real fat-tree fabric: random
     disjoint pairs, sizes and start offsets; every flush in the run is
     checked against :func:`waterfill_reference`."""
-    FlowNetwork._verify_reference = True
     env = Environment()
     fabric = fat_tree(env, 4, host=host_params(memory_frames=2048))
     n = len(fabric.nodes)

@@ -77,6 +77,24 @@ def test_helpers_disabled_are_live_but_unregistered():
     assert NULL_HISTOGRAM.count == 0
 
 
+def test_only_registered_handles_carry_a_key():
+    """Nothing looks an unregistered handle up by key, so it has none
+    and still counts; a registered one keeps its ``name{labels}`` key."""
+    c = obs.counter("nic.tx.messages", node=0)
+    g = obs.gauge("gm.registered_pages", cpu="c0")
+    c.inc(3)
+    g.set(7)
+    assert (c.key, c.value) == ("", 3)
+    assert (g.key, g.value) == ("", 7)
+    with obs.installed_registry() as reg:
+        c = obs.counter("nic.tx.messages", node=0)
+        g = obs.gauge("gm.registered_pages", cpu="c0")
+        c.inc(2)
+    assert c.key == "nic.tx.messages{node=0}"
+    assert g.key == "gm.registered_pages{cpu=c0}"
+    assert reg.snapshot()["counters"] == {"nic.tx.messages{node=0}": 2}
+
+
 def test_helpers_enabled_aggregate():
     with obs.installed_registry() as reg:
         assert obs.metrics_enabled()

@@ -4,15 +4,20 @@ its :class:`~repro.sim.Environment`.
 Fidelity and the id allocator are constructor state, so environments of
 different fidelities coexist in one process, and the Nth in-process run
 of a scenario is the same program as a fresh process running it once.
+A world ends at its function boundary: none outlives its run.
 """
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 import repro
+from repro.bench import faults, figures, topo
 from repro.bench.netpipe import prepare_pair
 from repro.bench.transports import MxTransport
 from repro.cluster import node_pair
@@ -140,3 +145,38 @@ def test_repeated_fleet_point_matches_a_fresh_process():
         "print(json.dumps({'row': _fleet_row()}))\n")
     assert json.loads(runs[0])["metrics"]["achieved_ops"] == 24
     assert runs == [fresh["row"]] * 3
+
+
+# -- a world ends at its function boundary --------------------------------------
+
+
+def _live_environments() -> int:
+    return sum(1 for o in gc.get_objects() if isinstance(o, Environment))
+
+
+BOUNDARIES = {
+    "run_point": _fleet_row,
+    "chaos.run_scenario": lambda: run_scenario("crash-middle", n_ops=8),
+    "run_topo": lambda: topo.run_topo(4, "identity", "flow", 16 * KiB),
+    "_netpipe_series": lambda: figures._netpipe_series(
+        *figures._mx_pair("kernel"), sizes=[1], metric="latency_us"),
+    "_socket_point": lambda: figures._socket_point("gm", 1),
+    "run_figure": lambda: figures.run_figure("fig4a"),
+    "faults._orfa_run": lambda: faults._orfa_run(1, 0.0),
+    "faults._nbd_run": lambda: faults._nbd_run(1, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARIES))
+def test_no_world_outlives_its_run(name):
+    """With automatic collection off, the boundary's own collection is
+    the only one: every world it built is gone when it returns."""
+    gc.collect()
+    before = _live_environments()
+    gc.disable()
+    try:
+        BOUNDARIES[name]()
+        left = _live_environments() - before
+    finally:
+        gc.enable()
+    assert left == 0, f"{name} left {left} Environment(s) behind"
