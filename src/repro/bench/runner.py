@@ -27,7 +27,7 @@ import sys
 import time
 
 from .. import obs
-from ..sim.engine import Environment
+from ..sim.engine import Environment, one_world
 from .figures import FIGURES, run_figure
 from .report import format_metrics
 
@@ -60,20 +60,26 @@ def _run_text(name: str) -> tuple[str, str, float, int, float]:
     return name, text, time.perf_counter() - t0, events, _peak_rss_mib()
 
 
-def _run_json(name: str) -> tuple[str, dict, float, int, float]:
-    """Worker: run one figure for --json; returns (name, payload, seconds,
-    events, peak RSS MiB)."""
-    t0 = time.perf_counter()
-    ev0 = Environment.lifetime_events_processed
-    _mark_figure(name)
+@one_world
+def _figure_payload(name: str) -> dict:
+    """Run one figure; returns its series as plain JSON-ready data."""
     data = FIGURES[name]()
-    payload = {
+    return {
         "title": data.title,
         "xlabel": data.xlabel,
         "unit": data.unit,
         "xs": list(data.xs),
         "series": {k: list(v) for k, v in data.series.items()},
     }
+
+
+def _run_json(name: str) -> tuple[str, dict, float, int, float]:
+    """Worker: run one figure for --json; returns (name, payload, seconds,
+    events, peak RSS MiB)."""
+    t0 = time.perf_counter()
+    ev0 = Environment.lifetime_events_processed
+    _mark_figure(name)
+    payload = _figure_payload(name)
     events = Environment.lifetime_events_processed - ev0
     return name, payload, time.perf_counter() - t0, events, _peak_rss_mib()
 

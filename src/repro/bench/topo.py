@@ -27,8 +27,8 @@ Two scenarios:
 
 ``--full`` switches from the default k=8 (128 hosts) to k=16
 (1024 hosts) — interactive (~6 s in flow mode) since the incremental
-component-local water-fill; BENCH_engine.json's ``topo_full`` section
-records it.  ``--waterfill-gate FACTOR`` holds the component-local
+component-local water-fill; the nightly CI ``topo-full`` job runs it.
+``--waterfill-gate FACTOR`` holds the component-local
 allocator to FACTOR× fewer flows re-divided than the from-scratch
 global algorithm (``net.flow_waterfill_flows{scope=touched vs
 global}``) on the congested permutation.
@@ -236,59 +236,6 @@ def run_scenario(k: int, scenario: str, size: int,
     out["obs_identical"] = all(
         r["obs"] == ref["obs"] for r in results.values())
     return out
-
-
-# ---------------------------------------------------------------------------
-# perf-harness section (BENCH_engine.json)
-# ---------------------------------------------------------------------------
-
-
-def bench_topo(quick: bool = False) -> dict:
-    """``topo`` section of the perf report.
-
-    Event counts are deterministic, so CI gates directly on
-    ``event_reduction`` (>= 10x on the congested permutation) and on the
-    identity scenario's byte-identical completion tables and metric
-    snapshots.  ``quick`` drops to k=4 (16 hosts) for the smoke run;
-    ``build_kib_per_host`` is measured at k=8 either way.
-    """
-    k = 4 if quick else 8
-    size = 64 * KiB if quick else 256 * KiB
-    congested = run_scenario(k, "congested", size)
-    identity = run_scenario(k, "identity", size)
-    build_kib = build_kib_per_host()
-
-    def digest(sc: dict) -> dict:
-        return {
-            "events": {m: r["events"] for m, r in sc["results"].items()},
-            "events_per_mib": {m: round(r["events_per_mib"], 1)
-                               for m, r in sc["results"].items()},
-            "now_ns": {m: r["now"] for m, r in sc["results"].items()},
-            "wall_s": {m: r["wall_s"] for m, r in sc["results"].items()},
-            "event_reduction": sc["event_reduction"],
-            "completions_identical": sc["completions_identical"],
-            "obs_identical": sc["obs_identical"],
-            "flow_stats": sc["results"]["flow"]["flow_stats"],
-        }
-
-    return {
-        "k": k,
-        "hosts": k ** 3 // 4,
-        "size": size,
-        "congested": digest(congested),
-        "identity": digest(identity),
-        "summary": {
-            "event_reduction": congested["event_reduction"],
-            "events_per_mib_flow":
-                congested["results"]["flow"]["events_per_mib"],
-            "identity_completions_identical":
-                identity["completions_identical"],
-            "identity_obs_identical": identity["obs_identical"],
-            "waterfill_reduction":
-                congested["results"]["flow"]["flow_stats"]["work_reduction"],
-            "build_kib_per_host": build_kib,
-        },
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ keep their ETAs.
 
 Flows engage only in a run built at ``Environment(fidelity="flow")``
 (the default); ``"train"`` and ``"packet"`` are the A/B references for
-equivalence tests and ``repro.bench.perf``.
+equivalence tests and ``repro.bench topo``.
 """
 
 from __future__ import annotations

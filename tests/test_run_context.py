@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import repro
-from repro.bench import faults, figures, topo
+from repro.bench import faults, figures, runner, topo
 from repro.bench.netpipe import prepare_pair
 from repro.bench.transports import MxTransport
 from repro.cluster import node_pair
@@ -162,6 +162,8 @@ BOUNDARIES = {
         *figures._mx_pair("kernel"), sizes=[1], metric="latency_us"),
     "_socket_point": lambda: figures._socket_point("gm", 1),
     "run_figure": lambda: figures.run_figure("fig4a"),
+    **{f"_run_json:{fig}": (lambda fig=fig: runner._run_json(fig))
+       for fig in ("fig3b", "fig4b", "fig7a", "fig7b")},
     "faults._orfa_run": lambda: faults._orfa_run(1, 0.0),
     "faults._nbd_run": lambda: faults._nbd_run(1, 0.0),
 }

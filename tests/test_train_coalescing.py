@@ -146,8 +146,10 @@ def test_faulted_link_never_coalesces():
 
 
 def test_event_reduction_at_least_3x():
-    """The tentpole number: >= 3x fewer engine events per 1 MiB transfer."""
+    """The tentpole number: >= 3x fewer engine events per 1 MiB transfer,
+    a budget on the train-mode events, and identical simulated time."""
     counts = {}
+    ends = {}
     for mode in (False, True):
         env = Environment("train" if mode else "packet")
         a, b = node_pair(env)
@@ -166,7 +168,13 @@ def test_event_reduction_at_least_3x():
         done = env.process(rx())
         env.run(until=done)
         counts[mode] = env.events_processed - base
+        ends[mode] = env.now
     assert counts[False] >= 3 * counts[True]
+    # Per-packet work creeping back into the train path breaks this
+    # budget (44 events when set).
+    assert counts[True] <= 150
+    # Trains are an optimization, not a model change.
+    assert ends[False] == ends[True]
 
 
 def test_small_messages_never_coalesce():

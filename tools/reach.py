@@ -19,7 +19,7 @@ The entry points, each run once in one fresh child process:
 * ``bench faults`` and ``bench replica``;
 * ``bench fleet --spec examples/fleet_quickstart.json --out ... --timings
   --verify``;
-* ``python -m repro.bench.perf --quick``;
+* ``python -m repro.bench.perf --out <tmp>``;
 * the four ``perfbench`` workloads at seed 1 (imported, not edited);
 * every ``examples/*.py`` script (with each API its ``Run:`` line
   offers) and every ``benchmarks/`` target.
@@ -131,8 +131,8 @@ def _entry_points(tmp: str) -> list:
             "fleet", "--spec", os.path.join(ROOT, "examples",
                                             "fleet_quickstart.json"),
             "--out", os.path.join(tmp, "fleet"), "--timings", "--verify"])),
-        ("repro.bench.perf --quick", lambda: perf.main([
-            "--quick", "--out", os.path.join(tmp, "perf.json")])),
+        ("repro.bench.perf", lambda: perf.main([
+            "--out", os.path.join(tmp, "perf.json")])),
         ("perfbench workloads", perfbench),
     ]
     for path in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
