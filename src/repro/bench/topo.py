@@ -26,8 +26,10 @@ Two scenarios:
   packet fidelity (CI requires 10×).
 
 ``--full`` switches from the default k=8 (128 hosts) to k=16
-(1024 hosts) — interactive (~6 s in flow mode) since the incremental
-component-local water-fill; the nightly CI ``topo-full`` job runs it.
+(1024 hosts) — interactive since the incremental component-local
+water-fill: the congested run in flow mode took 1.8 s when last
+recorded (``history.topo_full.wall_s`` in ``BENCH_engine.json``); the
+nightly CI ``topo-full`` job runs it at train and flow fidelity.
 ``--waterfill-gate FACTOR`` holds the component-local
 allocator to FACTOR× fewer flows re-divided than the from-scratch
 global algorithm (``net.flow_waterfill_flows{scope=touched vs
@@ -251,8 +253,10 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("-k", type=int, default=8,
                         help="fat-tree arity (k^3/4 hosts; default 8)")
     parser.add_argument("--full", action="store_true",
-                        help="k=16: the 1024-host configuration (slow; "
-                             "several minutes)")
+                        help="k=16: the 1024-host configuration (the "
+                             "congested flow-mode run took 1.8 s when "
+                             "last recorded; packet fidelity is far "
+                             "slower at this scale)")
     parser.add_argument("--size", type=int, default=256 * KiB,
                         help="bytes per transfer (default 256 KiB)")
     parser.add_argument("--scenario", choices=("identity", "congested",

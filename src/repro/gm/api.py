@@ -37,7 +37,7 @@ from ..hw.params import ApiCosts, GM_USER_COSTS
 from ..mem.addrspace import AddressSpace
 from ..mem.layout import PhysSegment
 from ..sim import Store
-from ..units import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
+from ..units import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, pages_spanned
 from .registration import GmRegion, RegistrationDomain
 
 #: GM bounds the number of in-flight sends per port ("some interfaces
@@ -115,12 +115,14 @@ class GmPort:
         ``vaddr`` is a key in the port's namespace: a user port's own
         virtual address, or a GMKRC-encoded key on a shared kernel port.
         Returns once the descriptor is handed to the NIC; the completion
-        arrives in the event queue as a SENT event.
+        arrives in the event queue as a SENT event.  Like the other send
+        and post entry points it hands back the ``_submit`` generator
+        itself, one frame less on every resumption under it.
         """
         self._check_open()
-        yield from self._submit(dst_node, dst_port,
-                                self._sg_through_table(vaddr, length), length,
-                                translate=True, match=match, tag=tag, meta=meta)
+        return self._submit(dst_node, dst_port,
+                            self._sg_through_table(vaddr, length), length,
+                            translate=True, match=match, tag=tag, meta=meta)
 
     def _submit(self, dst_node: int, dst_port: int, sg: list[PhysSegment],
                 length: int, translate: bool, match: int, tag: Any, meta: Any):
@@ -150,24 +152,26 @@ class GmPort:
 
     def _sg_through_table(self, vaddr: int, length: int) -> list[PhysSegment]:
         """Resolve a registered range into physical segments through the
-        NIC's translation table, one lookup per page — the table the
-        registration filled is the only copy of the translations."""
+        NIC's translation table, one segment and one lookup per page —
+        the table the registration filled is the only copy of the
+        translations."""
         if self.domain.find(vaddr, length) is None:
             raise GMError(
                 f"unregistered memory {vaddr:#x}+{length} "
                 f"(GM requires gm_register_memory first)"
             )
-        lookup = self.domain.table.lookup
-        context = self.context
+        pfns = self.domain.table.lookup_pages(
+            self.context, vaddr >> PAGE_SHIFT, pages_spanned(vaddr, length))
         segments: list[PhysSegment] = []
         addr = vaddr
         end = vaddr + length
-        while addr < end:
+        for pfn in pfns:
             offset = addr & PAGE_MASK
-            chunk = min(end - addr, PAGE_SIZE - offset)
-            pfn = lookup(context, addr >> PAGE_SHIFT)
-            segments.append(PhysSegment((pfn << PAGE_SHIFT) + offset, chunk))
-            addr += chunk
+            stop = addr - offset + PAGE_SIZE
+            if stop > end:
+                stop = end
+            segments.append(PhysSegment((pfn << PAGE_SHIFT) + offset, stop - addr))
+            addr = stop
         return segments
 
     # -- receiving -------------------------------------------------------------------
@@ -177,8 +181,8 @@ class GmPort:
         """Generator: gm_provide_receive_buffer from a registered buffer
         (``vaddr`` in the port's key namespace, as for :meth:`send`)."""
         self._check_open()
-        yield from self._post(self._sg_through_table(vaddr, length), length,
-                              translate=True, match=match, tag=tag)
+        return self._post(self._sg_through_table(vaddr, length), length,
+                          translate=True, match=match, tag=tag)
 
     def _post(self, sg: list[PhysSegment], length: int, translate: bool,
               match: Optional[int], tag: Any):

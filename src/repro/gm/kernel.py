@@ -73,9 +73,9 @@ class GmKernelPort(GmPort):
         self._check_open()
         if not sg:
             raise GMError("send_physical needs at least one segment")
-        yield from self._submit(dst_node, dst_port, sg,
-                                sum(seg.length for seg in sg), translate=False,
-                                match=match, tag=tag, meta=meta)
+        return self._submit(dst_node, dst_port, sg,
+                            sum(seg.length for seg in sg), translate=False,
+                            match=match, tag=tag, meta=meta)
 
     def provide_receive_buffer_physical(self, sg: list[PhysSegment],
                                         match: Optional[int] = None,
@@ -85,5 +85,5 @@ class GmKernelPort(GmPort):
         self._check_open()
         if not sg:
             raise GMError("physical receive needs at least one segment")
-        yield from self._post(sg, sum(seg.length for seg in sg),
-                              translate=False, match=match, tag=tag)
+        return self._post(sg, sum(seg.length for seg in sg),
+                          translate=False, match=match, tag=tag)

@@ -173,8 +173,13 @@ class RegistrationDomain:
         ``vaddr`` is in the *key* namespace (identical to the virtual
         address except under GMKRC encoding).
         """
+        # ``GmRegion.covers`` with its bounds inlined (find runs per page
+        # of every GM send and receive).
+        end = vaddr + length
         for region in self._regions:
-            if region.covers(vaddr, length):
+            start = region.vaddr
+            if region.active and start <= vaddr \
+                    and end <= start + region.npages * PAGE_SIZE:
                 return region
         return None
 

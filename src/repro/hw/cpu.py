@@ -51,21 +51,26 @@ class Cpu:
         Usage: ``yield from cpu.copy(n)``.
         """
         self.copied_bytes += nbytes
-        yield from self.resource.acquire(self.copy_time_ns(nbytes))
+        return self.resource.acquire(self.copy_time_ns(nbytes))
 
     def work(self, duration_ns: int):
-        """Generator: occupy the CPU for fixed-duration software work."""
+        """Generator: occupy the CPU for fixed-duration software work.
+
+        Like every charge here it hands back the resource's ``acquire``
+        generator itself, so ``yield from cpu.work(n)`` adds no
+        generator frame of its own.
+        """
         if duration_ns < 0:
             raise ValueError(f"negative work duration {duration_ns}")
-        yield from self.resource.acquire(duration_ns)
+        return self.resource.acquire(duration_ns)
 
     def pin_pages(self, npages: int):
         """Generator: charge get_user_pages-style pinning for npages."""
-        yield from self.resource.acquire(self.params.pin_page_ns * npages)
+        return self.resource.acquire(self.params.pin_page_ns * npages)
 
     def syscall(self):
         """Generator: charge one user/kernel boundary crossing."""
-        yield from self.resource.acquire(self.params.syscall_ns)
+        return self.resource.acquire(self.params.syscall_ns)
 
     def utilization(self) -> float:
         """Fraction of simulated time at least one core was busy."""

@@ -1056,17 +1056,18 @@ class Nic:
     ) -> None:
         truncated = msg.size > recv.capacity
         nbytes = min(msg.size, recv.capacity)
-        if msg.data is not None and recv.dest_sg is not None:
+        data = msg.data.slice(0, nbytes) if msg.data is not None else None
+        if data is not None and recv.dest_sg is not None:
             # DMA scatter: distribute the payload's chunk views straight
             # into the destination segments — no intermediate bytes.
-            self.phys.write_phys_sg(recv.dest_sg, msg.data.slice(0, nbytes))
+            self.phys.write_phys_sg(recv.dest_sg, data)
         completion = ReceiveCompletion(
             tag=recv.tag,
             size=nbytes,
             match=msg.match,
             src_nic=msg.src_nic,
             src_port=msg.src_port,
-            data=msg.data.slice(0, nbytes) if (recv.keep_data and msg.data is not None) else None,
+            data=data if recv.keep_data else None,
             finished_at=self.env.now,
             truncated=truncated,
             meta=msg.meta,

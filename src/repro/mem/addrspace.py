@@ -232,7 +232,7 @@ class AddressSpace:
     def vma_at(self, addr: int) -> Optional[VMA]:
         """The VMA containing ``addr``, or None."""
         for vma in self._vmas:
-            if addr in vma:
+            if vma.start <= addr < vma.end:
                 return vma
         return None
 
@@ -247,7 +247,7 @@ class AddressSpace:
         if vma is None:
             raise BadAddress(f"unmapped address {vaddr:#x} in asid {self.asid}")
         frame = self._page_frame(vma, vaddr, write, fault_in)
-        return frame.phys_addr | (vaddr & PAGE_MASK)
+        return (frame.pfn << 12) | (vaddr & PAGE_MASK)  # frame.phys_addr
 
     def _page_frame(self, vma: VMA, vaddr: int, write: bool,
                     fault_in: bool) -> Frame:

@@ -62,16 +62,18 @@ _ZERO_VIEW = memoryview(_ZERO_PAGE)
 _UNTOUCHED = object()
 
 
-def _check_range(offset: int, length: int) -> None:
-    if offset < 0 or length < 0 or offset + length > PAGE_SIZE:
-        raise ValueError(
-            f"frame access out of range: offset={offset} length={length}"
-        )
+def _range_error(offset: int, length: int) -> ValueError:
+    """The error for a frame access outside ``[0, PAGE_SIZE)``; callers
+    test the bounds inline, since frame accesses are per page."""
+    return ValueError(
+        f"frame access out of range: offset={offset} length={length}"
+    )
 
 
 def _zero_view(offset: int, length: int) -> memoryview:
     """View of ``length`` bytes at ``offset`` of the shared zero page."""
-    _check_range(offset, length)
+    if offset < 0 or length < 0 or offset + length > PAGE_SIZE:
+        raise _range_error(offset, length)
     if length == PAGE_SIZE:
         return _ZERO_VIEW
     return _ZERO_VIEW[offset : offset + length]
@@ -118,7 +120,8 @@ class Frame:
     def read(self, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset`` within the frame (a real,
         counted host copy; prefer :meth:`view` on the data path)."""
-        _check_range(offset, length)
+        if offset < 0 or length < 0 or offset + length > PAGE_SIZE:
+            raise _range_error(offset, length)
         if length > 0:
             HOST_COPIES.copies += 1
             HOST_COPIES.nbytes += length
@@ -137,7 +140,8 @@ class Frame:
         """
         if self._data is None:
             return _zero_view(offset, length)
-        _check_range(offset, length)
+        if offset < 0 or length < 0 or offset + length > PAGE_SIZE:
+            raise _range_error(offset, length)
         self._shared = True
         return memoryview(self._data).toreadonly()[offset : offset + length]
 
@@ -147,7 +151,8 @@ class Frame:
         Zeros written into a frame with no storage are elided: the
         frame already reads as zeros (see the module docstring)."""
         nbytes = len(data)
-        _check_range(offset, nbytes)
+        if offset < 0 or offset + nbytes > PAGE_SIZE:
+            raise _range_error(offset, nbytes)
         if self._data is None:
             if _ZERO_PAGE.startswith(data):
                 return
@@ -380,15 +385,25 @@ class PhysicalMemory:
 
     def write_phys(self, phys_addr: int, data: "bytes | bytearray | memoryview") -> None:
         """Write bytes starting at a physical address, crossing frames."""
-        addr = phys_addr
+        table = self._frames
         view = memoryview(data)
-        while view:
+        end = phys_addr + len(view)
+        addr = phys_addr
+        while addr < end:
             pfn = addr >> PAGE_SHIFT
             offset = addr & (PAGE_SIZE - 1)
-            chunk = min(len(view), PAGE_SIZE - offset)
-            piece, view = view[:chunk], view[chunk:]
-            addr += chunk
-            frame = self._entry(pfn)
+            stop = addr - offset + PAGE_SIZE
+            if stop >= end:
+                # The rest fits this frame: the common single-frame
+                # write passes the caller's view through unsliced.
+                piece = view if addr == phys_addr else view[addr - phys_addr:]
+                stop = end
+            else:
+                piece = view[addr - phys_addr:stop - phys_addr]
+            addr = stop
+            frame = table[pfn] if 0 <= pfn < len(table) else None
+            if frame is None:  # _entry's check, inlined: one per page
+                raise ValueError(f"pfn {pfn} is not an allocated frame")
             if frame is _UNTOUCHED:
                 if _ZERO_PAGE.startswith(piece):
                     continue  # an untouched page already reads as zeros
@@ -409,13 +424,18 @@ class PhysicalMemory:
         seg_off = 0
         written = 0
         for chunk in payload.chunks():
-            view = chunk if isinstance(chunk, memoryview) else memoryview(chunk)
-            while len(view) and seg is not None:
-                n = min(len(view), seg.length - seg_off)
-                self.write_phys(seg.phys_addr + seg_off, view[:n])
+            view = memoryview(chunk)
+            size = len(view)
+            pos = 0
+            while pos < size and seg is not None:
+                n = seg.length - seg_off
+                if n > size - pos:
+                    n = size - pos
+                self.write_phys(seg.phys_addr + seg_off,
+                                view if n == size else view[pos:pos + n])
                 written += n
                 seg_off += n
-                view = view[n:]
+                pos += n
                 if seg_off == seg.length:
                     seg = next(segs, None)
                     seg_off = 0

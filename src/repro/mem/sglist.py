@@ -114,7 +114,7 @@ class PayloadRef:
             self._chunks = tuple(chunks)
         else:
             self._chunks = tuple(c for c in chunks if len(c))
-        self.length = sum(len(c) for c in self._chunks)
+        self.length = sum(map(len, self._chunks))
 
     # -- builders ---------------------------------------------------------
 

@@ -10,7 +10,7 @@ bits of a 64-bit key — modeled faithfully in :mod:`repro.gmkrc.spaces`.
 
 It is the only copy of GM's translations: registration installs into
 it, and every GM send or receive from registered memory resolves its
-pages through :meth:`TranslationTable.lookup`.
+pages through :meth:`TranslationTable.lookup_pages`.
 
 Registrations may share a page (GMKRC builds overlapping entries on
 purpose), so an entry is held by every registration that installed it
@@ -98,11 +98,23 @@ class TranslationTable:
         A miss on the real hardware is fatal for the communication (the
         NIC cannot page-fault); callers treat it as a hard error.
         """
-        self.lookup_count += 1
-        pfn = self._entries.get((context, vpn))
-        if pfn is None:
-            raise TranslationMiss(f"no translation for context={context} vpn={vpn:#x}")
-        return pfn
+        return self.lookup_pages(context, vpn, 1)[0]
+
+    def lookup_pages(self, context: int, vpn: int, npages: int) -> list[int]:
+        """:meth:`lookup` of ``npages`` consecutive pages from ``vpn`` in
+        one call: their pfns, in page order.  Counts one lookup per page
+        translated, up to and including a missing one."""
+        entries = self._entries
+        pfns = []
+        for page in range(vpn, vpn + npages):
+            pfn = entries.get((context, page))
+            if pfn is None:
+                self.lookup_count += len(pfns) + 1
+                raise TranslationMiss(
+                    f"no translation for context={context} vpn={page:#x}")
+            pfns.append(pfn)
+        self.lookup_count += npages
+        return pfns
 
     def get(self, context: int, vpn: int) -> Optional[int]:
         """Single probe: the pfn, or None if not installed.

@@ -160,7 +160,18 @@ class Event:
 
     def succeed(self, value: Any = None, delay: int = 0) -> "Event":
         """Trigger the event successfully, firing after ``delay`` ns."""
-        self._trigger(value, ok=True, delay=delay)
+        if delay:
+            self._trigger(value, ok=True, delay=delay)
+            return self
+        # The zero-delay trigger (every grant, wakeup and completion)
+        # inlines _trigger and _schedule, keeping both of their checks.
+        if self._value is not _PENDING:
+            raise SimulationError(f"event {self!r} triggered twice")
+        if self._scheduled:
+            raise SimulationError(f"event {self!r} scheduled twice")
+        self._value = value
+        self._scheduled = True
+        self.env._immediate.append(self)
         return self
 
     def fail(self, exception: BaseException, delay: int = 0) -> "Event":
@@ -218,21 +229,21 @@ class Timeout(Event):
             env._immediate.append(self)
         else:
             env._seq += 1
-            heapq.heappush(env._heap, (env._now + delay, env._seq, self))
+            heapq.heappush(env._heap, (env.now + delay, env._seq, self))
 
 
 class _Start:
     """Minimal immediate-queue entry that kicks a new :class:`Process` off.
 
     Duck-types the slice of the :class:`Event` interface the dispatch
-    loop and ``Process._resume`` touch (``callbacks``/``ok``/``value``)
+    loop and ``Process._resume`` touch (``callbacks``/``_ok``/``_value``)
     without paying for a full ``Event`` + ``succeed()`` per process.
     """
 
     __slots__ = ("callbacks",)
 
-    ok = True
-    value = None
+    _ok = True
+    _value = None
 
     def __init__(self, callback: Callable[[Any], None]):
         self.callbacks: Optional[list[Callable[[Any], None]]] = [callback]
@@ -256,7 +267,7 @@ class Process(Event):
         self._gen = gen
         # One bound method for the whole lifetime: registering a fresh
         # bound ``self._resume`` per wait would allocate every time.  It
-        # makes the process a reference cycle, so ``_deliver`` drops it
+        # makes the process a reference cycle, so ``_resume`` drops it
         # when the generator ends: a finished process is then freed by
         # its refcount, not left for the cyclic garbage collector.
         self._resume_cb = self._resume
@@ -293,40 +304,51 @@ class Process(Event):
 
     # -- internal ------------------------------------------------------
 
+    def _deliver(self, event: Event) -> None:
+        """Resume with ``event`` whatever the process waits on."""
+        self._waiting_on = event
+        self._resume(event)
+
     def _resume(self, event: Any) -> None:
+        """The dispatch callback: send ``event``'s outcome into the
+        generator and wait on what it yields next.
+
+        One call per resumption: the event's ``_ok``/``_value`` slots
+        are read directly (it has fired, so they are set), and a target
+        that was already processed is resumed by looping here.
+        """
         if event is not self._waiting_on:
             return  # stale firing of an event interrupt() detached us from
-        self._deliver(event)
-
-    def _deliver(self, event: Any) -> None:
-        self._waiting_on = None
-        try:
-            if event.ok:
-                target = self._gen.send(event.value)
-            else:
-                target = self._gen.throw(event.value)
-        except StopIteration as stop:
-            self._resume_cb = None
-            self.succeed(stop.value)
-            return
-        except ProcessInterrupt as exc:
-            # Interrupt escaped the generator uncaught: the process dies
-            # with it, propagating to anything waiting on the process.
-            self._resume_cb = None
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
-            )
-        if target.env is not self.env:
-            raise SimulationError("cannot wait on an event from another Environment")
-        self._waiting_on = target
-        callbacks = target.callbacks
-        if callbacks is None:
-            self._resume(target)
-        else:
-            callbacks.append(self._resume_cb)
+        gen = self._gen
+        while True:
+            self._waiting_on = None
+            try:
+                if event._ok:
+                    target = gen.send(event._value)
+                else:
+                    target = gen.throw(event._value)
+            except StopIteration as stop:
+                self._resume_cb = None
+                self.succeed(stop.value)
+                return
+            except ProcessInterrupt as exc:
+                # Interrupt escaped the generator uncaught: the process
+                # dies with it, propagating to anything waiting on it.
+                self._resume_cb = None
+                self.fail(exc)
+                return
+            if not isinstance(target, Event):
+                raise SimulationError(
+                    f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
+                )
+            if target.env is not self.env:
+                raise SimulationError("cannot wait on an event from another Environment")
+            self._waiting_on = target
+            callbacks = target.callbacks
+            if callbacks is not None:
+                callbacks.append(self._resume_cb)
+                return
+            event = target
 
 
 class _Condition(Event):
@@ -350,8 +372,10 @@ class _Condition(Event):
     def _collect(self) -> dict[Event, Any]:
         # A Timeout is "triggered" at construction (its value is pre-set),
         # so membership must be judged by *processed* — has it actually
-        # fired on the queue — not by triggered.
-        return {ev: ev.value for ev in self.events if ev.processed and ev.ok}
+        # fired on the queue — not by triggered.  A processed event's
+        # slots are set, so they are read directly.
+        return {ev: ev._value for ev in self.events
+                if ev.callbacks is None and ev._ok}
 
     def _check(self, event: Event) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -370,10 +394,10 @@ class AllOf(_Condition):
         super().__init__(env, events, name="AllOf")
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
-        if not event.ok:
-            self.fail(event.value)
+        if not event._ok:
+            self.fail(event._value)
             return
         self._done += 1
         if self._done == len(self.events):
@@ -394,10 +418,10 @@ class AnyOf(_Condition):
         super().__init__(env, events, name="AnyOf")
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
-        if not event.ok:
-            self.fail(event.value)
+        if not event._ok:
+            self.fail(event._value)
         else:
             self.succeed(self._collect())
         check = self._check
@@ -447,7 +471,10 @@ class Environment:
         #: Network fidelity of this run (see the module docstring).
         self.fidelity = fidelity
         self._ids: dict[str, Iterator[int]] = {}
-        self._now: int = 0
+        #: Current simulation time in nanoseconds.  A plain attribute
+        #: that only the dispatch loop advances: models read it on
+        #: nearly every event, and a property would cost a call each.
+        self.now: int = 0
         self._heap: list[tuple[int, int, Event]] = []
         self._immediate: deque[Any] = deque()
         self._seq: int = 0
@@ -458,11 +485,6 @@ class Environment:
         #: The run's trace: ``None`` (record nothing) or the list of
         #: ``TraceRecord`` every :func:`repro.sim.trace.emit` appends to.
         self.trace: Optional[list] = None
-
-    @property
-    def now(self) -> int:
-        """Current simulation time in nanoseconds."""
-        return self._now
 
     def next_id(self, space: str) -> int:
         """Next id from ``space`` (a key of :data:`ID_STARTS`); each
@@ -504,7 +526,7 @@ class Environment:
             self._immediate.append(event)
         else:
             self._seq += 1
-            heapq.heappush(self._heap, (self._now + delay, self._seq, event))
+            heapq.heappush(self._heap, (self.now + delay, self._seq, event))
 
     def call_at(self, when: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Run ``fn(*args)`` at absolute simulated time ``when``.
@@ -513,9 +535,9 @@ class Environment:
         Process.  ``when`` may equal ``now`` (queued as an immediate,
         i.e. after heap entries already due at this timestamp).
         """
-        delay = when - self._now
+        delay = when - self.now
         if delay < 0:
-            raise SimulationError(f"call_at({when}) is in the past (now {self._now})")
+            raise SimulationError(f"call_at({when}) is in the past (now {self.now})")
         call = _Call(self, fn, args)
         self._schedule(call, delay)
         return call
@@ -531,7 +553,7 @@ class Environment:
         """
         heap = self._heap
         imm = self._immediate
-        now = self._now
+        now = self.now
         pending: list[tuple[int, int, Event]] = []
         for when, fn, args in entries:
             if when < now:
@@ -557,15 +579,15 @@ class Environment:
     def step(self) -> None:
         """Pop and process the next event; raises if both queues are empty."""
         heap = self._heap
-        if heap and heap[0][0] == self._now:
+        if heap and heap[0][0] == self.now:
             event = heapq.heappop(heap)[2]
         elif self._immediate:
             event = self._immediate.popleft()
         elif heap:
             when, _, event = heapq.heappop(heap)
-            if when < self._now:
+            if when < self.now:
                 raise SimulationError("event scheduled in the past")
-            self._now = when
+            self.now = when
         else:
             raise SimulationError("step() on an empty event queue")
         self.events_processed += 1
@@ -602,13 +624,13 @@ class Environment:
         if until is None:
             try:
                 while True:
-                    if heap and heap[0][0] == self._now:
+                    if heap and heap[0][0] == self.now:
                         event = pop(heap)[2]
                     elif imm:
                         event = imm.popleft()
                     elif heap:
                         when, _, event = pop(heap)
-                        self._now = when
+                        self.now = when
                     else:
                         return None
                     n += 1
@@ -624,13 +646,13 @@ class Environment:
             target = until
             try:
                 while target.callbacks is not None:
-                    if heap and heap[0][0] == self._now:
+                    if heap and heap[0][0] == self.now:
                         event = pop(heap)[2]
                     elif imm:
                         event = imm.popleft()
                     elif heap:
                         when, _, event = pop(heap)
-                        self._now = when
+                        self.now = when
                     else:
                         raise SimulationError(
                             f"event queue drained before {target!r} fired (deadlock?)"
@@ -648,17 +670,17 @@ class Environment:
             raise target.value
 
         deadline = int(until)
-        if deadline < self._now:
-            raise SimulationError(f"cannot run until {deadline} < now {self._now}")
+        if deadline < self.now:
+            raise SimulationError(f"cannot run until {deadline} < now {self.now}")
         try:
             while True:
-                if heap and heap[0][0] == self._now:
+                if heap and heap[0][0] == self.now:
                     event = pop(heap)[2]
                 elif imm:
                     event = imm.popleft()
                 elif heap and heap[0][0] <= deadline:
                     when, _, event = pop(heap)
-                    self._now = when
+                    self.now = when
                 else:
                     break
                 n += 1
@@ -669,11 +691,11 @@ class Environment:
         finally:
             self.events_processed += n
             Environment.lifetime_events_processed += n
-        self._now = deadline
+        self.now = deadline
         return None
 
     def peek(self) -> Optional[int]:
         """Timestamp of the next queued event, or None if queues are empty."""
         if self._immediate:
-            return self._now
+            return self.now
         return self._heap[0][0] if self._heap else None

@@ -18,7 +18,7 @@ from collections import deque
 from typing import Any, Optional
 
 from ..errors import SimulationError
-from .engine import Environment, Event
+from .engine import Environment, Event, Timeout
 
 
 class _Request(Event):
@@ -124,20 +124,32 @@ class Resource:
         When a slot is free the grant is synchronous (state changes
         immediately, exactly as :meth:`request` would make it), skipping
         the grant event's queue round-trip — the dominant resource
-        pattern in the simulator is an uncontended hold.
+        pattern in the simulator is an uncontended hold.  That path
+        yields its :class:`Timeout` directly and releases inline, with
+        :meth:`release`'s accounting and check.
         """
         if self._in_use < self.capacity:
             # Inline _grant, minus the grant event: identical accounting
             # (a free slot implies no waiters, so FIFO order is moot).
+            env = self.env
             self._in_use += 1
             self.grant_count += 1
             if self._busy_since is None:
-                self._busy_since = self.env.now
+                self._busy_since = env.now
             try:
                 if hold_ns > 0:
-                    yield self.env.timeout(hold_ns)
+                    yield Timeout(env, hold_ns)
             finally:
-                self.release(None)  # release() never reads the request
+                # Inline release(): an interrupt frees the slot at once.
+                if self._in_use <= 0:
+                    raise SimulationError(f"release() on idle resource {self.name}")
+                self._in_use -= 1
+                if self._in_use == 0 and self._busy_since is not None:
+                    self.busy_time += env.now - self._busy_since
+                    self._busy_since = None
+                waiting = self._waiting
+                while waiting and self._in_use < self.capacity:
+                    self._grant(waiting.popleft())
             return
         req = self.request()
         yield req

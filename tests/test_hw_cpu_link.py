@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, ProcessInterrupt
 from repro.hw import Cpu, Link, Switch
 from repro.hw.params import HOST_P3_1200, HOST_P4_2600, HOST_XEON_2600, PCI_XD
 from repro.sim import Environment
@@ -74,6 +74,45 @@ def test_negative_work_rejected():
     cpu = Cpu(env, HOST_XEON_2600)
     with pytest.raises(ValueError):
         list(cpu.work(-5))
+
+    def proc(env):
+        yield from cpu.work(-1)
+
+    with pytest.raises(ValueError, match="negative work duration"):
+        env.run(until=env.process(proc(env)))
+    assert cpu.resource.in_use == 0
+
+
+def test_interrupted_work_frees_the_core_at_the_interrupt():
+    # One core: the holder is interrupted mid-charge; its slot is freed
+    # at that instant and the queued worker is granted right then.
+    env = Environment()
+    cpu = Cpu(env, HOST_XEON_2600, capacity=1)
+    log = []
+
+    def holder(env):
+        try:
+            yield from cpu.work(100)
+        except ProcessInterrupt:
+            log.append(("interrupted", env.now, cpu.resource.in_use))
+
+    def waiter(env):
+        yield env.timeout(10)
+        yield from cpu.work(50)
+        log.append(("waiter done", env.now))
+
+    def interrupter(env, victim):
+        yield env.timeout(30)
+        victim.interrupt()
+
+    victim = env.process(holder(env))
+    env.process(waiter(env))
+    env.process(interrupter(env, victim))
+    env.run()
+    # The waiter's grant is queued at t=30, so the slot reads as taken
+    # again by the time the holder's handler runs.
+    assert log == [("interrupted", 30, 1), ("waiter done", 80)]
+    assert cpu.resource.busy_time == 80
 
 
 # -- link -----------------------------------------------------------------------

@@ -618,3 +618,77 @@ def test_finished_processes_are_freed_by_refcount():
         if was_enabled:
             gc.enable()
     assert leaked == 0
+
+
+def test_two_interrupts_in_one_instant_are_both_delivered():
+    # Each interrupt is delivered unconditionally, even though the
+    # second replaces the first as the process's wait target.
+    env = Environment()
+    log = []
+
+    def sleeper(env):
+        for _ in range(2):
+            try:
+                yield env.timeout(1000)
+            except ProcessInterrupt as exc:
+                log.append((exc.cause, env.now))
+        yield env.timeout(1)
+        log.append(("done", env.now))
+
+    def interrupter(env, victim):
+        yield env.timeout(5)
+        victim.interrupt("first")
+        victim.interrupt("second")
+
+    victim = env.process(sleeper(env))
+    env.process(interrupter(env, victim))
+    env.run()
+    assert log == [("first", 5), ("second", 5), ("done", 6)]
+
+
+def test_yielding_event_of_another_environment_is_an_error():
+    env, other = Environment(), Environment()
+
+    def bad(env):
+        yield other.timeout(1)
+
+    p = env.process(bad(env))
+    with pytest.raises(SimulationError, match="another Environment"):
+        env.run(until=p)
+
+
+def test_yielding_processed_event_resumes_in_the_same_instant():
+    # The target already fired: the process continues at once, without
+    # a further event, and reads the target's value.
+    env = Environment()
+    done = env.timeout(3, value="v")
+    env.run()
+    seen = []
+
+    def proc(env):
+        seen.append((yield done))
+        seen.append((yield done))
+        seen.append(env.now)
+
+    env.process(proc(env))
+    before = env.events_processed
+    env.run()
+    assert seen == ["v", "v", 3]
+    assert env.events_processed - before == 2  # start + completion
+
+
+def test_succeed_keeps_its_checks():
+    env = Environment()
+    ev = env.event()
+    with pytest.raises(SimulationError, match="negative delay"):
+        ev.succeed(delay=-1)
+    assert not ev.triggered
+    ev.succeed("late", delay=4)
+    with pytest.raises(SimulationError, match="triggered twice"):
+        ev.succeed()
+    failed = env.event()
+    failed.fail(ValueError("x"))
+    with pytest.raises(SimulationError, match="triggered twice"):
+        failed.succeed()
+    assert env.run(until=ev) == "late"
+    assert env.now == 4

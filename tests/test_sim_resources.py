@@ -273,3 +273,44 @@ def test_fresh_store_and_resource_have_empty_queues():
     assert store.peek_all() == ()
     assert store.cancel(env.event()) is False
     assert Resource(env).queue_length == 0
+
+
+def test_acquire_accounting_matches_request_release_under_contention():
+    # The same six holds, at capacity 2, through acquire() and through
+    # request()/release(): grant times, busy time and utilization agree.
+    holds = [(0, 40), (0, 25), (5, 30), (10, 10), (70, 20), (75, 5)]
+
+    def run(use_acquire):
+        env = Environment()
+        res = Resource(env, capacity=2)
+        finished = []
+
+        def proc(env, tag, start, hold):
+            yield env.timeout(start)
+            if use_acquire:
+                yield from res.acquire(hold)
+            else:
+                req = res.request()
+                yield req
+                yield env.timeout(hold)
+                req.release()
+            finished.append((tag, env.now))
+
+        for tag, (start, hold) in enumerate(holds):
+            env.process(proc(env, tag, start, hold))
+        env.run(until=200)
+        return finished, res.busy_time, res.utilization(), res.grant_count
+
+    via_acquire = run(True)
+    assert via_acquire == run(False)
+    assert via_acquire[1] == 75  # busy over [0, 55) and [70, 90)
+    assert via_acquire[2] == pytest.approx(75 / 200)
+
+
+def test_release_on_idle_resource_raises():
+    env = Environment()
+    res = Resource(env)
+    req = res.request()
+    req.release()
+    with pytest.raises(SimulationError, match="idle resource"):
+        req.release()
