@@ -7,13 +7,11 @@ Paper claims reproduced here (section 2.2.2):
   model "is only interesting for large memory zones used several times".
 """
 
-from conftest import record_figure, run_once
-
-from repro.bench.figures import fig1b
+from conftest import figure, record_figure, run_once
 
 
 def test_fig1b_registration_vs_copy(benchmark):
-    data = run_once(benchmark, fig1b)
+    data = run_once(benchmark, figure, "fig1b")
     record_figure(benchmark, data)
     s = data.series
     # ~3 us/page registration slope

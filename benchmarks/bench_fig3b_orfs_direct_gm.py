@@ -7,13 +7,11 @@ Paper claims reproduced here (section 3.2):
   at large requests.
 """
 
-from conftest import record_figure, run_once
-
-from repro.bench.figures import fig3b
+from conftest import figure, record_figure, run_once
 
 
 def test_fig3b_registration_cache_impact(benchmark):
-    data = run_once(benchmark, fig3b)
+    data = run_once(benchmark, figure, "fig3b")
     record_figure(benchmark, data)
     s = data.series
     large = -1  # 256 kB point

@@ -5,13 +5,11 @@ on both the sender and the receiver's side on our MYRINET cards, that
 is 10 % improvement."
 """
 
-from conftest import record_figure, run_once
-
-from repro.bench.figures import fig4a
+from conftest import figure, record_figure, run_once
 
 
 def test_fig4a_physical_address_gain(benchmark):
-    data = run_once(benchmark, fig4a)
+    data = run_once(benchmark, figure, "fig4a")
     record_figure(benchmark, data)
     virt = data.series["Memory Registration"]
     phys = data.series["Physical Address"]

@@ -9,13 +9,11 @@ Paper claims reproduced here (section 3.3):
   in page-sized requests" — buffered plateaus, direct approaches raw.
 """
 
-from conftest import record_figure, run_once
-
-from repro.bench.figures import fig4b
+from conftest import figure, record_figure, run_once
 
 
 def test_fig4b_direct_vs_buffered(benchmark):
-    data = run_once(benchmark, fig4b)
+    data = run_once(benchmark, figure, "fig4b")
     record_figure(benchmark, data)
     s = data.series
     i4k = data.xs.index(4096)

@@ -6,13 +6,11 @@ Paper claims reproduced here (section 5.1):
 * MX kernel latency identical to MX user.
 """
 
-from conftest import record_figure, run_once
-
-from repro.bench.figures import fig5a
+from conftest import figure, record_figure, run_once
 
 
 def test_fig5a_latency(benchmark):
-    data = run_once(benchmark, fig5a)
+    data = run_once(benchmark, figure, "fig5a")
     record_figure(benchmark, data)
     s = data.series
     assert abs(s["MX User"][0] - 4.2) < 0.3

@@ -7,13 +7,11 @@ Paper claims reproduced here (section 5.1):
   since the page locking overhead is lower."
 """
 
-from conftest import record_figure, run_once
-
-from repro.bench.figures import fig5b
+from conftest import figure, record_figure, run_once
 
 
 def test_fig5b_bandwidth(benchmark):
-    data = run_once(benchmark, fig5b)
+    data = run_once(benchmark, figure, "fig5b")
     record_figure(benchmark, data)
     s = data.series
     # large messages: all three near the link rate, GM ~ MX

@@ -11,13 +11,11 @@ Paper claims reproduced here (section 5.1):
   32 kB boundary.
 """
 
-from conftest import record_figure, run_once
-
-from repro.bench.figures import fig6
+from conftest import figure, record_figure, run_once
 
 
 def test_fig6_copy_removal(benchmark):
-    data = run_once(benchmark, fig6)
+    data = run_once(benchmark, figure, "fig6")
     record_figure(benchmark, data)
     s = data.series
     i32k = data.xs.index(32 * 1024)

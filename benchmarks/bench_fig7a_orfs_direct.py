@@ -6,13 +6,11 @@ raw bandwidth difference." — with GM enjoying 100 % registration-cache
 hits in this benchmark.
 """
 
-from conftest import record_figure, run_once
-
-from repro.bench.figures import fig7a
+from conftest import figure, record_figure, run_once
 
 
 def test_fig7a_orfs_direct(benchmark):
-    data = run_once(benchmark, fig7a)
+    data = run_once(benchmark, figure, "fig7a")
     record_figure(benchmark, data)
     s = data.series
     # MX direct at least as good as GM direct at the extremes

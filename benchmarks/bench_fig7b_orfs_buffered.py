@@ -7,13 +7,11 @@ GM for such messages.  The ORFS/MX performance improvement is thus
 caused by our improved kernel interface."
 """
 
-from conftest import record_figure, run_once
-
-from repro.bench.figures import fig7b
+from conftest import figure, record_figure, run_once
 
 
 def test_fig7b_orfs_buffered(benchmark):
-    data = run_once(benchmark, fig7b)
+    data = run_once(benchmark, figure, "fig7b")
     record_figure(benchmark, data)
     s = data.series
     gain = s["ORFS/MX Buffered"][-1] / s["ORFS/GM Buffered"][-1] - 1

@@ -7,13 +7,11 @@ Paper claims reproduced here (section 5.3):
 * SOCKETS-GM: 15 us one-way (dispatch kernel thread + bounce buffers).
 """
 
-from conftest import record_figure, run_once
-
-from repro.bench.figures import fig8a
+from conftest import figure, record_figure, run_once
 
 
 def test_fig8a_sockets_latency(benchmark):
-    data = run_once(benchmark, fig8a)
+    data = run_once(benchmark, figure, "fig8a")
     record_figure(benchmark, data)
     s = data.series
     assert abs(s["Sockets-MX"][0] - 5.0) < 0.7

@@ -8,13 +8,11 @@ Paper claims reproduced here (section 5.3, table 1):
   the full 500 MB/s.
 """
 
-from conftest import record_figure, run_once
-
-from repro.bench.figures import fig8b
+from conftest import figure, record_figure, run_once
 
 
 def test_fig8b_sockets_bandwidth(benchmark):
-    data = run_once(benchmark, fig8b)
+    data = run_once(benchmark, figure, "fig8b")
     record_figure(benchmark, data)
     s = data.series
     gains = [mx / gm - 1 for mx, gm in zip(s["Sockets-MX"], s["Sockets-GM"])]

@@ -11,6 +11,13 @@ qualitative claims; the full paper-vs-measured record is EXPERIMENTS.md.
 from __future__ import annotations
 
 
+def figure(name: str):
+    """Measure one figure on its own; returns its FigureData."""
+    from repro.bench.figures import FIGURES, measure
+
+    return FIGURES[name].view(measure([name]))
+
+
 def record_figure(benchmark, data) -> None:
     """Attach a FigureData's series to the benchmark record and print it."""
     benchmark.extra_info["figure"] = data.name

@@ -1,10 +1,26 @@
-"""Per-figure experiment drivers: regenerate every table and figure.
+"""The paper's figures and Table 1 as views over one experiment set.
 
-Each ``fig*``/``table*`` function runs the full simulated experiment and
-returns a :class:`FigureData` whose ``render()`` prints the same series
-the paper plots.  The registry at the bottom powers the CLI
-(``python -m repro.bench <name>``) and the pytest-benchmark targets in
-``benchmarks/``.
+A figure declares the experiment points it plots as requests
+``(experiment key, sizes)``, and its view is a pure function of their
+results.  The experiment keys are
+
+* ``netpipe(pair, link)``: a NetPIPE ping-pong, which gives both the
+  latency and the bandwidth at each size;
+* ``orfs(api, total, direct, regcache)``: sequential ORFS reads of a
+  ``total``-byte file;
+* ``orfa(api, total)``: the same reads through the user-space ORFA
+  library;
+* ``socket(kind)``: a SOCKETS-GM/MX ping-pong on PCI-XE.
+
+:func:`plan` turns the requests of some figures into jobs.  A job
+measures one key at the sizes no earlier request planned, as one
+series in fresh worlds (:func:`run_job`), so each distinct point
+``(key, size)`` is measured once per call.  The results ``{point:
+measurement}`` live only as long as that call: nothing is memoised
+across calls.  A measurement maps a unit (``"us"``, ``"MB/s"``) to a
+value, and a figure's unit picks which.  ``table1`` has no experiment of its own: it reads points
+of figures 5(a), 7 and 8.  The CLI (``python -m repro.bench <name>``)
+and the pytest-benchmark targets in ``benchmarks/`` drive this module.
 
 Paper-vs-measured commentary for every experiment lives in
 EXPERIMENTS.md.
@@ -13,14 +29,14 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..cluster import node_pair
 from ..gm.registration import RegistrationDomain
 from ..hw.cpu import Cpu
 from ..hw.params import HOST_P3_1200, HOST_P4_2600, PCI_XD, PCI_XE
 from ..sim import Environment, one_world
-from ..units import KiB, MiB, PAGE_SIZE, to_us, us
+from ..units import KiB, MiB, PAGE_SIZE, to_us
 from .fileio import (
     build_orfa,
     build_orfs,
@@ -49,56 +65,170 @@ class FigureData:
 
 
 # ---------------------------------------------------------------------------
-# shared sweep helpers
+# experiment keys and the series that measure them
 # ---------------------------------------------------------------------------
 
 
+def netpipe(pair: str, link=PCI_XD) -> tuple:
+    """A transport pair (see :func:`_transport`) ping-ponged on ``link``."""
+    return ("netpipe", pair, link)
+
+
+def orfs(api: str, total: int, direct: bool, regcache: bool = True) -> tuple:
+    return ("orfs", api, total, direct, regcache)
+
+
+def orfa(api: str, total: int) -> tuple:
+    return ("orfa", api, total)
+
+
+def socket(kind: str) -> tuple:
+    return ("socket", kind)
+
+
+def _transport(pair: str, node, peer: int):
+    """One end of ``pair``: ``gm-user``, ``gm-kernel``, ``gm-physical``,
+    ``mx-user``, ``mx-kernel``, ``mx-physical``, ``mx-physical-nosend``
+    (no send copy) or ``mx-physical-nocopy`` (no copy on either side)."""
+    api, mode, *copies = pair.split("-")
+    if api == "gm":
+        if mode == "user":
+            return GmUserTransport(node, 1, peer_node=peer, peer_port=1)
+        return GmKernelTransport(
+            node, 1, peer_node=peer, peer_port=1,
+            addressing="physical" if mode == "physical" else "virtual")
+    return MxTransport(node, 1, peer_node=peer, peer_ep=1,
+                       context="user" if mode == "user" else "kernel",
+                       physical=mode == "physical",
+                       no_send_copy=bool(copies),
+                       no_recv_copy=copies == ["nocopy"])
+
+
 @one_world
-def _netpipe_series(make_a, make_b, sizes: Sequence[int], metric: str,
-                    link=PCI_XD, rounds: int = 8) -> list[float]:
-    """One transport pair swept over sizes; metric 'latency_us'|'bandwidth'."""
+def _netpipe_series(pair: str, link, sizes: Sequence[int],
+                    rounds: int = 8) -> list[dict]:
+    """One transport pair ping-ponged over ``sizes`` in one world."""
     env = Environment()
     node_a, node_b = node_pair(env, link=link)
-    a, b = make_a(node_a), make_b(node_b)
+    a, b = _transport(pair, node_a, 1), _transport(pair, node_b, 0)
     prepare_pair(env, a, b, max(max(sizes), PAGE_SIZE))
     out = []
     for size in sizes:
         r = ping_pong(env, a, b, size, rounds=rounds)
-        out.append(r.one_way_us if metric == "latency_us" else r.bandwidth_mb_s)
+        out.append({"us": r.one_way_us, "MB/s": r.bandwidth_mb_s})
     return out
 
 
-def _mx_pair(context="user", physical=False, no_send_copy=False,
-             no_recv_copy=False):
-    def make(peer):
-        def f(node):
-            return MxTransport(node, 1, peer_node=peer, peer_ep=1,
-                               context=context, physical=physical,
-                               no_send_copy=no_send_copy,
-                               no_recv_copy=no_recv_copy)
-        return f
-    return make(1), make(0)
+@one_world
+def _orfs_series(api: str, total: int, direct: bool, regcache: bool,
+                 sizes: Sequence[int]) -> list[dict]:
+    """Sequential reads of each size on one fresh ORFS rig."""
+    rig = build_orfs(api, regcache_enabled=regcache, file_size=total)
+    return [{"MB/s": orfs_sequential_read(rig, s, total,
+                                          direct=direct).throughput_mb_s}
+            for s in sizes]
 
 
-def _gm_user_pair():
-    return (lambda n: GmUserTransport(n, 1, peer_node=1, peer_port=1),
-            lambda n: GmUserTransport(n, 1, peer_node=0, peer_port=1))
+@one_world
+def _orfa_series(api: str, total: int, sizes: Sequence[int]) -> list[dict]:
+    """Sequential reads of each size on one fresh ORFA rig."""
+    rig = build_orfa(api, file_size=total)
+    return [{"MB/s": orfa_sequential_read(rig, s, total).throughput_mb_s}
+            for s in sizes]
 
 
-def _gm_kernel_pair(addressing="virtual"):
-    return (lambda n: GmKernelTransport(n, 1, peer_node=1, peer_port=1,
-                                        addressing=addressing),
-            lambda n: GmKernelTransport(n, 1, peer_node=0, peer_port=1,
-                                        addressing=addressing))
+@one_world
+def _socket_point(kind: str, size: int, rounds: int = 8) -> dict:
+    """One SOCKETS-GM/MX ping-pong at one size, in its own world."""
+    from ..sockets import SocketsGmModule, SocketsMxModule
+
+    env = Environment()
+    a, b = node_pair(env, link=PCI_XE)
+    module = SocketsMxModule if kind == "mx" else SocketsGmModule
+    ma, mb = module(a, 9), module(b, 9)
+    spa, spb = a.new_process_space(), b.new_process_space()
+    va = spa.mmap(max(size, PAGE_SIZE), populate=True)
+    vb = spb.mmap(max(size, PAGE_SIZE), populate=True)
+    times = {}
+    warmup = 2
+
+    def server(env):
+        yield from mb.listen()
+        sock = yield from mb.accept()
+        for _ in range(rounds + warmup):
+            yield from sock.recv(spb, vb, size)
+            yield from sock.send(spb, vb, size)
+
+    def client(env):
+        sock = yield from ma.connect(1, 9)
+        for i in range(rounds + warmup):
+            if i == warmup:
+                times["t0"] = env.now
+            yield from sock.send(spa, va, size)
+            yield from sock.recv(spa, va, size)
+        times["t1"] = env.now
+
+    env.process(server(env))
+    env.run(until=env.process(client(env)))
+    one_way = (times["t1"] - times["t0"]) / (2 * rounds)
+    return {"us": to_us(one_way), "MB/s": size / one_way * 1000}
+
+
+def _socket_series(kind: str, sizes: Sequence[int]) -> list[dict]:
+    return [_socket_point(kind, size) for size in sizes]
+
+
+_SERIES = {"netpipe": _netpipe_series, "orfs": _orfs_series,
+           "orfa": _orfa_series, "socket": _socket_series}
+
+
+@dataclass(frozen=True)
+class Job:
+    """Measure ``key`` at ``sizes``; ``figure`` is the name that planned it."""
+
+    figure: str
+    key: tuple
+    sizes: tuple[int, ...]
+
+    @property
+    def points(self) -> list[tuple]:
+        return [(self.key, size) for size in self.sizes]
+
+
+def run_job(job: Job) -> list[dict]:
+    """Measure one job in fresh worlds; returns one measurement per size."""
+    kind, *params = job.key
+    return _SERIES[kind](*params, job.sizes)
 
 
 # ---------------------------------------------------------------------------
-# Figure 1(b): copy vs registration cost
+# the figures: what each plots, and how
 # ---------------------------------------------------------------------------
 
 
-def fig1b() -> FigureData:
-    """Copy cost (P3/P4) vs GM registration/deregistration cost."""
+@dataclass(frozen=True)
+class Figure:
+    """``requests`` are the ``(key, sizes)`` a figure plots; ``view``
+    maps the results to its :class:`FigureData` (table1: its text)."""
+
+    requests: tuple
+    view: Callable[[dict], "FigureData | str"]
+
+
+def _plot(name: str, title: str, xlabel: str, unit: str,
+          xs: Sequence[int], series: dict) -> Figure:
+    """A figure plotting each ``label: key`` of ``series`` over ``xs``."""
+    xs = tuple(xs)
+    return Figure(
+        tuple((key, xs) for key in series.values()),
+        lambda results: FigureData(name, title, xlabel, unit, list(xs), {
+            label: [results[key, x][unit] for x in xs]
+            for label, key in series.items()}))
+
+
+def _fig1b(results: dict) -> FigureData:
+    """Copy cost (P3/P4) vs GM registration/deregistration cost: a cost
+    model with no experiment."""
     sizes = [i * 32 * KiB for i in range(1, 9)]  # 32 kB .. 256 kB
     env = Environment()
     cpu_p3 = Cpu(env, HOST_P3_1200, name="p3")
@@ -129,345 +259,37 @@ def fig1b() -> FigureData:
     )
 
 
-# ---------------------------------------------------------------------------
-# Figure 3(b): ORFS direct access on GM, with/without registration cache
-# ---------------------------------------------------------------------------
+_SMALL = (1, 16, 256, 1024, 4096)
+_LARGE = (1024, 4096, 16 * KiB, 64 * KiB, 256 * KiB, MiB)
 
 
-def fig3b(sizes: Sequence[int] = (1024, 4096, 16 * KiB, 64 * KiB, 256 * KiB),
-          total: int = MiB) -> FigureData:
-    sizes = list(sizes)
-    gm_raw = _netpipe_series(*_gm_user_pair(), sizes=sizes, metric="bandwidth")
-
-    orfa_rig = build_orfa("gm", file_size=total)
-    orfa = [orfa_sequential_read(orfa_rig, s, total).throughput_mb_s
-            for s in sizes]
-
-    rig = build_orfs("gm", file_size=total)
-    orfs_cache = [orfs_sequential_read(rig, s, total, direct=True).throughput_mb_s
-                  for s in sizes]
-
-    rig_nc = build_orfs("gm", regcache_enabled=False, file_size=total)
-    orfs_nocache = [
-        orfs_sequential_read(rig_nc, s, total, direct=True).throughput_mb_s
-        for s in sizes
-    ]
-    return FigureData(
-        name="fig3b",
-        title="ORFS direct access on GM (registration cache impact)",
-        xlabel="request",
-        unit="MB/s",
-        xs=sizes,
-        series={
-            "GM Raw": gm_raw,
-            "ORFA w/ RegCache": orfa,
-            "ORFS w/ RegCache": orfs_cache,
-            "ORFS w/o RegCache": orfs_nocache,
-        },
-    )
+def _fig7(name: str, direct: bool) -> Figure:
+    """Figure 7: ORFS over GM vs MX, direct (a) or buffered (b)."""
+    mode = "Direct" if direct else "Buffered"
+    return _plot(name, f"{mode.lower()} file access: ORFS over GM vs MX",
+                 "request", "MB/s", _LARGE, {
+                     "GM": netpipe("gm-user"),
+                     f"ORFS/GM {mode}": orfs("gm", 2 * MiB, direct),
+                     "MX Kernel": netpipe("mx-kernel"),
+                     f"ORFS/MX {mode}": orfs("mx", 2 * MiB, direct),
+                 })
 
 
-# ---------------------------------------------------------------------------
-# Figure 4(a): registered-virtual vs physical kernel primitives (GM)
-# ---------------------------------------------------------------------------
+_TABLE1_LATENCY = ("gm-kernel", "gm-user", "mx-kernel", "mx-user")
 
 
-def fig4a(sizes: Sequence[int] = (16, 64, 256, 1024, 4096)) -> FigureData:
-    sizes = list(sizes)
-    virt = _netpipe_series(*_gm_kernel_pair("virtual"), sizes=sizes,
-                           metric="latency_us")
-    phys = _netpipe_series(*_gm_kernel_pair("physical"), sizes=sizes,
-                           metric="latency_us")
-    return FigureData(
-        name="fig4a",
-        title="GM kernel latency: registered virtual vs physical address",
-        xlabel="size",
-        unit="us",
-        xs=sizes,
-        series={"Memory Registration": virt, "Physical Address": phys},
-    )
+def _table1(results: dict) -> str:
+    """The paper's summary table, read off figures 5(a), 7 and 8."""
+    def at(key, size, unit):
+        return results[key, size][unit]
 
-
-# ---------------------------------------------------------------------------
-# Figure 4(b): ORFS/GM direct vs buffered vs raw GM
-# ---------------------------------------------------------------------------
-
-
-def fig4b(sizes: Sequence[int] = (1024, 4096, 16 * KiB, 64 * KiB,
-                                  256 * KiB, MiB),
-          total: int = 2 * MiB) -> FigureData:
-    sizes = list(sizes)
-    gm_raw = _netpipe_series(*_gm_user_pair(), sizes=sizes, metric="bandwidth")
-    rig = build_orfs("gm", file_size=total)
-    direct = [orfs_sequential_read(rig, s, total, direct=True).throughput_mb_s
-              for s in sizes]
-    buffered = [orfs_sequential_read(rig, s, total).throughput_mb_s
-                for s in sizes]
-    return FigureData(
-        name="fig4b",
-        title="ORFS on GM: direct vs buffered file access",
-        xlabel="request",
-        unit="MB/s",
-        xs=sizes,
-        series={
-            "GM Raw": gm_raw,
-            "ORFS/GM Direct": direct,
-            "ORFS/GM Buffered": buffered,
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figure 5: MX vs GM latency and bandwidth
-# ---------------------------------------------------------------------------
-
-
-def fig5a(sizes: Sequence[int] = (1, 16, 256, 1024, 4096)) -> FigureData:
-    sizes = list(sizes)
-    return FigureData(
-        name="fig5a",
-        title="small-message latency: GM vs MX, user vs kernel",
-        xlabel="size",
-        unit="us",
-        xs=sizes,
-        series={
-            "GM User": _netpipe_series(*_gm_user_pair(), sizes=sizes,
-                                       metric="latency_us"),
-            "GM Kernel": _netpipe_series(*_gm_kernel_pair(), sizes=sizes,
-                                         metric="latency_us"),
-            "MX User": _netpipe_series(*_mx_pair("user"), sizes=sizes,
-                                       metric="latency_us"),
-            "MX Kernel": _netpipe_series(*_mx_pair("kernel"), sizes=sizes,
-                                         metric="latency_us"),
-        },
-    )
-
-
-def fig5b(sizes: Sequence[int] = (1024, 4096, 16 * KiB, 64 * KiB,
-                                  256 * KiB, MiB)) -> FigureData:
-    sizes = list(sizes)
-    return FigureData(
-        name="fig5b",
-        title="bandwidth: GM vs MX user vs MX kernel (physical)",
-        xlabel="size",
-        unit="MB/s",
-        xs=sizes,
-        series={
-            "GM": _netpipe_series(*_gm_user_pair(), sizes=sizes,
-                                  metric="bandwidth"),
-            "MX User": _netpipe_series(*_mx_pair("user"), sizes=sizes,
-                                       metric="bandwidth"),
-            "MX Kernel Physical": _netpipe_series(
-                *_mx_pair("kernel", physical=True), sizes=sizes,
-                metric="bandwidth"),
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figure 6: medium-message copy removal
-# ---------------------------------------------------------------------------
-
-
-def fig6(sizes: Sequence[int] = (1024, 4096, 16 * KiB, 32 * KiB, 64 * KiB,
-                                 256 * KiB)) -> FigureData:
-    sizes = list(sizes)
-    return FigureData(
-        name="fig6",
-        title="impact of removing the medium-message copies (MX)",
-        xlabel="size",
-        unit="MB/s",
-        xs=sizes,
-        series={
-            "MX User": _netpipe_series(*_mx_pair("user"), sizes=sizes,
-                                       metric="bandwidth"),
-            "MX Kernel": _netpipe_series(
-                *_mx_pair("kernel", physical=True), sizes=sizes,
-                metric="bandwidth"),
-            "MX Kernel No-send-copy": _netpipe_series(
-                *_mx_pair("kernel", physical=True, no_send_copy=True),
-                sizes=sizes, metric="bandwidth"),
-            "MX Kernel No-copy (predicted)": _netpipe_series(
-                *_mx_pair("kernel", physical=True, no_send_copy=True,
-                          no_recv_copy=True),
-                sizes=sizes, metric="bandwidth"),
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figure 7: ORFS on GM vs MX
-# ---------------------------------------------------------------------------
-
-
-def fig7a(sizes: Sequence[int] = (1024, 4096, 16 * KiB, 64 * KiB,
-                                  256 * KiB, MiB),
-          total: int = 2 * MiB) -> FigureData:
-    sizes = list(sizes)
-    gm_raw = _netpipe_series(*_gm_user_pair(), sizes=sizes, metric="bandwidth")
-    mx_raw = _netpipe_series(*_mx_pair("kernel"), sizes=sizes,
-                             metric="bandwidth")
-    rig_gm = build_orfs("gm", file_size=total)
-    rig_mx = build_orfs("mx", file_size=total)
-    return FigureData(
-        name="fig7a",
-        title="direct file access: ORFS over GM vs MX",
-        xlabel="request",
-        unit="MB/s",
-        xs=sizes,
-        series={
-            "GM": gm_raw,
-            "ORFS/GM Direct": [
-                orfs_sequential_read(rig_gm, s, total, direct=True).throughput_mb_s
-                for s in sizes],
-            "MX Kernel": mx_raw,
-            "ORFS/MX Direct": [
-                orfs_sequential_read(rig_mx, s, total, direct=True).throughput_mb_s
-                for s in sizes],
-        },
-    )
-
-
-def fig7b(sizes: Sequence[int] = (1024, 4096, 16 * KiB, 64 * KiB,
-                                  256 * KiB, MiB),
-          total: int = 2 * MiB) -> FigureData:
-    sizes = list(sizes)
-    gm_raw = _netpipe_series(*_gm_user_pair(), sizes=sizes, metric="bandwidth")
-    mx_raw = _netpipe_series(*_mx_pair("kernel"), sizes=sizes,
-                             metric="bandwidth")
-    rig_gm = build_orfs("gm", file_size=total)
-    rig_mx = build_orfs("mx", file_size=total)
-    return FigureData(
-        name="fig7b",
-        title="buffered file access: ORFS over GM vs MX",
-        xlabel="request",
-        unit="MB/s",
-        xs=sizes,
-        series={
-            "GM": gm_raw,
-            "ORFS/GM Buffered": [
-                orfs_sequential_read(rig_gm, s, total).throughput_mb_s
-                for s in sizes],
-            "MX Kernel": mx_raw,
-            "ORFS/MX Buffered": [
-                orfs_sequential_read(rig_mx, s, total).throughput_mb_s
-                for s in sizes],
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figure 8: SOCKETS-GM vs SOCKETS-MX (PCI-XE)
-# ---------------------------------------------------------------------------
-
-
-@one_world
-def _socket_point(kind: str, size: int, rounds: int = 8) -> tuple[float, float]:
-    """One socket ping-pong at one size; returns (latency, bandwidth)."""
-    from ..sockets import SocketsGmModule, SocketsMxModule, ethernet_pair
-
-    env = Environment()
-    a, b = node_pair(env, link=PCI_XE)
-    if kind == "mx":
-        ma, mb = SocketsMxModule(a, 9), SocketsMxModule(b, 9)
-    elif kind == "gm":
-        ma, mb = SocketsGmModule(a, 9), SocketsGmModule(b, 9)
-    else:
-        ma, mb = ethernet_pair(env, a, b)
-    spa, spb = a.new_process_space(), b.new_process_space()
-    va = spa.mmap(max(size, PAGE_SIZE), populate=True)
-    vb = spb.mmap(max(size, PAGE_SIZE), populate=True)
-    times = {}
-    warmup = 2
-
-    def server(env):
-        if kind == "tcp":
-            mb.listen()
-        else:
-            yield from mb.listen()
-        sock = yield from mb.accept()
-        for _ in range(rounds + warmup):
-            yield from sock.recv(spb, vb, size)
-            yield from sock.send(spb, vb, size)
-
-    def client(env):
-        if kind == "tcp":
-            sock = yield from ma.connect()
-        else:
-            sock = yield from ma.connect(1, 9)
-        for i in range(rounds + warmup):
-            if i == warmup:
-                times["t0"] = env.now
-            yield from sock.send(spa, va, size)
-            yield from sock.recv(spa, va, size)
-        times["t1"] = env.now
-
-    env.process(server(env))
-    env.run(until=env.process(client(env)))
-    one_way = (times["t1"] - times["t0"]) / (2 * rounds)
-    return to_us(one_way), size / one_way * 1000  # MB/s
-
-
-def _socket_sweep(kind: str, sizes: Sequence[int], rounds: int = 8):
-    """One socket protocol swept over sizes; returns (latencies, bandwidths)."""
-    points = [_socket_point(kind, size, rounds) for size in sizes]
-    return [lat for lat, _ in points], [bw for _, bw in points]
-
-
-def fig8a(sizes: Sequence[int] = (1, 16, 256, 1024, 4096)) -> FigureData:
-    sizes = list(sizes)
-    gm_lat, _ = _socket_sweep("gm", sizes)
-    mx_lat, _ = _socket_sweep("mx", sizes)
-    return FigureData(
-        name="fig8a",
-        title="socket latency: SOCKETS-GM vs SOCKETS-MX (PCI-XE)",
-        xlabel="size",
-        unit="us",
-        xs=sizes,
-        series={"Sockets-GM": gm_lat, "Sockets-MX": mx_lat},
-    )
-
-
-def fig8b(sizes: Sequence[int] = (1024, 4096, 16 * KiB, 64 * KiB,
-                                  256 * KiB, MiB)) -> FigureData:
-    sizes = list(sizes)
-    _, gm_bw = _socket_sweep("gm", sizes)
-    _, mx_bw = _socket_sweep("mx", sizes)
-    return FigureData(
-        name="fig8b",
-        title="socket bandwidth: SOCKETS-GM vs SOCKETS-MX (PCI-XE)",
-        xlabel="size",
-        unit="MB/s",
-        xs=sizes,
-        series={"Sockets-GM": gm_bw, "Sockets-MX": mx_bw},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Table 1: results summary
-# ---------------------------------------------------------------------------
-
-
-def table1() -> str:
-    """The paper's summary table, regenerated from the experiments."""
-    # Kernel latency (figure 5(a), 1 byte)
-    gm_k = _netpipe_series(*_gm_kernel_pair(), sizes=[1], metric="latency_us")[0]
-    gm_u = _netpipe_series(*_gm_user_pair(), sizes=[1], metric="latency_us")[0]
-    mx_k = _netpipe_series(*_mx_pair("kernel"), sizes=[1], metric="latency_us")[0]
-    mx_u = _netpipe_series(*_mx_pair("user"), sizes=[1], metric="latency_us")[0]
-
-    # Buffered / direct remote file access (plateau at 1 MiB requests)
-    total = 2 * MiB
-    rig_gm = build_orfs("gm", file_size=total)
-    rig_mx = build_orfs("mx", file_size=total)
-    buf_gm = orfs_sequential_read(rig_gm, MiB, total).throughput_mb_s
-    buf_mx = orfs_sequential_read(rig_mx, MiB, total).throughput_mb_s
-    dir_gm = orfs_sequential_read(rig_gm, MiB, total, direct=True).throughput_mb_s
-    dir_mx = orfs_sequential_read(rig_mx, MiB, total, direct=True).throughput_mb_s
-
-    # Sockets (figure 8)
-    gm_lat, gm_bw = _socket_sweep("gm", [1, MiB])
-    mx_lat, mx_bw = _socket_sweep("mx", [1, MiB])
+    gm_k, gm_u, mx_k, mx_u = (at(netpipe(pair), 1, "us")
+                              for pair in _TABLE1_LATENCY)
+    buf_gm, buf_mx, dir_gm, dir_mx = (
+        at(orfs(api, 2 * MiB, direct), MiB, "MB/s")
+        for direct in (False, True) for api in ("gm", "mx"))
+    gm_lat, mx_lat = (at(socket(kind), 1, "us") for kind in ("gm", "mx"))
+    gm_bw, mx_bw = (at(socket(kind), MiB, "MB/s") for kind in ("gm", "mx"))
     link = PCI_XE.link_bandwidth / 1e6
 
     rows = [
@@ -481,45 +303,126 @@ def table1() -> str:
          f"{dir_gm:.0f} MB/s (needs kernel patching)",
          f"{dir_mx:.0f} MB/s (at least as good)"],
         ["0-copy socket latency",
-         f"{gm_lat[0]:.1f} us",
-         f"{mx_lat[0]:.1f} us"],
+         f"{gm_lat:.1f} us",
+         f"{mx_lat:.1f} us"],
         ["0-copy socket bandwidth",
-         f"{gm_bw[1]:.0f} MB/s ({gm_bw[1] / link * 100:.0f} % of link)",
-         f"{mx_bw[1]:.0f} MB/s (+{(mx_bw[1] / gm_bw[1] - 1) * 100:.0f} %)"],
+         f"{gm_bw:.0f} MB/s ({gm_bw / link * 100:.0f} % of link)",
+         f"{mx_bw:.0f} MB/s (+{(mx_bw / gm_bw - 1) * 100:.0f} %)"],
     ]
     return format_table("table1: MX and GM in-kernel performance summary",
                         ["", "GM", "MX"], rows)
 
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-FIGURES: dict[str, Callable[[], FigureData]] = {
-    "fig1b": fig1b,
-    "fig3b": fig3b,
-    "fig4a": fig4a,
-    "fig4b": fig4b,
-    "fig5a": fig5a,
-    "fig5b": fig5b,
-    "fig6": fig6,
-    "fig7a": fig7a,
-    "fig7b": fig7b,
-    "fig8a": fig8a,
-    "fig8b": fig8b,
+FIGURES: dict[str, Figure] = {
+    "fig1b": Figure((), _fig1b),
+    # Figure 3(b): ORFS direct access on GM, with/without registration
+    # cache.  Its file is 1 MiB, not 2: the points differ in the last
+    # digit from figure 4(b)'s, so they keep their own keys.
+    "fig3b": _plot("fig3b",
+                   "ORFS direct access on GM (registration cache impact)",
+                   "request", "MB/s", _LARGE[:5], {
+                       "GM Raw": netpipe("gm-user"),
+                       "ORFA w/ RegCache": orfa("gm", MiB),
+                       "ORFS w/ RegCache": orfs("gm", MiB, direct=True),
+                       "ORFS w/o RegCache": orfs("gm", MiB, direct=True,
+                                                 regcache=False),
+                   }),
+    "fig4a": _plot("fig4a",
+                   "GM kernel latency: registered virtual vs physical address",
+                   "size", "us", (16, 64, 256, 1024, 4096), {
+                       "Memory Registration": netpipe("gm-kernel"),
+                       "Physical Address": netpipe("gm-physical"),
+                   }),
+    "fig4b": _plot("fig4b", "ORFS on GM: direct vs buffered file access",
+                   "request", "MB/s", _LARGE, {
+                       "GM Raw": netpipe("gm-user"),
+                       "ORFS/GM Direct": orfs("gm", 2 * MiB, direct=True),
+                       "ORFS/GM Buffered": orfs("gm", 2 * MiB, direct=False),
+                   }),
+    "fig5a": _plot("fig5a", "small-message latency: GM vs MX, user vs kernel",
+                   "size", "us", _SMALL, {
+                       "GM User": netpipe("gm-user"),
+                       "GM Kernel": netpipe("gm-kernel"),
+                       "MX User": netpipe("mx-user"),
+                       "MX Kernel": netpipe("mx-kernel"),
+                   }),
+    "fig5b": _plot("fig5b",
+                   "bandwidth: GM vs MX user vs MX kernel (physical)",
+                   "size", "MB/s", _LARGE, {
+                       "GM": netpipe("gm-user"),
+                       "MX User": netpipe("mx-user"),
+                       "MX Kernel Physical": netpipe("mx-physical"),
+                   }),
+    "fig6": _plot("fig6", "impact of removing the medium-message copies (MX)",
+                  "size", "MB/s",
+                  (1024, 4096, 16 * KiB, 32 * KiB, 64 * KiB, 256 * KiB), {
+                      "MX User": netpipe("mx-user"),
+                      "MX Kernel": netpipe("mx-physical"),
+                      "MX Kernel No-send-copy": netpipe("mx-physical-nosend"),
+                      "MX Kernel No-copy (predicted)":
+                          netpipe("mx-physical-nocopy"),
+                  }),
+    "fig7a": _fig7("fig7a", direct=True),
+    "fig7b": _fig7("fig7b", direct=False),
+    "fig8a": _plot("fig8a",
+                   "socket latency: SOCKETS-GM vs SOCKETS-MX (PCI-XE)",
+                   "size", "us", _SMALL,
+                   {"Sockets-GM": socket("gm"), "Sockets-MX": socket("mx")}),
+    "fig8b": _plot("fig8b",
+                   "socket bandwidth: SOCKETS-GM vs SOCKETS-MX (PCI-XE)",
+                   "size", "MB/s", _LARGE,
+                   {"Sockets-GM": socket("gm"), "Sockets-MX": socket("mx")}),
 }
 
+TABLE1 = Figure(
+    tuple((netpipe(pair), (1,)) for pair in _TABLE1_LATENCY)
+    + tuple((orfs(api, 2 * MiB, direct), (MiB,))
+            for direct in (False, True) for api in ("gm", "mx"))
+    + tuple((socket(kind), (1, MiB)) for kind in ("gm", "mx")),
+    _table1)
 
-@one_world
+VIEWS: dict[str, Figure] = {**FIGURES, "table1": TABLE1}
+
+
+# ---------------------------------------------------------------------------
+# the experiment set
+# ---------------------------------------------------------------------------
+
+
+def plan(names: Iterable[str]) -> list[Job]:
+    """The jobs that measure every point ``names`` request, each once:
+    a request's job holds the sizes no earlier request planned."""
+    planned: set = set()
+    jobs = []
+    for name in names:
+        try:
+            requests = VIEWS[name].requests
+        except KeyError:
+            raise KeyError(f"unknown experiment {name!r}; choose from "
+                           f"{sorted(VIEWS)}") from None
+        for key, sizes in requests:
+            new = tuple(s for s in sizes if (key, s) not in planned)
+            if new:
+                planned.update((key, s) for s in new)
+                jobs.append(Job(name, key, new))
+    return jobs
+
+
+def measure(names: Iterable[str]) -> dict:
+    """Run every job ``names`` plan, in this process; returns the
+    results ``{point: measurement}``."""
+    results: dict = {}
+    for job in plan(names):
+        results.update(zip(job.points, run_job(job)))
+    return results
+
+
+def render(name: str, results: dict) -> str:
+    """``name``'s table, read off ``results``."""
+    out = VIEWS[name].view(results)
+    return out if isinstance(out, str) else out.render()
+
+
 def run_figure(name: str) -> str:
-    """Run one experiment by name; returns its rendered table."""
-    if name == "table1":
-        return table1()
-    try:
-        fn = FIGURES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {name!r}; choose from "
-            f"{sorted(FIGURES) + ['table1']}"
-        ) from None
-    return fn().render()
+    """Plan and measure one name on its own; returns its rendered table."""
+    return render(name, measure([name]))

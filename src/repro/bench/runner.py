@@ -4,17 +4,20 @@ Usage::
 
     python -m repro.bench fig5a          # one experiment
     python -m repro.bench table1
-    python -m repro.bench all            # everything (several minutes)
+    python -m repro.bench all            # everything (~10 s)
     python -m repro.bench all --parallel 4   # fan out over 4 processes
     python -m repro.bench all --timings  # per-figure cost to stderr
     python -m repro.bench fig6 --json    # machine-readable series
     python -m repro.bench --list
 
-Every figure driver builds its own :class:`~repro.sim.Environment`, so
-the experiments share no state and ``--parallel N`` can fan them out
-over a ``ProcessPoolExecutor``.  Results are printed in the requested
-order regardless of which worker finishes first, so parallel output is
-byte-identical to sequential output.
+Figures share experiments; experiments share no state.  The runner
+plans the named figures in one experiment set, so each distinct
+experiment point is measured once (:func:`repro.bench.figures.plan`),
+runs the jobs, then renders each figure in the order asked: as tables,
+or as JSON with ``--json``.  Every job builds its own worlds, so
+``--parallel N`` can fan the jobs out over a ``ProcessPoolExecutor``;
+each result is keyed by its point, so parallel output is byte-identical
+to sequential output.
 """
 
 from __future__ import annotations
@@ -25,17 +28,18 @@ import os
 import resource
 import sys
 import time
+from dataclasses import asdict
 
 from .. import obs
-from ..sim.engine import Environment, one_world
-from .figures import FIGURES, run_figure
+from ..sim.engine import Environment
+from .figures import FIGURES, Job, plan, render, run_job
 from .report import format_metrics
 
 ALL = sorted(FIGURES) + ["table1"]
 
 
 def _mark_figure(name: str) -> None:
-    """Drop a figure-boundary marker on the ambient timeline (no-op when
+    """Drop a figure marker on the ambient timeline (no-op when
     observability is off, and in parallel workers, which never inherit
     the ambient timeline)."""
     tl = obs.active_timeline()
@@ -49,50 +53,27 @@ def _peak_rss_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _run_text(name: str) -> tuple[str, str, float, int, float]:
-    """Worker: render one experiment; returns (name, text, seconds,
-    events, peak RSS MiB of this process so far)."""
+def _run_job(job: Job) -> tuple[list, float, int, float]:
+    """Worker: run one job, marked with the figure that planned it;
+    returns (its measurements, seconds, events, peak RSS MiB of this
+    process so far)."""
     t0 = time.perf_counter()
     ev0 = Environment.lifetime_events_processed
-    _mark_figure(name)
-    text = run_figure(name)
+    _mark_figure(job.figure)
+    measured = run_job(job)
     events = Environment.lifetime_events_processed - ev0
-    return name, text, time.perf_counter() - t0, events, _peak_rss_mib()
+    return measured, time.perf_counter() - t0, events, _peak_rss_mib()
 
 
-@one_world
-def _figure_payload(name: str) -> dict:
-    """Run one figure; returns its series as plain JSON-ready data."""
-    data = FIGURES[name]()
-    return {
-        "title": data.title,
-        "xlabel": data.xlabel,
-        "unit": data.unit,
-        "xs": list(data.xs),
-        "series": {k: list(v) for k, v in data.series.items()},
-    }
-
-
-def _run_json(name: str) -> tuple[str, dict, float, int, float]:
-    """Worker: run one figure for --json; returns (name, payload, seconds,
-    events, peak RSS MiB)."""
-    t0 = time.perf_counter()
-    ev0 = Environment.lifetime_events_processed
-    _mark_figure(name)
-    payload = _figure_payload(name)
-    events = Environment.lifetime_events_processed - ev0
-    return name, payload, time.perf_counter() - t0, events, _peak_rss_mib()
-
-
-def _execute(names: list[str], worker, jobs: int):
-    """Run ``worker`` over ``names``, optionally in parallel; keep order."""
-    if jobs > 1 and len(names) > 1:
+def _execute(jobs: list[Job], parallel: int) -> list[tuple]:
+    """Run ``jobs``, over ``parallel`` processes if more than one; keep
+    their order."""
+    if parallel > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = {r[0]: r for r in pool.map(worker, names)}
-        return [results[name] for name in names]
-    return [worker(name) for name in names]
+        with ProcessPoolExecutor(max_workers=parallel) as pool:
+            return list(pool.map(_run_job, jobs))
+    return [_run_job(job) for job in jobs]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -139,13 +120,13 @@ def main(argv: list[str] | None = None) -> int:
                              "(table1 is text-only and is skipped)")
     parser.add_argument("--parallel", type=int, default=1, metavar="N",
                         help="run experiments over N worker processes; 0 "
-                             "means auto (one per CPU core). Each figure "
-                             "builds its own Environment, so results are "
-                             "identical to a sequential run")
+                             "means auto (one per CPU core). Figures share "
+                             "experiments; experiments share no state, so "
+                             "results are identical to a sequential run")
     parser.add_argument("--timings", action="store_true",
-                        help="report per-experiment wall-clock, events and "
-                             "peak RSS (high-water mark of the process that "
-                             "ran it) on stderr")
+                        help="report wall-clock, events and peak RSS "
+                             "(high-water mark of the process that ran them) "
+                             "of the jobs each figure planned on stderr")
     parser.add_argument("--metrics", metavar="OUT.json",
                         help="collect a metrics snapshot over the whole run "
                              "and write it to OUT.json (also prints a table "
@@ -182,17 +163,24 @@ def main(argv: list[str] | None = None) -> int:
     if args.timeline:
         timeline = obs.Timeline()
         obs.install_timeline(timeline)
+    if args.json:
+        names = [n for n in names if n != "table1"]
+    jobs = plan(names)
     t_all = time.perf_counter()
     try:
+        outcomes = _execute(jobs, args.parallel)
+        results: dict = {}
+        for job, (measured, *_) in zip(jobs, outcomes):
+            results.update(zip(job.points, measured))
         if args.json:
-            names = [n for n in names if n != "table1"]
-            results = _execute(names, _run_json, args.parallel)
-            print(json.dumps({name: payload for name, payload, *_ in results},
-                             indent=2))
+            payload = {}
+            for name in names:
+                payload[name] = asdict(FIGURES[name].view(results))
+                del payload[name]["name"]
+            print(json.dumps(payload, indent=2))
         else:
-            results = _execute(names, _run_text, args.parallel)
-            for _, text, *_ in results:
-                print(text)
+            for name in names:
+                print(render(name, results))
                 print()
     finally:
         if registry is not None:
@@ -205,14 +193,17 @@ def main(argv: list[str] | None = None) -> int:
     if timeline is not None:
         timeline.write(args.timeline)
     if args.timings:
-        total_events = 0
-        for name, _, secs, events, rss in results:
-            total_events += events
-            print(f"[timing] {name:8s} {secs:7.3f} s  {events:>10d} events  "
+        # Each figure is charged for the jobs it planned: a point
+        # another figure measured first costs it nothing.
+        for name in names:
+            mine = [o for job, o in zip(jobs, outcomes) if job.figure == name]
+            rss = max((o[3] for o in mine), default=_peak_rss_mib())
+            print(f"[timing] {name:8s} {sum(o[1] for o in mine):7.3f} s  "
+                  f"{sum(o[2] for o in mine):>10d} events  "
                   f"{rss:6.1f} MiB peak RSS", file=sys.stderr)
         print(f"[timing] total    {time.perf_counter() - t_all:7.3f} s  "
-              f"{total_events:>10d} events (parallel={args.parallel})",
-              file=sys.stderr)
+              f"{sum(o[2] for o in outcomes):>10d} events "
+              f"(parallel={args.parallel})", file=sys.stderr)
     return 0
 
 

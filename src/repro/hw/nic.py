@@ -811,11 +811,15 @@ class Nic:
         # DMA from host memory: hold the PCI bus while feeding the wire
         # (cut-through: the wire starts after a small lag, and since PCI
         # outpaces the link, the wire is the pacing resource).
-        tx_span = obs.span_begin(
-            self.env, "nic", f"tx.{kind.value}",
-            pid=self.node_id, tid=desc.src_port,
-            size=desc.size, dst=desc.dst_nic,
-        )
+        # A span name and its fields cost an enum lookup and a dict per
+        # message, so they are built only under a timeline.
+        tx_span = None
+        if obs.timeline_enabled():
+            tx_span = obs.span_begin(
+                self.env, "nic", f"tx.{kind.value}",
+                pid=self.node_id, tid=desc.src_port,
+                size=desc.size, dst=desc.dst_nic,
+            )
         pci_req = self.pci.request()
         yield pci_req
         try:
@@ -873,7 +877,8 @@ class Nic:
             pci_req.release()
         self._m_tx.inc()
         self._m_tx_bytes.inc(desc.size)
-        obs.span_end(self.env, tx_span)
+        if tx_span is not None:
+            obs.span_end(self.env, tx_span)
         assert desc.completion is not None
         desc.completion.succeed(
             SendCompletion(tag=desc.tag, size=desc.size, finished_at=self.env.now)
@@ -1074,11 +1079,12 @@ class Nic:
         )
         self._m_rx.inc()
         self._m_rx_bytes.inc(nbytes)
-        obs.instant(
-            self.env, "nic", f"rx.{msg.kind.value}",
-            pid=self.node_id, tid=msg.dst_port,
-            size=nbytes, src=msg.src_nic,
-        )
+        if obs.timeline_enabled():
+            obs.instant(
+                self.env, "nic", f"rx.{msg.kind.value}",
+                pid=self.node_id, tid=msg.dst_port,
+                size=nbytes, src=msg.src_nic,
+            )
         if recv.completion is not None:
             recv.completion.succeed(completion)
         if port.completion_sink is not None:

@@ -86,15 +86,6 @@ def _start_host_copies(registry):
 obs_registry.register_collector(_start_host_copies)
 
 
-def _as_chunks(obj) -> "tuple":
-    """Normalize any bytes-like or PayloadRef into a chunk tuple."""
-    if isinstance(obj, PayloadRef):
-        return obj._chunks
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        return (obj,) if len(obj) else ()
-    raise TypeError(f"cannot compare PayloadRef with {type(obj).__name__}")
-
-
 class PayloadRef:
     """An immutable scatter/gather reference to payload bytes.
 
@@ -102,9 +93,6 @@ class PayloadRef:
     read-only ``memoryview`` objects over page frames).  All slicing and
     concatenation is zero-copy; :meth:`tobytes` is the only materializer
     and is meant for true sinks (file stores, trace renderers, tests).
-
-    Compares equal to any bytes-like with the same content, so code and
-    tests that did ``completion.data == b"hello"`` keep working.
     """
 
     __slots__ = ("_chunks", "length")
@@ -243,48 +231,8 @@ class PayloadRef:
             pos += len(chunk)
         raise IndexError("PayloadRef index out of range")  # pragma: no cover
 
-    def __eq__(self, other) -> bool:
-        try:
-            other_chunks = _as_chunks(other)
-        except TypeError:
-            return NotImplemented
-        if isinstance(other, PayloadRef) and other.length != self.length:
-            return False
-        return _chunks_equal(self._chunks, other_chunks)
-
     def __repr__(self) -> str:
         return f"PayloadRef(length={self.length}, chunks={len(self._chunks)})"
-
-
-def _chunks_equal(a: Sequence, b: Sequence) -> bool:
-    """Compare two chunk streams byte-wise without joining either."""
-    ai, bi = iter(a), iter(b)
-    av = memoryview(next(ai, b""))
-    bv = memoryview(next(bi, b""))
-    while True:
-        if not len(av):
-            nxt = next(ai, None)
-            if nxt is None:
-                break
-            av = memoryview(nxt)
-            continue
-        if not len(bv):
-            nxt = next(bi, None)
-            if nxt is None:
-                break
-            bv = memoryview(nxt)
-            continue
-        n = min(len(av), len(bv))
-        if av[:n] != bv[:n]:
-            return False
-        av = av[n:]
-        bv = bv[n:]
-    # equal iff both streams exhausted with no residue
-    if len(av):
-        return False
-    if len(bv) or next(bi, None) is not None:
-        return False
-    return next(ai, None) is None
 
 
 _EMPTY = PayloadRef((), _trusted=True)

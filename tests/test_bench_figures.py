@@ -1,11 +1,14 @@
-"""Tests for the figure drivers and the CLI runner (fast figures only)."""
+"""Tests for the figure views, their experiment set and the CLI runner."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench.figures import FIGURES, fig1b, fig4a, run_figure
+from repro.bench.figures import FIGURES, VIEWS, plan, run_figure
 from repro.bench.runner import ALL, main
+
+PINNED = Path(__file__).resolve().parents[1] / "bench_figures.txt"
 
 
 def test_registry_covers_every_paper_figure():
@@ -16,8 +19,8 @@ def test_registry_covers_every_paper_figure():
 
 
 def test_fig1b_structure_and_determinism():
-    a = fig1b()
-    b = fig1b()
+    a = FIGURES["fig1b"].view({})
+    b = FIGURES["fig1b"].view({})
     assert a.series == b.series
     assert set(a.series) == {
         "Copy (P3 1.2GHz)", "Copy (P4 2.6GHz)", "Registration",
@@ -26,6 +29,30 @@ def test_fig1b_structure_and_determinism():
     assert all(len(v) == len(a.xs) for v in a.series.values())
     rendered = a.render()
     assert "fig1b" in rendered and "256k" in rendered
+
+
+def test_bench_all_plans_each_point_once():
+    """One experiment set serves every figure: no (key, size) point is
+    planned twice, every point a view reads is planned, and table1,
+    a view over figures 5(a), 7 and 8, plans no job of its own."""
+    jobs = plan(ALL)
+    points = [point for job in jobs for point in job.points]
+    assert len(points) == len(set(points))
+    assert set(points) == {(key, size) for name in ALL
+                           for key, sizes in VIEWS[name].requests
+                           for size in sizes}
+    assert [job for job in jobs if job.figure == "table1"] == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ALL)
+def test_each_name_alone_matches_its_pinned_section(name):
+    """A name run on its own plans its jobs differently from ``bench
+    all`` (fresh rigs, other netpipe sweeps) and still prints exactly
+    its section of bench_figures.txt."""
+    sections = {text.split(":")[0][3:]: text
+                for text in PINNED.read_text().split("\n\n") if text}
+    assert run_figure(name) == sections[name]
 
 
 def test_run_figure_unknown_name_raises():

@@ -57,9 +57,9 @@ _FIG5A_SEED_GOLDEN = {
 
 
 def test_fig5a_series_byte_identical_to_seed():
-    from repro.bench.figures import fig5a
+    from repro.bench.figures import FIGURES, measure
 
-    data = fig5a()
+    data = FIGURES["fig5a"].view(measure(["fig5a"]))
     assert data.xs == _FIG5A_SEED_GOLDEN["xs"]
     assert data.series == _FIG5A_SEED_GOLDEN["series"]
 

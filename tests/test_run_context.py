@@ -22,6 +22,7 @@ from repro.bench.netpipe import prepare_pair
 from repro.bench.transports import MxTransport
 from repro.cluster import node_pair
 from repro.fleet import FleetSpec, run_point
+from repro.hw.params import PCI_XD
 from repro.nbd.chaos import run_scenario
 from repro.sim import Environment
 from repro.units import KiB
@@ -159,10 +160,10 @@ BOUNDARIES = {
     "chaos.run_scenario": lambda: run_scenario("crash-middle", n_ops=8),
     "run_topo": lambda: topo.run_topo(4, "identity", "flow", 16 * KiB),
     "_netpipe_series": lambda: figures._netpipe_series(
-        *figures._mx_pair("kernel"), sizes=[1], metric="latency_us"),
+        "mx-kernel", PCI_XD, [1]),
     "_socket_point": lambda: figures._socket_point("gm", 1),
     "run_figure": lambda: figures.run_figure("fig4a"),
-    **{f"_run_json:{fig}": (lambda fig=fig: runner._run_json(fig))
+    **{f"main_json:{fig}": (lambda fig=fig: runner.main([fig, "--json"]))
        for fig in ("fig3b", "fig4b", "fig7a", "fig7b")},
     "faults._orfa_run": lambda: faults._orfa_run(1, 0.0),
     "faults._nbd_run": lambda: faults._nbd_run(1, 0.0),
