@@ -10,7 +10,8 @@ results.  The experiment keys are
   ``total``-byte file;
 * ``orfa(api, total)``: the same reads through the user-space ORFA
   library;
-* ``socket(kind)``: a SOCKETS-GM/MX ping-pong on PCI-XE.
+* ``socket(kind)``: a SOCKETS-GM/MX ping-pong on PCI-XE, or (kind
+  ``tcp``) the TCP/IP baseline over gigabit Ethernet.
 
 :func:`plan` turns the requests of some figures into jobs.  A job
 measures one key at the sizes no earlier request planned, as one
@@ -139,13 +140,17 @@ def _orfa_series(api: str, total: int, sizes: Sequence[int]) -> list[dict]:
 
 @one_world
 def _socket_point(kind: str, size: int, rounds: int = 8) -> dict:
-    """One SOCKETS-GM/MX ping-pong at one size, in its own world."""
-    from ..sockets import SocketsGmModule, SocketsMxModule
+    """One SOCKETS-GM/MX ping-pong at one size, in its own world; kind
+    ``tcp`` is the TCP/IP baseline on its own gigabit Ethernet link."""
+    from ..sockets import SocketsGmModule, SocketsMxModule, ethernet_pair
 
     env = Environment()
     a, b = node_pair(env, link=PCI_XE)
-    module = SocketsMxModule if kind == "mx" else SocketsGmModule
-    ma, mb = module(a, 9), module(b, 9)
+    if kind == "tcp":
+        ma, mb = ethernet_pair(env, a, b)
+    else:
+        module = SocketsMxModule if kind == "mx" else SocketsGmModule
+        ma, mb = module(a, 9), module(b, 9)
     spa, spb = a.new_process_space(), b.new_process_space()
     va = spa.mmap(max(size, PAGE_SIZE), populate=True)
     vb = spb.mmap(max(size, PAGE_SIZE), populate=True)
@@ -153,14 +158,18 @@ def _socket_point(kind: str, size: int, rounds: int = 8) -> dict:
     warmup = 2
 
     def server(env):
-        yield from mb.listen()
+        if kind == "tcp":
+            mb.listen()
+        else:
+            yield from mb.listen()
         sock = yield from mb.accept()
         for _ in range(rounds + warmup):
             yield from sock.recv(spb, vb, size)
             yield from sock.send(spb, vb, size)
 
     def client(env):
-        sock = yield from ma.connect(1, 9)
+        sock = yield from (ma.connect() if kind == "tcp"
+                           else ma.connect(1, 9))
         for i in range(rounds + warmup):
             if i == warmup:
                 times["t0"] = env.now
@@ -389,17 +398,22 @@ VIEWS: dict[str, Figure] = {**FIGURES, "table1": TABLE1}
 # ---------------------------------------------------------------------------
 
 
-def plan(names: Iterable[str]) -> list[Job]:
+def plan(names: Iterable) -> list[Job]:
     """The jobs that measure every point ``names`` request, each once:
-    a request's job holds the sizes no earlier request planned."""
+    a request's job holds the sizes no earlier request planned.  A name
+    is a key of :data:`VIEWS`, or a view of another module that carries
+    its own ``requests`` and the ``figure`` its jobs are charged to
+    (a :class:`repro.bench.claims.Claim`)."""
     planned: set = set()
     jobs = []
     for name in names:
-        try:
+        if not isinstance(name, str):
+            name, requests = name.figure, name.requests
+        elif name in VIEWS:
             requests = VIEWS[name].requests
-        except KeyError:
+        else:
             raise KeyError(f"unknown experiment {name!r}; choose from "
-                           f"{sorted(VIEWS)}") from None
+                           f"{sorted(VIEWS)}")
         for key, sizes in requests:
             new = tuple(s for s in sizes if (key, s) not in planned)
             if new:
@@ -408,9 +422,9 @@ def plan(names: Iterable[str]) -> list[Job]:
     return jobs
 
 
-def measure(names: Iterable[str]) -> dict:
-    """Run every job ``names`` plan, in this process; returns the
-    results ``{point: measurement}``."""
+def measure(names: Iterable) -> dict:
+    """Run every job ``names`` plan (see :func:`plan`), in this process;
+    returns the results ``{point: measurement}``."""
     results: dict = {}
     for job in plan(names):
         results.update(zip(job.points, run_job(job)))

@@ -119,11 +119,6 @@ class RunPoint:
             "seed": self.seed,
         }
 
-    def label(self) -> str:
-        c = self.config()
-        return (f"{c['topology']}/{c['mode']}/{c['workload']}/"
-                f"{c['arrivals']}/{c['offered_load']:g}/{c['fault']}")
-
 
 def _validate_topology(topo, axis="topology"):
     if not isinstance(topo, dict) or "kind" not in topo:

@@ -46,17 +46,6 @@ class GmRegion:
     frames: list[Frame]  # user pages pinned by registration
     active: bool = True
 
-    @property
-    def length(self) -> int:
-        return self.npages * PAGE_SIZE
-
-    @property
-    def end(self) -> int:
-        return self.vaddr + self.length
-
-    def covers(self, vaddr: int, length: int) -> bool:
-        return self.active and self.vaddr <= vaddr and vaddr + length <= self.end
-
 
 class RegistrationDomain:
     """Registration state for one translation context on one NIC."""
@@ -173,8 +162,6 @@ class RegistrationDomain:
         ``vaddr`` is in the *key* namespace (identical to the virtual
         address except under GMKRC encoding).
         """
-        # ``GmRegion.covers`` with its bounds inlined (find runs per page
-        # of every GM send and receive).
         end = vaddr + length
         for region in self._regions:
             start = region.vaddr

@@ -346,7 +346,3 @@ class Gmkrc:
 
     def entry_count(self) -> int:
         return len(self._lru)
-
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -71,7 +71,3 @@ class Cpu:
     def syscall(self):
         """Generator: charge one user/kernel boundary crossing."""
         return self.resource.acquire(self.params.syscall_ns)
-
-    def utilization(self) -> float:
-        """Fraction of simulated time at least one core was busy."""
-        return self.resource.utilization()

@@ -91,13 +91,6 @@ class VMA:
     def __post_init__(self) -> None:
         self.bits = self.prot.value
 
-    def __contains__(self, addr: int) -> bool:
-        return self.start <= addr < self.end
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
 
 class AddressSpace:
     """One process's virtual address space."""

@@ -51,10 +51,6 @@ class KernelAllocation:
     contiguous: bool = False
 
     @property
-    def end(self) -> int:
-        return self.vaddr + self.length
-
-    @property
     def mapped_end(self) -> int:
         """End of the page-aligned VA range the frames back."""
         return self.vaddr + len(self.pfns) * PAGE_SIZE

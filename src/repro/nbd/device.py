@@ -91,10 +91,6 @@ class NbdDevice:
     def blocks_written(self) -> int:
         return self._m_written.value
 
-    @property
-    def request_retries(self) -> int:
-        return self._m_retries.value
-
     # -- raw block transfer (what the block layer submits) --------------------
 
     def _check_block(self, block: int) -> None:

@@ -30,11 +30,6 @@ def ms(value: float) -> int:
     return round(value * MS)
 
 
-def seconds(value: float) -> int:
-    """Convert seconds to integer nanoseconds (rounded)."""
-    return round(value * S)
-
-
 def to_us(ns_value: int) -> float:
     """Convert integer nanoseconds to float microseconds."""
     return ns_value / US

@@ -1,4 +1,5 @@
-"""Suite-wide test support: content equality for payload references.
+"""Suite-wide test support: content equality for payload references,
+and one measurement per figure shared by the tests that read it.
 
 The program never compares payloads: it checks CRCs
 (:meth:`~repro.mem.sglist.PayloadRef.checksum`) and materializes bytes
@@ -10,6 +11,10 @@ a payload equals any bytes-like or payload with the same content, so
 
 from typing import Sequence
 
+import pytest
+
+from repro.bench import claims
+from repro.bench.figures import measure
 from repro.mem.sglist import PayloadRef
 
 
@@ -65,3 +70,33 @@ def _payload_eq(self, other) -> bool:
 
 PayloadRef.__eq__ = _payload_eq
 PayloadRef.__hash__ = None  # content-equal payloads must not hash apart
+
+
+@pytest.fixture(scope="session")
+def measured():
+    """``measured(name)``: the results of measuring one runner name with
+    its claims, made once per session.  The name's own points are planned
+    first, so it renders as it does measured alone."""
+    cache: dict = {}
+
+    def get(name: str) -> dict:
+        if name not in cache:
+            cache[name] = measure([name, *claims.of(name)])
+        return cache[name]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def claim(measured):
+    """``claim(figure, *rows)`` asserts that each named claim of
+    ``figure`` holds on its shared measurement."""
+
+    def check(figure: str, *rows: str) -> None:
+        results = measured(figure)
+        for row in rows:
+            (found,) = [c for c in claims.of(figure) if c.row == row]
+            assert found.holds(results), (figure, row,
+                                           found.render(results))
+
+    return check

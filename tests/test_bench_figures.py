@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.figures import FIGURES, VIEWS, plan, run_figure
+from repro.bench.figures import FIGURES, VIEWS, plan, render, run_figure
 from repro.bench.runner import ALL, main
 
 PINNED = Path(__file__).resolve().parents[1] / "bench_figures.txt"
@@ -46,13 +46,14 @@ def test_bench_all_plans_each_point_once():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", ALL)
-def test_each_name_alone_matches_its_pinned_section(name):
-    """A name run on its own plans its jobs differently from ``bench
-    all`` (fresh rigs, other netpipe sweeps) and still prints exactly
-    its section of bench_figures.txt."""
+def test_each_name_alone_matches_its_pinned_section(name, measured):
+    """A name measured on its own plans its jobs differently from
+    ``bench all`` (fresh rigs, other netpipe sweeps) and still prints
+    exactly its section of bench_figures.txt.  Its claims' extra points
+    are planned after its own, and the claims read this measurement."""
     sections = {text.split(":")[0][3:]: text
                 for text in PINNED.read_text().split("\n\n") if text}
-    assert run_figure(name) == sections[name]
+    assert render(name, measured(name)) == sections[name]
 
 
 def test_run_figure_unknown_name_raises():

@@ -1,119 +1,35 @@
-"""Calibration tests: the paper's measured anchor points must emerge
-from the simulated pipelines (section 5.1, figures 4(a) and 5).
+"""Calibration anchors: the paper's measured points that must emerge
+from the simulated pipelines (section 5.1, figures 4(a), 5 and 6).
 
-These are the load-bearing checks of the reproduction: if a refactor of
-the NIC/GM/MX pipelines shifts these numbers, the figure shapes shift
-with them.
+If a refactor of the NIC/GM/MX pipelines shifts these numbers, the
+figure shapes shift with them.  Each anchor is a claim of
+:mod:`repro.bench.claims`, which holds its tolerance.
 """
 
-import pytest
 
-from repro.bench.netpipe import ping_pong, prepare_pair
-from repro.bench.transports import GmKernelTransport, GmUserTransport, MxTransport
-from repro.cluster import node_pair
-from repro.sim import Environment
-from repro.units import us
+def test_mx_user_one_byte_latency_is_4_2_us(claim):
+    claim("fig5a", "MX user, 1 B")
 
 
-def measured_one_way(make_a, make_b, size=1, rounds=10):
-    env = Environment()
-    node_a, node_b = node_pair(env)
-    a = make_a(env, node_a)
-    b = make_b(env, node_b)
-    prepare_pair(env, a, b, max(size, 4096))
-    return ping_pong(env, a, b, size, rounds=rounds).one_way_us
+def test_gm_user_one_byte_latency_is_6_7_us(claim):
+    claim("fig5a", "GM user, 1 B")
 
 
-def test_mx_user_one_byte_latency_is_4_2_us():
-    """Paper section 5.1: 4.2 us for a 1-byte message on MX."""
-    lat = measured_one_way(
-        lambda env, n: MxTransport(n, 1, peer_node=1, peer_ep=1),
-        lambda env, n: MxTransport(n, 1, peer_node=0, peer_ep=1),
-    )
-    assert lat == pytest.approx(4.2, abs=0.25)
+def test_gm_kernel_latency_is_2_us_above_user(claim):
+    claim("fig5a", "GM kernel penalty")
 
 
-def test_gm_user_one_byte_latency_is_6_7_us():
-    """Paper section 5.1: 6.7 us for a 1-byte message on GM."""
-    lat = measured_one_way(
-        lambda env, n: GmUserTransport(n, 1, peer_node=1, peer_port=1),
-        lambda env, n: GmUserTransport(n, 1, peer_node=0, peer_port=1),
-    )
-    assert lat == pytest.approx(6.7, abs=0.25)
+def test_mx_kernel_latency_equals_mx_user(claim):
+    claim("fig5a", "MX kernel == MX user")
 
 
-def test_gm_kernel_latency_is_2_us_above_user():
-    """Paper section 5.1: GM's kernel latency is ~2 us above user."""
-    user = measured_one_way(
-        lambda env, n: GmUserTransport(n, 1, peer_node=1, peer_port=1),
-        lambda env, n: GmUserTransport(n, 1, peer_node=0, peer_port=1),
-    )
-    kernel = measured_one_way(
-        lambda env, n: GmKernelTransport(n, 1, peer_node=1, peer_port=1),
-        lambda env, n: GmKernelTransport(n, 1, peer_node=0, peer_port=1),
-    )
-    assert kernel - user == pytest.approx(2.0, abs=0.3)
+def test_gm_physical_primitives_save_1_us(claim):
+    claim("fig4a", "gain per side", "relative gain, small messages")
 
 
-def test_mx_kernel_latency_equals_mx_user():
-    """Paper section 5.1: MX user and kernel latency do not differ."""
-    user = measured_one_way(
-        lambda env, n: MxTransport(n, 1, peer_node=1, peer_ep=1),
-        lambda env, n: MxTransport(n, 1, peer_node=0, peer_ep=1),
-    )
-    kernel = measured_one_way(
-        lambda env, n: MxTransport(n, 1, peer_node=1, peer_ep=1, context="kernel"),
-        lambda env, n: MxTransport(n, 1, peer_node=0, peer_ep=1, context="kernel"),
-    )
-    assert kernel == pytest.approx(user, abs=0.1)
+def test_large_message_bandwidth_near_link_rate(claim):
+    claim("fig5b", "GM large == MX large (GM enjoys 100 % registration reuse)")
 
 
-def test_gm_physical_primitives_save_1_us():
-    """Paper section 3.3: physical addressing saves 0.5 us per side
-    (~10 % of the small-message kernel latency)."""
-    virtual = measured_one_way(
-        lambda env, n: GmKernelTransport(n, 1, peer_node=1, peer_port=1),
-        lambda env, n: GmKernelTransport(n, 1, peer_node=0, peer_port=1),
-    )
-    physical = measured_one_way(
-        lambda env, n: GmKernelTransport(n, 1, peer_node=1, peer_port=1,
-                                         addressing="physical"),
-        lambda env, n: GmKernelTransport(n, 1, peer_node=0, peer_port=1,
-                                         addressing="physical"),
-    )
-    assert virtual - physical == pytest.approx(1.0, abs=0.2)
-    assert (virtual - physical) / virtual == pytest.approx(0.11, abs=0.04)
-
-
-def test_large_message_bandwidth_near_link_rate():
-    """Both APIs approach the 250 MB/s PCI-XD rate at 1 MB (figure 5(b))."""
-    for make in (
-        lambda n, peer: GmUserTransport(n, 1, peer_node=peer, peer_port=1),
-        lambda n, peer: MxTransport(n, 1, peer_node=peer, peer_ep=1),
-    ):
-        env = Environment()
-        node_a, node_b = node_pair(env)
-        a, b = make(node_a, 1), make(node_b, 0)
-        prepare_pair(env, a, b, 2**20)
-        result = ping_pong(env, a, b, 2**20, rounds=5)
-        assert 225 < result.bandwidth_mb_s < 250
-
-
-def test_mx_medium_send_copy_costs_about_17_percent_at_32k():
-    """Figure 6: removing the send-side copy of a 32 kB physically
-    contiguous kernel message buys ~17 % bandwidth."""
-
-    def run(no_send_copy):
-        env = Environment()
-        node_a, node_b = node_pair(env)
-        a = MxTransport(node_a, 1, peer_node=1, peer_ep=1, context="kernel",
-                        physical=True, no_send_copy=no_send_copy)
-        b = MxTransport(node_b, 1, peer_node=0, peer_ep=1, context="kernel",
-                        physical=True, no_send_copy=no_send_copy)
-        prepare_pair(env, a, b, 32 * 1024)
-        return ping_pong(env, a, b, 32 * 1024, rounds=5).bandwidth_mb_s
-
-    base = run(False)
-    no_copy = run(True)
-    gain = (no_copy - base) / base
-    assert 0.12 < gain < 0.22, f"send-copy removal gain {gain:.3f} out of range"
+def test_mx_medium_send_copy_costs_about_17_percent_at_32k(claim):
+    claim("fig6", "send-copy removal @32 kB")

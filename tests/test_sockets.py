@@ -132,62 +132,20 @@ def test_closed_socket_raises():
         env.run(until=env.process(cs.send(spa, va, 4)))
 
 
-def _one_way_us(kind, size, rounds=10):
-    env, a, b, ma, mb = make_pair(kind)
-    cs, ss = connect_pair(env, ma, mb, kind)
-    spa, spb = a.new_process_space(), b.new_process_space()
-    va = spa.mmap(max(size, PAGE_SIZE), populate=True)
-    vb = spb.mmap(max(size, PAGE_SIZE), populate=True)
-    times = {}
-
-    def server(env):
-        for _ in range(rounds + 2):
-            yield from ss.recv(spb, vb, size)
-            yield from ss.send(spb, vb, size)
-
-    def client(env):
-        for i in range(rounds + 2):
-            if i == 2:
-                times["t0"] = env.now
-            yield from cs.send(spa, va, size)
-            yield from cs.recv(spa, va, size)
-        times["t1"] = env.now
-
-    env.process(server(env))
-    env.run(until=env.process(client(env)))
-    return (times["t1"] - times["t0"]) / (2 * rounds) / 1000
+def test_sockets_mx_one_byte_latency_is_5_us(claim):
+    claim("fig8a", "SOCKETS-MX 1 B one-way", "overhead over raw MX")
 
 
-def test_sockets_mx_one_byte_latency_is_5_us():
-    """Paper section 5.3: 5 us one-way, only ~1 us over raw MX."""
-    assert _one_way_us("mx", 1) == pytest.approx(5.0, abs=0.6)
+def test_sockets_gm_one_byte_latency_is_15_us(claim):
+    claim("fig8a", "SOCKETS-GM 1 B one-way")
 
 
-def test_sockets_gm_one_byte_latency_is_15_us():
-    """Paper section 5.3: SOCKETS-GM gets 15 us one-way."""
-    assert _one_way_us("gm", 1) == pytest.approx(15.0, abs=1.5)
-
-
-def test_tcp_latency_much_higher_than_sockets_mx():
-    """Paper section 5.3: 'A common GIGA-ETHERNET network might get
-    much more'."""
-    tcp = _one_way_us("tcp", 1)
-    mx = _one_way_us("mx", 1)
-    assert tcp > 5 * mx
+def test_tcp_latency_much_higher_than_sockets_mx(claim):
+    claim("fig8a", 'GigE "might get much more"')
 
 
 @pytest.mark.slow
-def test_sockets_mx_bandwidth_improvements_over_gm():
-    """Figure 8(b): medium ~2x (up to 100 %), large ~1.5x (up to 50 %)."""
-
-    def bw(kind, size):
-        one_way_ns = _one_way_us(kind, size) * 1000
-        return size / one_way_ns * 1000  # MB/s
-
-    medium_gain = bw("mx", 4096) / bw("gm", 4096)
-    large_gain = bw("mx", 2**20) / bw("gm", 2**20)
-    assert 1.4 < medium_gain < 2.3
-    assert 1.3 < large_gain < 1.7
-    # GM stays under ~70 % of the 500 MB/s link (table 1).
-    assert bw("gm", 2**20) < 0.70 * 500
-    assert bw("mx", 2**20) > 0.93 * 500
+def test_sockets_mx_bandwidth_improvements_over_gm(claim):
+    claim("fig8b", 'medium improvement "up to 100 % (for 4 kB)"',
+          'large improvement "up to 50 % (for 1 MB)"',
+          "SOCKETS-GM < 70 % of link", "SOCKETS-MX approaches the link")

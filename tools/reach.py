@@ -27,9 +27,15 @@ The entry points, each run once in one fresh child process:
 Functions are the ``def`` statements of ``src/repro`` (methods and
 nested functions included), matched to the code objects the profiler
 sees by file and first line.  A function counts as reached when it was
-called (or, for a generator, resumed) at least once.  The probe is a
-report, not a gate: it exits non-zero only when an entry point itself
-fails, since the lists are then incomplete.
+called (or, for a generator, resumed) at least once.  The program is
+first imported under the profiler, inside the first entry point, so
+functions that only module-level code calls (figure declarations such
+as ``figures._plot``) count as reached.  The profiler sees this process
+only: a function that runs only in pool workers
+(``fleet/runner.py:_pool_worker``, the jobs of ``bench --parallel``) is
+invisible to it and is listed as unreached.  The probe is a report, not
+a gate: it exits non-zero only when an entry point itself fails, since
+the lists are then incomplete.
 """
 
 from __future__ import annotations
@@ -88,9 +94,18 @@ def function_table() -> dict:
 
 
 def _entry_points(tmp: str) -> list:
-    """``(label, thunk)`` for every entry point, in run order."""
-    from repro.bench import perf
-    from repro.bench.runner import main as bench
+    """``(label, thunk)`` for every entry point, in run order.  The
+    thunks import the program themselves, under the profiler."""
+
+    def bench(argv):
+        from repro.bench.runner import main
+
+        return main(argv)
+
+    def perf(argv):
+        from repro.bench.perf import main
+
+        return main(argv)
 
     def perfbench():
         sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -131,7 +146,7 @@ def _entry_points(tmp: str) -> list:
             "fleet", "--spec", os.path.join(ROOT, "examples",
                                             "fleet_quickstart.json"),
             "--out", os.path.join(tmp, "fleet"), "--timings", "--verify"])),
-        ("repro.bench.perf", lambda: perf.main([
+        ("repro.bench.perf", lambda: perf([
             "--out", os.path.join(tmp, "perf.json")])),
         ("perfbench workloads", perfbench),
     ]
