@@ -18,8 +18,10 @@ measures one key at the sizes no earlier request planned, as one
 series in fresh worlds (:func:`run_job`), so each distinct point
 ``(key, size)`` is measured once per call.  The results ``{point:
 measurement}`` live only as long as that call: nothing is memoised
-across calls.  A measurement maps a unit (``"us"``, ``"MB/s"``) to a
-value, and a figure's unit picks which.  ``table1`` has no experiment of its own: it reads points
+across calls.  :func:`execute` runs a call's jobs over forked workers,
+one per usable CPU, and keys each result by its point.  A measurement
+maps a unit (``"us"``, ``"MB/s"``) to a value, and a figure's unit
+picks which.  ``table1`` has no experiment of its own: it reads points
 of figures 5(a), 7 and 8.  The CLI (``python -m repro.bench <name>``)
 and the pytest-benchmark targets in ``benchmarks/`` drive this module.
 
@@ -29,9 +31,16 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import os
+import resource
+import sys
+import threading
+import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
+from .. import obs
 from ..cluster import node_pair
 from ..gm.registration import RegistrationDomain
 from ..hw.cpu import Cpu
@@ -208,6 +217,9 @@ def run_job(job: Job) -> list[dict]:
     """Measure one job in fresh worlds; returns one measurement per size."""
     kind, *params = job.key
     return _SERIES[kind](*params, job.sizes)
+
+
+_RUN_JOB_CODE = run_job.__code__
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +434,73 @@ def plan(names: Iterable) -> list[Job]:
     return jobs
 
 
-def measure(names: Iterable) -> dict:
-    """Run every job ``names`` plan (see :func:`plan`), in this process;
-    returns the results ``{point: measurement}``."""
+def peak_rss_mib() -> float:
+    """High-water resident memory of this process (Linux ``ru_maxrss``
+    is in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _run_timed(job: Job, forked_at: float = 0.0) -> tuple:
+    """Run one job, marked on the ambient timeline with the figure that
+    planned it; returns (its measurements, seconds, events, peak RSS
+    MiB of the process that ran it).  A worker's peak counts the
+    parent's up to the fork (``forked_at``), as it would in-process."""
+    t0 = time.perf_counter()
+    ev0 = Environment.lifetime_events_processed
+    tl = obs.active_timeline()
+    if tl is not None:
+        tl.instant(0, "bench", f"figure:{job.figure}")
+    measured = run_job(job)
+    events = Environment.lifetime_events_processed - ev0
+    rss = max(forked_at, peak_rss_mib())
+    return measured, time.perf_counter() - t0, events, rss
+
+
+def workers(n_jobs: int, most: int = 0) -> int:
+    """How many processes :func:`execute` runs ``n_jobs`` jobs over: one
+    per CPU this process may use, at most ``most`` (0: no bound) and
+    ``n_jobs``.  It is 1 (this process) where workers would hide work:
+    an obs registry or timeline is installed, a profiler or tracer is
+    attached, or :func:`run_job` is wrapped (perfbench's layer tracer
+    wraps the program's functions); and where forking is unsafe or
+    unavailable: another thread runs, or ``fork`` or CPU affinity is
+    missing."""
+    hooks = (obs.active_registry(), obs.active_timeline(),
+             sys.getprofile(), sys.gettrace())
+    wrapped = run_job.__code__ is not _RUN_JOB_CODE
+    if (any(h is not None for h in hooks) or wrapped
+            or threading.active_count() > 1 or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), most or n_jobs, n_jobs))
+
+
+def execute(jobs: list[Job], most: int = 0) -> tuple[dict, list]:
+    """Run ``jobs`` over :func:`workers` forked processes, one job at a
+    time in plan order; returns the results ``{point: measurement}``
+    and, per job, (seconds, events, peak RSS MiB).  No worker outlives
+    the call, and a job's exception reaches the caller."""
+    n = workers(len(jobs), most)
+    if n == 1:
+        outcomes = [_run_timed(job) for job in jobs]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        run = partial(_run_timed, forked_at=peak_rss_mib())
+        with ProcessPoolExecutor(
+                n, mp_context=multiprocessing.get_context("fork")) as pool:
+            outcomes = list(pool.map(run, jobs, chunksize=1))
     results: dict = {}
-    for job in plan(names):
-        results.update(zip(job.points, run_job(job)))
-    return results
+    for job, (measured, *_) in zip(jobs, outcomes):
+        results.update(zip(job.points, measured))
+    return results, [cost for _, *cost in outcomes]
+
+
+def measure(names: Iterable) -> dict:
+    """Run every job ``names`` plan (see :func:`plan`) through
+    :func:`execute`; returns the results ``{point: measurement}``."""
+    return execute(plan(names))[0]
 
 
 def render(name: str, results: dict) -> str:

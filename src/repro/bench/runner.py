@@ -4,8 +4,8 @@ Usage::
 
     python -m repro.bench fig5a          # one experiment
     python -m repro.bench table1
-    python -m repro.bench all            # everything (~10 s)
-    python -m repro.bench all --parallel 4   # fan out over 4 processes
+    python -m repro.bench all            # everything, one worker per CPU
+    python -m repro.bench all --parallel 1   # everything in this process
     python -m repro.bench all --timings  # per-figure cost to stderr
     python -m repro.bench fig6 --json    # machine-readable series
     python -m repro.bench --list
@@ -13,67 +13,26 @@ Usage::
 Figures share experiments; experiments share no state.  The runner
 plans the named figures in one experiment set, so each distinct
 experiment point is measured once (:func:`repro.bench.figures.plan`),
-runs the jobs, then renders each figure in the order asked: as tables,
-or as JSON with ``--json``.  Every job builds its own worlds, so
-``--parallel N`` can fan the jobs out over a ``ProcessPoolExecutor``;
-each result is keyed by its point, so parallel output is byte-identical
-to sequential output.
+runs the jobs through :func:`repro.bench.figures.execute`, then renders
+each figure in the order asked: as tables, or as JSON with ``--json``.
+Every job builds its own worlds, so the executor fans the jobs out over
+forked workers, one per CPU (``--parallel N`` bounds them); each result
+is keyed by its point, so the output is byte-identical at any setting.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import resource
 import sys
 import time
 from dataclasses import asdict
 
 from .. import obs
-from ..sim.engine import Environment
-from .figures import FIGURES, Job, plan, render, run_job
+from .figures import FIGURES, execute, peak_rss_mib, plan, render, workers
 from .report import format_metrics
 
 ALL = sorted(FIGURES) + ["table1"]
-
-
-def _mark_figure(name: str) -> None:
-    """Drop a figure marker on the ambient timeline (no-op when
-    observability is off, and in parallel workers, which never inherit
-    the ambient timeline)."""
-    tl = obs.active_timeline()
-    if tl is not None:
-        tl.instant(0, "bench", f"figure:{name}")
-
-
-def _peak_rss_mib() -> float:
-    """High-water resident memory of this process (Linux ``ru_maxrss``
-    is in KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-
-
-def _run_job(job: Job) -> tuple[list, float, int, float]:
-    """Worker: run one job, marked with the figure that planned it;
-    returns (its measurements, seconds, events, peak RSS MiB of this
-    process so far)."""
-    t0 = time.perf_counter()
-    ev0 = Environment.lifetime_events_processed
-    _mark_figure(job.figure)
-    measured = run_job(job)
-    events = Environment.lifetime_events_processed - ev0
-    return measured, time.perf_counter() - t0, events, _peak_rss_mib()
-
-
-def _execute(jobs: list[Job], parallel: int) -> list[tuple]:
-    """Run ``jobs``, over ``parallel`` processes if more than one; keep
-    their order."""
-    if parallel > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            return list(pool.map(_run_job, jobs))
-    return [_run_job(job) for job in jobs]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -118,11 +77,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="emit the series as JSON instead of tables "
                              "(table1 is text-only and is skipped)")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="run experiments over N worker processes; 0 "
-                             "means auto (one per CPU core). Figures share "
-                             "experiments; experiments share no state, so "
-                             "results are identical to a sequential run")
+    parser.add_argument("--parallel", type=int, default=0, metavar="N",
+                        help="run experiments over at most N forked worker "
+                             "processes; 0 (the default) means one per CPU "
+                             "this process may use, 1 means in this process. "
+                             "Experiments share no state, so results are "
+                             "identical at any N")
     parser.add_argument("--timings", action="store_true",
                         help="report wall-clock, events and peak RSS "
                              "(high-water mark of the process that ran them) "
@@ -130,11 +90,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--metrics", metavar="OUT.json",
                         help="collect a metrics snapshot over the whole run "
                              "and write it to OUT.json (also prints a table "
-                             "to stderr; forces sequential execution)")
+                             "to stderr; runs the jobs in this process)")
     parser.add_argument("--timeline", metavar="OUT.trace.json",
                         help="record a Chrome trace-event timeline and write "
                              "it to OUT.trace.json (load in Perfetto / "
-                             "chrome://tracing; forces sequential execution)")
+                             "chrome://tracing; runs the jobs in-process)")
     args = parser.parse_args(argv)
     if args.list or not args.experiments:
         print("\n".join(ALL))
@@ -142,12 +102,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.parallel < 0:
         print(f"--parallel must be >= 0, got {args.parallel}", file=sys.stderr)
         return 2
-    if args.parallel == 0:
-        args.parallel = os.cpu_count() or 1
     observing = args.metrics or args.timeline
     if observing and args.parallel > 1:
-        # Parallel workers can't share one ambient registry/timeline;
-        # refusing beats silently collecting a fraction of the run.
+        # Workers can't share one ambient registry/timeline, so the
+        # executor runs in this process; asking for more is refused.
         print("--metrics/--timeline require --parallel 1", file=sys.stderr)
         return 2
     names = ALL if args.experiments == ["all"] else args.experiments
@@ -166,12 +124,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         names = [n for n in names if n != "table1"]
     jobs = plan(names)
-    t_all = time.perf_counter()
+    n_workers = workers(len(jobs), args.parallel)
+    rss0, t_all = peak_rss_mib(), time.perf_counter()
     try:
-        outcomes = _execute(jobs, args.parallel)
-        results: dict = {}
-        for job, (measured, *_) in zip(jobs, outcomes):
-            results.update(zip(job.points, measured))
+        results, costs = execute(jobs, args.parallel)
         if args.json:
             payload = {}
             for name in names:
@@ -194,16 +150,17 @@ def main(argv: list[str] | None = None) -> int:
         timeline.write(args.timeline)
     if args.timings:
         # Each figure is charged for the jobs it planned: a point
-        # another figure measured first costs it nothing.
+        # another figure measured first costs it nothing, and a figure
+        # with no jobs shows this process's peak before any ran.
         for name in names:
-            mine = [o for job, o in zip(jobs, outcomes) if job.figure == name]
-            rss = max((o[3] for o in mine), default=_peak_rss_mib())
-            print(f"[timing] {name:8s} {sum(o[1] for o in mine):7.3f} s  "
-                  f"{sum(o[2] for o in mine):>10d} events  "
+            mine = [c for job, c in zip(jobs, costs) if job.figure == name]
+            rss = max((c[2] for c in mine), default=rss0)
+            print(f"[timing] {name:8s} {sum(c[0] for c in mine):7.3f} s  "
+                  f"{sum(c[1] for c in mine):>10d} events  "
                   f"{rss:6.1f} MiB peak RSS", file=sys.stderr)
         print(f"[timing] total    {time.perf_counter() - t_all:7.3f} s  "
-              f"{sum(o[2] for o in outcomes):>10d} events "
-              f"(parallel={args.parallel})", file=sys.stderr)
+              f"{sum(c[1] for c in costs):>10d} events "
+              f"(parallel={n_workers})", file=sys.stderr)
     return 0
 
 

@@ -53,10 +53,10 @@ def test_perf_main_writes_json(tmp_path):
 
 def test_runner_parallel_output_identical_to_sequential(capsys):
     # fig1b is pure arithmetic (cheapest figure): a good smoke for the
-    # process-pool path producing byte-identical output.
-    assert runner.main(["fig1b", "fig4a", "--json"]) == 0
+    # forked-worker path (the default) producing byte-identical output.
+    assert runner.main(["fig1b", "fig4a", "--json", "--parallel", "1"]) == 0
     sequential = capsys.readouterr().out
-    assert runner.main(["fig1b", "fig4a", "--json", "--parallel", "2"]) == 0
+    assert runner.main(["fig1b", "fig4a", "--json"]) == 0
     parallel = capsys.readouterr().out
     assert parallel == sequential
     assert json.loads(sequential)["fig1b"]["series"]

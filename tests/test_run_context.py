@@ -17,6 +17,7 @@ import sys
 import pytest
 
 import repro
+from repro import obs
 from repro.bench import faults, figures, runner, topo
 from repro.bench.netpipe import prepare_pair
 from repro.bench.transports import MxTransport
@@ -155,6 +156,13 @@ def _live_environments() -> int:
     return sum(1 for o in gc.get_objects() if isinstance(o, Environment))
 
 
+def _run_figure_in_process() -> None:
+    # An installed registry keeps the executor in this process, where
+    # the worlds it builds could outlive the run.
+    with obs.installed_registry():
+        figures.run_figure("fig4a")
+
+
 BOUNDARIES = {
     "run_point": _fleet_row,
     "chaos.run_scenario": lambda: run_scenario("crash-middle", n_ops=8),
@@ -162,8 +170,11 @@ BOUNDARIES = {
     "_netpipe_series": lambda: figures._netpipe_series(
         "mx-kernel", PCI_XD, [1]),
     "_socket_point": lambda: figures._socket_point("gm", 1),
-    "run_figure": lambda: figures.run_figure("fig4a"),
-    **{f"main_json:{fig}": (lambda fig=fig: runner.main([fig, "--json"]))
+    "run_figure": _run_figure_in_process,
+    # What a forked worker runs for each job.
+    "_run_timed": lambda: figures._run_timed(figures.plan(["fig4a"])[0]),
+    **{f"main_json:{fig}": (lambda fig=fig: runner.main(
+        [fig, "--json", "--parallel", "1"]))
        for fig in ("fig3b", "fig4b", "fig7a", "fig7b")},
     "faults._orfa_run": lambda: faults._orfa_run(1, 0.0),
     "faults._nbd_run": lambda: faults._nbd_run(1, 0.0),
