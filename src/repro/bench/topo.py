@@ -39,10 +39,8 @@ global}``) on the congested permutation.
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 import time
-import tracemalloc
 from typing import Optional
 
 from .. import obs
@@ -141,35 +139,6 @@ def build_topo(k: int, scenario: str, mode: str, size: int) -> tuple:
     for p in pairs:
         prepare_pair(env, senders[p], receivers[p], size)
     return env, n, pairs, senders, receivers
-
-
-def build_kib_per_host(k: int = 8) -> float:
-    """Host memory one fabric host costs: tracemalloc-traced KiB of a
-    k-ary identity-fabric build (flow fidelity, 256 KiB transfers) per
-    host, metrics registry included.
-
-    The build is measured after two warm-up builds in this process, so
-    imports, the shared route cache and the allocator's free lists are
-    not counted, and the garbage collector runs just before tracing
-    starts and again before the traced size is read, so its timing does
-    not move the number.  Unlike resident memory, traced bytes then
-    repeat run to run on one Python version.
-    """
-    size = 256 * KiB
-    for _ in range(2):
-        with obs.installed_registry():
-            build_topo(k, "identity", "flow", size)
-    with obs.installed_registry():
-        gc.collect()
-        tracemalloc.start()
-        try:
-            built = build_topo(k, "identity", "flow", size)
-            gc.collect()
-            traced = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        del built
-    return round(traced / 1024 / (k ** 3 // 4), 1)
 
 
 @one_world

@@ -105,6 +105,13 @@ def test_runner_unknown_experiment_errors(capsys):
 
 CPUS = len(os.sched_getaffinity(0))
 
+#: Tests that watch jobs run in forked workers: there are none with one
+#: usable CPU, nor while a profiler or tracer (a coverage or reach run)
+#: watches this process.
+forks = pytest.mark.skipif(
+    CPUS < 2 or sys.getprofile() is not None or sys.gettrace() is not None,
+    reason="jobs stay in-process: one usable CPU, or a profiler attached")
+
 
 def _counted(fn, *args):
     """``fn(*args)`` and the engine events this process counted for it."""
@@ -113,7 +120,7 @@ def _counted(fn, *args):
     return out, Environment.lifetime_events_processed - ev0
 
 
-@pytest.mark.skipif(CPUS < 2, reason="one usable CPU: jobs stay in-process")
+@forks
 def test_jobs_measured_in_workers_equal_the_in_process_measurement():
     """fig5a's four jobs run in forked workers (this process counts none
     of their events) and give its pinned section, point for point the
@@ -139,11 +146,12 @@ def _installed_timeline():
 
 @contextmanager
 def _profiled():
+    previous = sys.getprofile()
     sys.setprofile(lambda *args: None)
     try:
         yield
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
 
 
 @contextmanager
@@ -189,6 +197,7 @@ def test_jobs_stay_in_this_process_where_workers_cannot_go(hook):
     assert render("fig4a", results) == _section("fig4a")
 
 
+@forks
 def test_no_worker_outlives_measure(monkeypatch):
     """Every worker is joined when ``measure`` returns, and when a job
     raises, whose exception reaches the caller; the pool leaves no
@@ -207,6 +216,7 @@ def test_no_worker_outlives_measure(monkeypatch):
     assert workers(2) == min(CPUS, 2)
 
 
+@forks
 def test_runner_parallel_bounds_the_executor(capsys):
     """``--parallel`` is an upper bound: 0 (the default) is one worker per
     usable CPU, and no count exceeds the jobs (fig4a plans two)."""
@@ -218,3 +228,28 @@ def test_runner_parallel_bounds_the_executor(capsys):
     assert used() == used("--parallel", "0") == min(CPUS, 2)
     assert used("--parallel", "1") == 1
     assert used("--parallel", "64") == min(CPUS, 2)
+
+
+def test_runner_parallel_output_identical_to_sequential(capsys):
+    # fig1b is pure arithmetic (cheapest figure): a good smoke for the
+    # forked-worker path (the default) producing byte-identical output.
+    assert main(["fig1b", "fig4a", "--json", "--parallel", "1"]) == 0
+    sequential = capsys.readouterr().out
+    assert main(["fig1b", "fig4a", "--json"]) == 0
+    parallel = capsys.readouterr().out
+    assert parallel == sequential
+    assert json.loads(sequential)["fig1b"]["series"]
+
+
+def test_runner_timings_on_stderr(capsys):
+    assert main(["fig1b", "fig4a", "--timings"]) == 0
+    captured = capsys.readouterr()
+    assert "[timing] fig1b" in captured.err
+    assert "[timing]" not in captured.out
+    # Each figure's line ends with the process's peak RSS so far: a
+    # high-water mark, so it never falls from one figure to the next.
+    peaks = [float(re.search(r"([\d.]+) MiB peak RSS", line).group(1))
+             for line in captured.err.splitlines()
+             if line.startswith("[timing] fig")]
+    assert len(peaks) == 2
+    assert 0 < peaks[0] <= peaks[1]

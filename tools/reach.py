@@ -9,8 +9,8 @@ tests).
 
 Run from the repository root::
 
-    python tools/reach.py            # entry points only (~4 min)
-    python tools/reach.py --tests    # plus the tier-1 suite (~6 min)
+    python tools/reach.py            # entry points only
+    python tools/reach.py --tests    # plus the tier-1 suite (~4 min)
 
 The entry points, each run once in one fresh child process:
 
@@ -19,7 +19,6 @@ The entry points, each run once in one fresh child process:
 * ``bench faults`` and ``bench replica``;
 * ``bench fleet --spec examples/fleet_quickstart.json --out ... --timings
   --verify``;
-* ``python -m repro.bench.perf --out <tmp>``;
 * the four ``perfbench`` workloads at seed 1 (imported, not edited);
 * every ``examples/*.py`` script (with each API its ``Run:`` line
   offers) and every ``benchmarks/`` target.
@@ -103,11 +102,6 @@ def _entry_points(tmp: str) -> list:
 
         return main(argv)
 
-    def perf(argv):
-        from repro.bench.perf import main
-
-        return main(argv)
-
     def perfbench():
         sys.path.insert(0, os.path.join(ROOT, "perfbench"))
         from workloads import WORKLOADS
@@ -147,8 +141,6 @@ def _entry_points(tmp: str) -> list:
             "fleet", "--spec", os.path.join(ROOT, "examples",
                                             "fleet_quickstart.json"),
             "--out", os.path.join(tmp, "fleet"), "--timings", "--verify"])),
-        ("repro.bench.perf", lambda: perf([
-            "--out", os.path.join(tmp, "perf.json")])),
         ("perfbench workloads", perfbench),
     ]
     for path in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
