@@ -2,7 +2,7 @@
 
 Run from the repository root; it takes no options::
 
-    python3 tools/ledger.py     # ~20 min on 2 CPUs
+    python3 tools/ledger.py     # ~10 min on 2 CPUs
 
 For each workload ``BENCHMARK.json`` declares, at seed 1 and for its
 ``run_seconds``, it runs ``perfbench/run.py --trace 1`` once and
