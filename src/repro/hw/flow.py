@@ -50,16 +50,21 @@ All bookkeeping uses exact rationals; no floats touch the clock.
 Rate allocation is **incremental and component-local**: an arrival,
 departure or de-coalescing only re-divides the connected component of
 flows reachable from the touched link directions through shared hops —
-a disjoint permutation pair costs O(1), not O(n).  The water-fill
-inside a component works on integer capacity pairs, saturates every
-direction tied at a level's bottleneck in one pass, and commits the
-level share as one canonical ``Fraction`` (see :meth:`FlowNetwork.
-_waterfill` for why batching is exact), so every ``rate``/``eta``/
-``done`` value is bit-identical to the from-scratch global algorithm
-(the ``waterfill_reference`` oracle in ``tests/test_flow_waterfill.py``,
-checked after every flush there): the max-min rate vector is unique,
-and flows whose rate did not change — untouched components included —
-keep their ETAs.
+a disjoint permutation pair costs O(1), not O(n).  The bookkeeping is
+in integers: each direction's capacity is a normalized integer pair,
+each flow keeps its committed rate as a normalized integer pair beside
+the canonical ``Fraction`` (so a rate that did not change is two int
+comparisons) and its progress as an integer pair (so settling and the
+ETA's ceiling are integer arithmetic).  The water-fill inside a
+component saturates every direction tied at a level's bottleneck in
+one pass, normalizes the level share once, and commits it as one
+canonical ``Fraction`` to the flows whose rate changed (see
+:meth:`FlowNetwork._waterfill` for why batching is exact), so every
+``rate``/``eta``/``done`` value is bit-identical to the from-scratch
+global algorithm (the ``waterfill_reference`` oracle in
+``tests/test_flow_waterfill.py``, checked after every flush there): the
+max-min rate vector is unique, and flows whose rate did not change —
+untouched components included — keep their ETAs.
 
 Flows engage only in a run built at ``Environment(fidelity="flow")``
 (the default); ``"train"`` and ``"packet"`` are the A/B references for
@@ -82,23 +87,31 @@ from .params import DEFAULT_FLOW, FlowParams
 #: Histogram buckets for analytic flow lengths (packets).
 FLOW_LEN_BUCKETS = (16, 64, 256, 1024, 4096)
 
-def _ceil(q: Fraction) -> int:
-    return -int((-q) // 1)
-
 
 class _DirRes:
     """One reserved link direction: capacity, member flows, interloper
-    accumulator for the current reservation epoch."""
+    accumulator for the current reservation epoch, and the water-fill's
+    working state."""
 
-    __slots__ = ("link", "dir_key", "cap", "members", "acc", "seq")
+    __slots__ = ("link", "dir_key", "cap", "capn", "capd", "members", "acc",
+                 "seq", "mark", "an", "ad", "c", "k")
 
     def __init__(self, link, dir_key: str, cap: Fraction, seq: int):
         self.link = link
         self.dir_key = dir_key
-        self.cap = cap  # bytes/ns, derived from the integer per-packet time
+        # Capacity in bytes/ns, derived from the integer per-packet time:
+        # the canonical Fraction, and its normalized integer pair for the
+        # water-fill's arithmetic.
+        self.cap = cap
+        self.capn = cap.numerator
+        self.capd = cap.denominator
         self.members: list[_Flow] = []
         self.acc = 0  # interloper bytes this epoch
-        self.seq = seq  # deterministic tie-break order
+        self.seq = seq  # creation order
+        self.mark = 0  # last flush generation whose search reached it
+        # Water-fill scratch: remaining capacity an/ad (not normalized)
+        # shared by c unfixed members; k of them fixed this level.
+        self.an = self.ad = self.c = self.k = 0
 
 
 class LinkFlows:
@@ -106,21 +119,23 @@ class LinkFlows:
 
     ``Link.transmit`` calls :meth:`note_interloper` once per packet on a
     direction; ``Link.train_block_reason`` consults :meth:`reserved`.
-    Both are one dict lookup when no reservation is active.
+    Both are one attribute load when no reservation is active.
     """
 
-    __slots__ = ("net", "dirs")
+    __slots__ = ("net", "ab", "ba")
 
     def __init__(self, net: "FlowNetwork"):
         self.net = net
-        self.dirs: dict[str, _DirRes] = {}
+        # Each direction's reservation record, made by its first flow.
+        self.ab: Optional[_DirRes] = None
+        self.ba: Optional[_DirRes] = None
 
     def reserved(self, dir_key: str) -> bool:
-        dr = self.dirs.get(dir_key)
+        dr = getattr(self, dir_key)
         return dr is not None and bool(dr.members)
 
     def note_interloper(self, dir_key: str, nbytes: int) -> None:
-        dr = self.dirs.get(dir_key)
+        dr = getattr(self, dir_key)
         if dr is None or not dr.members:
             return
         dr.acc += nbytes
@@ -134,8 +149,9 @@ class _Flow:
 
     __slots__ = ("id", "src_nic", "src_port", "dst_nic", "dst_port", "match",
                  "npackets", "wire_size", "total", "hops", "dirres", "start",
-                 "per", "uniform", "full_rate", "rate", "done", "last", "eta",
-                 "pristine", "wake", "carried")
+                 "per", "uniform", "full_rate", "fn", "fd", "rate", "rn", "rd",
+                 "dn", "dd", "last", "eta", "pristine", "wake", "carried",
+                 "mark")
 
     def __init__(self, fid: int, src_nic: int, desc, npackets: int,
                  wire_size: int, hops, dirres, start: int):
@@ -154,14 +170,28 @@ class _Flow:
         pers = [link.serialization_ns(wire_size) for link, _e, _s in hops]
         self.per = max(pers)  # bottleneck pacing
         self.uniform = all(p == pers[0] for p in pers)
-        self.full_rate = min(dr.cap for dr in dirres)
+        slowest = dirres[0]
+        for dr in dirres:
+            if dr.capn * slowest.capd < slowest.capn * dr.capd:
+                slowest = dr
+        # Rates are kept twice: the canonical Fraction the run reads, and
+        # its normalized integer pair, which the water-fill compares.
+        self.full_rate = slowest.cap
+        self.fn, self.fd = slowest.capn, slowest.capd
         self.rate = Fraction(0)
-        self.done = Fraction(0)  # bytes
+        self.rn, self.rd = 0, 1
+        self.dn, self.dd = 0, 1  # bytes carried so far: dn/dd
         self.last = start
         self.eta: Optional[int] = None
         self.pristine = True
         self.wake = None
         self.carried = 0
+        self.mark = 0  # last flush/water-fill generation that visited it
+
+    @property
+    def done(self) -> Fraction:
+        """Bytes carried as of ``last``, exactly."""
+        return Fraction(self.dn, self.dd)
 
 
 class FlowNetwork:
@@ -185,6 +215,9 @@ class FlowNetwork:
         self._ids = itertools.count(1)
         self._dir_seq = itertools.count()
         self._timer_gen = 0
+        # Visit stamps for the component search and the water-fill's
+        # fixed flows (``mark`` on flows and directions).
+        self._gen = 0
         self._dirty = False
         # Directions whose membership changed since the last flush, in
         # touch order (deterministic: driven by the event schedule).
@@ -266,11 +299,12 @@ class FlowNetwork:
             if lf is None:
                 lf = link.flows = LinkFlows(self)
             dir_key = "ab" if end == "a" else "ba"
-            dr = lf.dirs.get(dir_key)
+            dr = getattr(lf, dir_key)
             if dr is None:
                 per = link.serialization_ns(mtu)
-                dr = lf.dirs[dir_key] = _DirRes(
-                    link, dir_key, Fraction(mtu, per), next(self._dir_seq))
+                dr = _DirRes(link, dir_key, Fraction(mtu, per),
+                             next(self._dir_seq))
+                setattr(lf, dir_key, dr)
             dirres.append(dr)
         flow = _Flow(next(self._ids), nic.node_id, desc, nfrags, mtu, path,
                      dirres, now)
@@ -320,6 +354,10 @@ class FlowNetwork:
     def _settle(self, flow: _Flow, now: int) -> None:
         """Integrate one flow's progress to ``now`` at its current rate.
 
+        Progress is the integer pair ``dn/dd``, advanced by ``rn/rd``
+        per ns and normalized once per settle, so it is always the exact
+        ``Fraction`` the rational arithmetic would give.
+
         ``done <= total`` holds by construction while a flow is live:
         ``eta = last + ceil((total - done)/rate)`` means progress at
         any instant strictly *before* the ETA is strictly below total.
@@ -330,12 +368,15 @@ class FlowNetwork:
         there, never silently losing progress mid-life."""
         dt = now - flow.last
         if dt:
-            flow.done += flow.rate * dt
+            dd = flow.dd * flow.rd
+            dn = flow.dn * flow.rd + flow.rn * dt * flow.dd
+            g = gcd(dn, dd)
+            flow.dn, flow.dd = dn // g, dd // g
             flow.last = now
-            if flow.done > flow.total:
+            if flow.dn > flow.total * flow.dd:
                 assert flow.eta is not None and now >= flow.eta, \
                     "water-fill overshot before the flow's ETA"
-                flow.done = Fraction(flow.total)
+                flow.dn, flow.dd = flow.total, 1
 
     def _schedule_recompute(self) -> None:
         """Defer the water-fill to the end of the current instant.
@@ -369,30 +410,32 @@ class FlowNetwork:
         # membership.  A departed flow touched all its directions, so
         # the pieces of a split component are each reached.  Iteration
         # order is deterministic (touch order, member list order).
-        seen_dirs: set[int] = set()
-        seen_flows: set[int] = set()
-        components: list[list[_Flow]] = []
+        # Every member of a reached direction is in its component.
+        self._gen += 1
+        gen = self._gen
+        components: list[tuple[list[_Flow], list[_DirRes]]] = []
         for root in touched:
-            if root.seq in seen_dirs:
+            if root.mark == gen:
                 continue
-            seen_dirs.add(root.seq)
+            root.mark = gen
             if not root.members:
                 continue
             comp: list[_Flow] = []
+            dirs = [root]
             stack = [root]
             while stack:
                 for f in stack.pop().members:
-                    if f.id not in seen_flows:
-                        seen_flows.add(f.id)
+                    if f.mark != gen:
+                        f.mark = gen
                         comp.append(f)
                         for d2 in f.dirres:
-                            if d2.seq not in seen_dirs:
-                                seen_dirs.add(d2.seq)
+                            if d2.mark != gen:
+                                d2.mark = gen
                                 stack.append(d2)
-            if comp:
-                components.append(comp)
-        for comp in components:
-            self._waterfill(comp, now)
+                                dirs.append(d2)
+            components.append((comp, dirs))
+        for comp, dirs in components:
+            self._waterfill(comp, dirs, now)
         # Re-arm the completion timer exactly as the global algorithm
         # did: every flush supersedes the armed timer and schedules at
         # the minimum live ETA, so the engine's event schedule — and
@@ -402,25 +445,32 @@ class FlowNetwork:
         if next_eta is not None:
             self.env.call_at(next_eta, self._tick, self._timer_gen)
 
-    def _waterfill(self, comp: list[_Flow], now: int) -> None:
+    def _waterfill(self, comp: list[_Flow], dirs: list[_DirRes],
+                   now: int) -> None:
         """Max-min fair water-filling over one component, level-batched.
 
-        Each direction's remaining capacity is a normalized integer pair
-        ``avail = an/ad`` beside its count ``c`` of unfixed members, so
-        the bottleneck scan compares ``an/(ad*c)`` by integer
-        cross-multiplication and no ``Fraction`` is built per direction.
+        ``dirs`` are the component's directions; each carries its
+        remaining capacity as an integer pair ``an/ad`` beside its count
+        ``c`` of unfixed members.  The pair starts at the normalized
+        capacity and is never normalized again: only ratios are
+        compared, by integer cross-multiplication, so no ``Fraction``
+        and no ``gcd`` is spent per direction.
 
-        One level fixes *every* direction whose ratio equals the minimum
-        ``share``, in ascending ``seq`` order.  That is exactly what the
-        one-bottleneck-per-level algorithm (the tests' ``waterfill_reference``)
-        does over several levels: fixing members of a direction at
-        ``share`` leaves any other direction at ``share`` there,
-        ``(avail - k*share)/(c - k) == share``, and any direction above
-        it above, so the sequential scan would visit the same
-        directions, in the same order, at the same ``share``.
-        Directions with no unfixed member drop out of the scan.  Each
-        level's ``share`` is committed as one canonical ``Fraction``, so
-        every rate is bit-identical to the reference.
+        One level fixes *every* direction whose ratio ``an/(ad*c)``
+        equals the minimum ``share``.  That is exactly what the
+        one-bottleneck-per-level algorithm (the tests'
+        ``waterfill_reference``) does over several levels: fixing
+        members of a direction at ``share`` leaves any other direction
+        at ``share`` there, ``(avail - k*share)/(c - k) == share``, and
+        any direction above it above, so the sequential scan would
+        visit the same directions at the same ``share``.  Which flows a
+        level fixes, and at what rate, does not depend on the order the
+        directions are scanned in, so they are not sorted.  Directions
+        with no unfixed member drop out of the scan.  The share is
+        normalized once per level (one ``gcd``); a flow whose integer
+        rate pair already equals it is left alone, and the rest commit
+        one canonical ``Fraction`` built once per level, so every rate
+        is bit-identical to the reference.
         """
         self._m_recompute.inc()
         self._m_wf_touched.inc(len(comp))
@@ -429,68 +479,73 @@ class FlowNetwork:
             # its path bottleneck capacity.  O(1) — the common case for
             # permutation traffic on a non-blocking fabric.
             f = comp[0]
-            self._set_rate(f, f.full_rate, now)
+            if f.rn != f.fn or f.rd != f.fd:
+                self._set_rate(f, f.full_rate, f.fn, f.fd, now)
             return
-        dirs: dict[int, _DirRes] = {}
-        # seq -> [an, ad, c]: remaining capacity an/ad, unfixed members c.
-        state: dict[int, list[int]] = {}
-        for f in comp:
-            for dr in f.dirres:
-                st = state.get(dr.seq)
-                if st is None:
-                    dirs[dr.seq] = dr
-                    cap = dr.cap
-                    state[dr.seq] = [cap.numerator, cap.denominator, 1]
-                else:
-                    st[2] += 1
-        live = sorted(state)
-        fixed: set[int] = set()
+        for dr in dirs:
+            dr.an = dr.capn
+            dr.ad = dr.capd
+            dr.c = len(dr.members)
+        live = dirs
+        self._gen += 1
+        fixed = self._gen
         while live:
-            level: list[int] = []
+            level: list[_DirRes] = []
             best_n = best_d = 1
-            for seq in live:
-                an, ad, c = state[seq]
-                d = ad * c
-                lhs, rhs = an * best_d, best_n * d
+            for dr in live:
+                d = dr.ad * dr.c
+                lhs, rhs = dr.an * best_d, best_n * d
                 if not level or lhs < rhs:
-                    best_n, best_d, level = an, d, [seq]
+                    best_n, best_d, level = dr.an, d, [dr]
                 elif lhs == rhs:
-                    level.append(seq)
+                    level.append(dr)
             g = gcd(best_n, best_d)
             sn, sd = best_n // g, best_d // g
-            share = Fraction(sn, sd)
-            hits: dict[int, int] = {}
-            for seq in level:
-                for f in dirs[seq].members:
-                    if f.id not in fixed:
-                        fixed.add(f.id)
-                        self._set_rate(f, share, now)
-                        for dr in f.dirres:
-                            hits[dr.seq] = hits.get(dr.seq, 0) + 1
-            for seq, k in hits.items():
-                st = state[seq]
-                an, ad = st[0] * sd - k * sn * st[1], st[1] * sd
-                g = gcd(an, ad)
-                st[0], st[1] = an // g, ad // g
-                st[2] -= k
-            live = [seq for seq in live if state[seq][2]]
+            share = None
+            hit: list[_DirRes] = []
+            for dr in level:
+                for f in dr.members:
+                    if f.mark == fixed:
+                        continue
+                    f.mark = fixed
+                    if f.rn != sn or f.rd != sd:
+                        if share is None:
+                            share = Fraction(sn, sd)
+                        self._set_rate(f, share, sn, sd, now)
+                    for d2 in f.dirres:
+                        if d2.k:
+                            d2.k += 1
+                        else:
+                            d2.k = 1
+                            hit.append(d2)
+            for d2 in hit:
+                k = d2.k
+                d2.k = 0
+                d2.c -= k
+                if d2.c:
+                    ad = d2.ad
+                    d2.an = d2.an * sd - k * sn * ad
+                    d2.ad = ad * sd
+            live = [dr for dr in live if dr.c]
 
-    def _set_rate(self, f: _Flow, rate: Fraction, now: int) -> None:
-        """Commit one flow's water-fill rate.
+    def _set_rate(self, f: _Flow, rate: Fraction, rn: int, rd: int,
+                  now: int) -> None:
+        """Commit a changed water-fill rate ``rate == rn/rd`` (normalized).
 
-        Only a flow whose rate changed is settled and re-timed.  At a
-        constant rate ``eta = last + ceil((total - done)/rate)`` does not
-        move when the flow is settled later, so an unchanged flow keeps
-        its ETA and heap entry, and its progress integrates lazily to
-        the same exact ``Fraction`` at its next settle.  A new flow has
-        rate 0, so it always commits."""
-        if rate == f.rate:
-            return
+        Callers commit only a flow whose integer rate pair differs.  At
+        a constant rate ``eta = last + ceil((total - done)/rate)`` does
+        not move when the flow is settled later, so an unchanged flow
+        keeps its ETA and heap entry, and its progress integrates lazily
+        to the same exact ``Fraction`` at its next settle.  A new flow
+        has rate 0, so it always commits."""
         self._settle(f, now)
         f.rate = rate
-        if rate != f.full_rate:
+        f.rn = rn
+        f.rd = rd
+        if rn != f.fn or rd != f.fd:
             f.pristine = False
-        f.eta = now + _ceil((f.total - f.done) / rate)
+        # eta = now + ceil((total - done) / rate), in integers.
+        f.eta = now - (f.dn - f.total * f.dd) * rd // (f.dd * rn)
         heappush(self._eta_heap, (f.eta, f.id))
 
     def _min_eta(self) -> Optional[int]:
@@ -532,7 +587,7 @@ class FlowNetwork:
             # Completing exactly at the ETA: the ceil'd instant is at
             # or past the rational finish time, so the flow carried all
             # its bytes.
-            f.done = Fraction(f.total)
+            f.dn, f.dd = f.total, 1
             f.last = now
             self._complete(f)
         self._schedule_recompute()
@@ -547,9 +602,8 @@ class FlowNetwork:
             if k <= 0:
                 continue
             nbytes = k * flow.wire_size
-            per = link.serialization_ns(flow.wire_size)
-            link._m_bytes[dr.dir_key].inc(nbytes)
-            link._m_busy[dr.dir_key].inc(k * per)
+            link.account(dr.dir_key, nbytes,
+                         k * link.serialization_ns(flow.wire_size))
             if sw is not None:
                 sw._m_forwards.inc(k)
                 sw._m_bytes.inc(nbytes)
@@ -602,14 +656,13 @@ class FlowNetwork:
                  and now >= flow.start)
         if exact:
             per = flow.per
-            c = min(flow.npackets, max(1, _ceil(Fraction(now - flow.start,
-                                                         per))))
+            c = min(flow.npackets, max(1, -((flow.start - now) // per)))
             boundary = flow.start + c * per
             self._materialize(flow, c, now)
             self._remove(flow)
             self._finish(flow, c, boundary)
         else:
-            c = min(flow.npackets, int(flow.done // flow.wire_size))
+            c = min(flow.npackets, flow.dn // (flow.dd * flow.wire_size))
             self._account(flow, [c] * len(flow.hops))
             self._remove(flow)
             self._finish(flow, c, now)

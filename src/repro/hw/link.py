@@ -32,28 +32,38 @@ from .params import LinkParams
 from .train import PacketTrain, TrainRun, TrainTruncation
 
 
+def _far(end: str) -> str:
+    return "b" if end == "a" else "a"
+
+
 class Link:
-    """A point-to-point full-duplex link between endpoints ``a`` and ``b``."""
+    """A point-to-point full-duplex link between endpoints ``a`` and ``b``.
+
+    Per-direction state sits in slots named by direction (``ab`` runs
+    from end ``a`` to end ``b``): a fabric builds thousands of links, and
+    slots cost a fraction of per-direction dicts.
+    """
+
+    __slots__ = ("env", "params", "name", "_dir_ab", "_dir_ba", "_end_a",
+                 "_end_b", "_bytes_ab", "_bytes_ba", "_busy_ab", "_busy_ba",
+                 "_m_dropped", "faults", "flows", "trains_carried")
 
     def __init__(self, env: Environment, params: LinkParams, name: str = "link"):
         self.env = env
         self.params = params
         self.name = name
-        self._dirs = {
-            "ab": Resource(env, 1, f"{name}.ab"),
-            "ba": Resource(env, 1, f"{name}.ba"),
-        }
-        self._ends: dict[str, Optional[Callable[[Any], None]]] = {"a": None, "b": None}
+        self._dir_ab = Resource(env, 1, f"{name}.ab")
+        self._dir_ba = Resource(env, 1, f"{name}.ba")
+        self._end_a: Optional[Callable[[Any], None]] = None
+        self._end_b: Optional[Callable[[Any], None]] = None
         # Per-direction wire accounting on the metrics registry
         # (unregistered per-instance counters when none is installed).
         # busy_ns accumulates serialization time, so a deterministic
         # utilization is derivable from any snapshot without wall-clock.
-        self._m_bytes = {
-            d: obs.counter("link.bytes", link=name, dir=d) for d in ("ab", "ba")
-        }
-        self._m_busy = {
-            d: obs.counter("link.busy_ns", link=name, dir=d) for d in ("ab", "ba")
-        }
+        self._bytes_ab = obs.counter("link.bytes", link=name, dir="ab")
+        self._bytes_ba = obs.counter("link.bytes", link=name, dir="ba")
+        self._busy_ab = obs.counter("link.busy_ns", link=name, dir="ab")
+        self._busy_ba = obs.counter("link.busy_ns", link=name, dir="ba")
         self._m_dropped = obs.counter("link.drops", link=name)
         #: Optional fault injector (repro.faults.LinkFaultInjector).
         self.faults = None
@@ -69,7 +79,7 @@ class Link:
     @property
     def bytes_carried(self) -> int:
         """Bytes the wire carried in either direction (delivered or not)."""
-        return self._m_bytes["ab"].value + self._m_bytes["ba"].value
+        return self._bytes_ab.value + self._bytes_ba.value
 
     @property
     def messages_dropped(self) -> int:
@@ -86,23 +96,36 @@ class Link:
         when a transmission arrives at that end."""
         if end not in ("a", "b"):
             raise NetworkError(f"link end must be 'a' or 'b', got {end!r}")
-        if self._ends[end] is not None:
+        slot = "_end_" + end
+        if getattr(self, slot) is not None:
             raise NetworkError(f"link end {end!r} already attached")
-        self._ends[end] = deliver
+        setattr(self, slot, deliver)
 
     def serialization_ns(self, nbytes: int) -> int:
         """Time the wire is occupied sending ``nbytes``."""
         return transfer_time_ns(nbytes, self.params.link_bandwidth)
 
-    def _deliver_at(self, to_end: str, when: int, item: Any) -> None:
-        """Hand ``item`` to the ``to_end`` endpoint at absolute time ``when``.
+    def account(self, dir_key: str, nbytes: int, busy_ns: int) -> None:
+        """Charge ``nbytes`` carried and ``busy_ns`` of wire time to one
+        direction's counters."""
+        if dir_key == "ab":
+            self._bytes_ab.inc(nbytes)
+            self._busy_ab.inc(busy_ns)
+        else:
+            self._bytes_ba.inc(nbytes)
+            self._busy_ba.inc(busy_ns)
+
+    def _deliver_at(self, deliver: Callable[[Any], None], when: int,
+                    item: Any) -> None:
+        """Hand ``item`` to the far endpoint's ``deliver`` at absolute
+        time ``when``.
 
         The single seam every arrival goes through.  One pre-triggered
         heap entry instead of a delivery process (start + timeout +
         completion): same arrival instant, a third of the events on the
         busiest path in the simulator.
         """
-        self.env.call_at(when, self._ends[to_end], item)
+        self.env.call_at(when, deliver, item)
 
     def transmit(self, from_end: str, item: Any, nbytes: int):
         """Generator: send ``item`` of ``nbytes`` from one end to the other.
@@ -111,18 +134,20 @@ class Link:
         at the far end fires ``propagation_ns`` later without blocking
         the sender (cut-through exit).
         """
-        if from_end not in ("a", "b"):
+        if from_end == "a":
+            dir_key, direction, deliver = "ab", self._dir_ab, self._end_b
+            m_bytes, m_busy = self._bytes_ab, self._busy_ab
+        elif from_end == "b":
+            dir_key, direction, deliver = "ba", self._dir_ba, self._end_a
+            m_bytes, m_busy = self._bytes_ba, self._busy_ba
+        else:
             raise NetworkError(f"from_end must be 'a' or 'b', got {from_end!r}")
-        to_end = "b" if from_end == "a" else "a"
-        deliver = self._ends[to_end]
         if deliver is None:
-            raise NetworkError(f"link end {to_end!r} has no endpoint attached")
-        dir_key = "ab" if from_end == "a" else "ba"
-        direction = self._dirs[dir_key]
+            raise NetworkError(f"link end {_far(from_end)!r} has no endpoint attached")
         serialization = self.serialization_ns(nbytes)
         yield from direction.acquire(serialization)
-        self._m_bytes[dir_key].inc(nbytes)
-        self._m_busy[dir_key].inc(serialization)
+        m_bytes.inc(nbytes)
+        m_busy.inc(serialization)
         flows = self.flows
         if flows is not None:
             flows.note_interloper(dir_key, nbytes)
@@ -132,7 +157,7 @@ class Link:
                 self._m_dropped.inc()
                 return
 
-        self._deliver_at(to_end, self.env.now + self.params.propagation_ns, item)
+        self._deliver_at(deliver, self.env.now + self.params.propagation_ns, item)
 
     # -- packet-train fast path -------------------------------------------
 
@@ -144,7 +169,7 @@ class Link:
         the de-coalescing reason (used as an obs counter label).
         """
         dir_key = "ab" if from_end == "a" else "ba"
-        direction = self._dirs[dir_key]
+        direction = self._dir_ab if from_end == "a" else self._dir_ba
         if direction.in_use or direction.queue_length:
             return "busy"
         flows = self.flows
@@ -187,12 +212,11 @@ class Link:
         ``train.npackets``, a truncation notice chases the descriptor
         downstream (one propagation delay after the release boundary).
         """
-        to_end = "b" if from_end == "a" else "a"
-        deliver = self._ends[to_end]
+        deliver = self._end_b if from_end == "a" else self._end_a
         if deliver is None:
-            raise NetworkError(f"link end {to_end!r} has no endpoint attached")
+            raise NetworkError(f"link end {_far(from_end)!r} has no endpoint attached")
         dir_key = "ab" if from_end == "a" else "ba"
-        direction = self._dirs[dir_key]
+        direction = self._dir_ab if from_end == "a" else self._dir_ba
         env = self.env
         per = self.serialization_ns(train.wire_size)
         req = direction.request()
@@ -200,7 +224,7 @@ class Link:
             raise NetworkError(f"train started on busy direction {direction.name}")
         start = env.now
         self.trains_carried += 1
-        self._deliver_at(to_end, start + per + self.params.propagation_ns, train)
+        self._deliver_at(deliver, start + per + self.params.propagation_ns, train)
         done = run.limit
         direction.contention_cb = run.notify_contention
         try:
@@ -225,19 +249,22 @@ class Link:
                 # Truncated upstream: loop to re-arm at the new boundary.
         finally:
             direction.contention_cb = None
-            self._m_bytes[dir_key].inc(done * train.wire_size)
-            self._m_busy[dir_key].inc(done * per)
+            self.account(dir_key, done * train.wire_size, done * per)
             req.release()
         if done < train.npackets:
-            self._deliver_at(to_end, env.now + self.params.propagation_ns,
+            self._deliver_at(deliver, env.now + self.params.propagation_ns,
                              TrainTruncation(train.train_id, done,
                                              train.src_nic, train.dst_nic))
         return done
 
     def utilization(self, direction: str = "ab") -> float:
         """Busy fraction of one direction ('ab' or 'ba')."""
-        if direction not in self._dirs:
-            raise NetworkError(
-                f"link direction must be 'ab' or 'ba', got {direction!r}"
-            )
-        return self._dirs[direction].utilization()
+        return self.direction(direction).utilization()
+
+    def direction(self, dir_key: str) -> Resource:
+        """The wire resource of one direction ('ab' or 'ba')."""
+        if dir_key == "ab":
+            return self._dir_ab
+        if dir_key == "ba":
+            return self._dir_ba
+        raise NetworkError(f"link direction must be 'ab' or 'ba', got {dir_key!r}")

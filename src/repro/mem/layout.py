@@ -86,8 +86,10 @@ def sg_from_kernel(kspace: KernelSpace, vaddr: int, length: int) -> list[PhysSeg
 
     Walks each allocation's PFNs directly: one allocation lookup per
     allocation the range crosses, not one translation per page, and no
-    :class:`~repro.mem.phys.Frame` built (a kmalloc allocation's PFNs
-    are a ``range`` from its base, so its pieces merge into one segment).
+    :class:`~repro.mem.phys.Frame` built.  A kmalloc allocation's PFNs
+    are a ``range`` from its base, so its part of the range is one
+    piece, with no per-page work; a vmalloc allocation yields a piece
+    per page.  Physically adjacent pieces merge into one segment.
     """
     if length <= 0:
         return []
@@ -101,6 +103,10 @@ def sg_from_kernel(kspace: KernelSpace, vaddr: int, length: int) -> list[PhysSeg
             stop = min(end, alloc.mapped_end)
             page = (addr - alloc.vaddr) >> PAGE_SHIFT
             offset = addr & PAGE_MASK
+            if alloc.contiguous:
+                yield (pfns[page] << PAGE_SHIFT) + offset, stop - addr
+                addr = stop
+                continue
             while addr < stop:
                 chunk = min(stop - addr, PAGE_SIZE - offset)
                 yield (pfns[page] << PAGE_SHIFT) + offset, chunk

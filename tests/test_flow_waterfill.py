@@ -7,6 +7,7 @@ disjoint flows.
 Every flush in this module is checked against the reference: the
 autouse fixture wraps :meth:`FlowNetwork._flush`."""
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Iterable
@@ -383,6 +384,56 @@ def test_settle_exactly_on_recompute_boundary_commits_total():
     assert seen["done"] == total  # exactly total, by construction
     assert seen["carried"] == npackets
     assert seen["at"] > t1
+
+
+def test_rate_changes_mid_life_settle_to_plain_fraction_progress():
+    """A flow re-rated four times mid-life (two arrivals, two forced
+    departures, at odd instants): after every flush that re-rates it,
+    its settled progress and its ETA equal a plain ``Fraction``
+    recomputation from its rate history, and it completes at the last
+    such ETA with exactly ``total`` bytes carried."""
+    env = Environment()
+    net = make_net(env)
+    link = make_link(env)
+    per = link.serialization_ns(MTU)
+    npackets = 200
+    total = npackets * MTU
+    history = []  # (instant, rate) each time a's rate changed
+    etas = []
+    flush = net._flush
+
+    def checked_flush():
+        flush()
+        if a.id not in net._flows or (history and history[-1][1] == a.rate):
+            return
+        history.append((env.now, a.rate))
+        done = sum((r * (t1 - t0) for (t0, r), (t1, _) in
+                    zip(history, history[1:])), Fraction(0))
+        assert a.last == env.now
+        assert a.done == done
+        assert a.eta == env.now + math.ceil((total - done) / a.rate)
+        etas.append(a.eta)
+
+    net._flush = checked_flush
+    a = admit(net, [(link, "a")], src=0, nfrags=npackets)
+    others = {}
+    t1 = 3 * per + 1
+    t2 = t1 + 5 * per + 7
+    t3 = t2 + 4 * per + 3
+    t4 = t3 + 2 * per + 5
+    env.call_at(t1, lambda: others.setdefault(
+        "b", admit(net, [(link, "a")], src=1, nfrags=400)))
+    env.call_at(t2, lambda: others.setdefault(
+        "c", admit(net, [(link, "a")], src=2, nfrags=400)))
+    env.call_at(t3, lambda: net._decoalesce(others["b"], "contention"))
+    env.call_at(t4, lambda: net._decoalesce(others["c"], "contention"))
+    env.run()
+    rate = cap(link)
+    assert history == [(0, rate), (t1, rate / 2), (t2, rate / 3),
+                       (t3, rate / 2), (t4, rate)]
+    assert net.active_flows == 0
+    assert a.done == total and a.carried == npackets
+    assert a.last == etas[-1]
 
 
 def test_tick_generation_guard_supersedes_stale_timer():

@@ -127,6 +127,17 @@ def test_sg_from_kernel_matches_per_page_translation(kspace, phys):
     kspace.kfree(gap)
     assert kspace.find_allocation(c.vaddr + 9) is c
     start, end = a.vaddr + 100, b.vaddr + 2 * PAGE_SIZE - 7
+    segs = sg_from_kernel(kspace, start, end - start)
+    assert [[s.phys_addr, s.length] for s in segs] == \
+        _per_page_segments(kspace, start, end)
+    assert len(segs) > 1
+    with pytest.raises(BadAddress):
+        sg_from_kernel(kspace, b.vaddr, 3 * PAGE_SIZE)
+
+
+def _per_page_segments(kspace, start, end):
+    """Translate ``[start, end)`` page by page, merging physically
+    adjacent pieces: the reference for :func:`sg_from_kernel`."""
     expect: list = []
     addr = start
     while addr < end:
@@ -137,11 +148,48 @@ def test_sg_from_kernel_matches_per_page_translation(kspace, phys):
         else:
             expect.append([pa, n])
         addr += n
+    return expect
+
+
+class _CountingPfns:
+    """A PFN sequence that counts its index lookups."""
+
+    def __init__(self, pfns):
+        self.pfns = pfns
+        self.lookups = 0
+
+    def __len__(self):
+        return len(self.pfns)
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return self.pfns[i]
+
+
+def test_sg_from_kernel_kmalloc_256k_takes_no_per_page_work(kspace):
+    """A 256 KiB kmalloc buffer (one MX kernel transfer) is one segment,
+    built from one PFN lookup rather than one per page."""
+    n = 256 * 1024
+    alloc = kspace.kmalloc(n)
+    base = alloc.pfns[0] << PAGE_SHIFT
+    alloc.pfns = pfns = _CountingPfns(alloc.pfns)
+    segs = sg_from_kernel(kspace, alloc.vaddr, n)
+    assert [(s.phys_addr, s.length) for s in segs] == [(base, n)]
+    assert pfns.lookups == 1
+
+
+def test_sg_from_kernel_across_adjacent_kmallocs_matches_per_page(kspace):
+    """Two kmalloc allocations adjacent in both VA and PFN: the range
+    across them is one piece from each, merged into the one segment
+    page-by-page translation gives."""
+    a = kspace.kmalloc(3 * PAGE_SIZE)
+    b = kspace.kmalloc(2 * PAGE_SIZE + 11)
+    assert b.vaddr == a.mapped_end and b.pfns[0] == a.pfns[-1] + 1
+    start, end = a.vaddr + 100, b.vaddr + 2 * PAGE_SIZE + 5
     segs = sg_from_kernel(kspace, start, end - start)
+    expect = _per_page_segments(kspace, start, end)
     assert [[s.phys_addr, s.length] for s in segs] == expect
-    assert len(segs) > 1
-    with pytest.raises(BadAddress):
-        sg_from_kernel(kspace, b.vaddr, 3 * PAGE_SIZE)
+    assert len(segs) == 1
 
 
 def test_sg_from_user_requires_resident_pages(phys):

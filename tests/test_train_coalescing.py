@@ -298,7 +298,7 @@ def test_link_train_truncation_rearms_analytic_end():
     env.call_at(2 * per, run.truncate, 3)
     env.run()
     assert result["done"] == 3
-    assert link._dirs["ab"].busy_time == 3 * per
+    assert link.direction("ab").busy_time == 3 * per
     # The shortened train forwards its own truncation downstream.
     trunc = [m for m in got if isinstance(m, TrainTruncation)]
     assert len(trunc) == 1 and trunc[0].npackets == 3

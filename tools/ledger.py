@@ -60,12 +60,11 @@ def spread(runs: list) -> dict:
 
 
 def tier1() -> dict:
-    """Outcome counts and wall seconds of one tier-1 run.  The project's
-    pytest options already make it quiet; one more ``-q`` would hide the
-    count line."""
+    """Outcome counts and wall seconds of one tier-1 run (``pytest -q``,
+    whose last line is the count line)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "pytest", "-p",
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
                            "no:cacheprovider"], cwd=ROOT, env=env,
                           stdout=subprocess.PIPE, text=True)
     wall = time.perf_counter() - start
