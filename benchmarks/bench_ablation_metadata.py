@@ -12,6 +12,7 @@ pays it once and then serves from the dentry cache.
 
 from conftest import run_once
 
+from repro import obs
 from repro.bench.fileio import SERVER_PORT, CLIENT_PORT
 from repro.cluster import node_pair
 from repro.core import MxKernelChannel
@@ -52,7 +53,7 @@ def _orfa_stat_walk():
         return env.now - t0
 
     elapsed = env.run(until=env.process(walk(env)))
-    return elapsed / (REPEAT * FILES), server.requests_served
+    return (elapsed / (REPEAT * FILES),)
 
 
 def _orfs_stat_walk():
@@ -75,13 +76,21 @@ def _orfs_stat_walk():
 
     cold = env.run(until=env.process(cold_walk(env)))
     warm = env.run(until=env.process(warm_walk(env)))
-    return (cold / FILES, warm / ((REPEAT - 1) * FILES),
-            server.requests_served)
+    return cold / FILES, warm / ((REPEAT - 1) * FILES)
+
+
+def _with_requests(walk) -> tuple:
+    """Run one walk under its own registry; its results, then the
+    requests the server handled."""
+    with obs.scoped_registry() as registry:
+        result = walk()
+    counters = registry.snapshot()["counters"]
+    return (*result, obs.family(counters, "orfa.server.requests"))
 
 
 def _both():
-    orfa_us, orfa_reqs = _orfa_stat_walk()
-    orfs_cold, orfs_warm, orfs_reqs = _orfs_stat_walk()
+    orfa_us, orfa_reqs = _with_requests(_orfa_stat_walk)
+    orfs_cold, orfs_warm, orfs_reqs = _with_requests(_orfs_stat_walk)
     return {"orfa_us": to_us(orfa_us), "orfa_reqs": orfa_reqs,
             "orfs_cold_us": to_us(orfs_cold),
             "orfs_warm_us": to_us(orfs_warm), "orfs_reqs": orfs_reqs}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 
+from .. import obs
 from ..cluster.node import node_pair
 from ..core.channel import MxKernelChannel
 from ..faults import FaultPlan
@@ -38,87 +39,88 @@ _RPC_TIMEOUT_NS = ms(2)
 _RPC_RETRIES = 6
 
 
-def _install(env, nodes, seed: float, drop: float) -> FaultPlan:
+def _install(env, nodes, seed: float, drop: float) -> None:
     plan = FaultPlan(seed=seed)
     if drop:
         plan.drop("*", drop)
     plan.install(env, nodes=nodes)
-    return plan
 
 
-def _fault_counters(plan: FaultPlan, *nics) -> tuple[int, int]:
-    stats = plan.stats()
-    retrans = sum(nic.retransmissions for nic in nics)
-    return stats["dropped"], retrans
+def _fault_counters(registry: obs.MetricsRegistry) -> tuple[int, int]:
+    """(injected drops, NIC retransmissions) of the run ``registry``
+    observed."""
+    counters = registry.snapshot()["counters"]
+    return (obs.family(counters, "faults.drops"),
+            obs.family(counters, "nic.tx.retransmits"))
 
 
 @one_world
 def _orfa_run(seed: int, drop: float) -> tuple[float, int, int]:
     """One ORFA write+read pass; returns (sim ms, drops, retransmissions)."""
-    env = Environment()
-    client_node, server_node = node_pair(env)
-    plan = _install(env, [client_node, server_node], seed, drop)
-    server = OrfaServer(server_node, 3, api="mx", tolerant=True)
-    env.run(until=server.start())
-    space = client_node.new_process_space()
-    client = OrfaClient(client_node, 4, space, (server_node.node_id, 3),
-                        api="mx", timeout_ns=_RPC_TIMEOUT_NS,
-                        max_retries=_RPC_RETRIES)
-    env.run(until=env.process(client.setup()))
-    payload = bytes((i * 37 + 11) & 0xFF for i in range(_ORFA_BYTES))
-    buf = space.mmap(len(payload), populate=True)
-    space.write_bytes(buf, payload)
-    out = space.mmap(len(payload), populate=True)
+    with obs.scoped_registry() as registry:
+        env = Environment()
+        client_node, server_node = node_pair(env)
+        _install(env, [client_node, server_node], seed, drop)
+        server = OrfaServer(server_node, 3, api="mx", tolerant=True)
+        env.run(until=server.start())
+        space = client_node.new_process_space()
+        client = OrfaClient(client_node, 4, space, (server_node.node_id, 3),
+                            api="mx", timeout_ns=_RPC_TIMEOUT_NS,
+                            max_retries=_RPC_RETRIES)
+        env.run(until=env.process(client.setup()))
+        payload = bytes((i * 37 + 11) & 0xFF for i in range(_ORFA_BYTES))
+        buf = space.mmap(len(payload), populate=True)
+        space.write_bytes(buf, payload)
+        out = space.mmap(len(payload), populate=True)
 
-    def script(env):
-        fd = yield from client.open("/bench", create=True)
-        for off in range(0, len(payload), _ORFA_CHUNK):
-            client.seek(fd, off)
-            yield from client.write(fd, buf + off, _ORFA_CHUNK)
-        client.seek(fd, 0)
-        n = yield from client.read(fd, out, len(payload))
-        if n != len(payload) or space.read_bytes(out, n) != payload:
-            raise AssertionError("fault run returned corrupt data")
-        yield from client.close(fd)
+        def script(env):
+            fd = yield from client.open("/bench", create=True)
+            for off in range(0, len(payload), _ORFA_CHUNK):
+                client.seek(fd, off)
+                yield from client.write(fd, buf + off, _ORFA_CHUNK)
+            client.seek(fd, 0)
+            n = yield from client.read(fd, out, len(payload))
+            if n != len(payload) or space.read_bytes(out, n) != payload:
+                raise AssertionError("fault run returned corrupt data")
+            yield from client.close(fd)
 
-    start = env.now
-    env.run(until=env.process(script(env)))
-    elapsed_ms = (env.now - start) / 1e6
-    dropped, retrans = _fault_counters(plan, client_node.nic, server_node.nic)
-    return elapsed_ms, dropped, retrans
+        start = env.now
+        env.run(until=env.process(script(env)))
+        elapsed_ms = (env.now - start) / 1e6
+        return (elapsed_ms, *_fault_counters(registry))
 
 
 @one_world
 def _nbd_run(seed: int, drop: float) -> tuple[float, int, int]:
     """One NBD write+flush+reread pass; returns (sim ms, drops, retrans)."""
-    env = Environment()
-    client_node, server_node = node_pair(env)
-    plan = _install(env, [client_node, server_node], seed, drop)
-    server = NbdServer(server_node, 3, api="mx", device_blocks=_NBD_BLOCKS)
-    env.run(until=server.start())
-    channel = MxKernelChannel(client_node, 4)
-    dev = NbdDevice(client_node, channel, (server_node.node_id, 3),
-                    server.device_inode, _NBD_BLOCKS,
-                    timeout_ns=_RPC_TIMEOUT_NS, max_retries=_RPC_RETRIES)
-    space = client_node.new_process_space()
-    payload = bytes((i * 13 + 5) & 0xFF for i in range(_NBD_BLOCKS * BLOCK_SIZE))
-    va = space.mmap(len(payload))
-    space.write_bytes(va, payload)
-    out = space.mmap(len(payload))
+    with obs.scoped_registry() as registry:
+        env = Environment()
+        client_node, server_node = node_pair(env)
+        _install(env, [client_node, server_node], seed, drop)
+        server = NbdServer(server_node, 3, api="mx", device_blocks=_NBD_BLOCKS)
+        env.run(until=server.start())
+        channel = MxKernelChannel(client_node, 4)
+        dev = NbdDevice(client_node, channel, (server_node.node_id, 3),
+                        server.device_inode, _NBD_BLOCKS,
+                        timeout_ns=_RPC_TIMEOUT_NS, max_retries=_RPC_RETRIES)
+        space = client_node.new_process_space()
+        payload = bytes((i * 13 + 5) & 0xFF for i in range(_NBD_BLOCKS * BLOCK_SIZE))
+        va = space.mmap(len(payload))
+        space.write_bytes(va, payload)
+        out = space.mmap(len(payload))
 
-    def script(env):
-        yield from dev.write(space, va, 0, len(payload))
-        yield from dev.flush()
-        client_node.pagecache.invalidate_inode(dev._cache_key)
-        n = yield from dev.read(space, out, 0, len(payload))
-        if n != len(payload) or space.read_bytes(out, n) != payload:
-            raise AssertionError("fault run returned corrupt data")
+        def script(env):
+            yield from dev.write(space, va, 0, len(payload))
+            yield from dev.flush()
+            client_node.pagecache.invalidate_inode(dev._cache_key)
+            n = yield from dev.read(space, out, 0, len(payload))
+            if n != len(payload) or space.read_bytes(out, n) != payload:
+                raise AssertionError("fault run returned corrupt data")
 
-    start = env.now
-    env.run(until=env.process(script(env)))
-    elapsed_ms = (env.now - start) / 1e6
-    dropped, retrans = _fault_counters(plan, client_node.nic, server_node.nic)
-    return elapsed_ms, dropped, retrans
+        start = env.now
+        env.run(until=env.process(script(env)))
+        elapsed_ms = (env.now - start) / 1e6
+        return (elapsed_ms, *_fault_counters(registry))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -91,28 +91,12 @@ def flow_work_stats(snapshot: dict) -> dict:
     would have re-divided (all live flows, every flush).  Their ratio
     is the work reduction the ``--waterfill-gate`` CI floor holds.
     """
-
-    def family(name: str, **labels) -> int:
-        want = set(labels.items())
-        total = 0
-        for key, value in snapshot["counters"].items():
-            base, _, rest = key.partition("{")
-            if base != name:
-                continue
-            got = set()
-            for part in rest.rstrip("}").split(","):
-                if "=" in part:
-                    lk, _, lv = part.partition("=")
-                    got.add((lk.strip(), lv.strip()))
-            if want <= got:
-                total += value
-        return total
-
-    touched = family("net.flow_waterfill_flows", scope="touched")
-    global_equiv = family("net.flow_waterfill_flows", scope="global")
+    counters = snapshot["counters"]
+    touched = obs.family(counters, "net.flow_waterfill_flows", scope="touched")
+    global_equiv = obs.family(counters, "net.flow_waterfill_flows", scope="global")
     return {
-        "flushes": family("net.flow_flush"),
-        "recomputes": family("net.flow_recompute"),
+        "flushes": obs.family(counters, "net.flow_flush"),
+        "recomputes": obs.family(counters, "net.flow_recompute"),
         "touched": touched,
         "global_equiv": global_equiv,
         "work_reduction": (global_equiv / touched) if touched else None,

@@ -114,24 +114,10 @@ class LinkFaultInjector:
         self.spec = spec
         self.rng = rng
         self.link_name = link_name
-        # Injection accounting on the metrics registry (unregistered
-        # per-instance counters while no registry is installed); the
-        # classic attribute names below read through to them.
+        # Injection accounting on the metrics registry.
         self._m_dropped = obs.counter("faults.drops", link=link_name)
         self._m_corrupted = obs.counter("faults.corrupts", link=link_name)
         self._m_down_drops = obs.counter("faults.down_drops", link=link_name)
-
-    @property
-    def dropped(self) -> int:
-        return self._m_dropped.value
-
-    @property
-    def corrupted(self) -> int:
-        return self._m_corrupted.value
-
-    @property
-    def down_drops(self) -> int:
-        return self._m_down_drops.value
 
     @property
     def down(self) -> bool:
@@ -198,7 +184,6 @@ class FaultPlan:
         #: (link, first_down_ns, down_ns, up_ns, count) flap trains, kept
         #: for the one-shot trace announcement at install time.
         self._flaps: list[tuple[str, int, int, int, int]] = []
-        self.injectors: dict[str, LinkFaultInjector] = {}
         self._installed = False
 
     # -- declarative builders (chainable) ------------------------------------
@@ -315,12 +300,10 @@ class FaultPlan:
             spec = self._specs.get(link.name, LinkFaultSpec()).merged(wildcard)
             if not spec.active:
                 continue
-            injector = LinkFaultInjector(
+            link.faults = LinkFaultInjector(
                 env, spec, _FaultRng(self.seed, link.name),
                 link_name=link.name,
             )
-            link.faults = injector
-            self.injectors[link.name] = injector
             for start, end in sorted(spec.down_windows):
                 env.process(self._down_window(env, link, start, end),
                             name=f"fault.down.{link.name}")
@@ -349,13 +332,3 @@ class FaultPlan:
         else:
             nic.crash()
         emit(env, "fault", what, {"node": nic.node_id})
-
-    # -- reporting -----------------------------------------------------------
-
-    def stats(self) -> dict:
-        """Aggregate injector counters for reports and tests."""
-        return {
-            "dropped": sum(i.dropped for i in self.injectors.values()),
-            "corrupted": sum(i.corrupted for i in self.injectors.values()),
-            "down_drops": sum(i.down_drops for i in self.injectors.values()),
-        }

@@ -80,8 +80,7 @@ class GmPort:
         self.nic_port: NicPort = node.nic.open_port(port_id, costs)
         self.domain = RegistrationDomain(node.cpu, node.nic.transtable, self.context)
         self.events: Store = Store(node.env, f"gm{port_id}.events")
-        # API-level accounting on the metrics registry (unregistered
-        # per-instance counters while no registry is installed).
+        # API-level accounting on the metrics registry.
         self._m_sends = obs.counter("gm.sends", node=node.node_id, port=port_id)
         self._m_recv_posts = obs.counter(
             "gm.recv_posts", node=node.node_id, port=port_id

@@ -55,7 +55,6 @@ class RegistrationDomain:
         self.table = table
         self.context = context
         self._regions: list[GmRegion] = []
-        self.registered_pages = 0
         # With a registry installed these aggregate over every domain of
         # one host CPU.
         self._m_reg = obs.counter("gm.registrations", cpu=cpu.name)
@@ -113,7 +112,6 @@ class RegistrationDomain:
         self.table.install_range(self.context, key_base >> PAGE_SHIFT, pfns)
         region = GmRegion(self.context, key_base, npages, frames)
         self._regions.append(region)
-        self.registered_pages += npages
         self._m_reg.inc()
         self._m_pages.inc(npages)
         return region
@@ -150,7 +148,6 @@ class RegistrationDomain:
             for frame in region.frames:
                 frame.unpin()
         self._regions.remove(region)
-        self.registered_pages -= region.npages
         self._m_dereg.inc()
         self._m_pages.dec(region.npages)
 

@@ -162,30 +162,12 @@ class Gmkrc:
         self._ins_seq = 0
         self._cached_pages = 0
         self._watched: dict[int, object] = {}  # asid -> vmaspy watch handle
-        # Cache accounting on the metrics registry (unregistered
-        # per-instance counters while no registry is installed); the
-        # classic attribute names below read through to them.
+        # Cache accounting on the metrics registry.
         _labels = dict(node=port.node.node_id, port=port.port_id)
         self._m_hits = obs.counter("gmkrc.hits", **_labels)
         self._m_misses = obs.counter("gmkrc.misses", **_labels)
         self._m_inval = obs.counter("gmkrc.invalidations", **_labels)
         self._m_lazy = obs.counter("gmkrc.lazy_deregistrations", **_labels)
-
-    @property
-    def hits(self) -> int:
-        return self._m_hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._m_misses.value
-
-    @property
-    def invalidations(self) -> int:
-        return self._m_inval.value
-
-    @property
-    def lazy_deregistrations(self) -> int:
-        return self._m_lazy.value
 
     # -- the public API (paper: "in-kernel users still pass normal 32 bits
     # pointers to the GMKRC API") -------------------------------------------------

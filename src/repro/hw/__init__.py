@@ -35,8 +35,7 @@ from .params import (
     HOST_P3_1200,
     HOST_P4_2600,
     HOST_XEON_2600,
-    MX_KERNEL_COSTS,
-    MX_USER_COSTS,
+    MX_COSTS,
     PCI_XD,
     PCI_XE,
 )
@@ -55,8 +54,7 @@ __all__ = [
     "Link",
     "LinkParams",
     "Message",
-    "MX_KERNEL_COSTS",
-    "MX_USER_COSTS",
+    "MX_COSTS",
     "Nic",
     "NicParams",
     "NicPort",

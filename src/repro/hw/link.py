@@ -13,7 +13,7 @@ Fault injection
 A link may carry a *fault injector* (see :mod:`repro.faults`): a filter
 consulted once per transmitted item, after the wire has been occupied
 (the sender's serialization cost is paid whether or not the bits arrive,
-and ``bytes_carried`` accounts the bytes the wire carried, not the bytes
+and ``link.bytes`` accounts the bytes the wire carried, not the bytes
 delivered).  The filter may pass the item through, drop it, or substitute
 a corrupted copy.  With no injector installed (the default) the path is
 a single ``is None`` check and the link is the perfect wire it always
@@ -46,7 +46,7 @@ class Link:
 
     __slots__ = ("env", "params", "name", "_dir_ab", "_dir_ba", "_end_a",
                  "_end_b", "_bytes_ab", "_bytes_ba", "_busy_ab", "_busy_ba",
-                 "_m_dropped", "faults", "flows", "trains_carried")
+                 "_m_dropped", "faults", "flows")
 
     def __init__(self, env: Environment, params: LinkParams, name: str = "link"):
         self.env = env
@@ -56,8 +56,7 @@ class Link:
         self._dir_ba = Resource(env, 1, f"{name}.ba")
         self._end_a: Optional[Callable[[Any], None]] = None
         self._end_b: Optional[Callable[[Any], None]] = None
-        # Per-direction wire accounting on the metrics registry
-        # (unregistered per-instance counters when none is installed).
+        # Per-direction wire accounting on the metrics registry.
         # busy_ns accumulates serialization time, so a deterministic
         # utilization is derivable from any snapshot without wall-clock.
         self._bytes_ab = obs.counter("link.bytes", link=name, dir="ab")
@@ -73,18 +72,6 @@ class Link:
         #: transmissions on it are "interlopers": counted against the
         #: contention threshold that de-coalesces the flows.
         self.flows = None
-        #: Trains this link carried analytically (cheap introspection).
-        self.trains_carried = 0
-
-    @property
-    def bytes_carried(self) -> int:
-        """Bytes the wire carried in either direction (delivered or not)."""
-        return self._bytes_ab.value + self._bytes_ba.value
-
-    @property
-    def messages_dropped(self) -> int:
-        """Items the injector removed from the wire (never delivered)."""
-        return self._m_dropped.value
 
     @property
     def is_down(self) -> bool:
@@ -207,7 +194,7 @@ class Link:
           re-arm the analytic end at the new boundary.
 
         Occupancy counters account exactly the packets carried, so
-        ``bytes_carried``/``utilization`` match per-packet runs at every
+        ``link.bytes``/``utilization`` match per-packet runs at every
         timestamp.  Returns the number of packets carried; if short of
         ``train.npackets``, a truncation notice chases the descriptor
         downstream (one propagation delay after the release boundary).
@@ -223,7 +210,6 @@ class Link:
         if not req.triggered:  # pragma: no cover - caller contract violated
             raise NetworkError(f"train started on busy direction {direction.name}")
         start = env.now
-        self.trains_carried += 1
         self._deliver_at(deliver, start + per + self.params.propagation_ns, train)
         done = run.limit
         direction.contention_cb = run.notify_contention

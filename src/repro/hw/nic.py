@@ -184,7 +184,7 @@ class NicPort:
         for i, msg in enumerate(self.unexpected):
             if recv.accepts(msg.match):
                 del self.unexpected[i]
-                self.nic._deliver_to_recv(self, msg, recv, late_match=True)
+                self.nic._complete_receive(self, msg, recv)
                 return
         self.posted.append(recv)
 
@@ -404,7 +404,6 @@ class _ReliableDelivery:
                     if entry is None:
                         continue  # acked while we were retransmitting
                     msg, nbytes = entry
-                    self.nic.retransmissions += 1
                     obs.counter("nic.tx.retransmits",
                                 node=self.nic.node_id, peer=peer).inc()
                     yield from self.nic.fw.acquire(self.params.retransmit_fw_ns)
@@ -647,9 +646,7 @@ class Nic:
         self._link_end: str = "a"
         self._pending_rndv: dict[int, _PendingRendezvous] = {}
         self._stalled_rndv: dict[int, SendDescriptor] = {}
-        # Per-NIC accounting on the metrics registry (unregistered
-        # per-instance counters while no registry is installed); the
-        # classic attribute names below read through to them.
+        # Per-NIC accounting on the metrics registry.
         self._m_tx = obs.counter("nic.tx.messages", node=node_id)
         self._m_tx_bytes = obs.counter("nic.tx.bytes", node=node_id)
         self._m_rx = obs.counter("nic.rx.messages", node=node_id)
@@ -666,26 +663,7 @@ class Nic:
         #: stars, so their packet paths are untouched.
         self.flownet = None
         self.crashed = False
-        #: Total retransmitted messages; per-peer detail lives on the
-        #: registry as ``nic.tx.retransmits{node=...,peer=...}``.
-        self.retransmissions = 0
         env.process(self._rx_loop(), name=f"{self.name}.rxloop")
-
-    @property
-    def messages_sent(self) -> int:
-        return self._m_tx.value
-
-    @property
-    def messages_received(self) -> int:
-        return self._m_rx.value
-
-    @property
-    def duplicates_dropped(self) -> int:
-        return self._m_dup.value
-
-    @property
-    def crc_drops(self) -> int:
-        return self._m_crc.value
 
     # -- wiring ------------------------------------------------------------
 
@@ -1049,12 +1027,6 @@ class Nic:
             self._transmit_data(desc, MsgKind.RDATA, rndv_id=cts.rndv_id),
             name=f"{self.name}.rdata",
         )
-
-    def _deliver_to_recv(
-        self, port: NicPort, msg: Message, recv: PostedReceive, late_match: bool = False
-    ) -> None:
-        """Deliver a buffered unexpected eager message to a late receive."""
-        self._complete_receive(port, msg, recv)
 
     def _complete_receive(
         self, port: NicPort, msg: Message, recv: PostedReceive

@@ -262,7 +262,6 @@ class ApiCosts:
     blocking_wakeup_ns: int  # extra cost when blocking-waiting
     fw_send_ns: int  # firmware work per outgoing message
     fw_recv_ns: int  # firmware work per incoming message
-    uses_translation: bool  # NIC translates virtual addresses per side
 
 
 GM_USER_COSTS = ApiCosts(
@@ -276,7 +275,6 @@ GM_USER_COSTS = ApiCosts(
     blocking_wakeup_ns=3000,
     fw_send_ns=900,
     fw_recv_ns=900,
-    uses_translation=True,
 )
 
 GM_KERNEL_COSTS = ApiCosts(
@@ -292,31 +290,18 @@ GM_KERNEL_COSTS = ApiCosts(
     blocking_wakeup_ns=4000,
     fw_send_ns=900,
     fw_recv_ns=900,
-    uses_translation=True,
 )
 
 # MX: "latency and bandwidth do not differ between user and kernel
 # communications" (section 5.1) — one cost set serves both contexts.
-MX_USER_COSTS = ApiCosts(
-    name="mx-user",
+MX_COSTS = ApiCosts(
+    name="mx",
     host_send_ns=900,
     host_recv_post_ns=500,
     host_event_ns=800,
     blocking_wakeup_ns=200,  # flexible wait-one/wait-any (section 5.2)
     fw_send_ns=550,
     fw_recv_ns=550,
-    uses_translation=False,  # the NIC manipulates only physical addresses
-)
-
-MX_KERNEL_COSTS = ApiCosts(
-    name="mx-kernel",
-    host_send_ns=900,
-    host_recv_post_ns=500,
-    host_event_ns=800,
-    blocking_wakeup_ns=200,
-    fw_send_ns=550,
-    fw_recv_ns=550,
-    uses_translation=False,
 )
 
 

@@ -76,16 +76,10 @@ class Switch:
         #: In-flight train transits keyed by ``train_id`` (unique within
         #: a run: ids come from ``env.next_id("transit")``).
         self._train_runs: dict[int, TrainRun] = {}
-        # Crossbar accounting on the metrics registry (unregistered
-        # per-instance counters while no registry is installed).
+        # Crossbar accounting on the metrics registry.
         self._m_forwards = obs.counter("switch.forwards", switch=name)
         self._m_bytes = obs.counter("switch.bytes", switch=name)
         self._m_dropped = obs.counter("switch.drops", switch=name)
-
-    @property
-    def messages_dropped(self) -> int:
-        """Messages discarded because the output port's link was down."""
-        return self._m_dropped.value
 
     # -- wiring ------------------------------------------------------------
 

@@ -70,24 +70,10 @@ class PageCache:
         self.name = name
         # (inode_id, index) -> CachedPage, in LRU order (oldest first)
         self._pages: OrderedDict[tuple[int, int], CachedPage] = OrderedDict()
-        # Cache accounting on the metrics registry (unregistered
-        # per-instance counters while no registry is installed); the
-        # classic attribute names below read through to them.
+        # Cache accounting on the metrics registry.
         self._m_hits = obs.counter("pagecache.hits", cache=name)
         self._m_misses = obs.counter("pagecache.misses", cache=name)
         self._m_evictions = obs.counter("pagecache.evictions", cache=name)
-
-    @property
-    def hits(self) -> int:
-        return self._m_hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._m_misses.value
-
-    @property
-    def evictions(self) -> int:
-        return self._m_evictions.value
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -162,7 +148,3 @@ class PageCache:
         page.frame.unpin()
         if not page.frame.pinned:
             self.phys.free(page.frame)
-
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

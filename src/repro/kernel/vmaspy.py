@@ -47,13 +47,8 @@ class VmaSpy:
         self.name = name
         self._watches: list[_Watch] = []
         self._hooked: dict[int, tuple[AddressSpace, Callable]] = {}
-        # Delivery accounting on the metrics registry (an unregistered
-        # per-instance counter while no registry is installed).
+        # Delivery accounting on the metrics registry.
         self._m_delivered = obs.counter("vmaspy.notifications", spy=name)
-
-    @property
-    def notifications_delivered(self) -> int:
-        return self._m_delivered.value
 
     def watch(
         self,

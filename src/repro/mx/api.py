@@ -36,12 +36,7 @@ from .. import obs
 from ..cluster.node import Node
 from ..errors import MXBadSegment, MXError
 from ..hw.nic import NicPort, PostedReceive, SendDescriptor
-from ..hw.params import (
-    ApiCosts,
-    MX_KERNEL_COSTS,
-    MX_STRATEGY,
-    MX_USER_COSTS,
-)
+from ..hw.params import MX_COSTS, MX_STRATEGY, ApiCosts
 from ..mem.layout import PhysSegment, sg_from_kernel, sg_from_user
 from ..mem.sglist import PayloadRef
 from ..sim import Event
@@ -85,7 +80,7 @@ class MxEndpoint:
         self.node = node
         self.endpoint_id = endpoint_id
         self.context = context
-        self.costs: ApiCosts = MX_USER_COSTS if context == "user" else MX_KERNEL_COSTS
+        self.costs: ApiCosts = MX_COSTS
         self.strategy = MX_STRATEGY
         self.no_send_copy = no_send_copy
         self.no_recv_copy = no_recv_copy
@@ -93,9 +88,7 @@ class MxEndpoint:
         self.cpu = node.cpu
         self.nic_port: NicPort = node.nic.open_port(endpoint_id, self.costs)
         self._open = True
-        # Per-class send accounting on the metrics registry (unregistered
-        # per-instance counters while no registry is installed); the
-        # classic attribute names below read through to them.
+        # Per-class send accounting on the metrics registry.
         _labels = dict(node=node.node_id, ep=endpoint_id)
         self._m_small = obs.counter("mx.sends", cls="small", **_labels)
         self._m_medium = obs.counter("mx.sends", cls="medium", **_labels)
@@ -103,22 +96,6 @@ class MxEndpoint:
             "mx.sends", cls="medium_zero_copy", **_labels
         )
         self._m_large = obs.counter("mx.sends", cls="large", **_labels)
-
-    @property
-    def sends_small(self) -> int:
-        return self._m_small.value
-
-    @property
-    def sends_medium(self) -> int:
-        return self._m_medium.value
-
-    @property
-    def sends_medium_zero_copy(self) -> int:
-        return self._m_medium_zc.value
-
-    @property
-    def sends_large(self) -> int:
-        return self._m_large.value
 
     # -- segment validation / resolution --------------------------------------
 

@@ -75,21 +75,11 @@ class NbdDevice:
         self._cache_key = -device_inode  # block-cache namespace
         self._reply_buf = node.kspace.kmalloc(4096)
         self._req_buf = node.kspace.kmalloc(4096)
-        # Block-traffic accounting on the metrics registry (unregistered
-        # per-instance counters while no registry is installed); the
-        # classic attribute names below read through to them.
+        # Block-traffic accounting on the metrics registry.
         self._m_read = obs.counter("nbd.blocks_read", node=node.node_id)
         self._m_written = obs.counter("nbd.blocks_written", node=node.node_id)
         self._m_retries = obs.counter("nbd.request_retries", node=node.node_id)
         self._m_failfast = obs.counter("nbd.request_failfast", node=node.node_id)
-
-    @property
-    def blocks_read(self) -> int:
-        return self._m_read.value
-
-    @property
-    def blocks_written(self) -> int:
-        return self._m_written.value
 
     # -- raw block transfer (what the block layer submits) --------------------
 

@@ -5,8 +5,9 @@ Two halves, both keyed to *simulated* time and both pure observers
 simulated time or figure output):
 
 * :mod:`repro.obs.registry` — a hierarchical metrics registry
-  (counters, gauges, fixed-bucket histograms with label sets) that is
-  zero-cost when disabled and snapshots to stable sorted JSON;
+  (counters, gauges, fixed-bucket histograms with label sets) that
+  snapshots to stable sorted JSON; with none installed every instrument
+  is the one shared no-op :data:`NULL_INSTRUMENT`;
 * :mod:`repro.obs.timeline` — span/instant tracing exported as Chrome
   trace events (Perfetto-loadable).
 
@@ -29,13 +30,18 @@ Typical component instrumentation::
 
 Benchmark entry points install a registry/timeline
 (``python -m repro.bench all --metrics out.json --timeline out.trace.json``),
-run, and write the snapshots; with nothing installed every helper
-degrades to an unregistered accumulator or a no-op.
+run, and write the snapshots; with nothing installed every helper is a
+no-op.  Counts are read only from a registry: to read one run's, observe
+it under :func:`scoped_registry` and sum a family by label subset::
+
+    with obs.scoped_registry() as registry:
+        run()
+    drops = obs.family(registry.snapshot()["counters"], "faults.drops")
 """
 
 from .registry import (
     LATENCY_BUCKETS_NS,
-    NULL_HISTOGRAM,
+    NULL_INSTRUMENT,
     SIZE_BUCKETS,
     Counter,
     Gauge,
@@ -44,6 +50,7 @@ from .registry import (
     ObsError,
     active_registry,
     counter,
+    family,
     gauge,
     histogram,
     install_registry,
@@ -73,7 +80,7 @@ from .timeline import (
 
 __all__ = [
     "LATENCY_BUCKETS_NS",
-    "NULL_HISTOGRAM",
+    "NULL_INSTRUMENT",
     "SIZE_BUCKETS",
     "Counter",
     "Gauge",
@@ -86,6 +93,7 @@ __all__ = [
     "active_registry",
     "active_timeline",
     "counter",
+    "family",
     "gauge",
     "histogram",
     "install_registry",

@@ -8,19 +8,18 @@ Design rules (see docs/DESIGN_OBS.md):
   seed yields byte-identical JSON.
 * **Zero-cost when disabled.**  Components create their instruments
   through the module-level helpers (:func:`counter`, :func:`gauge`,
-  :func:`histogram`).  With no registry installed the helpers hand back
-  *unregistered* live objects (counters/gauges) or a shared no-op
-  histogram, so per-component attribute aliases (``nic.messages_sent``
-  and friends) keep their classic per-instance semantics and hot paths
-  pay one integer add at most.
+  :func:`histogram`).  With no registry installed every helper hands
+  back the one shared :data:`NULL_INSTRUMENT`: updates are no-ops, it
+  holds no readable state, and no handle is allocated.  A number is
+  read only from a registry, never from a component.
 * **Aggregation when enabled.**  With a registry installed
   (:func:`install_registry`), instruments are get-or-create by
   ``name{label=value,...}`` key, so identically-labeled instruments —
   including ones from *different* :class:`~repro.sim.Environment`
-  instances built during one run — share one accumulator.  That is the
-  point (cluster-wide totals), but it means per-instance attribute
-  aliases read shared aggregates while a registry is active; tests that
-  want isolation install a fresh registry per scenario (or none).
+  instances built during one run — share one accumulator (cluster-wide
+  totals).  A caller that wants one run's numbers on their own observes
+  it under :func:`scoped_registry` and sums families with
+  :func:`family`.
 
 Hierarchy is by dotted name (``nic.tx.retransmits``); label sets are
 kwargs (``node=0, peer=1``) and render sorted, so a key is stable
@@ -33,7 +32,7 @@ import json
 import math
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..errors import ReproError
 from . import timeline as _timeline
@@ -90,20 +89,34 @@ def metric_key(name: str, labels: dict) -> str:
     return f"{name}{{{inner}}}"
 
 
+def family(values: Mapping[str, float], name: str, **labels) -> float:
+    """Sum over ``values`` (a snapshot's ``counters`` or ``gauges``) of
+    every instrument named ``name`` whose labels include ``labels``:
+    ``family(snap["counters"], "nic.tx.retransmits", node=0)`` is node
+    0's retransmissions to every peer."""
+    want = {(k, str(v)) for k, v in labels.items()}
+    total = 0
+    for key, value in values.items():
+        base, _, rest = key.partition("{")
+        if base != name:
+            continue
+        got = {part.partition("=")[::2] for part in rest[:-1].split(",")}
+        if want <= got:
+            total += value
+    return total
+
+
 class Counter:
     """A monotonically increasing integer."""
 
     __slots__ = ("key", "value")
 
-    def __init__(self, key: str = ""):
+    def __init__(self, key: str):
         self.key = key
         self.value = 0
 
     def inc(self, n: int = 1) -> None:
         self.value += n
-
-    def __repr__(self) -> str:
-        return f"Counter({self.key!r}, value={self.value})"
 
 
 class Gauge:
@@ -111,7 +124,7 @@ class Gauge:
 
     __slots__ = ("key", "value")
 
-    def __init__(self, key: str = ""):
+    def __init__(self, key: str):
         self.key = key
         self.value = 0
 
@@ -124,9 +137,6 @@ class Gauge:
     def dec(self, n=1) -> None:
         self.value -= n
 
-    def __repr__(self) -> str:
-        return f"Gauge({self.key!r}, value={self.value})"
-
 
 class Histogram:
     """Fixed-bucket histogram: counts of observations <= each bound,
@@ -134,7 +144,7 @@ class Histogram:
 
     __slots__ = ("key", "bounds", "bucket_counts", "overflow", "count", "sum")
 
-    def __init__(self, key: str = "", buckets: Sequence[int] = LATENCY_BUCKETS_NS):
+    def __init__(self, key: str, buckets: Sequence[int] = LATENCY_BUCKETS_NS):
         bounds = tuple(buckets)
         if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
             raise ObsError(f"histogram buckets must be strictly increasing, got {bounds}")
@@ -180,29 +190,28 @@ class Histogram:
             "sum": self.sum,
         }
 
-    def __repr__(self) -> str:
-        return f"Histogram({self.key!r}, count={self.count}, sum={self.sum})"
 
-
-class _NullHistogram:
-    """Shared no-op stand-in handed out while no registry is installed,
-    so hot paths skip the bisect and the per-call allocation."""
+class _NullInstrument:
+    """The one instrument handed out while no registry is installed:
+    every update is a no-op and it holds no state, so a handle costs
+    nothing to make and hot paths pay one empty call."""
 
     __slots__ = ()
+
+    def inc(self, n=1) -> None:
+        pass
+
+    def dec(self, n=1) -> None:
+        pass
+
+    def set(self, v) -> None:
+        pass
 
     def observe(self, value) -> None:
         pass
 
-    @property
-    def count(self) -> int:
-        return 0
 
-    @property
-    def sum(self) -> int:
-        return 0
-
-
-NULL_HISTOGRAM = _NullHistogram()
+NULL_INSTRUMENT = _NullInstrument()
 
 _Collect = Callable[["MetricsRegistry"], None]
 
@@ -344,28 +353,25 @@ def scoped_registry():
             _timeline.install_timeline(outer_tl)
 
 
-def counter(name: str, **labels) -> Counter:
-    """Get-or-create a counter in the active registry; with no registry
-    installed, return a fresh unregistered (but live) Counter.  Only a
-    registry looks instruments up by key, so an unregistered one has
-    none (a k=16 fabric build makes ~36k of them)."""
+def counter(name: str, **labels):
+    """Get-or-create a counter in the active registry;
+    :data:`NULL_INSTRUMENT` when none is installed."""
     if _active is None:
-        return Counter()
+        return NULL_INSTRUMENT
     return _active.counter(name, **labels)
 
 
-def gauge(name: str, **labels) -> Gauge:
+def gauge(name: str, **labels):
     """Like :func:`counter`, for gauges."""
     if _active is None:
-        return Gauge()
+        return NULL_INSTRUMENT
     return _active.gauge(name, **labels)
 
 
 def histogram(name: str, buckets: Optional[Sequence[int]] = None, **labels):
-    """Get-or-create a histogram; a shared no-op when disabled (unlike
-    counters, nothing aliases per-instance histogram state)."""
+    """Like :func:`counter`, for histograms."""
     if _active is None:
-        return NULL_HISTOGRAM
+        return NULL_INSTRUMENT
     return _active.histogram(name, buckets=buckets, **labels)
 
 

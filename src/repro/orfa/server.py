@@ -248,15 +248,10 @@ class OrfaServer:
             self.transport = _GmServerTransport(node, port_id)
         else:
             self.transport = _MxServerTransport(node, port_id)
-        # Served-request accounting on the metrics registry (an
-        # unregistered per-instance counter while none is installed).
+        # Served-request accounting on the metrics registry.
         self._m_served = obs.counter(
             "orfa.server.requests", node=node.node_id, api=api
         )
-
-    @property
-    def requests_served(self) -> int:
-        return self._m_served.value
 
     def start(self):
         """Start the server; the returned event fires once the receive

@@ -182,14 +182,12 @@ class Store:
         self._get_name = f"get:{name}"
         self._items: Optional[deque[Any]] = None
         self._getters: Optional[deque[Event]] = None
-        self.put_count = 0
 
     def __len__(self) -> int:
         return len(self._items) if self._items is not None else 0
 
     def put(self, item: Any) -> int:
         """Deposit ``item``; wakes the oldest waiting getter if any."""
-        self.put_count += 1
         if self._getters:
             # Inline succeed(): a queued getter is pending by
             # construction (cancel() removes withdrawn ones), so the

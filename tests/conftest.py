@@ -1,5 +1,6 @@
 """Suite-wide test support: content equality for payload references,
-and one measurement per figure shared by the tests that read it.
+one measurement per figure shared by the tests that read it, and the
+metrics registry tests read counts from.
 
 The program never compares payloads: it checks CRCs
 (:meth:`~repro.mem.sglist.PayloadRef.checksum`) and materializes bytes
@@ -13,6 +14,7 @@ from typing import Sequence
 
 import pytest
 
+from repro import obs
 from repro.bench import claims
 from repro.bench.figures import measure
 from repro.mem.sglist import PayloadRef
@@ -100,3 +102,20 @@ def claim(measured):
                                            found.render(results))
 
     return check
+
+
+@pytest.fixture
+def count():
+    """``count(name, **labels)``: the sum of one metric family (counters
+    and gauges whose labels include ``labels``) over every world the test
+    builds, read from a registry installed for the test alone.  List it
+    before any fixture that builds a world, so the world's instruments
+    register."""
+    with obs.scoped_registry() as registry:
+
+        def count(name: str, **labels) -> int:
+            snap = registry.snapshot()
+            return obs.family({**snap["counters"], **snap["gauges"]},
+                              name, **labels)
+
+        yield count

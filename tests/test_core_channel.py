@@ -169,7 +169,7 @@ def test_mx_accepts_vectorial_send():
     assert ca.supports_vectorial
 
 
-def test_gm_channel_reuses_registration_cache():
+def test_gm_channel_reuses_registration_cache(count):
     env = Environment()
     a, b = node_pair(env)
     ca = GmKernelChannel(a, 7)
@@ -190,8 +190,8 @@ def test_gm_channel_reuses_registration_cache():
 
     env.process(receiver(env, 3))
     run(env, sender(env, 3))
-    assert ca.gmkrc.misses == 1
-    assert ca.gmkrc.hits == 2
+    assert count("gmkrc.misses") == 1
+    assert count("gmkrc.hits") == 2
 
 
 def test_channel_latency_gm_pays_dispatch_penalty():

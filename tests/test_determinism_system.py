@@ -6,6 +6,7 @@ full multi-subsystem scenarios and require *exactly* equal clocks,
 counters and data.
 """
 
+from repro import obs
 from repro.bench.fileio import build_orfs, orfs_sequential_read
 from repro.bench.netpipe import ping_pong, prepare_pair
 from repro.bench.transports import GmUserTransport, MxTransport
@@ -30,13 +31,16 @@ def test_netpipe_runs_identically():
 
 def test_orfs_full_stack_runs_identically():
     def once():
-        rig = build_orfs("gm", file_size=256 * KiB)
-        r1 = orfs_sequential_read(rig, 16 * KiB, 256 * KiB)
-        r2 = orfs_sequential_read(rig, 16 * KiB, 256 * KiB, direct=True)
+        with obs.scoped_registry() as registry:
+            rig = build_orfs("gm", file_size=256 * KiB)
+            r1 = orfs_sequential_read(rig, 16 * KiB, 256 * KiB)
+            r2 = orfs_sequential_read(rig, 16 * KiB, 256 * KiB, direct=True)
+        counters = registry.snapshot()["counters"]
+        cache = rig.client_node.pagecache.name
         return (r1.elapsed_ns, r2.elapsed_ns, rig.env.now,
-                rig.server.requests_served,
-                rig.client_node.pagecache.hits,
-                rig.client_node.pagecache.misses)
+                obs.family(counters, "orfa.server.requests"),
+                obs.family(counters, "pagecache.hits", cache=cache),
+                obs.family(counters, "pagecache.misses", cache=cache))
 
     assert once() == once()
 

@@ -34,7 +34,7 @@ def run(env, gen):
     (MX_STRATEGY.medium_max, "medium"),
     (MX_STRATEGY.medium_max + 1, "large"),
 ])
-def test_mx_class_boundaries_exact(size, expected):
+def test_mx_class_boundaries_exact(size, expected, count):
     env = Environment()
     a, b = node_pair(env)
     ep = MxEndpoint(a, 1, context="kernel")
@@ -45,11 +45,8 @@ def test_mx_class_boundaries_exact(size, expected):
         req = yield from ep.isend(1, 1, [MxSegment.kernel(src.vaddr, size)])
 
     run(env, script(env))
-    counters = {
-        "small": ep.sends_small,
-        "medium": ep.sends_medium,
-        "large": ep.sends_large,
-    }
+    counters = {cls: count("mx.sends", node=a.node_id, cls=cls)
+                for cls in ("small", "medium", "large")}
     assert counters[expected] == 1
     assert sum(counters.values()) == 1
 

@@ -9,7 +9,7 @@ from repro.errors import NetworkError, PortError
 from repro.faults import FaultPlan
 from repro.hw import Link
 from repro.hw.nic import Message, MsgKind, PostedReceive
-from repro.hw.params import MX_KERNEL_COSTS, PCI_XD
+from repro.hw.params import MX_COSTS, PCI_XD
 from repro.sim import Environment
 
 
@@ -25,7 +25,7 @@ def _eager(dst_nic=1, size=256):
 def test_post_receive_on_closed_port_raises():
     env = Environment()
     a, _ = node_pair(env)
-    port = a.nic.open_port(7, MX_KERNEL_COSTS)
+    port = a.nic.open_port(7, MX_COSTS)
     port.close()
     with pytest.raises(PortError, match="closed"):
         port.post_receive(PostedReceive(match=None, capacity=4096))
@@ -34,7 +34,7 @@ def test_post_receive_on_closed_port_raises():
 def test_port_lookup_rejects_closed_and_unknown():
     env = Environment()
     a, _ = node_pair(env)
-    port = a.nic.open_port(7, MX_KERNEL_COSTS)
+    port = a.nic.open_port(7, MX_COSTS)
     port.close()
     with pytest.raises(PortError, match="closed"):
         a.nic.port(7)
@@ -45,8 +45,8 @@ def test_port_lookup_rejects_closed_and_unknown():
 def test_reopening_a_closed_port_id_is_allowed():
     env = Environment()
     a, _ = node_pair(env)
-    a.nic.open_port(7, MX_KERNEL_COSTS).close()
-    port = a.nic.open_port(7, MX_KERNEL_COSTS)
+    a.nic.open_port(7, MX_COSTS).close()
+    port = a.nic.open_port(7, MX_COSTS)
     assert port.open
 
 
@@ -106,10 +106,10 @@ def test_utilization_valid_directions_return_floats():
 # -- wire accounting when a message drops mid-flight --------------------------
 
 
-def test_bytes_carried_counts_dropped_messages():
+def test_bytes_carried_counts_dropped_messages(count):
     """The wire is occupied for the full serialization whether or not
     the bits arrive, so a dropped message still counts in
-    ``bytes_carried`` — and in nothing else."""
+    ``link.bytes`` — and in nothing else."""
     env = Environment()
     link = Link(env, PCI_XD, name="lossy")
     delivered = []
@@ -124,12 +124,12 @@ def test_bytes_carried_counts_dropped_messages():
     env.process(tx(env))
     env.run()
     assert delivered == []
-    assert link.bytes_carried == 512
-    assert link.messages_dropped == 1
-    assert plan.stats()["dropped"] == 1
+    assert count("link.bytes", link="lossy") == 512
+    assert count("link.drops", link="lossy") == 1
+    assert count("faults.drops") == 1
 
 
-def test_bytes_carried_unchanged_semantics_without_faults():
+def test_bytes_carried_unchanged_semantics_without_faults(count):
     env = Environment()
     link = Link(env, PCI_XD)
     delivered = []
@@ -142,5 +142,5 @@ def test_bytes_carried_unchanged_semantics_without_faults():
     env.process(tx(env))
     env.run()
     assert len(delivered) == 1
-    assert link.bytes_carried == 512
-    assert link.messages_dropped == 0
+    assert count("link.bytes") == 512
+    assert count("link.drops") == 0

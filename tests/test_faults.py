@@ -12,13 +12,14 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.cluster import node_pair
 from repro.core import MxKernelChannel
 from repro.errors import Eio, LinkDown, MessageDropped, NodeCrashed
 from repro.faults import FaultPlan, LinkFaultSpec
 from repro.hw.link import Link
 from repro.hw.nic import Message, MsgKind, PostedReceive, SendDescriptor
-from repro.hw.params import MX_KERNEL_COSTS, PCI_XD, ReliabilityParams
+from repro.hw.params import MX_COSTS, PCI_XD, ReliabilityParams
 from repro.nbd import NbdDevice, NbdServer
 from repro.nbd.device import BLOCK_SIZE
 from repro.orfa.client import OrfaClient
@@ -86,17 +87,18 @@ def test_same_seed_reproduces_byte_identical_traces():
     trace text — the determinism contract of repro.faults."""
     outputs = []
     for _ in range(2):
-        env, cn, sn, client, space, plan, records = _orfa_cluster(
-            lambda p: p.drop("wire", 0.05)
-        )
-        payload, data = _orfa_write_read(env, client, space)
+        with obs.scoped_registry() as registry:
+            env, cn, sn, client, space, plan, records = _orfa_cluster(
+                lambda p: p.drop("wire", 0.05)
+            )
+            payload, data = _orfa_write_read(env, client, space)
         assert data == payload
-        outputs.append((render_trace(records), plan.stats(),
-                        cn.nic.retransmissions + sn.nic.retransmissions,
-                        env.now))
+        outputs.append((render_trace(records),
+                        registry.snapshot()["counters"], env.now))
     assert outputs[0] == outputs[1]
-    trace, stats, retrans, _ = outputs[0]
-    assert stats["dropped"] > 0  # the plan actually fired
+    trace, counters, _ = outputs[0]
+    assert obs.family(counters, "faults.drops") > 0  # the plan fired
+    assert obs.family(counters, "nic.tx.retransmits") > 0
     assert "fault.drop" in trace
 
 
@@ -105,14 +107,14 @@ def test_recording_never_changes_the_run():
     computes the same clock, events, faults, retransmissions and data."""
     outcomes = []
     for record in (False, True):
-        env, cn, sn, client, space, plan, records = _orfa_cluster(
-            lambda p: p.drop("wire", 0.05), record=record
-        )
-        payload, data = _orfa_write_read(env, client, space)
+        with obs.scoped_registry() as registry:
+            env, cn, sn, client, space, plan, records = _orfa_cluster(
+                lambda p: p.drop("wire", 0.05), record=record
+            )
+            payload, data = _orfa_write_read(env, client, space)
         assert data == payload
-        outcomes.append((env.now, env.events_processed, plan.stats(),
-                         cn.nic.retransmissions + sn.nic.retransmissions,
-                         data))
+        outcomes.append((env.now, env.events_processed,
+                         registry.snapshot()["counters"], data))
     assert outcomes[0] == outcomes[1]
     assert "fault.drop" in render_trace(records)
 
@@ -132,7 +134,7 @@ def test_different_seeds_change_the_fault_pattern():
 
 
 @pytest.mark.parametrize("api", ["mx", "gm"])
-def test_orfa_completes_correctly_under_5pct_drop(api):
+def test_orfa_completes_correctly_under_5pct_drop(api, count):
     """Acceptance: with a FaultPlan dropping 5% of wire messages, an
     ORFA read/write workload completes with correct data."""
     env, cn, sn, client, space, plan, _ = _orfa_cluster(
@@ -140,25 +142,24 @@ def test_orfa_completes_correctly_under_5pct_drop(api):
     )
     payload, data = _orfa_write_read(env, client, space)
     assert data == payload
-    assert plan.stats()["dropped"] > 0
+    assert count("faults.drops") > 0
     # NIC-level recovery did real work (retransmission or dup suppression).
-    assert (cn.nic.retransmissions + sn.nic.retransmissions
-            + cn.nic.duplicates_dropped + sn.nic.duplicates_dropped) > 0
+    assert count("nic.tx.retransmits") + count("nic.rx.duplicates") > 0
 
 
-def test_orfa_survives_heavy_loss():
+def test_orfa_survives_heavy_loss(count):
     env, cn, sn, client, space, plan, _ = _orfa_cluster(
         lambda p: p.drop("wire", 0.20)
     )
     payload, data = _orfa_write_read(env, client, space, nbytes=32 * 1024)
     assert data == payload
-    assert plan.stats()["dropped"] > 0
+    assert count("faults.drops") > 0
 
 
 # -- loss recovery: NBD -------------------------------------------------------
 
 
-def test_nbd_block_workload_completes_under_drop():
+def test_nbd_block_workload_completes_under_drop(count):
     """Acceptance: an NBD block workload completes with correct data
     under a 5% drop plan."""
     env = Environment()
@@ -189,13 +190,13 @@ def test_nbd_block_workload_completes_under_drop():
     assert result["n"] == len(payload)
     assert space.read_bytes(out, len(payload)) == payload
     assert server.fs.read_raw(server.device_inode, 0, len(payload)) == payload
-    assert plan.stats()["dropped"] > 0
+    assert count("faults.drops") > 0
 
 
 # -- link down windows --------------------------------------------------------
 
 
-def test_link_down_window_recovers_after_carrier_returns():
+def test_link_down_window_recovers_after_carrier_returns(count):
     """Traffic inside the outage is lost on the wire; retransmission
     carries the workload across it."""
     env, cn, sn, client, space, plan, records = _orfa_cluster(
@@ -204,7 +205,7 @@ def test_link_down_window_recovers_after_carrier_returns():
     )
     payload, data = _orfa_write_read(env, client, space, nbytes=16 * 1024)
     assert data == payload
-    assert plan.stats()["down_drops"] > 0
+    assert count("faults.down_drops") > 0
     trace = render_trace(records)
     assert "fault.link_down" in trace
     assert "fault.link_up" in trace
@@ -223,14 +224,14 @@ def test_submit_on_down_link_without_reliability_raises_linkdown():
 # -- corruption ---------------------------------------------------------------
 
 
-def test_corruption_is_caught_by_crc_and_recovered():
+def test_corruption_is_caught_by_crc_and_recovered(count):
     env, cn, sn, client, space, plan, _ = _orfa_cluster(
         lambda p: p.corrupt("wire", 0.10)
     )
     payload, data = _orfa_write_read(env, client, space, nbytes=32 * 1024)
     assert data == payload  # every corrupted copy was dropped and resent
-    assert plan.stats()["corrupted"] > 0
-    assert cn.nic.crc_drops + sn.nic.crc_drops == plan.stats()["corrupted"]
+    assert count("faults.corrupts") > 0
+    assert count("nic.rx.crc_drops") == count("faults.corrupts")
 
 
 def test_corruption_without_reliability_reaches_the_receiver():
@@ -261,7 +262,7 @@ def test_corruption_without_reliability_reaches_the_receiver():
 # -- duplicate suppression ----------------------------------------------------
 
 
-def test_spurious_retransmissions_are_deduplicated():
+def test_spurious_retransmissions_are_deduplicated(count):
     """An aggressive RTO against a lazy ack: the sender retransmits a
     message the receiver already has; it is delivered exactly once."""
     env = Environment()
@@ -270,21 +271,21 @@ def test_spurious_retransmissions_are_deduplicated():
                                      ack_delay_ns=200_000)
     for nic in (a.nic, b.nic):
         nic.enable_reliability(eager_params)
-    port = b.nic.open_port(5, MX_KERNEL_COSTS)
+    port = b.nic.open_port(5, MX_COSTS)
     port.post_receive(PostedReceive(match=None, capacity=4096,
                                     keep_data=True))
     a.nic.submit(SendDescriptor(dst_nic=1, dst_port=5, match=0, size=256,
                                 data=bytes(range(256)), fw_send_ns=500))
     env.run()
-    assert a.nic.retransmissions >= 1
-    assert b.nic.duplicates_dropped >= 1
-    assert b.nic.messages_received == 1
+    assert count("nic.tx.retransmits", node=a.node_id) >= 1
+    assert count("nic.rx.duplicates", node=b.node_id) >= 1
+    assert count("nic.rx.messages", node=b.node_id) == 1
 
 
 # -- NIC reset ----------------------------------------------------------------
 
 
-def test_nic_reset_resyncs_fresh_outgoing_traffic():
+def test_nic_reset_resyncs_fresh_outgoing_traffic(count):
     """After a firmware reset the NIC restarts its sequence space at 1;
     peers accept the restart instead of treating it as a duplicate."""
     env = Environment()
@@ -293,7 +294,7 @@ def test_nic_reset_resyncs_fresh_outgoing_traffic():
     plan = FaultPlan(seed=SEED)
     plan.nic_reset(1, us(500))
     plan.install(env, nodes=[a, b])
-    port = a.nic.open_port(5, MX_KERNEL_COSTS)
+    port = a.nic.open_port(5, MX_COSTS)
     port.post_receive(PostedReceive(match=None, capacity=4096, keep_data=True))
     port.post_receive(PostedReceive(match=None, capacity=4096, keep_data=True))
 
@@ -308,7 +309,7 @@ def test_nic_reset_resyncs_fresh_outgoing_traffic():
 
     env.process(traffic(env))
     env.run()
-    assert a.nic.messages_received == 2
+    assert count("nic.rx.messages", node=a.node_id) == 2
     assert "nic.resync" in render_trace(records)
 
 
@@ -370,7 +371,6 @@ def test_unconfigured_links_get_no_injector():
     plan = FaultPlan(seed=SEED).drop("some-other-link", 0.5)
     plan.install(env, nodes=[a, b])
     assert a.nic._link.faults is None
-    assert plan.injectors == {}
 
 
 def test_wildcard_spec_covers_every_link():
@@ -398,16 +398,30 @@ def test_plan_validates_inputs():
 
 
 def test_bench_faults_driver_runs(capsys):
+    """The seed-1 table: drops and retransmissions per drop rate, for
+    ORFA then NBD (zero until a 5% plan fires)."""
     from repro.bench.runner import main
     assert main(["faults", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "Fault injection" in out
-    assert "10.0%" in out
+    rows = {}
+    for line in out.splitlines():
+        fields = line.split()
+        if fields and fields[0].endswith("%"):
+            rate, _o_ms, o_drop, o_rx, _n_ms, n_drop, n_rx = fields
+            rows[rate] = (int(o_drop), int(o_rx), int(n_drop), int(n_rx))
+    assert rows == {
+        "0.0%": (0, 0, 0, 0),
+        "1.0%": (0, 0, 0, 0),
+        "2.0%": (0, 0, 0, 0),
+        "5.0%": (3, 2, 4, 2),
+        "10.0%": (9, 3, 12, 5),
+    }
 
 # -- link flap trains ---------------------------------------------------------
 
 
-def test_link_flap_train_recovers_and_renders():
+def test_link_flap_train_recovers_and_renders(count):
     """A scheduled down/up train is an exact partition timeline: the
     workload rides across every outage, and the trace announces the
     train once plus one down/up pair per outage."""
@@ -422,7 +436,7 @@ def test_link_flap_train_recovers_and_renders():
     assert trace.count("fault.link_flap") == 1
     assert trace.count("fault.link_down {") == 3
     assert trace.count("fault.link_up {") == 3
-    assert plan.stats()["down_drops"] > 0
+    assert count("faults.down_drops") > 0
 
 
 def test_link_flap_validates_inputs():
@@ -526,7 +540,7 @@ def test_stale_incarnation_ack_does_not_retire_fresh_messages():
     assert not rel._tx[1].unacked  # current incarnation: retired
 
 
-def test_dead_peer_verdict_expires_and_probe_reconnects():
+def test_dead_peer_verdict_expires_and_probe_reconnects(count):
     """With a TTL configured, a dead-peer verdict ages out: the next
     submit probes the peer over a fresh session and delivery resumes —
     no reset on the *surviving* side required."""
@@ -538,7 +552,7 @@ def test_dead_peer_verdict_expires_and_probe_reconnects():
     plan.install(env, nodes=[a, b], reliability_params=ReliabilityParams(
         rto_ns=us(20), rto_max_ns=us(40), max_retries=2,
         dead_peer_ttl_ns=us(200)))
-    port = b.nic.open_port(5, MX_KERNEL_COSTS)
+    port = b.nic.open_port(5, MX_COSTS)
     port.post_receive(PostedReceive(match=None, capacity=4096, keep_data=True))
     port.post_receive(PostedReceive(match=None, capacity=4096, keep_data=True))
     seen = {}
@@ -557,7 +571,7 @@ def test_dead_peer_verdict_expires_and_probe_reconnects():
     env.run()
     assert seen["dead"]  # the give-up verdict stood while b was down
     assert 1 not in a.nic._rel.dead_peers  # probe lifted it
-    assert b.nic.messages_received >= 1  # and got through
+    assert count("nic.rx.messages", node=b.node_id) >= 1  # and got through
 
 
 # -- NBD fail-fast reasons ----------------------------------------------------

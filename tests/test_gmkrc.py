@@ -11,7 +11,7 @@ from repro.units import PAGE_SIZE, us
 
 
 @pytest.fixture
-def setup():
+def setup(count):
     env = Environment()
     node, _ = node_pair(env)
     port = GmKernelPort(node, 2)
@@ -45,7 +45,7 @@ def test_encode_rejects_out_of_range():
 # -- cache behaviour ---------------------------------------------------------------
 
 
-def test_miss_then_hit(setup):
+def test_miss_then_hit(setup, count):
     env, node, port, cache = setup
     space = node.new_process_space()
     vaddr = space.mmap(2 * PAGE_SIZE)
@@ -55,7 +55,7 @@ def test_miss_then_hit(setup):
     cache.release(e2)
     assert e1 is e2
     assert key1 == key2 == encode_key(space.asid, vaddr)
-    assert cache.hits == 1 and cache.misses == 1
+    assert count("gmkrc.hits") == 1 and count("gmkrc.misses") == 1
 
 
 def test_hit_is_much_cheaper_than_miss(setup):
@@ -85,7 +85,7 @@ def test_subrange_hits_containing_entry(setup):
     assert decode_key(key) == (space.asid, vaddr + PAGE_SIZE)
 
 
-def test_two_spaces_same_vaddr_distinct_entries(setup):
+def test_two_spaces_same_vaddr_distinct_entries(setup, count):
     env, node, port, cache = setup
     s1 = node.new_process_space()
     s2 = node.new_process_space()
@@ -95,12 +95,12 @@ def test_two_spaces_same_vaddr_distinct_entries(setup):
     _, e1 = run(env, cache.acquire(s1, v1, PAGE_SIZE))
     _, e2 = run(env, cache.acquire(s2, v2, PAGE_SIZE))
     assert e1 is not e2
-    assert cache.misses == 2
+    assert count("gmkrc.misses") == 2
     # Both map to different physical frames through the shared port.
     assert e1.region.frames[0].pfn != e2.region.frames[0].pfn
 
 
-def test_munmap_invalidates_overlapping_entry(setup):
+def test_munmap_invalidates_overlapping_entry(setup, count):
     env, node, port, cache = setup
     space = node.new_process_space()
     vaddr = space.mmap(2 * PAGE_SIZE)
@@ -108,11 +108,11 @@ def test_munmap_invalidates_overlapping_entry(setup):
     cache.release(e)
     space.munmap(vaddr, PAGE_SIZE)
     assert not e.valid
-    assert cache.invalidations == 1
+    assert count("gmkrc.invalidations") == 1
     # Re-acquire must re-register (a fresh miss), not return stale state.
     _, e2 = run(env, cache.acquire(space, vaddr + PAGE_SIZE, PAGE_SIZE))
     assert e2 is not e
-    assert cache.misses == 2
+    assert count("gmkrc.misses") == 2
 
 
 def test_fork_flushes_all_entries_of_space(setup):
@@ -129,7 +129,7 @@ def test_fork_flushes_all_entries_of_space(setup):
     assert cache.entry_count() == 0
 
 
-def test_lru_eviction_pays_deregistration(setup):
+def test_lru_eviction_pays_deregistration(setup, count):
     env, node, port, cache = setup  # budget: 16 pages
     space = node.new_process_space()
     v1 = space.mmap(8 * PAGE_SIZE)
@@ -144,7 +144,7 @@ def test_lru_eviction_pays_deregistration(setup):
     evict_cost = env.now - t0
     assert not e1.valid  # LRU victim
     assert e2.valid
-    assert cache.lazy_deregistrations == 1
+    assert count("gmkrc.lazy_deregistrations") == 1
     assert evict_cost >= us(200)  # the deferred deregistration bill
 
 
@@ -169,7 +169,7 @@ def test_unbalanced_release_raises(setup):
         cache.release(e)
 
 
-def test_disabled_cache_pays_registration_every_time(setup):
+def test_disabled_cache_pays_registration_every_time(setup, count):
     env, node, port, _ = setup
     cache = Gmkrc(port, node.vmaspy, max_cached_pages=64, enabled=False)
     space = node.new_process_space()
@@ -182,7 +182,7 @@ def test_disabled_cache_pays_registration_every_time(setup):
     _, e2 = run(env, cache.acquire(space, vaddr, 4 * PAGE_SIZE))
     second = env.now - t1
     cache.release(e2)
-    assert cache.hits == 0 and cache.misses == 2
+    assert count("gmkrc.hits") == 0 and count("gmkrc.misses") == 2
     assert second > us(10)  # re-registration cost recurs
     assert second == pytest.approx(first, rel=0.2)
 
@@ -220,7 +220,7 @@ def test_end_to_end_send_through_cached_registration():
     assert b.kspace.read_bytes(dst.vaddr, 13) == b"via-gmkrc-key"
 
 
-def test_invalidating_one_of_two_overlapping_entries_keeps_the_other():
+def test_invalidating_one_of_two_overlapping_entries_keeps_the_other(count):
     """Entries [p0,p1] and [p1,p2] share p1; unmapping p0 invalidates
     only the first, and a send through the second still translates p1."""
     from repro.cluster import node_pair
@@ -249,7 +249,7 @@ def test_invalidating_one_of_two_overlapping_entries_keeps_the_other():
             space, vaddr + PAGE_SIZE, 2 * PAGE_SIZE
         )
         space.munmap(vaddr, PAGE_SIZE)
-        assert cache_a.invalidations == 1 and cache_a.entry_count() == 1
+        assert count("gmkrc.invalidations") == 1 and cache_a.entry_count() == 1
         yield from port_a.send(1, 2, key, 2 * PAGE_SIZE)
         cache_a.release(second)
 

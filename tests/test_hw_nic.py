@@ -5,7 +5,7 @@ import pytest
 from repro.errors import PortError
 from repro.hw import Link, Message, Nic, PostedReceive, SendCompletion, SendDescriptor
 from repro.hw.nic import MsgKind, ReceiveCompletion
-from repro.hw.params import MX_USER_COSTS, NicParams, PCI_XD
+from repro.hw.params import MX_COSTS, NicParams, PCI_XD
 from repro.mem import PhysicalMemory
 from repro.mem.layout import PhysSegment
 from repro.sim import Environment
@@ -28,15 +28,15 @@ def make_pair(link_params=PCI_XD):
 
 def test_open_port_twice_raises():
     env, nic_a, *_ = make_pair()
-    nic_a.open_port(1, MX_USER_COSTS)
+    nic_a.open_port(1, MX_COSTS)
     with pytest.raises(PortError):
-        nic_a.open_port(1, MX_USER_COSTS)
+        nic_a.open_port(1, MX_COSTS)
 
 
 def test_eager_message_delivers_data():
     env, nic_a, nic_b, phys_a, phys_b = make_pair()
-    pa = nic_a.open_port(1, MX_USER_COSTS)
-    pb = nic_b.open_port(1, MX_USER_COSTS)
+    pa = nic_a.open_port(1, MX_COSTS)
+    pb = nic_b.open_port(1, MX_COSTS)
 
     src = phys_a.alloc()
     src.write(0, b"payload-bytes")
@@ -59,7 +59,7 @@ def test_eager_message_delivers_data():
             size=13,
             src_port=1,
             sg=[PhysSegment(src.phys_addr, 13)],
-            fw_send_ns=MX_USER_COSTS.fw_send_ns,
+            fw_send_ns=MX_COSTS.fw_send_ns,
         )
     )
     completion = env.run(until=recv_done)
@@ -72,8 +72,8 @@ def test_eager_message_delivers_data():
 
 def test_unexpected_message_matched_by_late_receive():
     env, nic_a, nic_b, phys_a, phys_b = make_pair()
-    nic_a.open_port(1, MX_USER_COSTS)
-    pb = nic_b.open_port(1, MX_USER_COSTS)
+    nic_a.open_port(1, MX_COSTS)
+    pb = nic_b.open_port(1, MX_COSTS)
 
     nic_a.submit(
         SendDescriptor(
@@ -95,8 +95,8 @@ def test_unexpected_message_matched_by_late_receive():
 
 def test_match_none_accepts_any_tag():
     env, nic_a, nic_b, _, _ = make_pair()
-    nic_a.open_port(1, MX_USER_COSTS)
-    pb = nic_b.open_port(1, MX_USER_COSTS)
+    nic_a.open_port(1, MX_COSTS)
+    pb = nic_b.open_port(1, MX_COSTS)
     recv_done = env.event()
     pb.post_receive(
         PostedReceive(match=None, capacity=64, keep_data=True, completion=recv_done)
@@ -111,8 +111,8 @@ def test_match_none_accepts_any_tag():
 
 def test_mismatched_tags_do_not_cross():
     env, nic_a, nic_b, _, _ = make_pair()
-    nic_a.open_port(1, MX_USER_COSTS)
-    pb = nic_b.open_port(1, MX_USER_COSTS)
+    nic_a.open_port(1, MX_COSTS)
+    pb = nic_b.open_port(1, MX_COSTS)
     done_5 = env.event()
     pb.post_receive(PostedReceive(match=5, capacity=64, keep_data=True, completion=done_5))
     nic_a.submit(
@@ -126,8 +126,8 @@ def test_mismatched_tags_do_not_cross():
 
 def test_truncation_flagged_when_buffer_too_small():
     env, nic_a, nic_b, _, _ = make_pair()
-    nic_a.open_port(1, MX_USER_COSTS)
-    pb = nic_b.open_port(1, MX_USER_COSTS)
+    nic_a.open_port(1, MX_COSTS)
+    pb = nic_b.open_port(1, MX_COSTS)
     recv_done = env.event()
     pb.post_receive(
         PostedReceive(match=1, capacity=4, keep_data=True, completion=recv_done)
@@ -144,8 +144,8 @@ def test_truncation_flagged_when_buffer_too_small():
 
 def test_message_ordering_preserved_fifo():
     env, nic_a, nic_b, _, _ = make_pair()
-    nic_a.open_port(1, MX_USER_COSTS)
-    pb = nic_b.open_port(1, MX_USER_COSTS)
+    nic_a.open_port(1, MX_COSTS)
+    pb = nic_b.open_port(1, MX_COSTS)
     received = []
 
     def on_completion(c):
@@ -163,10 +163,10 @@ def test_message_ordering_preserved_fifo():
     assert received == [bytes([i]) for i in range(5)]
 
 
-def test_rendezvous_waits_for_posted_receive():
+def test_rendezvous_waits_for_posted_receive(count):
     env, nic_a, nic_b, phys_a, phys_b = make_pair()
-    nic_a.open_port(1, MX_USER_COSTS)
-    pb = nic_b.open_port(1, MX_USER_COSTS)
+    nic_a.open_port(1, MX_COSTS)
+    pb = nic_b.open_port(1, MX_COSTS)
 
     payload = bytes(range(256)) * 256  # 64 kB
     send_done = nic_a.submit(
@@ -178,7 +178,7 @@ def test_rendezvous_waits_for_posted_receive():
     env.run(until=us(500))
     # No receive posted: data must not have moved yet.
     assert not send_done.triggered
-    assert nic_a.messages_sent == 0
+    assert count("nic.tx.messages", node=0) == 0
 
     dst_frames = [phys_b.alloc() for _ in range(16)]
     sg = [PhysSegment(f.phys_addr, PAGE_SIZE) for f in dst_frames]
@@ -194,8 +194,8 @@ def test_rendezvous_waits_for_posted_receive():
 
 def test_rendezvous_with_preposted_receive():
     env, nic_a, nic_b, _, phys_b = make_pair()
-    nic_a.open_port(1, MX_USER_COSTS)
-    pb = nic_b.open_port(1, MX_USER_COSTS)
+    nic_a.open_port(1, MX_COSTS)
+    pb = nic_b.open_port(1, MX_COSTS)
     recv_done = env.event()
     pb.post_receive(
         PostedReceive(match=2, capacity=200_000, keep_data=True, completion=recv_done)
@@ -212,8 +212,8 @@ def test_rendezvous_with_preposted_receive():
 def test_large_transfer_bandwidth_close_to_link_rate():
     """A 1 MB eager transfer must land near the 250 MB/s PCI-XD rate."""
     env, nic_a, nic_b, _, _ = make_pair()
-    nic_a.open_port(1, MX_USER_COSTS)
-    pb = nic_b.open_port(1, MX_USER_COSTS)
+    nic_a.open_port(1, MX_COSTS)
+    pb = nic_b.open_port(1, MX_COSTS)
     recv_done = env.event()
     size = 2**20
     pb.post_receive(PostedReceive(match=1, capacity=size, completion=recv_done))
@@ -230,8 +230,8 @@ def test_large_transfer_bandwidth_close_to_link_rate():
 def test_streaming_throughput_is_link_bound():
     """Many back-to-back sends pipeline: total time ~ N * wire time."""
     env, nic_a, nic_b, _, _ = make_pair()
-    nic_a.open_port(1, MX_USER_COSTS)
-    pb = nic_b.open_port(1, MX_USER_COSTS)
+    nic_a.open_port(1, MX_COSTS)
+    pb = nic_b.open_port(1, MX_COSTS)
     n, size = 20, 64 * 1024
     done = []
     pb.completion_sink = lambda c: done.append(env.now)
@@ -246,20 +246,21 @@ def test_streaming_throughput_is_link_bound():
     assert bw > 0.9 * 250  # pipelining keeps the wire saturated
 
 
-def test_sends_to_closed_port_are_dropped():
+def test_sends_to_closed_port_are_dropped(count):
     env, nic_a, nic_b, _, _ = make_pair()
-    nic_a.open_port(1, MX_USER_COSTS)
+    nic_a.open_port(1, MX_COSTS)
     nic_a.submit(SendDescriptor(dst_nic=1, dst_port=9, match=0, size=8,
                                 src_port=1, data=b"lostdata", fw_send_ns=500))
     env.run()
-    assert nic_b.messages_received == 0
+    assert count("nic.tx.messages", node=0) == 1
+    assert count("nic.rx.messages", node=1) == 0
 
 
 def test_full_duplex_directions_do_not_contend():
     """Simultaneous opposite transfers take one-transfer time, not two."""
     env, nic_a, nic_b, _, _ = make_pair()
-    pa = nic_a.open_port(1, MX_USER_COSTS)
-    pb = nic_b.open_port(1, MX_USER_COSTS)
+    pa = nic_a.open_port(1, MX_COSTS)
+    pb = nic_b.open_port(1, MX_COSTS)
     size = 2**20
     done_a, done_b = env.event(), env.event()
     pa.post_receive(PostedReceive(match=0, capacity=size, completion=done_a))

@@ -12,18 +12,18 @@ def phys():
     return PhysicalMemory(64)
 
 
-def test_add_then_find_hits(phys):
+def test_add_then_find_hits(phys, count):
     pc = PageCache(phys)
     page = pc.add(1, 0)
     assert pc.find(1, 0) is page
-    assert pc.hits == 1
+    assert count("pagecache.hits") == 1
 
 
-def test_find_missing_counts_miss(phys):
+def test_find_missing_counts_miss(phys, count):
     pc = PageCache(phys)
     assert pc.find(1, 0) is None
-    assert pc.misses == 1
-    assert pc.hit_ratio() == 0.0
+    assert count("pagecache.misses") == 1
+    assert count("pagecache.hits") == 0
 
 
 def test_pages_are_pinned_while_cached(phys):
@@ -51,13 +51,13 @@ def test_pages_of_different_inodes_are_distinct(phys):
     assert pc.find(2, 0) is b
 
 
-def test_lru_eviction_drops_oldest_clean_page(phys):
+def test_lru_eviction_drops_oldest_clean_page(phys, count):
     pc = PageCache(phys, max_pages=2)
     first = pc.add(1, 0)
     pc.add(1, 1)
     pc.add(1, 2)  # evicts page (1,0)
     assert pc.find(1, 0) is None
-    assert pc.evictions == 1
+    assert count("pagecache.evictions") == 1
     assert not first.frame.pinned
 
 

@@ -103,7 +103,7 @@ def test_allreduce_max_and_min(api):
     assert all(r == ([3, 0], [0]) for r in results)
 
 
-def test_gm_middleware_cache_reuses_registrations():
+def test_gm_middleware_cache_reuses_registrations(count):
     """The section-2.2.2 middleware: repeated sends from the same buffer
     register once."""
     env = Environment()
@@ -118,9 +118,9 @@ def test_gm_middleware_cache_reuses_registrations():
                 yield from comm.recv(0, buf, 64, tag=i)
 
     run_spmd(env, comms, program)
-    cache = comms[0]._rank.cache
-    assert cache.misses == 1
-    assert cache.hits == 4
+    sender = nodes[0].node_id
+    assert count("gmkrc.misses", node=sender) == 1
+    assert count("gmkrc.hits", node=sender) == 4
 
 
 def test_invalid_arguments_raise():

@@ -104,7 +104,7 @@ def test_large_message_roundtrip_rendezvous(pair):
     assert send_recv(env, a, b, payload) == payload
 
 
-def test_message_class_counters(pair):
+def test_message_class_counters(count, pair):
     env, a, b = pair
     ep_a = MxEndpoint(a, 1, context="kernel")
     MxEndpoint(b, 1, context="kernel")
@@ -118,9 +118,8 @@ def test_message_class_counters(pair):
         return None
 
     run(env, script(env))
-    assert ep_a.sends_small == 1
-    assert ep_a.sends_medium == 1
-    assert ep_a.sends_large == 1
+    for cls in ("small", "medium", "large"):
+        assert count("mx.sends", node=a.node_id, cls=cls) == 1
 
 
 def test_vectorial_send_gathers_segments(pair):
@@ -281,7 +280,7 @@ def test_test_polls_without_blocking(pair):
     assert run(env, script(env)) is False
 
 
-def test_no_send_copy_requires_physical_resolution(pair):
+def test_no_send_copy_requires_physical_resolution(count, pair):
     """User-virtual segments keep the bounce copy even with the flag on."""
     env, a, b = pair
     ep = MxEndpoint(a, 1, context="kernel", no_send_copy=True)
@@ -295,8 +294,9 @@ def test_no_send_copy_requires_physical_resolution(pair):
         r2 = yield from ep.isend(1, 1, [MxSegment.kernel(alloc.vaddr, 4096)])
 
     run(env, script(env))
-    assert ep.sends_medium == 1  # the user one copied
-    assert ep.sends_medium_zero_copy == 1  # the kernel one did not
+    # the user one copied, the kernel one did not
+    assert count("mx.sends", node=a.node_id, cls="medium") == 1
+    assert count("mx.sends", node=a.node_id, cls="medium_zero_copy") == 1
 
 
 def test_closed_endpoint_raises(pair):

@@ -41,7 +41,7 @@ def test_unexpected_medium_buffered_until_matched():
     assert b.kspace.read_bytes(dst.vaddr, 10) == b"early-bird"
 
 
-def test_unexpected_large_stalls_until_matched():
+def test_unexpected_large_stalls_until_matched(count):
     """Rendezvous: the data does not move before the receive exists."""
     env = Environment()
     a, b = node_pair(env)
@@ -62,7 +62,7 @@ def test_unexpected_large_stalls_until_matched():
     env.process(sender(env))
     env.run(until=env.now + us(500))
     assert "at" not in send_done  # still parked on the RTS
-    assert a.nic.messages_sent == 0
+    assert count("nic.tx.messages", node=a.node_id) == 0
 
     def receiver(env):
         req = yield from ep_b.irecv([MxSegment.kernel(dst.vaddr, size)],

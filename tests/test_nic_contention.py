@@ -5,7 +5,7 @@ import pytest
 from repro.bench.netpipe import ping_pong, prepare_pair
 from repro.bench.transports import MxTransport
 from repro.cluster import node_pair
-from repro.hw.params import MX_USER_COSTS
+from repro.hw.params import MX_COSTS
 from repro.hw.nic import PostedReceive, SendDescriptor
 from repro.sim import Environment
 from repro.units import MB, PAGE_SIZE, bandwidth_mb_s, us
@@ -57,8 +57,8 @@ def test_concurrent_transfers_do_not_corrupt_each_other():
         2: bytes((i * 7 + 1) % 256 for i in range(100_000)),
     }
     for port, payload in payloads.items():
-        pa = a.nic.open_port(port, MX_USER_COSTS)
-        pb = b.nic.open_port(port, MX_USER_COSTS)
+        pa = a.nic.open_port(port, MX_COSTS)
+        pb = b.nic.open_port(port, MX_COSTS)
         done = env.event()
         pb.post_receive(PostedReceive(match=port, capacity=len(payload),
                                       keep_data=True, completion=done))

@@ -2,6 +2,7 @@
 registry, the span timeline, the ambient helpers, and whole-run
 determinism of snapshots."""
 
+import gc
 import json
 
 import pytest
@@ -9,12 +10,13 @@ import pytest
 from repro import obs
 from repro.bench.report import format_metrics
 from repro.bench.runner import main as bench_main
+from repro.cluster.topo import fat_tree
 from repro.mem.sglist import HOST_COPIES
 from repro.mpi import mpi_world
 from repro.obs import (
     LATENCY_BUCKETS_NS,
     MetricsRegistry,
-    NULL_HISTOGRAM,
+    NULL_INSTRUMENT,
     ObsError,
     Timeline,
     TimelineError,
@@ -65,27 +67,26 @@ def test_registry_get_or_create_shares_instruments():
     assert reg.gauge("gm.registered_pages", cpu="c0").value == 4
 
 
-def test_helpers_disabled_are_live_but_unregistered():
+def test_helpers_disabled_share_one_noop():
+    """With no registry installed every helper hands back the one shared
+    no-op: updates go nowhere and it has no state to read."""
     assert not obs.metrics_enabled()
-    a = obs.counter("nic.tx.messages", node=0)
-    b = obs.counter("nic.tx.messages", node=0)
-    assert a is not b  # per-instance semantics with no registry
-    a.inc()
-    assert a.value == 1 and b.value == 0
-    assert obs.histogram("x.latency_ns") is NULL_HISTOGRAM
-    NULL_HISTOGRAM.observe(123)  # no-op, no state
-    assert NULL_HISTOGRAM.count == 0
-
-
-def test_only_registered_handles_carry_a_key():
-    """Nothing looks an unregistered handle up by key, so it has none
-    and still counts; a registered one keeps its ``name{labels}`` key."""
     c = obs.counter("nic.tx.messages", node=0)
-    g = obs.gauge("gm.registered_pages", cpu="c0")
+    assert c is obs.counter("nic.tx.messages", node=1)
+    assert c is obs.gauge("gm.registered_pages", cpu="c0")
+    assert c is obs.histogram("x.latency_ns") is NULL_INSTRUMENT
+    c.inc()
     c.inc(3)
-    g.set(7)
-    assert (c.key, c.value) == ("", 3)
-    assert (g.key, g.value) == ("", 7)
+    c.dec()
+    c.set(7)
+    c.observe(123)
+    assert not any(hasattr(c, a) for a in ("key", "value", "count", "sum"))
+
+
+def test_only_a_registry_counts():
+    """Updates made with no registry installed land nowhere; handles
+    taken under one carry their ``name{labels}`` key and count there."""
+    obs.counter("nic.tx.messages", node=0).inc(3)
     with obs.installed_registry() as reg:
         c = obs.counter("nic.tx.messages", node=0)
         g = obs.gauge("gm.registered_pages", cpu="c0")
@@ -93,6 +94,37 @@ def test_only_registered_handles_carry_a_key():
     assert c.key == "nic.tx.messages{node=0}"
     assert g.key == "gm.registered_pages{cpu=c0}"
     assert reg.snapshot()["counters"] == {"nic.tx.messages{node=0}": 2}
+
+
+def test_fabric_build_makes_no_instruments_without_a_registry():
+    """A k=4 fat-tree build with no registry allocates no Counter or
+    Gauge: every handle is the shared no-op."""
+
+    def instruments() -> int:
+        return sum(isinstance(o, (obs.Counter, obs.Gauge))
+                   for o in gc.get_objects())
+
+    gc.collect()
+    before = instruments()
+    fabric = fat_tree(Environment(), 4)
+    assert len(fabric.nodes) == 16
+    assert instruments() == before
+
+
+def test_family_sums_a_label_subset():
+    counters = {
+        "nic.tx.retransmits{node=0,peer=1}": 2,
+        "nic.tx.retransmits{node=0,peer=2}": 3,
+        "nic.tx.retransmits{node=1,peer=0}": 5,
+        "nic.tx.messages{node=0}": 7,
+        "net.flow_flush": 4,
+    }
+    assert obs.family(counters, "nic.tx.retransmits") == 10
+    assert obs.family(counters, "nic.tx.retransmits", node=0) == 5
+    assert obs.family(counters, "nic.tx.retransmits", node=0, peer=2) == 3
+    assert obs.family(counters, "nic.tx.retransmits", node=2) == 0
+    assert obs.family(counters, "net.flow_flush") == 4
+    assert obs.family(counters, "nic.tx") == 0  # names match whole
 
 
 def test_helpers_enabled_aggregate():
@@ -303,24 +335,22 @@ def test_ambient_span_helpers():
         obs.uninstall_timeline()
 
 
-# -- instrumentation back-compat and determinism -----------------------------
+# -- instrumentation and determinism -----------------------------------------
 
 
-def test_component_aliases_read_through_registry():
+def test_component_counts_land_in_the_registry():
     with obs.installed_registry() as reg:
         env = Environment()
-        comms, nodes = mpi_world(env, 2, api="gm")
+        comms, _nodes = mpi_world(env, 2, api="gm")
 
         def program(comm):
             yield from comm.allreduce_ints([comm.rank])
 
         run_spmd(env, comms, program)
-        nic = nodes[0].nic
-        assert nic.messages_sent > 0
-        assert nic.messages_sent == \
-            reg.counter("nic.tx.messages", node=0).value
+        sent = reg.counter("nic.tx.messages", node=0).value
+        assert sent > 0
         snap = reg.snapshot()
-        assert snap["counters"]["nic.tx.messages{node=0}"] == nic.messages_sent
+        assert snap["counters"]["nic.tx.messages{node=0}"] == sent
 
 
 def _run_observed_scenario():

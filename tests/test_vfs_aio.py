@@ -115,12 +115,12 @@ def test_aio_error_surfaces_at_wait():
         run(env, script(env))
 
 
-def test_concurrent_buffered_readers_share_one_page_fill():
+def test_concurrent_buffered_readers_share_one_page_fill(count):
     """The page lock: two AIO reads of the same cold page trigger one
     backing read, not two."""
     env, node, server, payload = build("mx", file_pages=2)
     space = node.new_process_space()
-    before = server.requests_served
+    before = count("orfa.server.requests")
 
     def script(env):
         fd = yield from node.vfs.open("/orfs/f")
@@ -136,5 +136,5 @@ def test_concurrent_buffered_readers_share_one_page_fill():
     d1, d2 = run(env, script(env))
     assert d1 == d2 == payload[:PAGE_SIZE]
     # one READ rpc for the shared page (plus the metadata lookups)
-    reads = server.requests_served - before
+    reads = count("orfa.server.requests") - before
     assert reads <= 3
