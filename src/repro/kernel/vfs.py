@@ -412,10 +412,10 @@ class Vfs:
                 n = yield from self._buffered_read(shadow, buf)
         except Exception as exc:  # surfaced through io_getevents
             req.error = exc
-            req.event.succeed(req)
+            req.event.succeed()
             return
         req.nbytes = n
-        req.event.succeed(req)
+        req.event.succeed()
 
     def aio_wait(self, requests):
         """Generator: io_getevents — wait for all of ``requests``."""

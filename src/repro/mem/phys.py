@@ -40,7 +40,10 @@ it are elided, and :meth:`PhysicalMemory.unpin_free` returns it to the
 pool, all without building anything; a non-zero write, a copying read
 (``read_phys``) or an explicit lookup gives the page its ``Frame``.  A
 kmalloc buffer is one DMA segment whatever its size, so the simulator
-should not pay per page for it either.
+should not pay per page for it either: a gather reads a run of
+untouched pages as one view of a shared zero region, and a write of
+such a view skips the untouched pages it lands on as one run, with no
+compare at all (anything read from the region is zeros).
 """
 
 from __future__ import annotations
@@ -57,6 +60,30 @@ _ZERO_PAGE = bytes(PAGE_SIZE)
 #: The one view every never-written frame hands out (sliced for partial
 #: pages), so unwritten views share a single buffer.
 _ZERO_VIEW = memoryview(_ZERO_PAGE)
+#: Bytes of the shared zero region: a gather reads a run of untouched
+#: contiguous pages as one view of it, per at most this many bytes.
+_ZERO_REGION_BYTES = 64 * PAGE_SIZE
+#: The zero region, mapped by the first gather of an untouched run.  It
+#: is an anonymous private mapping that is only ever read, so each of its
+#: pages is the kernel's one zero page and it costs no resident memory (a
+#: ``bytes`` of this size lands on the heap and adds 256 KiB to peak RSS).
+#: Mapped on first use, a process that never gathers such a run does not
+#: even load the ``mmap`` module.
+_zero_region: Optional[memoryview] = None
+
+
+def _zero_run(length: int) -> memoryview:
+    """Read-only view of ``length`` bytes (at most ``_ZERO_REGION_BYTES``)
+    of the shared zero region."""
+    global _zero_region
+    if _zero_region is None:
+        import mmap
+
+        region = mmap.mmap(-1, _ZERO_REGION_BYTES, flags=mmap.MAP_PRIVATE)
+        _zero_region = memoryview(region).toreadonly()
+    return _zero_region[:length]
+
+
 #: Frame-table entry of a contiguous page no caller has touched yet:
 #: allocated and pinned once, with no :class:`Frame` built.
 _UNTOUCHED = object()
@@ -357,17 +384,35 @@ class PhysicalMemory:
         return b"".join(chunks)
 
     def read_phys_view(self, phys_addr: int, length: int) -> list[memoryview]:
-        """Zero-copy chunk views of a physical range (one per frame
-        crossed) — what a DMA gather engine reads."""
+        """Zero-copy chunk views of a physical range — what a DMA gather
+        engine reads: one per frame crossed, except that a run of
+        untouched pages reads as one view of the shared zero region."""
         views: list[memoryview] = []
+        table = self._frames
         addr = phys_addr
-        remaining = length
-        while remaining > 0:
-            chunk = min(remaining, PAGE_SIZE - (addr & (PAGE_SIZE - 1)))
-            views.append(self.view_phys(addr, chunk))
-            addr += chunk
-            remaining -= chunk
+        end = phys_addr + length
+        while addr < end:
+            pfn = addr >> PAGE_SHIFT
+            stop = min(end, (pfn + 1) << PAGE_SHIFT)
+            if stop < end and 0 <= pfn < len(table) and table[pfn] is _UNTOUCHED:
+                stop = self._untouched_run_end(addr, min(end, addr + _ZERO_REGION_BYTES))
+                views.append(_zero_run(stop - addr))
+            else:
+                views.append(self.view_phys(addr, stop - addr))
+            addr = stop
         return views
+
+    def _untouched_run_end(self, addr: int, cap: int) -> int:
+        """End of the run of untouched pages from ``addr``'s (itself
+        untouched), at most ``cap``."""
+        table = self._frames
+        stop = (addr | (PAGE_SIZE - 1)) + 1
+        while stop < cap:
+            pfn = stop >> PAGE_SHIFT
+            if pfn >= len(table) or table[pfn] is not _UNTOUCHED:
+                return stop
+            stop += PAGE_SIZE
+        return cap
 
     def view_phys(self, phys_addr: int, length: int) -> memoryview:
         """Zero-copy view of ``length`` bytes at a physical address
@@ -384,13 +429,25 @@ class PhysicalMemory:
         raise ValueError(f"pfn {pfn} is not an allocated frame")
 
     def write_phys(self, phys_addr: int, data: "bytes | bytearray | memoryview") -> None:
-        """Write bytes starting at a physical address, crossing frames."""
+        """Write bytes starting at a physical address, crossing frames.
+
+        A view of the zero region (a gathered run of untouched pages)
+        skips each run of untouched pages it lands on in one step: those
+        pages already read as zeros.  Any other data is written page by
+        page, and a page's zeros are still elided by content."""
         table = self._frames
         view = memoryview(data)
+        zeros = _zero_region is not None and view.obj is _zero_region.obj
         end = phys_addr + len(view)
         addr = phys_addr
         while addr < end:
             pfn = addr >> PAGE_SHIFT
+            frame = table[pfn] if 0 <= pfn < len(table) else None
+            if frame is None:  # _entry's check, inlined: one per page
+                raise ValueError(f"pfn {pfn} is not an allocated frame")
+            if zeros and frame is _UNTOUCHED:
+                addr = self._untouched_run_end(addr, end)
+                continue
             offset = addr & (PAGE_SIZE - 1)
             stop = addr - offset + PAGE_SIZE
             if stop >= end:
@@ -401,9 +458,6 @@ class PhysicalMemory:
             else:
                 piece = view[addr - phys_addr:stop - phys_addr]
             addr = stop
-            frame = table[pfn] if 0 <= pfn < len(table) else None
-            if frame is None:  # _entry's check, inlined: one per page
-                raise ValueError(f"pfn {pfn} is not an allocated frame")
             if frame is _UNTOUCHED:
                 if _ZERO_PAGE.startswith(piece):
                     continue  # an untouched page already reads as zeros

@@ -194,7 +194,7 @@ class PayloadRef:
         if len(self._chunks) == 1 and type(self._chunks[0]) is bytes:
             return self._chunks[0]  # already materialized; no copy
         HOST_COPIES.count(self.length)
-        return b"".join(bytes(c) for c in self._chunks)
+        return b"".join(self._chunks)
 
     def checksum(self) -> int:
         """CRC32 over the content without joining (fault layer, tests)."""

@@ -83,7 +83,7 @@ class _GmRank:
                 self.cache.release(entry)
             if kind == "recv":
                 req.result = event
-            req.event.succeed(req)
+            req.event.succeed()
 
     def isend(self, dst: tuple[int, int], vaddr: int, length: int, match: int):
         req = MpiRequest("send", self.node.env.event("mpi.send"), length)

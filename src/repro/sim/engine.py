@@ -50,13 +50,21 @@ Everything that changes what a run computes lives on its
 Nothing here is process-global except :attr:`Environment.
 lifetime_events_processed`, a host-cost meter that no run reads.
 
-A world ends at its function boundary.  The model is a reference graph
-by construction (a NIC and its ports, a link and its ends' bound
-methods, a request and its event point at each other), so a dropped
-world waits for the cyclic garbage collector, not for refcounts.  A
-function that builds, runs and drops one world is decorated with
-:func:`one_world`, which collects once when it returns: a sweep then
-holds one world at a time, whatever the collector's timing.
+A world ends at its function boundary.  The model's skeleton is a
+reference graph by construction (a NIC and its ports, a link and its
+ends' bound methods point at each other), so a dropped world waits for
+the cyclic garbage collector, not for refcounts.  What a run makes per
+operation is not: a fired event's value is never the object that holds
+the event, and a finished process drops its own bound method, so
+reference counting frees every grant, request and process as soon as
+its last waiter lets go.  The collector therefore has nothing to find
+while a world runs, and does not look: :meth:`Environment.run` turns
+automatic collection off for its loop, and a function that builds,
+runs and drops one world is decorated with :func:`one_world`, which
+turns it off for the whole function and collects the youngest
+generation once when it returns.  A sweep then holds one world at a
+time, and no collector pass scans a live world.  Both put the
+collector's state back as they found it, on return and on raise.
 """
 
 from __future__ import annotations
@@ -75,17 +83,27 @@ def one_world(fn: Callable) -> Callable:
     """Decorate ``fn``, which builds, runs and drops one simulated world
     and returns plain results that do not reference it.
 
-    When ``fn`` returns or raises, one ``gc.collect()`` runs.  On return
-    the world is unreachable, so it is reclaimed right then instead of
-    at the collector's next full pass; a raised exception's traceback
-    still holds the world's frames until it is handled.
+    ``fn`` runs with automatic collection off, and when it returns or
+    raises one ``gc.collect(0)`` runs before the collector's state is
+    put back.  With no automatic pass in between, everything the world
+    allocated is still in the youngest generation, so that one young
+    collection reclaims the unreachable world right then, without
+    scanning the older objects a full pass would.  A raised exception's
+    traceback still holds the world's frames until it is handled.
+
+    Boundaries do not nest: an inner boundary's young collection would
+    promote the outer world, which the outer one would then miss.
     """
     @functools.wraps(fn)
     def run(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             return fn(*args, **kwargs)
         finally:
-            gc.collect()
+            gc.collect(0)
+            if enabled:
+                gc.enable()
 
     return run
 
@@ -605,6 +623,21 @@ class Environment:
         * ``until`` an ``int``: run until the clock reaches that time.
         * ``until`` an :class:`Event`: run until it is processed and
           return its value (raising its exception if it failed).
+
+        Automatic garbage collection is off while the loop runs (see
+        the module docstring) and is put back as it was on return and
+        on raise.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._run(until)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _run(self, until: Optional[int | Event]) -> Any:
+        """:meth:`run`'s loops.
 
         The three loops below share one inlined dispatch body (instead
         of calling :meth:`step` per event) so the per-event cost is a

@@ -69,7 +69,6 @@ class Resource:
         # occupancy statistics
         self._busy_since: Optional[int] = None
         self.busy_time = 0
-        self.grant_count = 0
 
     @property
     def in_use(self) -> int:
@@ -109,10 +108,11 @@ class Resource:
 
     def _grant(self, req: _Request) -> None:
         self._in_use += 1
-        self.grant_count += 1
         if self._busy_since is None:
             self._busy_since = self.env.now
-        req.succeed(req)
+        # No value: a grant that held itself would be a reference cycle
+        # per request, left for the cyclic collector.
+        req.succeed()
 
     def acquire(self, hold_ns: int):
         """Generator: wait for a slot, hold it ``hold_ns``, release it.
@@ -133,7 +133,6 @@ class Resource:
             # (a free slot implies no waiters, so FIFO order is moot).
             env = self.env
             self._in_use += 1
-            self.grant_count += 1
             if self._busy_since is None:
                 self._busy_since = env.now
             try:

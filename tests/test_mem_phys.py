@@ -374,3 +374,60 @@ def test_view_of_untouched_page_before_first_write_still_reads_zeros():
     assert bytes(phys.view_phys(addr + 8, 16)) == b"\xff" * 16
     with pytest.raises(ValueError):
         phys.view_phys(addr + PAGE_SIZE - 4, 8)
+
+
+def test_untouched_run_gathers_as_one_view_per_zero_region():
+    from repro.mem.phys import _ZERO_REGION_BYTES
+
+    region_pages = _ZERO_REGION_BYTES // PAGE_SIZE
+    phys = PhysicalMemory(3 * region_pages)
+    base = phys.alloc_contiguous(2 * region_pages + 3)
+    addr = (base << PAGE_SHIFT) + 100
+    length = (2 * region_pages + 2) * PAGE_SIZE
+    views = phys.read_phys_view(addr, length)
+    assert [len(v) for v in views] == [
+        _ZERO_REGION_BYTES, _ZERO_REGION_BYTES, length - 2 * _ZERO_REGION_BYTES]
+    assert b"".join(views) == bytes(length)
+    assert all(_untouched(phys, pfn)
+               for pfn in range(base, base + 2 * region_pages + 3))
+
+
+def test_touched_page_splits_an_untouched_run():
+    phys = PhysicalMemory(8)
+    base = phys.alloc_contiguous(5)
+    phys.write_phys((base + 2) << PAGE_SHIFT, b"\x07")
+    views = phys.read_phys_view(base << PAGE_SHIFT, 5 * PAGE_SIZE)
+    assert [len(v) for v in views] == [2 * PAGE_SIZE, PAGE_SIZE, 2 * PAGE_SIZE]
+    assert b"".join(views) == bytes(2 * PAGE_SIZE) + b"\x07" + bytes(3 * PAGE_SIZE - 1)
+    with pytest.raises(ValueError):
+        phys.read_phys_view(base << PAGE_SHIFT, 6 * PAGE_SIZE)
+
+
+def test_write_over_an_untouched_run_builds_frames_only_for_data():
+    phys = PhysicalMemory(8)
+    base = phys.alloc_contiguous(4)
+    data = bytearray(4 * PAGE_SIZE - 10)
+    data[-1] = 9  # the last page takes data, the first three stay zero
+    before = _copies()
+    phys.write_phys((base << PAGE_SHIFT) + 10, data)
+    after = _copies()
+    assert [_untouched(phys, base + i) for i in range(4)] == [True, True, True, False]
+    assert after[0] - before[0] == 1
+    assert phys.read_phys(base << PAGE_SHIFT, 4 * PAGE_SIZE) == bytes(10) + data
+
+
+def test_gathered_zero_run_skips_untouched_pages_and_zeroes_written_ones():
+    src = PhysicalMemory(8)
+    src_base = src.alloc_contiguous(5)
+    (zeros,) = src.read_phys_view(src_base << PAGE_SHIFT, 5 * PAGE_SIZE)
+    dst = PhysicalMemory(8)
+    base = dst.alloc_contiguous(5)
+    dst.write_phys((base + 3) << PAGE_SHIFT, b"\x05" * 8)
+    before = _copies()
+    dst.write_phys(base << PAGE_SHIFT, zeros)
+    after = _copies()
+    assert [_untouched(dst, base + i) for i in range(5)] == [True, True, True, False, True]
+    assert after[0] - before[0] == 1  # only the written page takes the zeros
+    assert dst.read_phys(base << PAGE_SHIFT, 5 * PAGE_SIZE) == bytes(5 * PAGE_SIZE)
+    with pytest.raises(ValueError):
+        dst.write_phys((base + 4) << PAGE_SHIFT, zeros[: 2 * PAGE_SIZE])

@@ -19,13 +19,13 @@ import pytest
 import repro
 from repro import obs
 from repro.bench import faults, figures, runner, topo
-from repro.bench.netpipe import prepare_pair
+from repro.bench.netpipe import ping_pong, prepare_pair
 from repro.bench.transports import MxTransport
 from repro.cluster import node_pair
 from repro.fleet import FleetSpec, run_point
 from repro.hw.params import PCI_XD
 from repro.nbd.chaos import run_scenario
-from repro.sim import Environment
+from repro.sim import Environment, Resource, one_world
 from repro.units import KiB
 
 SIZES = (3 * KiB, 40 * KiB, 256 * KiB)
@@ -194,3 +194,100 @@ def test_no_world_outlives_its_run(name):
     finally:
         gc.enable()
     assert left == 0, f"{name} left {left} Environment(s) behind"
+
+
+# -- a run makes no cyclic garbage, and its boundary collects only young ----------
+
+
+def _cyclic_garbage(build_and_run) -> list:
+    """Type names of what ``build_and_run`` leaves to the cyclic
+    collector: the collection runs while the world it returns is still
+    referenced, so only per-operation garbage can show."""
+    gc.collect()
+    was = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        world = build_and_run()
+        gc.collect()
+        names = sorted({type(o).__name__ for o in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was:
+            gc.enable()
+    del world
+    return names
+
+
+def _mx_kernel_ping_pong():
+    env = Environment()
+    a, b = node_pair(env)
+    ta = MxTransport(a, 1, peer_node=1, peer_ep=1, context="kernel")
+    tb = MxTransport(b, 1, peer_node=0, peer_ep=1, context="kernel")
+    sizes = (64, 3 * KiB, 256 * KiB)  # small, medium and rendezvous
+    prepare_pair(env, ta, tb, max(sizes))
+    for size in sizes:
+        ping_pong(env, ta, tb, size, rounds=3, warmup=1)
+    return env, ta, tb
+
+
+def _contended_resource():
+    env = Environment()
+    res = Resource(env, capacity=1)
+
+    def user(env, hold):
+        req = res.request()
+        yield req
+        yield env.timeout(hold)
+        req.release()
+        yield from res.acquire(hold)
+
+    for hold in range(1, 20):
+        env.process(user(env, hold))
+    env.run()
+    return env, res
+
+
+@pytest.mark.parametrize("build_and_run", [_mx_kernel_ping_pong, _contended_resource],
+                         ids=["mx_kernel_ping_pong", "contended_resource"])
+def test_requests_are_freed_by_reference_counting(build_and_run):
+    garbage = _cyclic_garbage(build_and_run)
+    assert not {"_Request", "MxRequest", "Event"} & set(garbage), garbage
+
+
+def test_a_boundary_collects_young_once_and_restores_the_collector():
+    """The world builds thousands of objects, yet no automatic pass runs
+    inside the boundary: its one young collection is the only one, and
+    it reclaims the whole world."""
+    collections: list = []
+
+    def note(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    before = _live_environments()
+    assert gc.isenabled()
+    gc.callbacks.append(note)
+    try:
+        topo.run_topo(4, "identity", "flow", 16 * KiB)
+    finally:
+        gc.callbacks.remove(note)
+    assert (collections, gc.isenabled()) == ([0], True)
+    assert _live_environments() == before
+
+
+def test_a_boundary_leaves_a_disabled_collector_disabled_even_on_raise():
+    @one_world
+    def failing_world():
+        Environment()
+        raise RuntimeError("world failed")
+
+    gc.disable()
+    try:
+        with pytest.raises(RuntimeError):
+            failing_world()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

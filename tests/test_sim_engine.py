@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine (repro.sim.engine)."""
 
+import gc
+
 import pytest
 
 from repro.errors import ProcessInterrupt, SimulationError
@@ -589,8 +591,6 @@ def test_schedule_bulk_heapify_path_matches_push_path():
 
 
 def test_finished_processes_are_freed_by_refcount():
-    import gc
-
     from repro.sim.engine import Process
 
     def child(env, i):
@@ -692,3 +692,55 @@ def test_succeed_keeps_its_checks():
         failed.succeed()
     assert env.run(until=ev) == "late"
     assert env.now == 4
+
+
+# -- the collector stays off during a run, and is put back after ------------------
+
+
+def _drain(env, probe):
+    env.timeout(5).add_callback(probe)
+    env.run()
+
+
+def _raising_callback(env, probe):
+    def boom(event):
+        probe(event)
+        raise RuntimeError("callback failed")
+
+    env.timeout(5).add_callback(boom)
+    env.run()
+
+
+def _until_failed_event(env, probe):
+    failed = env.event()
+    failed.add_callback(probe)
+    failed.fail(ValueError("event failed"), delay=3)
+    env.run(until=failed)
+
+
+RUNS = {
+    "drain": (_drain, None),
+    "raising_callback": (_raising_callback, RuntimeError),
+    "until_failed_event": (_until_failed_event, ValueError),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_turns_automatic_collection_off_and_restores_it(name, enabled):
+    body, error = RUNS[name]
+    inside = []
+    env = Environment()
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            body(env, lambda _ev: inside.append(gc.isenabled()))
+        else:
+            with pytest.raises(error):
+                body(env, lambda _ev: inside.append(gc.isenabled()))
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert inside == [False]
+    assert after is enabled
