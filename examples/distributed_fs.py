@@ -11,8 +11,8 @@ that needs file access as fast as its MPI communication.  This example:
    cache after first touch), then read them back both buffered and
    O_DIRECT;
 3. prints per-phase timings and the page-cache/dcache hit statistics
-   that explain them (the page-cache and server counts are read from a
-   metrics registry observing the session).
+   that explain them (the counts are read from a metrics registry
+   observing the session).
 
 Run:  python examples/distributed_fs.py [gm|mx]
 """
@@ -107,7 +107,10 @@ def main(api: str = "mx") -> None:
         print("-" * 60)
         print(f"total data verified: {FILES} files x {FILE_SIZE // 1024} kB "
               f"(sizes sum to {total // 1024} kB)")
-        print(f"dentry cache: {vfs.dentry_hits} hits / {vfs.dentry_misses} misses")
+        cpu = client_node.cpu.name
+        dhits = registry.counter("vfs.dentry.hits", cpu=cpu).value
+        dmisses = registry.counter("vfs.dentry.misses", cpu=cpu).value
+        print(f"dentry cache: {dhits} hits / {dmisses} misses")
         cache = client_node.pagecache.name
         hits = registry.counter("pagecache.hits", cache=cache).value
         misses = registry.counter("pagecache.misses", cache=cache).value

@@ -16,6 +16,7 @@ Everything here is deterministic in ``--seed``.
 from __future__ import annotations
 
 import argparse
+from functools import partial
 
 from .. import obs
 from ..cluster.node import node_pair
@@ -25,6 +26,7 @@ from ..nbd.device import BLOCK_SIZE, NbdDevice, NbdServer
 from ..orfa.client import OrfaClient
 from ..orfa.server import OrfaServer
 from ..sim import Environment, one_world
+from ..sim.worlds import run_worlds
 from ..units import ms
 
 DROP_RATES = (0.0, 0.01, 0.02, 0.05, 0.10)
@@ -46,81 +48,79 @@ def _install(env, nodes, seed: float, drop: float) -> None:
     plan.install(env, nodes=nodes)
 
 
-def _fault_counters(registry: obs.MetricsRegistry) -> tuple[int, int]:
-    """(injected drops, NIC retransmissions) of the run ``registry``
-    observed."""
-    counters = registry.snapshot()["counters"]
-    return (obs.family(counters, "faults.drops"),
-            obs.family(counters, "nic.tx.retransmits"))
+def _orfa(env, client_node, server_node):
+    """Start an ORFA server and client; returns the write+read script."""
+    server = OrfaServer(server_node, 3, api="mx", tolerant=True)
+    env.run(until=server.start())
+    space = client_node.new_process_space()
+    client = OrfaClient(client_node, 4, space, (server_node.node_id, 3),
+                        api="mx", timeout_ns=_RPC_TIMEOUT_NS,
+                        max_retries=_RPC_RETRIES)
+    env.run(until=env.process(client.setup()))
+    payload = bytes((i * 37 + 11) & 0xFF for i in range(_ORFA_BYTES))
+    buf = space.mmap(len(payload), populate=True)
+    space.write_bytes(buf, payload)
+    out = space.mmap(len(payload), populate=True)
+
+    def script(env):
+        fd = yield from client.open("/bench", create=True)
+        for off in range(0, len(payload), _ORFA_CHUNK):
+            client.seek(fd, off)
+            yield from client.write(fd, buf + off, _ORFA_CHUNK)
+        client.seek(fd, 0)
+        n = yield from client.read(fd, out, len(payload))
+        if n != len(payload) or space.read_bytes(out, n) != payload:
+            raise AssertionError("fault run returned corrupt data")
+        yield from client.close(fd)
+
+    return script
+
+
+def _nbd(env, client_node, server_node):
+    """Start an NBD server and device; returns the write+flush+reread
+    script."""
+    server = NbdServer(server_node, 3, api="mx", device_blocks=_NBD_BLOCKS)
+    env.run(until=server.start())
+    channel = MxKernelChannel(client_node, 4)
+    dev = NbdDevice(client_node, channel, (server_node.node_id, 3),
+                    server.device_inode, _NBD_BLOCKS,
+                    timeout_ns=_RPC_TIMEOUT_NS, max_retries=_RPC_RETRIES)
+    space = client_node.new_process_space()
+    payload = bytes((i * 13 + 5) & 0xFF for i in range(_NBD_BLOCKS * BLOCK_SIZE))
+    va = space.mmap(len(payload))
+    space.write_bytes(va, payload)
+    out = space.mmap(len(payload))
+
+    def script(env):
+        yield from dev.write(space, va, 0, len(payload))
+        yield from dev.flush()
+        client_node.pagecache.invalidate_inode(dev._cache_key)
+        n = yield from dev.read(space, out, 0, len(payload))
+        if n != len(payload) or space.read_bytes(out, n) != payload:
+            raise AssertionError("fault run returned corrupt data")
+
+    return script
+
+
+WORKLOADS = {"orfa": _orfa, "nbd": _nbd}
 
 
 @one_world
-def _orfa_run(seed: int, drop: float) -> tuple[float, int, int]:
-    """One ORFA write+read pass; returns (sim ms, drops, retransmissions)."""
+def fault_run(seed: int, run: tuple) -> tuple[float, int, int]:
+    """One pass of ``run = (workload, drop rate)`` on a fresh two-node
+    platform; returns (sim ms, injected drops, NIC retransmissions)."""
+    workload, drop = run
     with obs.scoped_registry() as registry:
         env = Environment()
         client_node, server_node = node_pair(env)
         _install(env, [client_node, server_node], seed, drop)
-        server = OrfaServer(server_node, 3, api="mx", tolerant=True)
-        env.run(until=server.start())
-        space = client_node.new_process_space()
-        client = OrfaClient(client_node, 4, space, (server_node.node_id, 3),
-                            api="mx", timeout_ns=_RPC_TIMEOUT_NS,
-                            max_retries=_RPC_RETRIES)
-        env.run(until=env.process(client.setup()))
-        payload = bytes((i * 37 + 11) & 0xFF for i in range(_ORFA_BYTES))
-        buf = space.mmap(len(payload), populate=True)
-        space.write_bytes(buf, payload)
-        out = space.mmap(len(payload), populate=True)
-
-        def script(env):
-            fd = yield from client.open("/bench", create=True)
-            for off in range(0, len(payload), _ORFA_CHUNK):
-                client.seek(fd, off)
-                yield from client.write(fd, buf + off, _ORFA_CHUNK)
-            client.seek(fd, 0)
-            n = yield from client.read(fd, out, len(payload))
-            if n != len(payload) or space.read_bytes(out, n) != payload:
-                raise AssertionError("fault run returned corrupt data")
-            yield from client.close(fd)
-
+        script = WORKLOADS[workload](env, client_node, server_node)
         start = env.now
         env.run(until=env.process(script(env)))
-        elapsed_ms = (env.now - start) / 1e6
-        return (elapsed_ms, *_fault_counters(registry))
-
-
-@one_world
-def _nbd_run(seed: int, drop: float) -> tuple[float, int, int]:
-    """One NBD write+flush+reread pass; returns (sim ms, drops, retrans)."""
-    with obs.scoped_registry() as registry:
-        env = Environment()
-        client_node, server_node = node_pair(env)
-        _install(env, [client_node, server_node], seed, drop)
-        server = NbdServer(server_node, 3, api="mx", device_blocks=_NBD_BLOCKS)
-        env.run(until=server.start())
-        channel = MxKernelChannel(client_node, 4)
-        dev = NbdDevice(client_node, channel, (server_node.node_id, 3),
-                        server.device_inode, _NBD_BLOCKS,
-                        timeout_ns=_RPC_TIMEOUT_NS, max_retries=_RPC_RETRIES)
-        space = client_node.new_process_space()
-        payload = bytes((i * 13 + 5) & 0xFF for i in range(_NBD_BLOCKS * BLOCK_SIZE))
-        va = space.mmap(len(payload))
-        space.write_bytes(va, payload)
-        out = space.mmap(len(payload))
-
-        def script(env):
-            yield from dev.write(space, va, 0, len(payload))
-            yield from dev.flush()
-            client_node.pagecache.invalidate_inode(dev._cache_key)
-            n = yield from dev.read(space, out, 0, len(payload))
-            if n != len(payload) or space.read_bytes(out, n) != payload:
-                raise AssertionError("fault run returned corrupt data")
-
-        start = env.now
-        env.run(until=env.process(script(env)))
-        elapsed_ms = (env.now - start) / 1e6
-        return (elapsed_ms, *_fault_counters(registry))
+        counters = registry.snapshot()["counters"]
+        return ((env.now - start) / 1e6,
+                obs.family(counters, "faults.drops"),
+                obs.family(counters, "nic.tx.retransmits"))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -145,9 +145,10 @@ def main(argv: list[str] | None = None) -> int:
               f"{'nbd ms':>9} {'drops':>6} {'rexmit':>6}")
     print(header)
     print("-" * len(header))
+    runs = [(workload, drop) for drop in DROP_RATES for workload in WORKLOADS]
+    done = iter(run_worlds(partial(fault_run, args.seed), runs)[0])
     for drop in DROP_RATES:
-        o_ms, o_drop, o_rx = _orfa_run(args.seed, drop)
-        n_ms, n_drop, n_rx = _nbd_run(args.seed, drop)
+        (o_ms, o_drop, o_rx), (n_ms, n_drop, n_rx) = next(done), next(done)
         print(f"{drop * 100:5.1f}%  {o_ms:9.3f} {o_drop:6d} {o_rx:6d}  "
               f"{n_ms:9.3f} {n_drop:6d} {n_rx:6d}")
     print()

@@ -18,12 +18,13 @@ measures one key at the sizes no earlier request planned, as one
 series in fresh worlds (:func:`run_job`), so each distinct point
 ``(key, size)`` is measured once per call.  The results ``{point:
 measurement}`` live only as long as that call: nothing is memoised
-across calls.  :func:`execute` runs a call's jobs over forked workers,
-one per usable CPU, and keys each result by its point.  A measurement
-maps a unit (``"us"``, ``"MB/s"``) to a value, and a figure's unit
-picks which.  ``table1`` has no experiment of its own: it reads points
-of figures 5(a), 7 and 8.  The CLI (``python -m repro.bench <name>``)
-and the pytest-benchmark targets in ``benchmarks/`` drive this module.
+across calls.  :func:`measure` runs a call's jobs through the world
+runner (:func:`repro.sim.worlds.run_worlds`) and keys each result by
+its point (:func:`collect`).  A measurement maps a unit (``"us"``,
+``"MB/s"``) to a value, and a figure's unit picks which.  ``table1``
+has no experiment of its own: it reads points of figures 5(a), 7 and
+8.  The CLI (``python -m repro.bench <name>``) and the pytest-benchmark
+targets in ``benchmarks/`` drive this module.
 
 Paper-vs-measured commentary for every experiment lives in
 EXPERIMENTS.md.
@@ -31,13 +32,7 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import os
-import resource
-import sys
-import threading
-import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .. import obs
@@ -46,6 +41,7 @@ from ..gm.registration import RegistrationDomain
 from ..hw.cpu import Cpu
 from ..hw.params import HOST_P3_1200, HOST_P4_2600, PCI_XD, PCI_XE
 from ..sim import Environment, one_world
+from ..sim.worlds import run_worlds
 from ..units import KiB, MiB, PAGE_SIZE, to_us
 from .fileio import (
     build_orfa,
@@ -214,12 +210,13 @@ class Job:
 
 
 def run_job(job: Job) -> list[dict]:
-    """Measure one job in fresh worlds; returns one measurement per size."""
+    """Measure one job in fresh worlds, marked on the ambient timeline
+    with the figure that planned it; returns one measurement per size."""
+    tl = obs.active_timeline()
+    if tl is not None:
+        tl.instant(0, "bench", f"figure:{job.figure}")
     kind, *params = job.key
     return _SERIES[kind](*params, job.sizes)
-
-
-_RUN_JOB_CODE = run_job.__code__
 
 
 # ---------------------------------------------------------------------------
@@ -434,73 +431,21 @@ def plan(names: Iterable) -> list[Job]:
     return jobs
 
 
-def peak_rss_mib() -> float:
-    """High-water resident memory of this process (Linux ``ru_maxrss``
-    is in KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-
-
-def _run_timed(job: Job, forked_at: float = 0.0) -> tuple:
-    """Run one job, marked on the ambient timeline with the figure that
-    planned it; returns (its measurements, seconds, events, peak RSS
-    MiB of the process that ran it).  A worker's peak counts the
-    parent's up to the fork (``forked_at``), as it would in-process."""
-    t0 = time.perf_counter()
-    ev0 = Environment.lifetime_events_processed
-    tl = obs.active_timeline()
-    if tl is not None:
-        tl.instant(0, "bench", f"figure:{job.figure}")
-    measured = run_job(job)
-    events = Environment.lifetime_events_processed - ev0
-    rss = max(forked_at, peak_rss_mib())
-    return measured, time.perf_counter() - t0, events, rss
-
-
-def workers(n_jobs: int, most: int = 0) -> int:
-    """How many processes :func:`execute` runs ``n_jobs`` jobs over: one
-    per CPU this process may use, at most ``most`` (0: no bound) and
-    ``n_jobs``.  It is 1 (this process) where workers would hide work:
-    an obs registry or timeline is installed, a profiler or tracer is
-    attached, or :func:`run_job` is wrapped (perfbench's layer tracer
-    wraps the program's functions); and where forking is unsafe or
-    unavailable: another thread runs, or ``fork`` or CPU affinity is
-    missing."""
-    hooks = (obs.active_registry(), obs.active_timeline(),
-             sys.getprofile(), sys.gettrace())
-    wrapped = run_job.__code__ is not _RUN_JOB_CODE
-    if (any(h is not None for h in hooks) or wrapped
-            or threading.active_count() > 1 or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), most or n_jobs, n_jobs))
-
-
-def execute(jobs: list[Job], most: int = 0) -> tuple[dict, list]:
-    """Run ``jobs`` over :func:`workers` forked processes, one job at a
-    time in plan order; returns the results ``{point: measurement}``
-    and, per job, (seconds, events, peak RSS MiB).  No worker outlives
-    the call, and a job's exception reaches the caller."""
-    n = workers(len(jobs), most)
-    if n == 1:
-        outcomes = [_run_timed(job) for job in jobs]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        run = partial(_run_timed, forked_at=peak_rss_mib())
-        with ProcessPoolExecutor(
-                n, mp_context=multiprocessing.get_context("fork")) as pool:
-            outcomes = list(pool.map(run, jobs, chunksize=1))
+def collect(jobs: list[Job], measured: list) -> dict:
+    """The results ``{point: measurement}`` of ``jobs``, given each
+    job's measurements (what :func:`run_job` returns) in plan order."""
     results: dict = {}
-    for job, (measured, *_) in zip(jobs, outcomes):
-        results.update(zip(job.points, measured))
-    return results, [cost for _, *cost in outcomes]
+    for job, values in zip(jobs, measured):
+        results.update(zip(job.points, values))
+    return results
 
 
 def measure(names: Iterable) -> dict:
     """Run every job ``names`` plan (see :func:`plan`) through
-    :func:`execute`; returns the results ``{point: measurement}``."""
-    return execute(plan(names))[0]
+    :func:`repro.sim.worlds.run_worlds`; returns the results ``{point:
+    measurement}``."""
+    jobs = plan(names)
+    return collect(jobs, run_worlds(run_job, jobs)[0])
 
 
 def render(name: str, results: dict) -> str:

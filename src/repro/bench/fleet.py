@@ -1,8 +1,9 @@
 """CLI driver for experiment fleets: ``python -m repro.bench fleet``.
 
 Loads a declarative sweep spec (see :mod:`repro.fleet.spec`), expands
-the grid, runs every point — optionally over a process pool — and
-prints a tidy summary table.  ``--out PREFIX`` additionally writes
+the grid, runs every point through the world runner (one forked worker
+per usable CPU unless ``--parallel`` says otherwise) and prints a tidy
+summary table.  ``--out PREFIX`` additionally writes
 ``PREFIX.json`` (the canonical sorted-key results document) and
 ``PREFIX.csv``; both are byte-identical across reruns and across
 ``--parallel`` settings, which ``--verify`` double-checks by running
@@ -17,10 +18,10 @@ import sys
 import time
 from typing import Optional
 
-from ..cluster.topo import route_cache_stats
 from ..fleet.runner import (FLEET_SCHEMA, FleetResult, render_csv,
                             render_json, run_fleet)
 from ..fleet.spec import FleetSpec, FleetSpecError
+from ..sim.worlds import peak_rss_mib, workers
 from .report import format_table
 
 #: Summary-table columns (full detail lives in the JSON/CSV outputs).
@@ -60,17 +61,21 @@ def main(argv: Optional[list] = None) -> int:
                         help="fleet spec file (see --schema)")
     parser.add_argument("--schema", action="store_true",
                         help="print the spec-file field reference and exit")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="fan grid points out over N worker processes "
-                             "(results are byte-identical to sequential)")
+    parser.add_argument("--parallel", type=int, default=0, metavar="N",
+                        help="run grid points over at most N forked worker "
+                             "processes; 0 (the default) means one per CPU "
+                             "this process may use, 1 means in this process. "
+                             "Points share no state, so results are "
+                             "identical at any N")
     parser.add_argument("--out", metavar="PREFIX",
                         help="write PREFIX.json and PREFIX.csv")
     parser.add_argument("--verify", action="store_true",
                         help="run the sweep twice and fail unless the "
                              "results bytes are identical")
     parser.add_argument("--timings", action="store_true",
-                        help="report wall-clock and route-cache stats "
-                             "on stderr")
+                        help="report the points' wall-clock, events and "
+                             "peak RSS (high-water mark of the processes "
+                             "that ran them) on stderr")
     args = parser.parse_args(argv)
     if args.schema:
         print(json.dumps(FLEET_SCHEMA, indent=2))
@@ -79,8 +84,8 @@ def main(argv: Optional[list] = None) -> int:
         print("--spec is required (or --schema for the reference)",
               file=sys.stderr)
         return 2
-    if args.parallel < 1:
-        print(f"--parallel must be >= 1, got {args.parallel}",
+    if args.parallel < 0:
+        print(f"--parallel must be >= 0, got {args.parallel}",
               file=sys.stderr)
         return 2
     try:
@@ -112,10 +117,12 @@ def main(argv: Optional[list] = None) -> int:
             fh.write(render_csv(result))
         print(f"[fleet] wrote {json_path} and {csv_path}")
     if args.timings:
-        stats = route_cache_stats()
-        print(f"[timing] {len(result.rows)} points in {elapsed:.2f} s "
-              f"(parallel={args.parallel}); route cache "
-              f"hits={stats['hits']} misses={stats['misses']}",
+        costs = result.costs
+        rss = max((c[2] for c in costs), default=peak_rss_mib())
+        print(f"[timing] {len(costs)} points {elapsed:7.3f} s  "
+              f"{sum(c[1] for c in costs):>10d} events  "
+              f"{rss:6.1f} MiB peak RSS "
+              f"(parallel={workers(len(costs), args.parallel)})",
               file=sys.stderr)
     return status
 

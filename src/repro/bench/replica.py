@@ -17,8 +17,10 @@ the zero-fault figure output stays byte-identical to
 from __future__ import annotations
 
 import argparse
+from functools import partial
 
 from ..nbd.chaos import SCENARIOS, failover_bound_ns, run_scenario
+from ..sim.worlds import run_worlds
 
 
 def _us(ns: int) -> str:
@@ -49,8 +51,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{'failover us':>11}  {'resync us':>9}  {'bound':>5}")
     print(header)
     print("-" * len(header))
-    for name in names:
-        r = run_scenario(name, seed=args.seed)
+    runs = run_worlds(partial(run_scenario, seed=args.seed), names)[0]
+    for name, r in zip(names, runs):
         fo = [f["done_ns"] - f["detect_ns"] for f in r.failovers]
         rs = [x["done_ns"] - x["start_ns"] for x in r.resyncs]
         fo_s = _us(max(fo)) if fo else f"{'-':>8}"

@@ -10,62 +10,45 @@ Usage::
     python -m repro.bench fig6 --json    # machine-readable series
     python -m repro.bench --list
 
-Figures share experiments; experiments share no state.  The runner
-plans the named figures in one experiment set, so each distinct
-experiment point is measured once (:func:`repro.bench.figures.plan`),
-runs the jobs through :func:`repro.bench.figures.execute`, then renders
-each figure in the order asked: as tables, or as JSON with ``--json``.
-Every job builds its own worlds, so the executor fans the jobs out over
-forked workers, one per CPU (``--parallel N`` bounds them); each result
-is keyed by its point, so the output is byte-identical at any setting.
+Figures share experiments; experiments share no state.  The named
+figures are planned in one experiment set, so each distinct experiment
+point is measured once (:func:`repro.bench.figures.plan`); the world
+runner (:func:`repro.sim.worlds.run_worlds`) runs the jobs, and each
+figure renders in the order asked, as tables or as JSON (``--json``).
+Each result is keyed by its point, so the output is byte-identical at
+any ``--parallel``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
 from dataclasses import asdict
 
 from .. import obs
-from .figures import FIGURES, execute, peak_rss_mib, plan, render, workers
+from ..sim.worlds import peak_rss_mib, run_worlds, workers
+from .figures import FIGURES, collect, plan, render, run_job
 from .report import format_metrics
 
 ALL = sorted(FIGURES) + ["table1"]
+
+#: Subcommands with a CLI of their own: completion time under message
+#: loss, the replicated-volume chaos matrix, the fat-tree fidelity A/B
+#: and declarative sweeps.  None is part of ``all``: the paper's figures
+#: are fixed two-node experiments and must stay byte-identical whatever
+#: these drivers do.
+DRIVERS = ("faults", "replica", "topo", "fleet")
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "faults":
-        # The chaos driver is its own subcommand, deliberately NOT part
-        # of ``all``: zero-fault figure output must stay byte-identical.
-        from .faults import main as faults_main
-
-        return faults_main(argv[1:])
-    if argv and argv[0] == "replica":
-        # Replicated-volume chaos matrix: failover latency and
-        # linearizability verdicts.  Also deliberately not part of
-        # ``all`` (same figure-identity argument as ``faults``).
-        from .replica import main as replica_main
-
-        return replica_main(argv[1:])
-    if argv and argv[0] == "topo":
-        # Fat-tree fabric A/B: packet vs train vs flow fidelity.  Not
-        # part of ``all`` — the paper's figures are two-node topologies
-        # and must stay byte-identical regardless of fabric work.
-        from .topo import main as topo_main
-
-        return topo_main(argv[1:])
-    if argv and argv[0] == "fleet":
-        # Declarative experiment sweeps (open-loop load over a grid of
-        # topologies/fidelities/workloads).  Not part of ``all`` — the
-        # paper's figures are fixed two-node experiments and must stay
-        # byte-identical regardless of fleet work.
-        from .fleet import main as fleet_main
-
-        return fleet_main(argv[1:])
+    if argv and argv[0] in DRIVERS:
+        driver = importlib.import_module(f".{argv[0]}", __package__)
+        return driver.main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Regenerate tables/figures of Goglin et al., CLUSTER 2005",
@@ -102,10 +85,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.parallel < 0:
         print(f"--parallel must be >= 0, got {args.parallel}", file=sys.stderr)
         return 2
-    observing = args.metrics or args.timeline
-    if observing and args.parallel > 1:
+    if (args.metrics or args.timeline) and args.parallel > 1:
         # Workers can't share one ambient registry/timeline, so the
-        # executor runs in this process; asking for more is refused.
+        # runner stays in this process; asking for more is refused.
         print("--metrics/--timeline require --parallel 1", file=sys.stderr)
         return 2
     names = ALL if args.experiments == ["all"] else args.experiments
@@ -127,7 +109,8 @@ def main(argv: list[str] | None = None) -> int:
     n_workers = workers(len(jobs), args.parallel)
     rss0, t_all = peak_rss_mib(), time.perf_counter()
     try:
-        results, costs = execute(jobs, args.parallel)
+        measured, costs = run_worlds(run_job, jobs, args.parallel)
+        results = collect(jobs, measured)
         if args.json:
             payload = {}
             for name in names:

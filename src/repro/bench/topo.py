@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from typing import Optional
 
 from .. import obs
@@ -48,6 +49,7 @@ from ..cluster.topo import fat_tree
 from ..hw.params import host_params
 from ..sim import Environment, one_world
 from ..sim.engine import FIDELITIES
+from ..sim.worlds import run_worlds
 from ..units import KiB, MiB
 from .netpipe import prepare_pair
 from .transports import MxTransport
@@ -177,20 +179,10 @@ def completion_table(result: dict) -> str:
     return "\n".join(lines)
 
 
-def run_scenario(k: int, scenario: str, size: int,
-                 modes=FIDELITIES) -> dict:
-    """All requested modes on one scenario, plus cross-mode digests."""
-    results = {mode: run_topo(k, scenario, mode, size) for mode in modes}
-    out: dict = {"scenario": scenario, "results": results}
-    if "packet" in results and "flow" in results:
-        out["event_reduction"] = (results["packet"]["events"]
-                                  / results["flow"]["events"])
-    ref = results[modes[0]]
-    out["completions_identical"] = all(
-        r["completions"] == ref["completions"] for r in results.values())
-    out["obs_identical"] = all(
-        r["obs"] == ref["obs"] for r in results.values())
-    return out
+def _run_mode(k: int, size: int, run: tuple) -> dict:
+    """:func:`run_topo` of one ``(scenario, mode)``."""
+    scenario, mode = run
+    return run_topo(k, scenario, mode, size)
 
 
 # ---------------------------------------------------------------------------
@@ -249,40 +241,42 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     scenarios = (("identity", "congested") if args.scenario == "both"
                  else (args.scenario,))
+    runs = [(scenario, mode) for scenario in scenarios for mode in modes]
+    done = iter(run_worlds(partial(_run_mode, args.k, args.size), runs)[0])
     status = 0
     for scenario in scenarios:
-        sc = run_scenario(args.k, scenario, args.size, modes)
+        results = {mode: next(done) for mode in modes}
         hosts = args.k ** 3 // 4
         print(f"[topo] fat-tree k={args.k} ({hosts} hosts) "
               f"scenario={scenario} size={args.size}")
         print(f"  {'mode':8s} {'final_ns':>14s} {'events':>12s} "
               f"{'ev/MiB':>10s} {'wall_s':>8s}")
-        for mode in modes:
-            r = sc["results"][mode]
+        for mode, r in results.items():
             print(f"  {mode:8s} {r['now']:>14d} {r['events']:>12d} "
                   f"{r['events_per_mib']:>10.0f} {r['wall_s']:>8.2f}")
-        if "event_reduction" in sc:
-            print(f"  flow vs packet: {sc['event_reduction']:.1f}x fewer "
-                  "engine events")
+        if "packet" in results and "flow" in results:
+            reduction = results["packet"]["events"] / results["flow"]["events"]
+            print(f"  flow vs packet: {reduction:.1f}x fewer engine events")
         if args.table:
             for mode in modes:
                 print(f"  --- completions [{mode}] ---")
-                print(completion_table(sc["results"][mode]))
+                print(completion_table(results[mode]))
         if scenario == "identity" and args.verify:
-            ok = sc["completions_identical"] and sc["obs_identical"]
-            print(f"  [verify] completions identical: "
-                  f"{sc['completions_identical']}, metrics identical: "
-                  f"{sc['obs_identical']}")
-            if not ok:
+            ref = results[modes[0]]
+            same = [all(r[key] == ref[key] for r in results.values())
+                    for key in ("completions", "obs")]
+            print(f"  [verify] completions identical: {same[0]}, "
+                  f"metrics identical: {same[1]}")
+            if not all(same):
                 status = 1
         if scenario == "congested" and args.gate:
-            ok = sc["event_reduction"] >= args.gate
-            print(f"  [gate] event reduction {sc['event_reduction']:.1f}x "
+            ok = reduction >= args.gate
+            print(f"  [gate] event reduction {reduction:.1f}x "
                   f">= {args.gate:g}x: {'PASS' if ok else 'FAIL'}")
             if not ok:
                 status = 1
         if scenario == "congested" and args.waterfill_gate:
-            stats = sc["results"]["flow"]["flow_stats"]
+            stats = results["flow"]["flow_stats"]
             red = stats["work_reduction"] or 0.0
             ok = red >= args.waterfill_gate
             print(f"  [waterfill] {stats['recomputes']} component "

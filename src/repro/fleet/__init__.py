@@ -5,10 +5,10 @@ spec declaring a grid over {topology, fidelity mode, workload + API,
 arrival process, offered load, fault plan}; the runner expands the
 grid, runs every point in its own :class:`~repro.sim.Environment`
 (which carries the point's fidelity and id allocator, so a run is
-hermetic by construction), fans runs out over a process pool, and
-collects per-run obs snapshots into one tidy deterministic results
-table (JSON + CSV).  Same spec + seed => byte-identical results files,
-sequential or parallel.
+hermetic by construction) through the world runner
+(:func:`repro.sim.worlds.run_worlds`), and collects per-run obs
+snapshots into one tidy deterministic results table (JSON + CSV).
+Same spec + seed => byte-identical results files, in-process or forked.
 
 CLI: ``python -m repro.bench fleet --spec SPEC.json [--parallel N]
 [--out PREFIX]``.

@@ -6,16 +6,16 @@ metrics registry (:func:`repro.obs.scoped_registry`).  That makes a
 point hermetic, which buys the fleet contract for free:
 
 * *same spec + seed => byte-identical results files*, and
-* *sequential in-process == parallel fresh-process*: ``--parallel N``
-  fans points out over a fork :class:`~concurrent.futures.
-  ProcessPoolExecutor` (the :mod:`repro.bench.runner` discipline) and
-  reassembles rows in point order, so the rendered JSON/CSV bytes never
-  depend on worker scheduling.
+* *in-process == forked*: the points run through the world runner
+  (:func:`repro.sim.worlds.run_worlds`), which hands the rows back in
+  point order, so the rendered JSON/CSV bytes never depend on how many
+  workers ran them.
 
 Grid points that share a topology reuse the memoized fabric routing
 tables (:mod:`repro.cluster.topo`'s route cache) — a build-time
-optimization the byte-identity contract itself proves harmless, since
-parallel workers start cold while sequential runs hit the cache.
+optimization the byte-identity contract itself proves harmless: forked
+workers inherit only the parent's cache, so they miss where an
+in-process run hits.
 
 No wall-clock value ever enters a results file.
 """
@@ -23,7 +23,8 @@ No wall-clock value ever enters a results file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 from .. import obs
 from ..cluster.node import star
@@ -32,6 +33,7 @@ from ..faults.plan import FaultPlan
 from ..hw.params import host_params
 from ..load import LoadGen, make_arrivals, make_mix, make_workload, run_load
 from ..sim import Environment, one_world
+from ..sim.worlds import run_worlds
 from ..units import us
 from .spec import FleetSpec, FleetSpecError, RunPoint
 
@@ -151,17 +153,14 @@ def run_point(spec: FleetSpec, point: RunPoint) -> dict:
         }
 
 
-def _pool_worker(args) -> dict:
-    spec, point = args
-    return run_point(spec, point)
-
-
 @dataclass
 class FleetResult:
-    """An expanded, executed fleet: the spec and one row per point."""
+    """An expanded, executed fleet: the spec, one row per point and its
+    unrendered cost (seconds, events, peak RSS MiB)."""
 
     spec: dict
     rows: list
+    costs: list = field(default_factory=list, compare=False)
 
     def row_cells(self, row: dict) -> dict:
         cells = {c: row["config"][c] for c in _CONFIG_COLS}
@@ -170,18 +169,13 @@ class FleetResult:
         return cells
 
 
-def run_fleet(spec: FleetSpec, parallel: int = 1) -> FleetResult:
-    """Run every grid point; rows come back in point (spec) order."""
-    points = spec.points()
-    if parallel > 1 and len(points) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(_pool_worker,
-                                 [(spec, p) for p in points]))
-    else:
-        rows = [run_point(spec, p) for p in points]
-    return FleetResult(spec=spec.to_dict(), rows=rows)
+def run_fleet(spec: FleetSpec, parallel: int = 0) -> FleetResult:
+    """Run every grid point over at most ``parallel`` processes (0: one
+    per usable CPU, 1: this process); rows come back in point (spec)
+    order."""
+    rows, costs = run_worlds(partial(run_point, spec), spec.points(),
+                             parallel)
+    return FleetResult(spec=spec.to_dict(), rows=rows, costs=costs)
 
 
 def render_json(result: FleetResult) -> str:

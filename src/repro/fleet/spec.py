@@ -93,7 +93,7 @@ def fault_label(fault: Optional[dict]) -> str:
 
 @dataclass(frozen=True)
 class RunPoint:
-    """One expanded grid point (picklable; crosses the process pool)."""
+    """One expanded grid point (picklable; crosses to forked workers)."""
 
     index: int
     topology: dict

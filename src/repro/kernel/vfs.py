@@ -24,6 +24,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
+from .. import obs
 from ..errors import Ebadf, Einval, Eisdir, Enoent
 from ..hw.cpu import Cpu
 from ..mem.addrspace import AddressSpace
@@ -120,8 +121,8 @@ class Vfs:
         self._dentries: dict[str, tuple[FileSystemOps, InodeAttrs]] = {}
         self._files: dict[int, _OpenFile] = {}
         self._next_fd = 3
-        self.dentry_hits = 0
-        self.dentry_misses = 0
+        self._m_hits = obs.counter("vfs.dentry.hits", cpu=cpu.name)
+        self._m_misses = obs.counter("vfs.dentry.misses", cpu=cpu.name)
 
     # -- mounting ------------------------------------------------------------
 
@@ -153,10 +154,10 @@ class Vfs:
         fs, rel = self._resolve_mount(path)
         cached = self._dentries.get(path)
         if cached is not None:
-            self.dentry_hits += 1
+            self._m_hits.inc()
             yield from self.cpu.work(_DENTRY_HIT_NS)
             return cached
-        self.dentry_misses += 1
+        self._m_misses.inc()
         parent = fs.root_inode()
         attrs = yield from fs.getattr(parent)
         if rel:

@@ -16,6 +16,7 @@ client — the whole point of the paper's kernel API work.
 from __future__ import annotations
 
 
+from .. import obs
 from ..cluster.node import Node
 from ..core.channel import KernelChannel
 from ..errors import FsError, ProtocolError
@@ -58,7 +59,7 @@ class OrfsClient:
         # instance by the VFS paths that call us).
         self._req_buf = node.kspace.kmalloc(4096)
         self._reply_buf = node.kspace.kmalloc(4096)
-        self.requests_sent = 0
+        self._m_requests = obs.counter("orfs.requests", node=node.node_id)
 
     # -- request machinery ---------------------------------------------------
 
@@ -79,7 +80,7 @@ class OrfsClient:
                                               req.wire_size())]
         send = yield from self.channel.send(self.server[0], self.server[1],
                                             send_segments, match=0, meta=req)
-        self.requests_sent += 1
+        self._m_requests.inc()
         completion = yield from self.channel.wait_recv(recv)
         if not send.event.processed:
             yield from self.channel.wait_send(send)

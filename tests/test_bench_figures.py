@@ -1,4 +1,5 @@
-"""Tests for the figure views, their experiment set and the CLI runner."""
+"""Tests for the figure views, their experiment set, the world runner
+and the CLI."""
 
 import json
 import multiprocessing
@@ -7,16 +8,21 @@ import re
 import sys
 import threading
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from repro import obs
-from repro.bench import figures
+from repro.bench import faults, figures, topo
 from repro.bench.figures import (
-    FIGURES, VIEWS, measure, plan, render, run_figure, workers)
+    FIGURES, VIEWS, collect, measure, plan, render, run_figure, run_job)
 from repro.bench.runner import ALL, main
-from repro.sim import Environment
+from repro.fleet import FleetSpec, run_point
+from repro.nbd.chaos import run_scenario
+from repro.sim import Environment, worlds
+from repro.sim.worlds import run_worlds, workers
+from repro.units import KiB
 
 PINNED = Path(__file__).resolve().parents[1] / "bench_figures.txt"
 
@@ -101,11 +107,11 @@ def test_runner_unknown_experiment_errors(capsys):
     assert main(["nonsense", "--json"]) == 2
 
 
-# -- the executor -------------------------------------------------------------
+# -- the world runner ---------------------------------------------------------
 
 CPUS = len(os.sched_getaffinity(0))
 
-#: Tests that watch jobs run in forked workers: there are none with one
+#: Tests that watch worlds run in forked workers: there are none with one
 #: usable CPU, nor while a profiler or tracer (a coverage or reach run)
 #: watches this process.
 forks = pytest.mark.skipif(
@@ -157,12 +163,12 @@ def _profiled():
 @contextmanager
 def _wrapped():
     # As a tracer that wraps the program's functions does.
-    run_job = figures.run_job
-    figures.run_job = lambda job: run_job(job)
+    run_timed = worlds._run_timed
+    worlds._run_timed = lambda *args, **kwargs: run_timed(*args, **kwargs)
     try:
         yield
     finally:
-        figures.run_job = run_job
+        worlds._run_timed = run_timed
 
 
 @contextmanager
@@ -187,22 +193,23 @@ def test_jobs_stay_in_this_process_where_workers_cannot_go(hook):
     """Workers could not report to an installed registry or timeline, to
     a profiler or to wrappers of the program's functions, and forking a
     threaded process is unsafe: with any of them the parent runs, and
-    counts, every event of the measurement."""
-    expected = sum(_counted(figures._run_timed, job)[1]
-                   for job in plan(["fig4a"]))
+    counts, every event of the runner's worlds."""
+    jobs = plan(["fig4a"])
+    expected = sum(_counted(run_job, job)[1] for job in jobs)
     with hook():
         assert workers(2) == 1
-        results, events = _counted(measure, ["fig4a"])
+        (measured, _costs), events = _counted(run_worlds, run_job, jobs)
     assert events == expected
-    assert render("fig4a", results) == _section("fig4a")
+    assert render("fig4a", collect(jobs, measured)) == _section("fig4a")
 
 
 @forks
-def test_no_worker_outlives_measure(monkeypatch):
-    """Every worker is joined when ``measure`` returns, and when a job
-    raises, whose exception reaches the caller; the pool leaves no
+def test_no_worker_outlives_the_runner(monkeypatch):
+    """Every worker is joined when ``run_worlds`` returns, and when a
+    world raises, whose exception reaches the caller; the pool leaves no
     thread behind, so the next call forks again."""
-    measure(["fig4a"])
+    jobs = plan(["fig4a"])
+    run_worlds(run_job, jobs)
     assert multiprocessing.active_children() == []
     assert workers(2) == min(CPUS, 2)
 
@@ -211,9 +218,65 @@ def test_no_worker_outlives_measure(monkeypatch):
 
     monkeypatch.setitem(figures._SERIES, "netpipe", fail)
     with pytest.raises(ValueError, match="job failed"):
-        measure(["fig4a"])
+        run_worlds(run_job, jobs)
     assert multiprocessing.active_children() == []
     assert workers(2) == min(CPUS, 2)
+
+
+_FLEET = FleetSpec.from_dict({
+    "name": "two", "seed": 1, "n_ops": 16, "n_clients": 2, "mix": "rw4k",
+    "grid": {"topology": [{"kind": "star", "n": 4}],
+             "workload": [{"kind": "nbd", "api": "mx"}],
+             "offered_load": [8000, 32000]},
+})
+
+
+def _same(result):
+    return result
+
+
+#: One case per caller of the runner, with small inputs: (world
+#: function, items, what of a result must not depend on the process).
+CALLERS = {
+    "figures": (run_job, plan(["fig4a"]), _same),
+    "fleet": (partial(run_point, _FLEET), _FLEET.points(), _same),
+    "replica": (partial(run_scenario, n_ops=8), ["none", "crash-middle"],
+                _same),
+    "topo": (partial(topo._run_mode, 4, 16 * KiB),
+             [("identity", "packet"), ("identity", "flow")],
+             lambda r: {k: v for k, v in r.items() if k != "wall_s"}),
+    "faults": (partial(faults.fault_run, 1), [("orfa", 0.05), ("nbd", 0.05)],
+               _same),
+}
+
+
+@forks
+@pytest.mark.parametrize("caller", sorted(CALLERS))
+def test_forked_worlds_equal_worlds_run_in_this_process(caller):
+    """Worlds share no state: each caller's worlds give the same results
+    in forked workers (which this process counts no event of) as one
+    at a time in this process, in item order."""
+    fn, items, outcome = CALLERS[caller]
+    assert workers(len(items)) == min(CPUS, len(items)) > 1
+    (forked, _costs), events = _counted(run_worlds, fn, items)
+    assert events == 0
+    (in_process, costs), events = _counted(run_worlds, fn, items, 1)
+    assert events == sum(c[1] for c in costs) > 0
+    assert [outcome(r) for r in forked] == [outcome(r) for r in in_process]
+
+
+@pytest.mark.slow
+def test_bench_all_is_byte_identical_to_pinned_figures(capsys):
+    """The whole zero-copy refactor must not move a single output byte:
+    ``bench all`` is diffed against the pinned bench_figures.txt."""
+    from repro.bench.runner import main
+
+    assert main(["all", "--parallel", "4"]) == 0
+    out = capsys.readouterr().out
+    pinned = Path(__file__).resolve().parents[1] / "bench_figures.txt"
+    assert out == pinned.read_text(), (
+        "bench all output diverged from bench_figures.txt"
+    )
 
 
 @forks

@@ -1,6 +1,7 @@
 """The experiment fleet: spec expansion, the runner, byte-identity."""
 
 import json
+import re
 
 import pytest
 
@@ -124,9 +125,8 @@ def test_fault_naming_nothing_in_the_topology_is_a_spec_error(fault):
 
 def test_rerun_and_parallel_runs_are_byte_identical():
     """The fleet contract: back-to-back in-process sweeps must be
-    byte-identical to each other AND to fresh-process (forked pool)
-    sweeps — i.e. a run leaves nothing behind that a fresh process
-    wouldn't also see."""
+    byte-identical to each other AND to forked-worker sweeps — i.e. a
+    run leaves nothing behind that a fresh process wouldn't also see."""
     spec = _spec()
     first = render_json(run_fleet(spec, parallel=1))
     second = render_json(run_fleet(spec, parallel=1))
@@ -166,11 +166,11 @@ def test_route_cache_reuse_does_not_change_results():
         "offered_load": [4000, 32000],
     })
     clear_route_cache()
-    cold = render_json(run_fleet(spec))
+    cold = render_json(run_fleet(spec, parallel=1))
     stats = route_cache_stats()
     assert stats["misses"] == 1
     assert stats["hits"] >= 1  # second grid point reused the tables
-    warm = render_json(run_fleet(spec))
+    warm = render_json(run_fleet(spec, parallel=1))
     assert route_cache_stats()["misses"] == 1  # still only one BFS
     assert cold == warm
 
@@ -221,6 +221,7 @@ def test_bench_fleet_cli(tmp_path, capsys):
 
     assert main(["--schema"]) == 0
     assert main([]) == 2
+    assert main(["--spec", str(spec_path), "--parallel", "-1"]) == 2
     assert main(["--spec", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text('{"grid": {"topology": [{"kind": "moebius"}]}}')
@@ -230,3 +231,29 @@ def test_bench_fleet_cli(tmp_path, capsys):
     bad.write_text(json.dumps(ghost.to_dict()))
     assert main(["--spec", str(bad)]) == 2
     assert "names no link" in capsys.readouterr().err
+
+
+def test_bench_fleet_parallel_means_what_bench_all_means(tmp_path, capsys):
+    """``--parallel`` bounds the world runner's workers, as in ``bench
+    all``: 0 (the default) is one per usable CPU, 1 is this process, and
+    no count exceeds the points; the timing line sums the points'
+    events wherever they ran."""
+    from repro.bench.fleet import main
+    from repro.sim.worlds import workers
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(_spec().to_dict()))
+
+    def timing(*argv):
+        assert main(["--spec", str(spec_path), "--timings", *argv]) == 0
+        err = capsys.readouterr().err
+        line = re.search(r"\[timing\] 2 points .* (\d+) events .* MiB peak "
+                         r"RSS \(parallel=(\d+)\)", err)
+        return int(line.group(1)), int(line.group(2))
+
+    default = timing()
+    assert default == timing("--parallel", "0") == timing("--parallel", "64")
+    assert default[1] == workers(2)
+    in_process = timing("--parallel", "1")
+    assert in_process[1] == 1
+    assert in_process[0] == default[0] > 0

@@ -112,12 +112,14 @@ def test_bad_fd_raises(node):
         run(node, node.vfs.fsync(999))
 
 
-def test_dentry_cache_hits_on_repeat_lookup(node):
+def test_dentry_cache_hits_on_repeat_lookup(count, node):
     write_file(node, "/f", b"x")
     run(node, node.vfs.stat("/f"))
-    before = node.vfs.dentry_hits
+    before = count("vfs.dentry.hits")
+    misses = count("vfs.dentry.misses")
     run(node, node.vfs.stat("/f"))
-    assert node.vfs.dentry_hits == before + 1
+    assert count("vfs.dentry.hits") == before + 1
+    assert count("vfs.dentry.misses") == misses > 0
 
 
 def test_second_read_hits_page_cache_and_is_faster(node):

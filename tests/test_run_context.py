@@ -25,7 +25,7 @@ from repro.cluster import node_pair
 from repro.fleet import FleetSpec, run_point
 from repro.hw.params import PCI_XD
 from repro.nbd.chaos import run_scenario
-from repro.sim import Environment, Resource, one_world
+from repro.sim import Environment, Resource, one_world, worlds
 from repro.units import KiB
 
 SIZES = (3 * KiB, 40 * KiB, 256 * KiB)
@@ -172,12 +172,13 @@ BOUNDARIES = {
     "_socket_point": lambda: figures._socket_point("gm", 1),
     "run_figure": _run_figure_in_process,
     # What a forked worker runs for each job.
-    "_run_timed": lambda: figures._run_timed(figures.plan(["fig4a"])[0]),
+    "_run_timed": lambda: worlds._run_timed(figures.run_job,
+                                            figures.plan(["fig4a"])[0]),
     **{f"main_json:{fig}": (lambda fig=fig: runner.main(
         [fig, "--json", "--parallel", "1"]))
        for fig in ("fig3b", "fig4b", "fig7a", "fig7b")},
-    "faults._orfa_run": lambda: faults._orfa_run(1, 0.0),
-    "faults._nbd_run": lambda: faults._nbd_run(1, 0.0),
+    "faults._orfa_run": lambda: faults.fault_run(1, ("orfa", 0.0)),
+    "faults._nbd_run": lambda: faults.fault_run(1, ("nbd", 0.0)),
 }
 
 

@@ -30,10 +30,9 @@ called (or, for a generator, resumed) at least once.  The program is
 first imported under the profiler, inside the first entry point, so
 functions that only module-level code calls (figure declarations such
 as ``figures._plot``) count as reached.  The profiler sees this process
-only: a function that runs only in pool workers
-(``fleet/runner.py:_pool_worker``) is invisible to it and is listed as
-unreached.  Figure jobs are seen: ``figures.execute`` keeps them in the
-process while a profiler is attached.  The probe is a report, not
+only, and every world-building job is seen: the world runner
+(``repro.sim.worlds.run_worlds``) keeps them in the process while a
+profiler is attached.  The probe is a report, not
 a gate: it exits non-zero only when an entry point itself fails, since
 the lists are then incomplete.
 """
