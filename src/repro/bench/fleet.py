@@ -21,7 +21,7 @@ from typing import Optional
 from ..fleet.runner import (FLEET_SCHEMA, FleetResult, render_csv,
                             render_json, run_fleet)
 from ..fleet.spec import FleetSpec, FleetSpecError
-from ..sim.worlds import peak_rss_mib, workers
+from ..sim.worlds import workers
 from .report import format_table
 
 #: Summary-table columns (full detail lives in the JSON/CSV outputs).
@@ -118,10 +118,9 @@ def main(argv: Optional[list] = None) -> int:
         print(f"[fleet] wrote {json_path} and {csv_path}")
     if args.timings:
         costs = result.costs
-        rss = max((c[2] for c in costs), default=peak_rss_mib())
         print(f"[timing] {len(costs)} points {elapsed:7.3f} s  "
               f"{sum(c[1] for c in costs):>10d} events  "
-              f"{rss:6.1f} MiB peak RSS "
+              f"{max(c[2] for c in costs):6.1f} MiB peak RSS "
               f"(parallel={workers(len(costs), args.parallel)})",
               file=sys.stderr)
     return status
