@@ -41,13 +41,6 @@ _RPC_TIMEOUT_NS = ms(2)
 _RPC_RETRIES = 6
 
 
-def _install(env, nodes, seed: float, drop: float) -> None:
-    plan = FaultPlan(seed=seed)
-    if drop:
-        plan.drop("*", drop)
-    plan.install(env, nodes=nodes)
-
-
 def _orfa(env, client_node, server_node):
     """Start an ORFA server and client; returns the write+read script."""
     server = OrfaServer(server_node, 3, api="mx", tolerant=True)
@@ -113,7 +106,10 @@ def fault_run(seed: int, run: tuple) -> tuple[float, int, int]:
     with obs.scoped_registry() as registry:
         env = Environment()
         client_node, server_node = node_pair(env)
-        _install(env, [client_node, server_node], seed, drop)
+        plan = FaultPlan(seed=seed)
+        if drop:
+            plan.drop("*", drop)
+        plan.install(env, nodes=[client_node, server_node])
         script = WORKLOADS[workload](env, client_node, server_node)
         start = env.now
         env.run(until=env.process(script(env)))

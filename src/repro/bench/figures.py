@@ -434,10 +434,8 @@ def plan(names: Iterable) -> list[Job]:
 def collect(jobs: list[Job], measured: list) -> dict:
     """The results ``{point: measurement}`` of ``jobs``, given each
     job's measurements (what :func:`run_job` returns) in plan order."""
-    results: dict = {}
-    for job, values in zip(jobs, measured):
-        results.update(zip(job.points, values))
-    return results
+    return {point: value for job, values in zip(jobs, measured)
+            for point, value in zip(job.points, values)}
 
 
 def measure(names: Iterable) -> dict:

@@ -62,11 +62,9 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--schema", action="store_true",
                         help="print the spec-file field reference and exit")
     parser.add_argument("--parallel", type=int, default=0, metavar="N",
-                        help="run grid points over at most N forked worker "
-                             "processes; 0 (the default) means one per CPU "
-                             "this process may use, 1 means in this process. "
-                             "Points share no state, so results are "
-                             "identical at any N")
+                        help="run grid points over at most N forked workers "
+                             "(0, the default: one per usable CPU; 1: in this "
+                             "process); results are identical at any N")
     parser.add_argument("--out", metavar="PREFIX",
                         help="write PREFIX.json and PREFIX.csv")
     parser.add_argument("--verify", action="store_true",
@@ -74,8 +72,7 @@ def main(argv: Optional[list] = None) -> int:
                              "results bytes are identical")
     parser.add_argument("--timings", action="store_true",
                         help="report the points' wall-clock, events and "
-                             "peak RSS (high-water mark of the processes "
-                             "that ran them) on stderr")
+                             "peak RSS on stderr")
     args = parser.parse_args(argv)
     if args.schema:
         print(json.dumps(FLEET_SCHEMA, indent=2))

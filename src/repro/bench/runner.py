@@ -35,11 +35,9 @@ from .report import format_metrics
 
 ALL = sorted(FIGURES) + ["table1"]
 
-#: Subcommands with a CLI of their own: completion time under message
-#: loss, the replicated-volume chaos matrix, the fat-tree fidelity A/B
-#: and declarative sweeps.  None is part of ``all``: the paper's figures
-#: are fixed two-node experiments and must stay byte-identical whatever
-#: these drivers do.
+#: Subcommands with a CLI of their own (message loss, replica chaos,
+#: fat-tree fidelity, sweeps).  None is part of ``all``, so the paper's
+#: figures stay byte-identical whatever these drivers do.
 DRIVERS = ("faults", "replica", "topo", "fleet")
 
 

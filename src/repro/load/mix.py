@@ -52,6 +52,9 @@ class OpMix:
         rng = random.Random(f"repro.load.mix.{self.name}.{seed}")
         return rng.choices(self.choices, weights=self._weights, k=n)
 
+    def __repr__(self) -> str:
+        return f"OpMix({self.name!r}, {list(self.choices)!r})"
+
 
 #: The stock mixes experiment specs refer to by name.
 MIXES = {

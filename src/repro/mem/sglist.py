@@ -231,5 +231,8 @@ class PayloadRef:
             pos += len(chunk)
         raise IndexError("PayloadRef index out of range")  # pragma: no cover
 
+    def __repr__(self) -> str:
+        return f"PayloadRef(length={self.length}, chunks={len(self._chunks)})"
+
 
 _EMPTY = PayloadRef((), _trusted=True)

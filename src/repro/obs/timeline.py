@@ -67,6 +67,9 @@ class Timeline:
     def __init__(self):
         self._events: list[dict] = []
 
+    def __len__(self) -> int:
+        return len(self._events)
+
     # -- recording ---------------------------------------------------------
 
     def begin(self, time_ns: int, category: str, name: str,

@@ -22,8 +22,7 @@ from .engine import Environment
 
 
 def peak_rss_mib() -> float:
-    """High-water resident memory of this process (Linux ``ru_maxrss``
-    is in KiB)."""
+    """High-water resident memory of this process (``ru_maxrss``: KiB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 

@@ -72,6 +72,11 @@ class SocketsGmModule:
         self._ready = node.env.process(self._setup(), name="sockgm.setup")
         node.env.process(self._dispatch_thread(), name="sockgm.dispatch")
 
+    @property
+    def ready(self):
+        """Event firing once the bounce pools are registered."""
+        return self._ready
+
     def _setup(self):
         for _ in range(_TX_SLOTS):
             alloc = self.node.kspace.vmalloc(MAX_SOCK_MSG + 4096)

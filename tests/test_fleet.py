@@ -235,9 +235,8 @@ def test_bench_fleet_cli(tmp_path, capsys):
 
 def test_bench_fleet_parallel_means_what_bench_all_means(tmp_path, capsys):
     """``--parallel`` bounds the world runner's workers, as in ``bench
-    all``: 0 (the default) is one per usable CPU, 1 is this process, and
-    no count exceeds the points; the timing line sums the points'
-    events wherever they ran."""
+    all``: the default is one per usable CPU and 1 is this process; the
+    timing line sums the points' events wherever they ran."""
     from repro.bench.fleet import main
     from repro.sim.worlds import workers
 
@@ -252,7 +251,6 @@ def test_bench_fleet_parallel_means_what_bench_all_means(tmp_path, capsys):
         return int(line.group(1)), int(line.group(2))
 
     default = timing()
-    assert default == timing("--parallel", "0") == timing("--parallel", "64")
     assert default[1] == workers(2)
     in_process = timing("--parallel", "1")
     assert in_process[1] == 1

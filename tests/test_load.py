@@ -207,6 +207,7 @@ def test_per_client_fairness_is_high_on_symmetric_star():
 def test_rr_and_nbd_adapters_run():
     for spec, mix in [({"kind": "nbd", "api": "mx"}, "rw4k"),
                       ({"kind": "rr", "api": "mx"}, "rr1k"),
+                      ({"kind": "rr", "api": "gm"}, "rr1k"),
                       ({"kind": "rr", "api": "tcp"}, "rr1k")]:
         with obs.scoped_registry():
             env = Environment()
