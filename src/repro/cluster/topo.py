@@ -39,28 +39,6 @@ from ..hw.wire import ecmp_hash
 from ..sim import Environment
 from .node import Node, star
 
-#: Routing tables are a pure function of the abstract switch graph (the
-#: adjacency and the host locator) — no Environment state enters the
-#: BFS.  Fleet sweeps rebuild the same
-#: fabric for every grid point that varies only load/fidelity/fault, so
-#: the tables are memoized process-wide by structural signature.  The
-#: cache can only change build *time*, never results: a hit hands back
-#: the exact tuples a fresh BFS would compute (tests assert the bytes).
-_ROUTE_CACHE: dict = {}
-_ROUTE_CACHE_STATS = {"hits": 0, "misses": 0}
-
-
-def route_cache_stats() -> dict:
-    """Process-wide route-memo counters (for perf tests and the CLI)."""
-    return dict(_ROUTE_CACHE_STATS)
-
-
-def clear_route_cache() -> None:
-    _ROUTE_CACHE.clear()
-    _ROUTE_CACHE_STATS["hits"] = 0
-    _ROUTE_CACHE_STATS["misses"] = 0
-
-
 class Fabric:
     """A multi-switch topology under construction.
 
@@ -170,9 +148,7 @@ class Fabric:
         self._finalized = True
         routes = self._routes()
         for sw_name, sw in self.switches.items():
-            # Each switch gets a private top-level dict so a cached
-            # routes value can never be mutated through a switch.
-            sw.set_topology(self.locator, dict(routes[sw_name]))
+            sw.set_topology(self.locator, routes[sw_name])
         if self.flow_params is not None:
             self.flownet = FlowNetwork(self.env, self.flow_params,
                                        path_fn=self._flow_path,
@@ -180,18 +156,8 @@ class Fabric:
             for node in self.nodes:
                 node.nic.flownet = self.flownet
 
-    def _route_signature(self):
-        """Structural identity of the routing problem: switch creation
-        order, full adjacency and host placement."""
-        return (
-            tuple(self.switches),
-            tuple((sw, tuple(self._adj[sw])) for sw in self.switches),
-            tuple(sorted(self.locator.items())),
-        )
-
     def _routes(self) -> dict[str, dict[str, tuple[int, ...]]]:
-        """Shortest-path tables for every switch, memoized by
-        :func:`_route_signature` across fabric builds in this process.
+        """Shortest-path tables for every switch.
 
         One BFS per target switch over the reverse adjacency: when a
         switch is first reached from the frontier at distance ``d - 1``,
@@ -199,12 +165,6 @@ class Fabric:
         the candidates are collected during the walk.  Equal candidate
         tuples share one object.
         """
-        sig = self._route_signature()
-        cached = _ROUTE_CACHE.get(sig)
-        if cached is not None:
-            _ROUTE_CACHE_STATS["hits"] += 1
-            return cached
-        _ROUTE_CACHE_STATS["misses"] += 1
         names = list(self.switches)
         index = {sw_name: i for i, sw_name in enumerate(names)}
         # switch -> [(peer, the peer's port to it)], switches by index
@@ -245,7 +205,6 @@ class Fabric:
                 ports.sort()
                 key = tuple(ports)
                 tables[i][target] = shared.setdefault(key, key)
-        _ROUTE_CACHE[sig] = routes
         return routes
 
     # -- flow-engine integration -------------------------------------------

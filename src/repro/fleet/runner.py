@@ -11,12 +11,6 @@ point hermetic, which buys the fleet contract for free:
   point order, so the rendered JSON/CSV bytes never depend on how many
   workers ran them.
 
-Grid points that share a topology reuse the memoized fabric routing
-tables (:mod:`repro.cluster.topo`'s route cache) — a build-time
-optimization the byte-identity contract itself proves harmless: forked
-workers inherit only the parent's cache, so they miss where an
-in-process run hits.
-
 No wall-clock value ever enters a results file.
 """
 

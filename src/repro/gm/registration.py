@@ -116,15 +116,15 @@ class RegistrationDomain:
         self._m_pages.inc(npages)
         return region
 
-    def deregister(self, region: GmRegion, unpin: bool = True):
+    def deregister(self, region: GmRegion):
         """Generator: remove a region's translations and (for user
         registrations) drop the pins."""
         if not region.active:
             raise GMRegistrationError("region already deregistered")
         yield from self.cpu.work(self.deregister_cost_ns(region.npages))
-        self.remove_silently(region, unpin=unpin)
+        self.remove_silently(region)
 
-    def remove_silently(self, region: GmRegion, unpin: bool = True) -> None:
+    def remove_silently(self, region: GmRegion) -> None:
         """Tear a region down without charging the deregistration cost.
 
         Used when the translations are already gone for free (port
@@ -144,9 +144,8 @@ class RegistrationDomain:
             pfn = (region.frames[i].pfn if region.frames
                    else table.get(context, vpn))
             table.remove(context, vpn, pfn)
-        if unpin:
-            for frame in region.frames:
-                frame.unpin()
+        for frame in region.frames:
+            frame.unpin()
         self._regions.remove(region)
         self._m_dereg.inc()
         self._m_pages.dec(region.npages)

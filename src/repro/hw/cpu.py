@@ -2,8 +2,8 @@
 
 All host-side software costs (API overheads, memory copies, protocol
 processing) occupy the CPU resource, so concurrent activities serialize
-realistically and :meth:`Cpu.utilization` exposes how many cycles the
-communication stack steals from the application — the paper's core
+realistically and every cycle the communication stack steals from the
+application delays whatever else wants the CPU — the paper's core
 motivation for zero-copy ("These copies are CPU consuming while the user
 parallel application needs the CPU for its computations", section 2.1).
 """
@@ -24,7 +24,6 @@ class Cpu:
         self.params = params
         self.name = name
         self.resource = Resource(env, capacity=capacity, name=name)
-        self.copied_bytes = 0
 
     def copy_time_ns(self, nbytes: int) -> int:
         """Pure cost of copying ``nbytes``, no queueing.
@@ -50,7 +49,6 @@ class Cpu:
 
         Usage: ``yield from cpu.copy(n)``.
         """
-        self.copied_bytes += nbytes
         return self.resource.acquire(self.copy_time_ns(nbytes))
 
     def work(self, duration_ns: int):

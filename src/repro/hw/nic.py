@@ -639,7 +639,8 @@ class Nic:
         self.name = name
         self.fw = Resource(env, 1, f"{name}.fw")  # the LANai processor
         self.pci = Resource(env, 1, f"{name}.pci")
-        self.transtable = TranslationTable(params.translation_table_entries)
+        self.transtable = TranslationTable(params.translation_table_entries,
+                                           node_id)
         self.ports: dict[int, NicPort] = {}
         self._rx_queue: Store = Store(env, f"{name}.rx")
         self._link: Optional[Link] = None
@@ -718,7 +719,8 @@ class Nic:
         """Firmware reset: wipe volatile NIC state (translations, pending
         rendezvous, sequence numbers) but come back up able to talk."""
         self.crashed = False
-        self.transtable = TranslationTable(self.params.translation_table_entries)
+        self.transtable = TranslationTable(
+            self.params.translation_table_entries, self.node_id)
         self._pending_rndv.clear()
         self._stalled_rndv.clear()
         if self._rel is not None:

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from .. import obs
 from ..errors import TranslationMiss, TranslationTableFull
 
 
 class TranslationTable:
     """Fixed-capacity (context, vpn) -> pfn map on the NIC."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, node: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -42,8 +43,8 @@ class TranslationTable:
         # Pfns of the earlier holders of a shared key, in install order
         # (absent for the usual single holder).
         self._shared: dict[tuple[int, int], list[int]] = {}
-        self.lookup_count = 0
-        self.install_count = 0
+        self._m_lookups = obs.counter("nic.transtable.lookups", node=node)
+        self._m_installs = obs.counter("nic.transtable.installs", node=node)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -70,7 +71,7 @@ class TranslationTable:
             if held is not None:
                 self._shared.setdefault(key, []).append(held)
             entries[key] = pfn
-        self.install_count += fresh
+        self._m_installs.inc(fresh)
 
     def remove(self, context: int, vpn: int, pfn: int) -> None:
         """Drop the hold of the registration that installed ``pfn`` for
@@ -109,11 +110,11 @@ class TranslationTable:
         for page in range(vpn, vpn + npages):
             pfn = entries.get((context, page))
             if pfn is None:
-                self.lookup_count += len(pfns) + 1
+                self._m_lookups.inc(len(pfns) + 1)
                 raise TranslationMiss(
                     f"no translation for context={context} vpn={page:#x}")
             pfns.append(pfn)
-        self.lookup_count += npages
+        self._m_lookups.inc(npages)
         return pfns
 
     def get(self, context: int, vpn: int) -> Optional[int]:
@@ -121,6 +122,7 @@ class TranslationTable:
 
         Unlike :meth:`lookup` this is host-side bookkeeping (silent
         deregistration, cache maintenance), not a charged NIC
-        translation, so it does not count toward ``lookup_count``.
+        translation, so it does not count toward
+        ``nic.transtable.lookups``.
         """
         return self._entries.get((context, vpn))

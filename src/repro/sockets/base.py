@@ -31,8 +31,6 @@ class KSocket:
         self.node = module.node
         self.cpu = module.node.cpu
         self._open = True
-        self.bytes_sent = 0
-        self.bytes_received = 0
 
     # -- the application-facing calls ---------------------------------------
 
@@ -44,7 +42,6 @@ class KSocket:
         yield from self.cpu.syscall()
         yield from self.cpu.work(SOCK_LAYER_NS)
         yield from self.module.protocol_send(self, space, vaddr, length)
-        self.bytes_sent += length
         return length
 
     def recv(self, space: AddressSpace, vaddr: int, length: int):
@@ -55,7 +52,6 @@ class KSocket:
         yield from self.cpu.syscall()
         yield from self.cpu.work(SOCK_LAYER_NS)
         n = yield from self.module.protocol_recv(self, space, vaddr, length)
-        self.bytes_received += n
         return n
 
     def close(self) -> None:

@@ -242,7 +242,6 @@ class SocketsGmModule:
         # final chunk remains on the critical path.
         tail = min(event.size, _RECV_COPY_PIPELINE_CHUNK)
         yield from self.cpu.resource.acquire(self.cpu.copy_time_ns(tail))
-        self.cpu.copied_bytes += event.size
         space.write_payload(vaddr, self.node.kspace.read_payload(alloc.vaddr, event.size))
         self._rx_free.append(idx)
         return event.size

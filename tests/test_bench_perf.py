@@ -106,11 +106,11 @@ def build_kib_per_host(k: int = 8) -> float:
     host, metrics registry included.
 
     The build is measured after two warm-up builds in this process, so
-    imports, the shared route cache and the allocator's free lists are
-    not counted, and the garbage collector runs just before tracing
-    starts and again before the traced size is read, so its timing does
-    not move the number.  Unlike resident memory, traced bytes then
-    repeat run to run on one Python version.
+    imports and the allocator's free lists are not counted, and the
+    garbage collector runs just before tracing starts and again before
+    the traced size is read, so its timing does not move the number.
+    Unlike resident memory, traced bytes then repeat run to run on one
+    Python version.
     """
     size = 256 * KiB
     for _ in range(2):

@@ -1,9 +1,9 @@
 """Failure injection: prove the coherence machinery is load-bearing.
 
 The paper's section 2.2.2 hazard, demonstrated both ways: with VMA SPY
-the registration cache stays coherent; with the spy disabled, the
-classic munmap-and-reuse pattern silently corrupts transfers (data goes
-to/comes from the *old* physical pages).
+the registration cache stays coherent; given a spy that never reports a
+change, the classic munmap-and-reuse pattern silently corrupts transfers
+(data goes to/comes from the *old* physical pages).
 """
 
 import pytest
@@ -16,11 +16,19 @@ from repro.sim import Environment
 from repro.units import PAGE_SIZE, us
 
 
+class BlindSpy:
+    """A VMA SPY stand-in whose watches never fire: the cache it serves
+    keeps translations that munmap/fork made stale."""
+
+    def watch(self, space, callback):
+        return None
+
+
 def build(coherent: bool):
     env = Environment()
     a, b = node_pair(env)
     pa, pb = GmKernelPort(a, 2), GmKernelPort(b, 2)
-    cache = Gmkrc(pa, a.vmaspy, coherent=coherent)
+    cache = Gmkrc(pa, a.vmaspy if coherent else BlindSpy())
     space = a.new_process_space()
     dst = b.kspace.kmalloc(PAGE_SIZE)
     return env, a, b, pa, pb, cache, space, dst
@@ -70,7 +78,7 @@ def test_coherent_cache_survives_address_reuse(count):
 
 
 def test_incoherent_cache_silently_sends_stale_data(count):
-    """With the spy off, the second send reads the freed frame: the
+    """With a blind spy, the second send reads the freed frame: the
     receiver gets OLD bytes while the application wrote NEW ones —
     exactly the corruption the paper's coherence design prevents."""
     env, a, b, pa, pb, cache, space, dst = build(coherent=False)
@@ -87,7 +95,7 @@ def test_incoherent_cache_poisons_receives_too():
     env = Environment()
     a, b = node_pair(env)
     pa, pb = GmKernelPort(a, 2), GmKernelPort(b, 2)
-    cache = Gmkrc(pb, b.vmaspy, coherent=False)
+    cache = Gmkrc(pb, BlindSpy())
     space = b.new_process_space()
     src = a.kspace.kmalloc(PAGE_SIZE)
     a.kspace.write_bytes(src.vaddr, b"PAYLOAD")

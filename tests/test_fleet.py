@@ -5,11 +5,8 @@ import re
 
 import pytest
 
-from repro.cluster.topo import (clear_route_cache, fat_tree,
-                                route_cache_stats)
 from repro.fleet import (FleetSpec, FleetSpecError, render_csv,
                          render_json, run_fleet, run_point)
-from repro.sim import Environment
 
 # -- spec validation and expansion ---------------------------------------------
 
@@ -155,37 +152,6 @@ def test_render_csv_shape():
     assert header[0] == "index" and "p99_ns" in header
     for line in lines[1:]:
         assert len(line.split(",")) == len(header)
-
-
-def test_route_cache_reuse_does_not_change_results():
-    """Grid points sharing a topology reuse the memoized routing tables;
-    a cold-cache run must produce the same bytes as a warm-cache run."""
-    spec = _spec(grid={
-        "topology": [{"kind": "fat_tree", "k": 4}],
-        "workload": [{"kind": "orfa", "api": "mx"}],
-        "offered_load": [4000, 32000],
-    })
-    clear_route_cache()
-    cold = render_json(run_fleet(spec, parallel=1))
-    stats = route_cache_stats()
-    assert stats["misses"] == 1
-    assert stats["hits"] >= 1  # second grid point reused the tables
-    warm = render_json(run_fleet(spec, parallel=1))
-    assert route_cache_stats()["misses"] == 1  # still only one BFS
-    assert cold == warm
-
-
-def test_route_cache_hit_hands_back_identical_tables():
-    clear_route_cache()
-    env1 = Environment()
-    f1 = fat_tree(env1, 4)
-    env2 = Environment()
-    f2 = fat_tree(env2, 4)
-    assert route_cache_stats() == {"hits": 1, "misses": 1}
-    for src, dst in ((0, 15), (3, 8), (7, 12)):
-        p1 = [(link.name, end) for link, end, _sw in f1.path(src, dst)]
-        p2 = [(link.name, end) for link, end, _sw in f2.path(src, dst)]
-        assert p1 == p2
 
 
 def test_saturation_knee_over_the_load_axis():

@@ -151,7 +151,7 @@ def test_kernel_register_kernel_memory(pair):
     assert node.nic.transtable.get(port.context, alloc.vaddr >> 12) is not None
 
 
-def test_physical_send_and_receive_roundtrip(pair):
+def test_physical_send_and_receive_roundtrip(count, pair):
     env, a, b = pair
     pa, pb = GmKernelPort(a, 2), GmKernelPort(b, 2)
     src = a.kspace.kmalloc(PAGE_SIZE)
@@ -173,7 +173,7 @@ def test_physical_send_and_receive_roundtrip(pair):
     assert event.size == 13
     assert b.kspace.read_bytes(dst.vaddr, 13) == b"physical-path"
     # Physical primitives never touch the translation table.
-    assert a.nic.transtable.lookup_count == 0
+    assert count("nic.transtable.lookups", node=a.node_id) == 0
 
 
 def test_physical_primitives_count_as_gm_sends_and_posts():
@@ -196,7 +196,7 @@ def test_physical_primitives_count_as_gm_sends_and_posts():
     assert counters["gm.recv_posts{node=1,port=2}"] == 1
 
 
-def test_sends_resolve_registered_pages_through_the_nic_table(pair):
+def test_sends_resolve_registered_pages_through_the_nic_table(count, pair):
     """The NIC table is the only copy of GM's translations: a user send
     of n registered pages looks up each page once (and so does the
     receive it lands in), while a physical send looks up nothing."""
@@ -222,8 +222,8 @@ def test_sends_resolve_registered_pages_through_the_nic_table(pair):
     event = run(env, receiver(env))
     assert event.size == n * PAGE_SIZE
     assert sb.read_bytes(vb, n * PAGE_SIZE) == payload
-    assert a.nic.transtable.lookup_count == n
-    assert b.nic.transtable.lookup_count == n
+    assert count("nic.transtable.lookups", node=a.node_id) == n
+    assert count("nic.transtable.lookups", node=b.node_id) == n
 
     ka, kb = GmKernelPort(a, 2), GmKernelPort(b, 2)
     src, dst = a.kspace.kmalloc(PAGE_SIZE), b.kspace.kmalloc(PAGE_SIZE)
@@ -235,8 +235,8 @@ def test_sends_resolve_registered_pages_through_the_nic_table(pair):
         return (yield from kb.receive_event())
 
     assert run(env, physical(env)).size == 64
-    assert a.nic.transtable.lookup_count == n
-    assert b.nic.transtable.lookup_count == n
+    assert count("nic.transtable.lookups", node=a.node_id) == n
+    assert count("nic.transtable.lookups", node=b.node_id) == n
 
 
 def test_register_kernel_of_untouched_kmalloc_builds_no_frame(pair,
@@ -290,13 +290,13 @@ def test_overlapping_registration_keeps_shared_page_translated(pair):
     assert len(a.nic.transtable) == 0
 
 
-def test_table_entry_is_held_until_its_last_holder_goes():
+def test_table_entry_is_held_until_its_last_holder_goes(count):
     from repro.nicfw.transtable import TranslationTable
 
-    table = TranslationTable(4)
+    table = TranslationTable(4, node=0)
     table.install_range(3, 10, [100, 101])
     table.install_range(3, 11, [201, 202])  # vpn 11 is shared
-    assert len(table) == 3 and table.install_count == 3
+    assert len(table) == 3 and count("nic.transtable.installs") == 3
     assert table.get(3, 11) == 201  # the latest install translates
     table.remove(3, 11, 201)
     assert table.get(3, 11) == 101  # back to the earlier live holder
@@ -340,11 +340,11 @@ def test_closed_port_rejects_operations(pair):
         run(env, port.receive_event())
 
 
-def test_install_range_is_all_or_nothing():
+def test_install_range_is_all_or_nothing(count):
     from repro.errors import TranslationTableFull
     from repro.nicfw.transtable import TranslationTable
 
-    table = TranslationTable(4)
+    table = TranslationTable(4, node=0)
     table.install_range(7, 100, [1])
     # 2 fresh + 1 re-install fits exactly: 100 updates, 101/102 are new.
     table.install_range(7, 100, [11, 12, 13])
@@ -355,16 +355,16 @@ def test_install_range_is_all_or_nothing():
     assert len(table) == 3
     assert table.get(7, 102) == 13  # pre-existing pfn untouched
     assert table.get(7, 103) is None and table.get(7, 104) is None
-    assert table.install_count == 3
+    assert count("nic.transtable.installs") == 3
 
 
-def test_table_get_probes_without_charging_lookups():
+def test_table_get_probes_without_charging_lookups(count):
     from repro.nicfw.transtable import TranslationTable
 
-    table = TranslationTable(4)
+    table = TranslationTable(4, node=0)
     table.install_range(1, 5, [42])
     assert table.get(1, 5) == 42
     assert table.get(1, 6) is None
-    assert table.lookup_count == 0  # get() is host-side bookkeeping
+    assert count("nic.transtable.lookups") == 0  # get() is host-side bookkeeping
     assert table.lookup(1, 5) == 42
-    assert table.lookup_count == 1
+    assert count("nic.transtable.lookups") == 1

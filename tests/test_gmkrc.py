@@ -259,58 +259,44 @@ def test_invalidating_one_of_two_overlapping_entries_keeps_the_other(count):
     assert b.kspace.read_bytes(dst.vaddr, 2 * PAGE_SIZE) == payload
 
 
-# -- the sorted interval index ------------------------------------------------
+# -- install order decides lookups and eviction ties -------------------------
 
 
-def _index_entry(base, length, ins_seq):
-    from repro.gmkrc.cache import CacheEntry
-
-    return CacheEntry(space=None, base=base, length=length,
-                      key_base=base, region=None, ins_seq=ins_seq)
-
-
-def test_space_index_matches_linear_scan():
-    """Property: find_covering == the old first-installed linear scan,
-    through a deterministic add/remove/query workload."""
-    from repro.gmkrc.cache import _SpaceIndex
-
-    index = _SpaceIndex()
-    live = []  # insertion order, like the old flat list
-    seq = 0
-    rng_state = 12345
-
-    def rng(n):
-        nonlocal rng_state
-        rng_state = (rng_state * 1103515245 + 12345) & 0x7FFFFFFF
-        return rng_state % n
-
-    for step in range(600):
-        op = rng(3)
-        if op < 2 or not live:  # add (biased: keep the index populated)
-            seq += 1
-            base = rng(64) * PAGE_SIZE
-            length = (1 + rng(8)) * PAGE_SIZE
-            entry = _index_entry(base, length, seq)
-            index.add(entry)
-            live.append(entry)
-        else:  # remove a pseudo-random live entry
-            entry = live.pop(rng(len(live)))
-            index.remove(entry)
-        vaddr = rng(72) * PAGE_SIZE
-        length = (1 + rng(8)) * PAGE_SIZE
-        expect = next((e for e in live if e.covers(vaddr, length)), None)
-        assert index.find_covering(vaddr, length) is expect
-    assert sorted(index.by_key) == index.order
+def test_lookup_hits_the_first_installed_covering_entry(setup, count):
+    """Two entries cover a later acquire: it hits the first installed;
+    once an munmap invalidates only that one, it hits the second."""
+    env, node, port, cache = setup
+    space = node.new_process_space()
+    vaddr = space.mmap(3 * PAGE_SIZE)
+    _, first = run(env, cache.acquire(space, vaddr, 2 * PAGE_SIZE))
+    cache.release(first)
+    _, second = run(env, cache.acquire(space, vaddr + PAGE_SIZE,
+                                       2 * PAGE_SIZE))
+    cache.release(second)
+    _, hit = run(env, cache.acquire(space, vaddr + PAGE_SIZE, PAGE_SIZE))
+    cache.release(hit)
+    assert hit is first
+    space.munmap(vaddr, PAGE_SIZE)
+    assert not first.valid and second.valid
+    _, hit = run(env, cache.acquire(space, vaddr + PAGE_SIZE, PAGE_SIZE))
+    cache.release(hit)
+    assert hit is second
+    assert count("gmkrc.hits") == 2 and count("gmkrc.misses") == 2
 
 
-def test_space_index_prefers_first_installed_of_overlapping():
-    from repro.gmkrc.cache import _SpaceIndex
-
-    index = _SpaceIndex()
-    older = _index_entry(0, 8 * PAGE_SIZE, ins_seq=1)
-    newer = _index_entry(0, 8 * PAGE_SIZE, ins_seq=2)
-    index.add(newer)
-    index.add(older)
-    assert index.find_covering(PAGE_SIZE, PAGE_SIZE) is older
-    index.remove(older)
-    assert index.find_covering(PAGE_SIZE, PAGE_SIZE) is newer
+def test_eviction_tie_goes_to_the_earliest_installed(setup, count):
+    """Two unreferenced entries last used at the same instant: the page
+    budget evicts the one installed first."""
+    env, node, port, cache = setup  # budget: 16 pages
+    space = node.new_process_space()
+    v1 = space.mmap(8 * PAGE_SIZE)
+    v2 = space.mmap(8 * PAGE_SIZE)
+    v3 = space.mmap(8 * PAGE_SIZE)
+    _, e1 = run(env, cache.acquire(space, v1, 8 * PAGE_SIZE))
+    _, e2 = run(env, cache.acquire(space, v2, 8 * PAGE_SIZE))
+    cache.release(e2)
+    cache.release(e1)
+    assert e1.last_use == e2.last_use
+    _, e3 = run(env, cache.acquire(space, v3, 8 * PAGE_SIZE))
+    assert not e1.valid and e2.valid and e3.valid
+    assert count("gmkrc.lazy_deregistrations") == 1

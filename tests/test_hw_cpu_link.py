@@ -51,7 +51,6 @@ def test_copy_charges_simulated_time_and_serializes():
     env.process(worker(env, 64 * 1024))
     env.run()
     assert done[1] == pytest.approx(2 * done[0], rel=0.01)
-    assert cpu.copied_bytes == 128 * 1024
 
 
 def test_dual_cpu_runs_two_copies_in_parallel():

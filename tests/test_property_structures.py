@@ -23,7 +23,7 @@ from repro.units import bandwidth_mb_s, transfer_time_ns
 )
 @settings(max_examples=50)
 def test_transtable_lookup_matches_last_install(entries):
-    table = TranslationTable(capacity=256)
+    table = TranslationTable(capacity=256, node=0)
     expected = {}
     for ctx, vpn, pfn in entries:
         table.install_range(ctx, vpn, [pfn])
@@ -35,7 +35,7 @@ def test_transtable_lookup_matches_last_install(entries):
 
 @given(capacity=st.integers(1, 16))
 def test_transtable_capacity_enforced(capacity):
-    table = TranslationTable(capacity)
+    table = TranslationTable(capacity, node=0)
     for i in range(capacity):
         table.install_range(0, i, [i])
     with pytest.raises(TranslationTableFull):
